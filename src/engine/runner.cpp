@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <exception>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -38,14 +39,13 @@ constexpr const char* kCoverageColumns[] = {
     "program", "R",   "r",   "cell",           "checkpoints",
     "horizon", "t50", "t99", "final_fraction", "covered_area"};
 
-/// Escapes a string per RFC 8259: quote, backslash, and *every*
-/// control character below 0x20 (named escapes where JSON has them,
-/// \u00XX otherwise).  Raw control characters in the output would make
-/// the document unparseable.
-std::string json_escape(const std::string& s) {
+/// Appends `s` as a JSON string token, escaped per RFC 8259: quote,
+/// backslash, and *every* control character below 0x20 (named escapes
+/// where JSON has them, \u00XX otherwise).  Raw control characters in
+/// the output would make the document unparseable.
+void append_json_string(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size() + 2);
+  out += '"';
   for (const char ch : s) {
     const unsigned char c = static_cast<unsigned char>(ch);
     switch (c) {
@@ -66,15 +66,50 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
+  out += '"';
 }
 
-/// JSON number token: RFC 8259 has no inf/nan literals, so non-finite
-/// values are emitted as null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return io::format_double(v);
-}
+/// Appends the members of one JSON object: `"name": value`, separated
+/// by ", ", every key escaped.  The caller writes the braces.
+class JsonMembers {
+ public:
+  explicit JsonMembers(std::string& out) : out_(out) {}
+
+  /// RFC 8259 has no inf/nan literals, so non-finite values are
+  /// emitted as null; finite ones as io::format_double(v) writes them.
+  void number(std::string_view name, double v) {
+    key(name);
+    if (std::isfinite(v)) {
+      io::append_number(out_, v, std::chars_format::general, 12);
+    } else {
+      out_ += "null";
+    }
+  }
+  template <typename Int>
+  void integer(std::string_view name, Int v) {
+    key(name);
+    char buf[24];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  }
+  void boolean(std::string_view name, bool v) {
+    key(name);
+    out_ += v ? "true" : "false";
+  }
+  void string(std::string_view name, std::string_view v) {
+    key(name);
+    append_json_string(out_, v);
+  }
+
+ private:
+  void key(std::string_view name) {
+    if (!first_) out_ += ", ";
+    first_ = false;
+    append_json_string(out_, name);
+    out_ += ": ";
+  }
+  std::string& out_;
+  bool first_ = true;
+};
 
 const char* gather_algorithm_name(const GatherCell& cell) {
   return cell.algorithm == rendezvous::AlgorithmChoice::kAlgorithm4
@@ -334,122 +369,124 @@ std::vector<io::CsvRow> ResultSet::csv_rows(
 }
 
 std::string ResultSet::to_csv(const std::vector<Column>& extras) const {
-  std::ostringstream os;
-  io::CsvWriter writer(os);
-  writer.header(csv_header(extras));
-  for (const io::CsvRow& row : csv_rows(extras)) writer.row(row);
-  return os.str();
+  const io::CsvRow header = csv_header(extras);
+  const std::vector<io::CsvRow> rows = csv_rows(extras);
+  std::size_t bytes = 0;  // fields plus one separator each; quoting aside
+  for (const std::string& field : header) bytes += field.size() + 1;
+  for (const io::CsvRow& row : rows) {
+    for (const std::string& field : row) bytes += field.size() + 1;
+  }
+  std::string out;
+  out.reserve(bytes);
+  io::append_csv_row(out, header);
+  for (const io::CsvRow& row : rows) io::append_csv_row(out, row);
+  return out;
 }
 
 std::string ResultSet::to_json(const std::vector<Column>& extras) const {
   (void)emission_family();   // reject mixed sets up front
   (void)component_names();   // reject mismatched component schemas
-  std::ostringstream os;
-  os << "[";
+  std::string out = "[";
   for (std::size_t i = 0; i < records_.size(); ++i) {
     const RunRecord& rec = records_[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {";
-    if (any_label_) os << "\"label\": \"" << json_escape(rec.label) << "\", ";
+    out += i == 0 ? "\n  {" : ",\n  {";
+    JsonMembers row(out);
+    if (any_label_) row.string("label", rec.label);
     switch (rec.family) {
       case Family::kRendezvous: {
         const rendezvous::Scenario& s = rec.scenario;
         const sim::SimResult& sim = rec.outcome.sim;
-        os << "\"v\": " << json_number(s.attrs.speed)
-           << ", \"tau\": " << json_number(s.attrs.time_unit)
-           << ", \"phi\": " << json_number(s.attrs.orientation)
-           << ", \"chi\": " << s.attrs.chirality
-           << ", \"d\": " << json_number(rec.outcome.initial_distance)
-           << ", \"r\": " << json_number(s.visibility)
-           << ", \"algorithm\": \"" << json_escape(rec.outcome.algorithm_name)
-           << "\", \"feasible\": "
-           << (rendezvous::is_feasible(rec.outcome.feasibility) ? "true"
-                                                                : "false")
-           << ", \"met\": " << (sim.met ? "true" : "false")
-           << ", \"time\": " << json_number(sim.time)
-           << ", \"distance\": " << json_number(sim.distance)
-           << ", \"min_distance\": " << json_number(sim.min_distance)
-           << ", \"evals\": " << sim.evals
-           << ", \"segments\": " << sim.segments;
+        row.number("v", s.attrs.speed);
+        row.number("tau", s.attrs.time_unit);
+        row.number("phi", s.attrs.orientation);
+        row.integer("chi", s.attrs.chirality);
+        row.number("d", rec.outcome.initial_distance);
+        row.number("r", s.visibility);
+        row.string("algorithm", rec.outcome.algorithm_name);
+        row.boolean("feasible",
+                    rendezvous::is_feasible(rec.outcome.feasibility));
+        row.boolean("met", sim.met);
+        row.number("time", sim.time);
+        row.number("distance", sim.distance);
+        row.number("min_distance", sim.min_distance);
+        row.integer("evals", sim.evals);
+        row.integer("segments", sim.segments);
         break;
       }
       case Family::kSearch: {
         const SearchCell& c = rec.search;
         const SearchOutcome& o = rec.search_outcome;
-        os << "\"d\": " << json_number(c.distance)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"angles\": " << c.angles << ", \"program\": \""
-           << json_escape(o.program_name) << "\", \"found\": " << o.found
-           << ", \"missed\": " << o.missed
-           << ", \"worst_time\": " << json_number(o.worst_time)
-           << ", \"mean_time\": " << json_number(o.mean_time)
-           << ", \"worst_angle\": " << json_number(o.worst_angle)
-           << ", \"evals\": " << o.evals << ", \"segments\": " << o.segments;
+        row.number("d", c.distance);
+        row.number("r", c.visibility);
+        row.integer("angles", c.angles);
+        row.string("program", o.program_name);
+        row.integer("found", o.found);
+        row.integer("missed", o.missed);
+        row.number("worst_time", o.worst_time);
+        row.number("mean_time", o.mean_time);
+        row.number("worst_angle", o.worst_angle);
+        row.integer("evals", o.evals);
+        row.integer("segments", o.segments);
         break;
       }
       case Family::kGather: {
         const GatherCell& c = rec.gather;
         const GatherOutcome& o = rec.gather_outcome;
-        os << "\"n\": " << c.fleet.size()
-           << ", \"ring_radius\": " << json_number(c.ring_radius)
-           << ", \"r\": " << json_number(c.visibility) << ", \"algorithm\": \""
-           << json_escape(gather_algorithm_name(c)) << "\", \"contact\": "
-           << (o.contact.achieved ? "true" : "false")
-           << ", \"contact_time\": " << json_number(o.contact.time)
-           << ", \"pair_i\": " << o.contact.pair_i
-           << ", \"pair_j\": " << o.contact.pair_j << ", \"gathered\": "
-           << (o.gathered.achieved ? "true" : "false")
-           << ", \"gathered_time\": " << json_number(o.gathered.time)
-           << ", \"min_max_pairwise\": "
-           << json_number(o.gathered.min_max_pairwise)
-           << ", \"evals\": " << o.contact.evals + o.gathered.evals
-           << ", \"segments\": " << o.contact.segments + o.gathered.segments;
+        row.integer("n", c.fleet.size());
+        row.number("ring_radius", c.ring_radius);
+        row.number("r", c.visibility);
+        row.string("algorithm", gather_algorithm_name(c));
+        row.boolean("contact", o.contact.achieved);
+        row.number("contact_time", o.contact.time);
+        row.integer("pair_i", o.contact.pair_i);
+        row.integer("pair_j", o.contact.pair_j);
+        row.boolean("gathered", o.gathered.achieved);
+        row.number("gathered_time", o.gathered.time);
+        row.number("min_max_pairwise", o.gathered.min_max_pairwise);
+        row.integer("evals", o.contact.evals + o.gathered.evals);
+        row.integer("segments", o.contact.segments + o.gathered.segments);
         break;
       }
       case Family::kLinear: {
         const LinearCell& c = rec.linear;
         const LinearOutcome& o = rec.linear_outcome;
-        os << "\"mode\": \"" << linear_mode_name(c.mode) << "\", \"v\": "
-           << json_number(c.attrs.speed)
-           << ", \"tau\": " << json_number(c.attrs.time_unit)
-           << ", \"dir\": " << c.attrs.direction
-           << ", \"d\": " << json_number(c.target)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"feasible\": " << (o.feasible ? "true" : "false")
-           << ", \"met\": " << (o.sim.met ? "true" : "false")
-           << ", \"time\": " << json_number(o.sim.time)
-           << ", \"distance\": " << json_number(o.sim.distance)
-           << ", \"min_distance\": " << json_number(o.sim.min_distance)
-           << ", \"evals\": " << o.sim.evals
-           << ", \"segments\": " << o.sim.segments;
+        row.string("mode", linear_mode_name(c.mode));
+        row.number("v", c.attrs.speed);
+        row.number("tau", c.attrs.time_unit);
+        row.integer("dir", c.attrs.direction);
+        row.number("d", c.target);
+        row.number("r", c.visibility);
+        row.boolean("feasible", o.feasible);
+        row.boolean("met", o.sim.met);
+        row.number("time", o.sim.time);
+        row.number("distance", o.sim.distance);
+        row.number("min_distance", o.sim.min_distance);
+        row.integer("evals", o.sim.evals);
+        row.integer("segments", o.sim.segments);
         break;
       }
       case Family::kCoverage: {
         const CoverageCell& c = rec.coverage;
         const CoverageOutcome& o = rec.coverage_outcome;
-        os << "\"program\": \"" << json_escape(o.program_name)
-           << "\", \"R\": " << json_number(c.disk_radius)
-           << ", \"r\": " << json_number(c.visibility)
-           << ", \"cell\": " << json_number(c.cell)
-           << ", \"checkpoints\": " << c.checkpoints
-           << ", \"horizon\": " << json_number(c.horizon)
-           << ", \"t50\": " << json_number(o.t50)
-           << ", \"t99\": " << json_number(o.t99)
-           << ", \"final_fraction\": " << json_number(o.final_fraction)
-           << ", \"covered_area\": " << json_number(o.covered_area);
+        row.string("program", o.program_name);
+        row.number("R", c.disk_radius);
+        row.number("r", c.visibility);
+        row.number("cell", c.cell);
+        row.integer("checkpoints", c.checkpoints);
+        row.number("horizon", c.horizon);
+        row.number("t50", o.t50);
+        row.number("t99", o.t99);
+        row.number("final_fraction", o.final_fraction);
+        row.number("covered_area", o.covered_area);
         break;
       }
     }
-    for (const Component& c : rec.components) {
-      os << ", \"" << json_escape(c.name) << "\": " << json_number(c.value);
-    }
-    for (const Column& col : extras) {
-      os << ", \"" << json_escape(col.name) << "\": \""
-         << json_escape(col.value(rec)) << "\"";
-    }
-    os << "}";
+    for (const Component& c : rec.components) row.number(c.name, c.value);
+    for (const Column& col : extras) row.string(col.name, col.value(rec));
+    out += '}';
   }
-  os << "\n]\n";
-  return os.str();
+  out += "\n]\n";
+  return out;
 }
 
 io::Table ResultSet::to_table(const std::vector<Column>& extras,
@@ -583,6 +620,14 @@ io::Table ResultSet::to_table(const std::vector<Column>& extras,
   return table;
 }
 
+std::string render(const ResultSet& results, std::string_view format) {
+  if (format == "csv") return results.to_csv();
+  if (format == "json") return results.to_json();
+  if (format == "table") return results.to_table().to_ascii();
+  throw std::invalid_argument("format must be csv, json or table, got '" +
+                              std::string(format) + "'");
+}
+
 ResultSet run_scenarios(const std::vector<WorkItem>& work,
                         RunnerOptions options) {
   const std::size_t n = work.size();
@@ -675,6 +720,11 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
             entry.coverage_outcome = rec.coverage_outcome;
             options.cache->store(*key, std::move(entry));
           }
+        } else if (item.family == Family::kRendezvous) {
+          // A components-only rendezvous item runs no scenario, but its
+          // `feasible` column is still emitted: Theorem 4 decides it
+          // from the attributes alone.
+          rec.outcome.feasibility = rendezvous::classify(item.scenario.attrs);
         }
         // Component times are evaluated on every run — computed and
         // replayed cells alike — so caching stays oblivious to the

@@ -38,6 +38,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -202,6 +203,12 @@ class ResultSet {
   bool any_label_ = false;
   CacheStats cache_stats_;
 };
+
+/// The document a client asked for: `to_csv()`, `to_json()`, or the
+/// ASCII rendering of `to_table()`, for `format` = "csv" / "json" /
+/// "table".  \throws std::invalid_argument for any other format.
+[[nodiscard]] std::string render(const ResultSet& results,
+                                 std::string_view format);
 
 /// Runs every work item in the set (all families) and aggregates the
 /// outcomes in materialisation order.  Worker exceptions are re-thrown

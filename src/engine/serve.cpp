@@ -186,18 +186,6 @@ bool parse_json_bool(Cursor& c) {
   parse_fail("expected true or false");
 }
 
-std::string render(const ResultSet& results, const std::string& format) {
-  if (format == "csv") return results.to_csv();
-  if (format == "json") return results.to_json();
-  if (format == "table") {
-    std::ostringstream os;
-    results.to_table().print(os);
-    return os.str();
-  }
-  throw ServeError("parse",
-                   "'format' must be csv, json or table, got '" + format + "'");
-}
-
 /// File-name-safe set name for per-set persistence files.
 std::string sanitize_name(const std::string& name) {
   std::string out = name.empty() ? "inline" : name;
@@ -752,12 +740,10 @@ void Service::dispatch_forked(const std::string& set_name,
                               std::vector<std::size_t>* missing) {
   const std::lock_guard<std::mutex> disk(disk_mutex_);
   // Children must not touch the shared cache: another worker may hold
-  // its mutex at fork time, which would deadlock the child.  Snapshot
-  // into a fresh-mutex copy owned by this thread instead.
+  // its mutex at fork time, which would deadlock the child.  They get a
+  // fresh, empty cache instead — they only compute misses, which are
+  // absent from the shared cache by definition.
   ScenarioCache warm;
-  for (auto& [key, entry] : cache_.snapshot()) {
-    warm.store(key, std::move(entry));
-  }
   const std::size_t procs = options_.procs;
   unsigned budget = options_.threads != 0 ? options_.threads
                                           : std::thread::hardware_concurrency();

@@ -1,10 +1,10 @@
 #include "io/table.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "io/csv.hpp"
 
 namespace rv::io {
 
@@ -48,60 +48,69 @@ std::vector<std::size_t> Table::widths() const {
 }
 
 namespace {
-void pad_cell(std::ostream& os, const std::string& cell, std::size_t width,
+void pad_cell(std::string& out, const std::string& cell, std::size_t width,
               Align align) {
   const std::size_t padding = width - std::min(width, cell.size());
-  if (align == Align::kRight) os << std::string(padding, ' ');
-  os << cell;
-  if (align == Align::kLeft) os << std::string(padding, ' ');
+  if (align == Align::kRight) out.append(padding, ' ');
+  out += cell;
+  if (align == Align::kLeft) out.append(padding, ' ');
 }
 }  // namespace
 
 std::string Table::to_ascii() const {
   const std::vector<std::size_t> w = widths();
-  std::ostringstream os;
+  std::size_t line = 2;  // leading '|' or '+', trailing '\n'
+  for (const std::size_t width : w) line += width + 3;
+  std::string out;
+  out.reserve(line * (rows_.size() + 4));
   auto rule = [&] {
-    os << '+';
-    for (const std::size_t width : w) os << std::string(width + 2, '-') << '+';
-    os << '\n';
+    out += '+';
+    for (const std::size_t width : w) {
+      out.append(width + 2, '-');
+      out += '+';
+    }
+    out += '\n';
+  };
+  auto cells = [&](const std::vector<std::string>& row, bool header) {
+    out += '|';
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      out += ' ';
+      pad_cell(out, row[i], w[i], header ? Align::kLeft : aligns_[i]);
+      out += " |";
+    }
+    out += '\n';
   };
   rule();
-  os << '|';
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    os << ' ';
-    pad_cell(os, columns_[i], w[i], Align::kLeft);
-    os << " |";
-  }
-  os << '\n';
+  cells(columns_, true);
   rule();
-  for (const auto& row : rows_) {
-    os << '|';
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      os << ' ';
-      pad_cell(os, row[i], w[i], aligns_[i]);
-      os << " |";
-    }
-    os << '\n';
-  }
+  for (const auto& row : rows_) cells(row, false);
   rule();
-  return os.str();
+  return out;
 }
 
 std::string Table::to_markdown() const {
-  std::ostringstream os;
-  os << '|';
-  for (const auto& c : columns_) os << ' ' << c << " |";
-  os << "\n|";
+  std::string out;
+  out += '|';
+  for (const auto& c : columns_) {
+    out += ' ';
+    out += c;
+    out += " |";
+  }
+  out += "\n|";
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    os << (aligns_[i] == Align::kRight ? " ---: |" : " :--- |");
+    out += aligns_[i] == Align::kRight ? " ---: |" : " :--- |";
   }
-  os << '\n';
+  out += '\n';
   for (const auto& row : rows_) {
-    os << '|';
-    for (const auto& cell : row) os << ' ' << cell << " |";
-    os << '\n';
+    out += '|';
+    for (const auto& cell : row) {
+      out += ' ';
+      out += cell;
+      out += " |";
+    }
+    out += '\n';
   }
-  return os.str();
+  return out;
 }
 
 void Table::print(std::ostream& os, const std::string& title) const {
@@ -110,20 +119,19 @@ void Table::print(std::ostream& os, const std::string& title) const {
 }
 
 std::string format_fixed(double v, int precision) {
-  std::ostringstream os;
   const double mag = v < 0 ? -v : v;
-  if (mag != 0.0 && (mag >= 1e7 || mag < 1e-4)) {
-    os << std::scientific << std::setprecision(precision) << v;
-  } else {
-    os << std::fixed << std::setprecision(precision) << v;
-  }
-  return os.str();
+  const bool sci = mag != 0.0 && (mag >= 1e7 || mag < 1e-4);
+  std::string out;
+  append_number(out, v,
+                sci ? std::chars_format::scientific : std::chars_format::fixed,
+                precision);
+  return out;
 }
 
 std::string format_sci(double v, int precision) {
-  std::ostringstream os;
-  os << std::scientific << std::setprecision(precision) << v;
-  return os.str();
+  std::string out;
+  append_number(out, v, std::chars_format::scientific, precision);
+  return out;
 }
 
 }  // namespace rv::io

@@ -51,10 +51,11 @@ class Table {
   std::vector<Align> aligns_;
 };
 
-/// Fixed-precision formatter used by the benches ("12.34", "1.2e+06").
+/// Fixed-precision formatter used by the benches ("12.34", "1.2e+07"):
+/// printf "%.*f", or "%.*e" when |v| >= 1e7 or 0 < |v| < 1e-4.
 [[nodiscard]] std::string format_fixed(double v, int precision = 4);
 
-/// Scientific formatter.
+/// Scientific formatter: printf "%.*e".
 [[nodiscard]] std::string format_sci(double v, int precision = 3);
 
 }  // namespace rv::io

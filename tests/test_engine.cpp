@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <limits>
@@ -24,6 +25,7 @@
 #include "mathx/constants.hpp"
 #include "rendezvous/algorithm7.hpp"
 #include "rendezvous/core.hpp"
+#include "rendezvous/feasibility.hpp"
 #include "rendezvous/variants.hpp"
 #include "search/algorithm4.hpp"
 #include "search/times.hpp"
@@ -1246,6 +1248,37 @@ TEST(Components, ComponentsOnlySkipsPayloadAndBypassesCache) {
   EXPECT_EQ(results.cache_stats().misses, 0u);
 }
 
+TEST(Components, ComponentsOnlyRendezvousEmitsTheorem4Feasibility) {
+  // No scenario runs, but the `feasible` column is still emitted: it is
+  // the Theorem 4 classification of the attributes, never an unset
+  // field.
+  rendezvous::Scenario feasible;
+  feasible.attrs.time_unit = 0.5;
+  const rendezvous::Scenario infeasible;  // identical robots
+  ASSERT_TRUE(rendezvous::is_feasible(rendezvous::classify(feasible.attrs)));
+  ASSERT_FALSE(
+      rendezvous::is_feasible(rendezvous::classify(infeasible.attrs)));
+  engine::ScenarioSet set;
+  set.components_only().add(feasible, "feasible").add(infeasible, "identical");
+  const auto results = engine::run_scenarios(set);
+  ASSERT_EQ(results.size(), 2u);
+  for (const engine::RunRecord& rec : results) {
+    EXPECT_EQ(rec.outcome.feasibility,
+              rendezvous::classify(rec.scenario.attrs));
+  }
+  const auto header = results.csv_header();
+  const auto column = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "feasible") - header.begin());
+  ASSERT_LT(column, header.size());
+  const auto rows = results.csv_rows();
+  EXPECT_EQ(rows[0][column], "1");
+  EXPECT_EQ(rows[1][column], "0");
+  const std::string json = results.to_json();
+  EXPECT_NE(json.find("\"label\": \"feasible\", "), std::string::npos);
+  EXPECT_NE(json.find("\"feasible\": true"), std::string::npos);
+  EXPECT_NE(json.find("\"feasible\": false"), std::string::npos);
+}
+
 TEST(Components, PerCellHookOverridesSetHookAndSurvivesCacheReplay) {
   auto declare = [] {
     engine::SearchCell cell;
@@ -1365,6 +1398,17 @@ TEST(ScenarioCache, LinearAndCoverageCellsReplayByteIdentical) {
 // Empty result sets: filtered()/cache_stats()/emission must return
 // empty/zeroed values, never throw or read uninitialized state.
 // ---------------------------------------------------------------------------
+
+TEST(ResultSet, RenderDispatchesOnFormat) {
+  engine::ScenarioSet set;
+  set.linear_distances({1.0, 2.0});
+  const auto results = engine::run_scenarios(set);
+  EXPECT_EQ(engine::render(results, "csv"), results.to_csv());
+  EXPECT_EQ(engine::render(results, "json"), results.to_json());
+  EXPECT_EQ(engine::render(results, "table"), results.to_table().to_ascii());
+  EXPECT_THROW((void)engine::render(results, "xml"), std::invalid_argument);
+  EXPECT_THROW((void)engine::render(results, ""), std::invalid_argument);
+}
 
 TEST(ResultSet, EmptySetIsWellBehaved) {
   const engine::ResultSet empty;

@@ -2,11 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
 #include "io/table.hpp"
+#include "mathx/rng.hpp"
 
 namespace {
 
@@ -79,6 +87,132 @@ TEST(Csv, WriterRoundTripsThroughParser) {
 TEST(Csv, FormatDouble) {
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(2.0), "2");
+}
+
+TEST(Csv, AppendRowMatchesWriter) {
+  const CsvRow fields{"plain", "a,b", "q\"uote", "cr\r", "", "1.5"};
+  std::ostringstream os;
+  CsvWriter(os).row(fields);
+  std::string out = "prefix;";
+  append_csv_row(out, fields);
+  EXPECT_EQ(out, "prefix;" + os.str());
+  EXPECT_EQ(os.str(), "plain,\"a,b\",\"q\"\"uote\",\"cr\r\",,1.5\n");
+}
+
+// ---------------------------------------------------------------------------
+// Number formatting: the to_chars formatters against the iostream
+// implementations they replaced (kept here only as the oracle).
+// ---------------------------------------------------------------------------
+
+std::string oracle_double(double v, int precision) {
+  std::ostringstream oss;
+  oss.precision(precision);
+  oss << v;
+  return oss.str();
+}
+
+std::string oracle_fixed(double v, int precision) {
+  std::ostringstream os;
+  const double mag = v < 0 ? -v : v;
+  if (mag != 0.0 && (mag >= 1e7 || mag < 1e-4)) {
+    os << std::scientific << std::setprecision(precision) << v;
+  } else {
+    os << std::fixed << std::setprecision(precision) << v;
+  }
+  return os.str();
+}
+
+std::string oracle_sci(double v, int precision) {
+  std::ostringstream os;
+  os << std::scientific << std::setprecision(precision) << v;
+  return os.str();
+}
+
+/// Every formatter at `precision` agrees with its oracle on `v`;
+/// returns the number of mismatches (each also reported).
+int mismatches(double v, int precision) {
+  int bad = 0;
+  const auto check = [&](const char* name, const std::string& got,
+                         const std::string& want) {
+    if (got == want) return;
+    ++bad;
+    ADD_FAILURE() << name << "(" << std::hexfloat << v << ", " << precision
+                  << ") = \"" << got << "\", oracle \"" << want << "\"";
+  };
+  check("format_double", format_double(v, precision),
+        oracle_double(v, precision));
+  check("format_fixed", format_fixed(v, precision),
+        oracle_fixed(v, precision));
+  check("format_sci", format_sci(v, precision), oracle_sci(v, precision));
+  return bad;
+}
+
+std::vector<double> special_values() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> values = {
+      0.0, -0.0, kInf, -kInf, kNan, -kNan,
+      std::numeric_limits<double>::denorm_min(), 5e-324, DBL_MIN, DBL_MAX,
+      // format_fixed's switch points, and their neighbours.
+      1e7, std::nextafter(1e7, 0.0), std::nextafter(1e7, kInf),
+      1e-4, std::nextafter(1e-4, 0.0), std::nextafter(1e-4, 1.0),
+      // Ties and values whose shortest form is not their printf form.
+      0.5, 1.5, 2.5, 0.125, 0.1, 1.0 / 3.0, 2.0 / 3.0, 9.5, 0.05, 1e15,
+      1e16, 1e17, 123456789012345678.0, 9.9999999999995, 999999.5,
+      0.000123456789, 4.35, 1e21, 1e-7, 1e22, 1e23, 3.141592653589793};
+  const std::size_t n = values.size();
+  for (std::size_t i = 0; i < n; ++i) values.push_back(-values[i]);
+  return values;
+}
+
+TEST(NumberFormat, SpecialsAtEveryPrecisionMatchIostreams) {
+  int bad = 0;
+  for (const double v : special_values()) {
+    for (int precision = 0; precision <= 17; ++precision) {
+      bad += mismatches(v, precision);
+    }
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(NumberFormat, SeededRandomBitPatternsMatchIostreams) {
+  rv::mathx::Xoshiro256 rng(0x5eed);
+  int bad = 0;
+  for (int i = 0; i < 120000 && bad < 10; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 2 == 1) {
+      // Half the draws keep the binary exponent in [-20, 40), where
+      // format_fixed takes its fixed branch and %g switches forms.
+      const std::uint64_t exponent = 1023 - 20 + (bits >> 58) % 60;
+      bits = (bits & 0x800FFFFFFFFFFFFFull) | (exponent << 52);
+    }
+    bad += mismatches(std::bit_cast<double>(bits), i % 18);
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(NumberFormat, LargePrecisionsAreNeitherRefusedNorTruncated) {
+  EXPECT_EQ(format_fixed(1e6, 60), oracle_fixed(1e6, 60));
+  EXPECT_EQ(format_fixed(1e6, 60), "1000000." + std::string(60, '0'));
+  EXPECT_EQ(format_double(0.1, 60), oracle_double(0.1, 60));
+  EXPECT_EQ(format_sci(-DBL_MAX, 400), oracle_sci(-DBL_MAX, 400));
+  EXPECT_EQ(format_sci(5e-324, 800), oracle_sci(5e-324, 800));
+  // The widest rendering there is: "%.*f" of -DBL_MAX.
+  for (const int precision : {0, 17, 300}) {
+    std::string out;
+    append_number(out, -DBL_MAX, std::chars_format::fixed, precision);
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(precision) << -DBL_MAX;
+    EXPECT_EQ(out, os.str());
+  }
+}
+
+TEST(NumberFormat, NegativePrecisionMeansSix) {
+  for (const double v : {1.0 / 3.0, 12345678.9, -2.5e-9}) {
+    EXPECT_EQ(format_double(v, -1), oracle_double(v, -1));
+    EXPECT_EQ(format_fixed(v, -3), oracle_fixed(v, -3));
+    EXPECT_EQ(format_sci(v, -1), oracle_sci(v, -1));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -133,19 +132,6 @@ ShardSpec parse_shard(const std::string& text) {
     throw fail();
   }
   return spec;
-}
-
-/// Renders the set in the requested format.
-std::string render(const ResultSet& results, const std::string& format) {
-  if (format == "csv") return results.to_csv();
-  if (format == "json") return results.to_json();
-  if (format == "table") {
-    std::ostringstream os;
-    results.to_table().print(os);
-    return os.str();
-  }
-  throw std::invalid_argument("--format must be csv, json or table, got '" +
-                              format + "'");
 }
 
 /// Writes the document to --out, or stdout when --out is empty.
@@ -443,7 +429,7 @@ int cmd_run(rv::io::Args& args) {
     stats = results.cache_stats();
   }
   print_run_stats(set_name, results.size(), stats);
-  emit(render(results, args.get("format")), args.get("out"));
+  emit(rv::engine::render(results, args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"), stats);
 }
 
@@ -469,7 +455,7 @@ int cmd_merge(rv::io::Args& args) {
     std::cerr << "rv_batch: wrote " << cache.size() << " outcomes to "
               << merged << "\n";
   }
-  emit(render(results, args.get("format")), args.get("out"));
+  emit(rv::engine::render(results, args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"),
                         results.cache_stats());
 }

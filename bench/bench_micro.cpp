@@ -12,17 +12,21 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/coverage.hpp"
 #include "engine/contact_sweep.hpp"
 #include "engine/metric_kernel.hpp"
 #include "engine/runner.hpp"
 #include "engine/scenario_set.hpp"
+#include "gather/multi_simulator.hpp"
 #include "geom/difference_map.hpp"
 #include "mathx/lambert_w.hpp"
 #include "rendezvous/algorithm7.hpp"
+#include "rendezvous/core.hpp"
 #include "rendezvous/schedule.hpp"
 #include "search/algorithm4.hpp"
 #include "search/baselines.hpp"
 #include "search/emitter.hpp"
+#include "search/times.hpp"
 #include "sim/simulator.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
@@ -255,6 +259,57 @@ void BM_BatchedPositions(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BatchedPositions)->Arg(3)->Arg(50)->Arg(250)->Arg(1000);
+
+// The gather-fleet set's "distinct clocks" fleet — three Algorithm 7
+// robots with τ = 1, 0.5, 0.75 on the unit ring, r = 0.2 — through the
+// all-pairs gathering sweep, cut at a short fixed horizon.  Nearly
+// every step of this sweep pulls a new segment, so it times the
+// per-step bookkeeping (slot updates, frame mapping, emission) around
+// a three-point metric, not the kernel.
+void BM_SweepGatherFleet(benchmark::State& state) {
+  std::vector<RobotAttributes> fleet(3);
+  fleet[1].time_unit = 0.5;
+  fleet[2].time_unit = 0.75;
+  std::vector<Vec2> origins;
+  for (int i = 0; i < 3; ++i) {
+    origins.push_back(rv::geom::polar(
+        1.0, 2.0 * rv::mathx::kPi * static_cast<double>(i) / 3.0));
+  }
+  const auto factory = rv::rendezvous::program_factory(
+      rv::rendezvous::AlgorithmChoice::kAlgorithm7);
+  rv::gather::GatherOptions opts;
+  opts.sweep.visibility = 0.2;
+  opts.sweep.max_time = 2e4;
+  opts.mode = rv::gather::GatherMode::kAllPairsGathered;
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    const auto res =
+        rv::gather::simulate_gathering(factory, fleet, origins, opts);
+    segments += res.segments;
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(segments));
+}
+BENCHMARK(BM_SweepGatherFleet);
+
+// The coverage-disk set's Algorithm 4 cell: R = 1.5, r = 0.1, cell
+// 0.05, 16 checkpoints, horizon twice the guaranteed round's Lemma 2
+// time.  Late rounds run circles far outside the grid, which the
+// sweep skips whole.
+void BM_MeasureCoverageDisk(benchmark::State& state) {
+  rv::analysis::CoverageOptions opts;
+  opts.disk_radius = 1.5;
+  opts.visibility = 0.1;
+  opts.cell = 0.05;
+  opts.checkpoints = 16;
+  opts.horizon = 2.0 * rv::search::time_first_rounds(
+                           rv::search::guaranteed_round(1.5, 0.1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rv::analysis::measure_coverage(
+        rv::search::make_search_program(), RobotAttributes{}, opts));
+  }
+}
+BENCHMARK(BM_MeasureCoverageDisk);
 
 // Metric kernels head to head on the jittered ring (the gather
 // family's layout): brute-force O(n²) vs grid closest-pair / calipers

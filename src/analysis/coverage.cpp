@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "mathx/constants.hpp"
 #include "traj/frame.hpp"
@@ -11,6 +12,25 @@
 namespace rv::analysis {
 
 using geom::Vec2;
+
+namespace {
+// Distance from the origin to the nearest point of `seg`, or a lower
+// bound on it: an arc reports the approach of its whole circle.
+double closest_approach(const traj::Segment& seg) {
+  if (const auto* line = std::get_if<traj::LineSeg>(&seg)) {
+    const Vec2 d = line->to - line->from;
+    const double len2 = geom::norm_sq(d);
+    const double u =
+        len2 > 0.0 ? std::clamp(-geom::dot(line->from, d) / len2, 0.0, 1.0)
+                   : 0.0;
+    return geom::norm(line->from + u * d);
+  }
+  if (const auto* arc = std::get_if<traj::ArcSeg>(&seg)) {
+    return std::abs(arc->radius - geom::norm(arc->center));
+  }
+  return geom::norm(std::get<traj::WaitSeg>(seg).at);
+}
+}  // namespace
 
 CoverageGrid::CoverageGrid(double extent, double cell)
     : extent_(extent), cell_(cell) {
@@ -97,22 +117,39 @@ std::vector<CoveragePoint> measure_coverage(
       options.horizon / static_cast<double>(options.checkpoints);
   double next_checkpoint = checkpoint_dt;
 
+  // Every cell centre lies within √2·(extent + cell/2) of the origin,
+  // so a segment that stays farther than `reach` from it marks nothing
+  // anywhere along its length (see coverage.hpp).
+  const double reach =
+      std::sqrt(2.0) * grid.extent() + options.visibility + grid.cell();
+
   double t = 0.0;
   traj::TimedSegment seg = stream.next();
+  bool far = closest_approach(seg.geometry) > reach;
   grid.mark_disk(seg.position(0.0), options.visibility);
   while (t < options.horizon) {
-    while (seg.t1 <= t) seg = stream.next();
-    // Step so the robot moves at most cell/2 between marks.
-    const double speed = seg.speed();
-    double dt;
-    if (speed <= 0.0) {
-      dt = seg.t1 - t;  // waiting: nothing new to mark until the segment ends
-      if (dt <= 0.0) dt = options.cell;
-    } else {
-      dt = 0.5 * options.cell / speed;
+    while (seg.t1 <= t) {
+      seg = stream.next();
+      far = closest_approach(seg.geometry) > reach;
     }
-    t = std::min({t + dt, seg.t1, options.horizon});
-    grid.mark_disk(seg.position(t), options.visibility);
+    if (far) {
+      // Jump to the segment's end: the marks in between would not
+      // change the grid, and the checkpoints passed below see the same
+      // grid state they would have seen stepping.
+      t = std::min(seg.t1, options.horizon);
+    } else {
+      // Step so the robot moves at most cell/2 between marks.
+      const double speed = seg.speed();
+      double dt;
+      if (speed <= 0.0) {
+        dt = seg.t1 - t;  // waiting: nothing new to mark until the end
+        if (dt <= 0.0) dt = options.cell;
+      } else {
+        dt = 0.5 * options.cell / speed;
+      }
+      t = std::min({t + dt, seg.t1, options.horizon});
+      grid.mark_disk(seg.position(t), options.visibility);
+    }
     while (t >= next_checkpoint - 1e-12 &&
            series.size() <
                static_cast<std::size_t>(options.checkpoints)) {

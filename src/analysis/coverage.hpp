@@ -80,6 +80,20 @@ struct CoverageOptions {
 /// marking the r-neighbourhood along the way, and returns the coverage
 /// series.  Positions are sampled every cell/2 of travel so no cell
 /// on the path can be skipped.
+///
+/// Segments that cannot reach the grid are skipped whole: when a
+/// segment's closest approach to the origin exceeds
+/// √2·extent + r + cell, the sweep jumps straight to its end (or the
+/// horizon), still recording every checkpoint it passes.  The approach
+/// is |radius − |center|| for an arc (its whole circle, a lower bound),
+/// the point-to-segment distance for a line and the point for a wait.
+/// The margin is certified: the grid has ⌈2·extent/cell⌉ cells a side
+/// starting at −extent, so every cell centre lies within
+/// √2·(extent + cell/2) of the origin, and a mark of radius r at a
+/// farther point than √2·extent + r + cell misses every centre by more
+/// than (1 − √2/2)·cell — far above floating-point rounding.  The
+/// skipped marks would not have changed the grid, so the series is
+/// bitwise the one full stepping produces.
 [[nodiscard]] std::vector<CoveragePoint> measure_coverage(
     std::shared_ptr<traj::Program> program,
     const geom::RobotAttributes& attrs, const CoverageOptions& options);

@@ -53,54 +53,85 @@ SweepResult ContactSweep::run() {
   return run_analytic(opts_.solver == SolverChoice::kAuto);
 }
 
-SweepResult ContactSweep::run_bisection() {
-  SweepResult res;
+void ContactSweep::start(SweepResult& res) {
   res.best_metric = std::numeric_limits<double>::infinity();
   const std::size_t n = streams_.size();
-  const double r = opts_.visibility;
-
   current_.clear();
   current_.reserve(n);
+  speeds_.clear();
+  speeds_.reserve(n);
   for (auto& stream : streams_) {
     current_.push_back(stream.next());
+    speeds_.push_back(current_.back().speed());
     ++res.segments;
   }
   batch_.assemble(current_);
   pos_.resize(n);
-  speeds_.reserve(n);
+  refresh_window();
+}
 
-  // The sweep metric over current positions; fills the extremal pair.
+void ContactSweep::pull(double t, SweepResult& res) {
+  // No current segment ends at or before t: nothing to pull, and the
+  // window end and Lipschitz constant still hold.
+  if (t < next_end_) return;
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    if (current_[i].t1 > t) continue;
+    do {
+      current_[i] = streams_[i].next();
+      ++res.segments;
+    } while (current_[i].t1 <= t);
+    batch_.assemble_one(i, current_[i]);
+    speeds_[i] = current_[i].speed();
+  }
+  refresh_window();
+}
+
+void ContactSweep::refresh_window() {
+  next_end_ = current_[0].t1;
+  for (const TimedSegment& seg : current_) {
+    next_end_ = std::min(next_end_, seg.t1);
+  }
+  // The pair maximum of v_i + v_j is the sum of the two largest
+  // speeds — computed in O(n), identical value.
+  lipschitz_ = lipschitz_speed_sum(speeds_);
+}
+
+double ContactSweep::metric_of(const std::vector<Vec2>& pos, int* out_i,
+                               int* out_j) const {
   // Kernel dispatch (engine/metric_kernel.hpp): same value and same
   // lexicographically-first pair as the historical O(n²) loop.
-  auto metric_of = [&](const std::vector<Vec2>& pos, int* out_i, int* out_j) {
-    const geom::ExtremalPair p = metric_ == SweepMetric::kMinPairwise
-                                     ? min_pairwise(pos, opts_.kernel)
-                                     : max_pairwise(pos, opts_.kernel);
-    if (out_i) *out_i = p.i;
-    if (out_j) *out_j = p.j;
-    return p.distance;
-  };
+  const geom::ExtremalPair p = metric_ == SweepMetric::kMinPairwise
+                                   ? min_pairwise(pos, opts_.kernel)
+                                   : max_pairwise(pos, opts_.kernel);
+  if (out_i) *out_i = p.i;
+  if (out_j) *out_j = p.j;
+  return p.distance;
+}
 
-  // Counted evaluation at a sweep/bisection point.  The batched SoA
-  // evaluator replays the scalar per-robot arithmetic bitwise (see
-  // traj/batch.hpp), so the metric stream is unchanged.
-  auto evaluate = [&](double at, int* out_i, int* out_j) {
-    batch_.positions(at, pos_.data());
-    ++res.evals;
-    return metric_of(pos_, out_i, out_j);
-  };
+double ContactSweep::evaluate(double at, SweepResult& res, int* out_i,
+                              int* out_j) {
+  // The batched SoA evaluator replays the scalar per-robot arithmetic
+  // bitwise (see traj/batch.hpp), so the metric stream is unchanged.
+  batch_.positions(at, pos_.data());
+  ++res.evals;
+  return metric_of(pos_, out_i, out_j);
+}
 
-  // Final positions + metric + extremal pair (reporting only — not a
-  // counted eval).  The pair is recomputed here, at the *certified*
-  // time, so the reported pair, metric and positions are mutually
-  // consistent: the detection evaluation happens at a sweep point
-  // strictly after the bisected event time, where a different pair may
-  // be extremal.
-  auto finalize = [&](double at) {
-    res.positions.resize(n);
-    batch_.positions(at, res.positions.data());
-    res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
-  };
+void ContactSweep::finalize(double at, SweepResult& res) {
+  // Reporting only — not a counted eval.  The pair is recomputed here,
+  // at the *certified* time, so the reported pair, metric and positions
+  // are mutually consistent: the detection evaluation happens at a
+  // sweep point strictly after the bisected event time, where a
+  // different pair may be extremal.
+  res.positions.resize(streams_.size());
+  batch_.positions(at, res.positions.data());
+  res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
+}
+
+SweepResult ContactSweep::run_bisection() {
+  SweepResult res;
+  const double r = opts_.visibility;
+  start(res);
 
   double t = 0.0;
   double prev_t = 0.0;  // last evaluated time with metric > r
@@ -108,19 +139,10 @@ SweepResult ContactSweep::run_bisection() {
 
   while (t < opts_.max_time && res.evals < opts_.max_evals) {
     // Pull segments forward so every robot covers time t.
-    double window_end = opts_.max_time;
-    bool pulled = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (current_[i].t1 <= t) {
-        current_[i] = streams_[i].next();
-        ++res.segments;
-        pulled = true;
-      }
-      window_end = std::min(window_end, current_[i].t1);
-    }
-    if (pulled) batch_.assemble(current_);
+    pull(t, res);
+    const double window_end = std::min(opts_.max_time, next_end_);
 
-    const double m = evaluate(t, nullptr, nullptr);
+    const double m = evaluate(t, res, nullptr, nullptr);
     if (m < res.best_metric) {
       res.best_metric = m;
       res.best_metric_time = t;
@@ -135,7 +157,7 @@ SweepResult ContactSweep::run_bisection() {
         double lo = prev_t, hi = t;
         while (hi - lo > opts_.time_tol) {
           const double mid = 0.5 * (lo + hi);
-          if (evaluate(mid, nullptr, nullptr) <= r) {
+          if (evaluate(mid, res, nullptr, nullptr) <= r) {
             hi = mid;
           } else {
             lo = mid;
@@ -145,7 +167,7 @@ SweepResult ContactSweep::run_bisection() {
       }
       res.event = true;
       res.time = event_time;
-      finalize(event_time);
+      finalize(event_time, res);
       return res;
     }
 
@@ -154,21 +176,15 @@ SweepResult ContactSweep::run_bisection() {
 
     // Certified advance: the metric is Lipschitz with constant
     // L = max over pairs of (v_i + v_j) on this window, so it cannot
-    // reach r before t + (m − r)/L.  The pair maximum is the sum of
-    // the two largest speeds — computed in O(n), identical value.
-    speeds_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      speeds_.push_back(current_[i].speed());
-    }
-    const double lipschitz = lipschitz_speed_sum(speeds_);
+    // reach r before t + (m − r)/L.
     double step;
-    if (lipschitz <= 0.0) {
+    if (lipschitz_ <= 0.0) {
       // Everybody stationary: the metric is constant until the window
       // ends.
       step = window_end - t;
       if (step <= 0.0) step = opts_.min_step;
     } else {
-      step = (m - r) / lipschitz;
+      step = (m - r) / lipschitz_;
     }
     step = std::max(step, opts_.min_step);
     const double next_t = std::min(t + step, window_end);
@@ -179,13 +195,12 @@ SweepResult ContactSweep::run_bisection() {
   // Horizon or eval budget reached without the event.
   res.event = false;
   res.time = std::min(t, opts_.max_time);
-  finalize(res.time);
+  finalize(res.time, res);
   return res;
 }
 
 SweepResult ContactSweep::run_analytic(bool auto_mode) {
   SweepResult res;
-  res.best_metric = std::numeric_limits<double>::infinity();
   const std::size_t n = streams_.size();
   const double r = opts_.visibility;
 
@@ -193,54 +208,16 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
   controls.time_tol = opts_.time_tol;
   controls.min_step = opts_.min_step;
 
-  current_.clear();
-  current_.reserve(n);
-  for (auto& stream : streams_) {
-    current_.push_back(stream.next());
-    ++res.segments;
-  }
-  batch_.assemble(current_);
-  pos_.resize(n);
-  speeds_.reserve(n);
-
-  auto metric_of = [&](const std::vector<Vec2>& pos, int* out_i, int* out_j) {
-    const geom::ExtremalPair p = metric_ == SweepMetric::kMinPairwise
-                                     ? min_pairwise(pos, opts_.kernel)
-                                     : max_pairwise(pos, opts_.kernel);
-    if (out_i) *out_i = p.i;
-    if (out_j) *out_j = p.j;
-    return p.distance;
-  };
-
-  auto evaluate = [&](double at, int* out_i, int* out_j) {
-    batch_.positions(at, pos_.data());
-    ++res.evals;
-    return metric_of(pos_, out_i, out_j);
-  };
-
-  auto finalize = [&](double at) {
-    res.positions.resize(n);
-    batch_.positions(at, res.positions.data());
-    res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
-  };
+  start(res);
 
   double t = 0.0;
 
   while (t < opts_.max_time && res.evals < opts_.max_evals) {
-    double window_end = opts_.max_time;
-    bool pulled = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      while (current_[i].t1 <= t) {
-        current_[i] = streams_[i].next();
-        ++res.segments;
-        pulled = true;
-      }
-      window_end = std::min(window_end, current_[i].t1);
-    }
-    if (pulled) batch_.assemble(current_);
+    pull(t, res);
+    const double window_end = std::min(opts_.max_time, next_end_);
 
     int ext_i = -1, ext_j = -1;
-    const double m = evaluate(t, &ext_i, &ext_j);
+    const double m = evaluate(t, res, &ext_i, &ext_j);
     if (m < res.best_metric) {
       res.best_metric = m;
       res.best_metric_time = t;
@@ -253,7 +230,7 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
       // bisection refinement needed.
       res.event = true;
       res.time = t;
-      finalize(t);
+      finalize(t, res);
       return res;
     }
 
@@ -270,16 +247,11 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
     if (auto_mode && !poly_window) {
       // kAuto on an arc window: the classic certified Lipschitz step
       // (the per-pair arc search may not pay off; kAnalytic forces it).
-      speeds_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        speeds_.push_back(current_[i].speed());
-      }
-      const double lipschitz = lipschitz_speed_sum(speeds_);
       double step;
-      if (lipschitz <= 0.0) {
+      if (lipschitz_ <= 0.0) {
         step = w > 0.0 ? w : opts_.min_step;
       } else {
-        step = (m - r) / lipschitz;
+        step = (m - r) / lipschitz_;
       }
       step = std::max(step, opts_.min_step);
       next_t = std::min(t + step, window_end);
@@ -308,8 +280,7 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
       double s_min = w;  // default: jump to the window end
       for (std::size_t i = 0; i + 1 < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
-          const double reach =
-              r + (current_[i].speed() + current_[j].speed()) * s_min;
+          const double reach = r + (speeds_[i] + speeds_[j]) * s_min;
           const Vec2 delta = pos_[j] - pos_[i];
           if (geom::norm_sq(delta) > reach * reach) continue;
           const PairCrossing crossing =
@@ -335,7 +306,7 @@ SweepResult ContactSweep::run_analytic(bool auto_mode) {
 
   res.event = false;
   res.time = std::min(t, opts_.max_time);
-  finalize(res.time);
+  finalize(res.time, res);
   return res;
 }
 

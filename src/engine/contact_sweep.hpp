@@ -37,6 +37,15 @@
 /// the fleet's current segments, bitwise identical to the per-robot
 /// variant dispatch it replaces.
 ///
+/// Cost model per step: a step pays for one metric evaluation and for
+/// what changed since the last step, nothing more.  Both solvers share
+/// one pull helper.  When no current segment ends by the step time it
+/// returns at once; otherwise it advances only the robots whose
+/// segments ended, rewrites only their batch slots
+/// (`BatchedPositions::assemble_one`) and cached speeds, and then
+/// recomputes the window end and the Lipschitz constant L.  A step
+/// that pulls nothing reuses both.
+///
 /// Tangential touches shallower than L·min_step can be passed over (a
 /// Zeno guard forces progress); all experiments in this repository
 /// involve transversal crossings, and `contact_tol` absorbs grazing
@@ -142,11 +151,30 @@ class ContactSweep {
   /// falls back to certified stepping on windows containing arcs).
   [[nodiscard]] SweepResult run_analytic(bool auto_mode);
 
+  /// Pulls every robot's first segment and fills every slot.
+  void start(SweepResult& res);
+  /// Advances each robot whose current segment ends at or before t and
+  /// rewrites only those robots' batch slots and speeds; a no-op when
+  /// no segment ends by t.
+  void pull(double t, SweepResult& res);
+  /// Recomputes `next_end_` and `lipschitz_` after the fleet changed.
+  void refresh_window();
+  /// The sweep metric over `pos`; fills the extremal pair.
+  [[nodiscard]] double metric_of(const std::vector<geom::Vec2>& pos,
+                                 int* out_i, int* out_j) const;
+  /// Counted evaluation at a sweep/bisection point (into `pos_`).
+  [[nodiscard]] double evaluate(double at, SweepResult& res, int* out_i,
+                                int* out_j);
+  /// Final positions, metric and extremal pair at `at` (not counted).
+  void finalize(double at, SweepResult& res);
+
   std::vector<traj::GlobalSegmentStream> streams_;
   std::vector<traj::TimedSegment> current_;
   traj::BatchedPositions batch_;  ///< SoA evaluator over `current_`
   std::vector<geom::Vec2> pos_;
-  std::vector<double> speeds_;  ///< reused per-step speed buffer
+  std::vector<double> speeds_;  ///< current_[i].speed(), per robot
+  double next_end_ = 0.0;   ///< earliest t1 over `current_`
+  double lipschitz_ = 0.0;  ///< lipschitz_speed_sum(speeds_)
   SweepMetric metric_;
   SweepOptions opts_;
 };

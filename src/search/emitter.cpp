@@ -27,12 +27,12 @@ void SearchRoundEmitter::load_sub_round() {
   m_ = std::uint64_t{1} << (2 * k_ - j_);
   i_ = 0;
   phase_ = 0;
+  inner_ = pow2(-k_ + j_);
+  rho_ = pow2(-3 * k_ + 2 * j_ - 1);
 }
 
 double SearchRoundEmitter::circle_radius() const {
-  const double inner = pow2(-k_ + j_);
-  const double rho = pow2(-3 * k_ + 2 * j_ - 1);
-  return inner + 2.0 * static_cast<double>(i_) * rho;
+  return inner_ + 2.0 * static_cast<double>(i_) * rho_;
 }
 
 std::uint64_t SearchRoundEmitter::total_segments() const {

@@ -41,6 +41,8 @@ class SearchRoundEmitter {
   std::uint64_t i_ = 0;     ///< circle index within the sub-round
   std::uint64_t m_ = 0;     ///< last circle index of this sub-round
   int phase_ = 0;           ///< 0 = line out, 1 = arc, 2 = line back
+  double inner_ = 0.0;      ///< 2^{−k+j}: the sub-round's first radius
+  double rho_ = 0.0;        ///< ρ = 2^{−3k+2j−1}: circles lie 2ρ apart
   bool wait_pending_ = true;
   bool done_ = false;
 

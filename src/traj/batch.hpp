@@ -7,9 +7,10 @@
 /// robot's position at every sweep/bisection point.  Doing that through
 /// `TimedSegment::position` costs a `std::variant` dispatch, a
 /// `duration()` recompute and several branches per robot per
-/// evaluation.  `BatchedPositions` assembles the fleet's current
-/// segments once per window into struct-of-arrays coefficient buffers
-/// (a one-byte kind tag plus contiguous doubles) and then advances all
+/// evaluation.  `BatchedPositions` holds one slot per robot in
+/// struct-of-arrays coefficient buffers (a one-byte kind tag plus
+/// contiguous doubles); a slot is rewritten only when that robot pulls
+/// a new segment (`assemble_one`), and one query advances all
 /// n positions for a query time in a single pass — a dense switch over
 /// the tag array with no variant or virtual dispatch, the loop the
 /// compiler can keep in registers and vectorize across the line-heavy
@@ -33,10 +34,14 @@ namespace rv::traj {
 /// Batched evaluator of one position per assembled segment.
 class BatchedPositions {
  public:
-  /// Rebuilds the SoA buffers from the fleet's current timed segments.
-  /// Call whenever any robot's current segment changes (once per sweep
-  /// window), not per evaluation.
+  /// Sizes the SoA buffers to the fleet and fills every slot from its
+  /// current timed segment (`assemble_one` over all i).
   void assemble(const std::vector<TimedSegment>& segments);
+
+  /// Rewrites slot i alone from `seg`; every other slot is untouched.
+  /// `i` must be below `size()`.  Call when robot i's current segment
+  /// changes, not per evaluation.
+  void assemble_one(std::size_t i, const TimedSegment& seg);
 
   /// Writes position i of every assembled segment at global time t into
   /// `out[i]`.  `out` must hold at least `size()` elements.  Bitwise

@@ -27,9 +27,11 @@ double TimedSegment::speed() const {
   return duration(geometry) / span;
 }
 
-Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
-                           const Vec2& origin) {
-  const Mat2 m = frame_matrix(attrs);
+namespace {
+// The frame map with the matrix m = frame_matrix(attrs) supplied by the
+// caller, so a stream can build m once instead of once per segment.
+Segment map_to_global(const Segment& local, const RobotAttributes& attrs,
+                      const Mat2& m, const Vec2& origin) {
   const double scale = attrs.speed * attrs.time_unit;
   const double chi = static_cast<double>(attrs.chirality);
 
@@ -47,12 +49,19 @@ Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
   const auto& wait = std::get<WaitSeg>(local);
   return WaitSeg{origin + m * wait.at, attrs.time_unit * wait.duration};
 }
+}  // namespace
+
+Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
+                           const Vec2& origin) {
+  return map_to_global(local, attrs, frame_matrix(attrs), origin);
+}
 
 GlobalSegmentStream::GlobalSegmentStream(std::shared_ptr<Program> program,
                                          RobotAttributes attrs, Vec2 origin)
     : program_(std::move(program)),
       attrs_(geom::validated(attrs)),
-      origin_(origin) {
+      origin_(origin),
+      frame_(frame_matrix(attrs_)) {
   if (!program_) {
     throw std::invalid_argument("GlobalSegmentStream: null program");
   }
@@ -67,7 +76,7 @@ TimedSegment GlobalSegmentStream::next() {
     const double global_dur = attrs_.time_unit * duration(local);
     if (global_dur <= 0.0) continue;  // skip degenerate segments
 
-    Segment global = to_global_geometry(local, attrs_, origin_);
+    Segment global = map_to_global(local, attrs_, frame_, origin_);
     const double t0 = clock_ + clock_comp_;
     // Kahan-compensated clock advance.
     const double x = global_dur;

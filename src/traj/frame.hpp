@@ -13,7 +13,9 @@
 /// dilation τ).
 ///
 /// `GlobalSegmentStream` applies this map lazily to a `Program`,
-/// producing the timed global segments the simulator sweeps over.
+/// producing the timed global segments the simulator sweeps over.  It
+/// builds the frame matrix once, at construction; each segment it emits
+/// is bitwise equal to `to_global_geometry` of the local segment.
 
 #include <memory>
 
@@ -71,6 +73,7 @@ class GlobalSegmentStream {
   std::shared_ptr<Program> program_;
   geom::RobotAttributes attrs_;
   geom::Vec2 origin_;
+  geom::Mat2 frame_;  ///< frame_matrix(attrs_), built once
   double clock_ = 0.0;
   double clock_comp_ = 0.0;  ///< Kahan compensation
 };

@@ -4,15 +4,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/coverage.hpp"
 #include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
 #include "search/algorithm4.hpp"
+#include "search/baselines.hpp"
 #include "search/paths.hpp"
 #include "search/times.hpp"
+#include "traj/frame.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
 
@@ -155,6 +163,209 @@ TEST(MeasureCoverage, OptionValidation) {
   EXPECT_THROW((void)measure_coverage(rv::search::make_search_program(),
                                       rv::geom::reference_attributes(), bad),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Far-segment skip: invisible in the output
+// ---------------------------------------------------------------------------
+
+// measure_coverage as it was before segments that cannot reach the
+// grid were skipped: every segment is walked in cell/2 steps, marking
+// at each.  The oracle the skipping sweep must match bit for bit.
+std::vector<CoveragePoint> stepping_oracle(
+    std::shared_ptr<rv::traj::Program> program,
+    const rv::geom::RobotAttributes& attrs, const CoverageOptions& options) {
+  const double extent = options.disk_radius + options.visibility + 1e-9;
+  CoverageGrid grid(extent, options.cell);
+
+  rv::traj::GlobalSegmentStream stream(std::move(program), attrs, {0.0, 0.0});
+  std::vector<CoveragePoint> series;
+  const double checkpoint_dt =
+      options.horizon / static_cast<double>(options.checkpoints);
+  double next_checkpoint = checkpoint_dt;
+
+  double t = 0.0;
+  rv::traj::TimedSegment seg = stream.next();
+  grid.mark_disk(seg.position(0.0), options.visibility);
+  while (t < options.horizon) {
+    while (seg.t1 <= t) seg = stream.next();
+    const double speed = seg.speed();
+    double dt;
+    if (speed <= 0.0) {
+      dt = seg.t1 - t;
+      if (dt <= 0.0) dt = options.cell;
+    } else {
+      dt = 0.5 * options.cell / speed;
+    }
+    t = std::min({t + dt, seg.t1, options.horizon});
+    grid.mark_disk(seg.position(t), options.visibility);
+    while (t >= next_checkpoint - 1e-12 &&
+           series.size() <
+               static_cast<std::size_t>(options.checkpoints)) {
+      series.push_back(CoveragePoint{
+          next_checkpoint,
+          grid.covered_fraction_of_disk(options.disk_radius),
+          grid.covered_area()});
+      next_checkpoint += checkpoint_dt;
+    }
+    if (t >= options.horizon) break;
+  }
+  while (series.size() < static_cast<std::size_t>(options.checkpoints)) {
+    series.push_back(CoveragePoint{
+        options.horizon, grid.covered_fraction_of_disk(options.disk_radius),
+        grid.covered_area()});
+  }
+  return series;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Runs both sweeps on fresh programs from `make` and requires the same
+// series, compared as bit patterns.
+template <typename Make>
+void expect_matches_oracle(Make make, const rv::geom::RobotAttributes& attrs,
+                           const CoverageOptions& opts,
+                           const std::string& what) {
+  const auto got = measure_coverage(make(), attrs, opts);
+  const auto want = stepping_oracle(make(), attrs, opts);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i].time), bits(want[i].time)) << what << " #" << i;
+    EXPECT_EQ(bits(got[i].fraction), bits(want[i].fraction))
+        << what << " #" << i;
+    EXPECT_EQ(bits(got[i].covered_area), bits(want[i].covered_area))
+        << what << " #" << i;
+  }
+}
+
+// The coverage-disk set's cell: R = 1.5, r = 0.1, cell 0.05.
+CoverageOptions disk_options(double horizon, int checkpoints) {
+  CoverageOptions opts;
+  opts.disk_radius = 1.5;
+  opts.visibility = 0.1;
+  opts.cell = 0.05;
+  opts.horizon = horizon;
+  opts.checkpoints = checkpoints;
+  return opts;
+}
+
+TEST(CoverageSkip, UniversalProgramsMatchSteppingAtRoundHorizons) {
+  const std::pair<const char*, std::shared_ptr<rv::traj::Program> (*)()>
+      programs[] = {
+          {"algorithm4", &rv::search::make_search_program},
+          {"concentric", &rv::search::make_concentric_baseline},
+          {"square-spiral", &rv::search::make_square_spiral_baseline},
+      };
+  const double round_horizon = rv::search::time_first_rounds(
+      rv::search::guaranteed_round(1.5, 0.1));
+  for (const auto& [name, make] : programs) {
+    for (const double scale : {1.0, 2.0, 4.0}) {
+      expect_matches_oracle(make, rv::geom::reference_attributes(),
+                            disk_options(scale * round_horizon, 16),
+                            std::string(name) + " x" + std::to_string(scale));
+    }
+  }
+}
+
+TEST(CoverageSkip, RotatedReflectedRobotMatchesStepping) {
+  rv::geom::RobotAttributes attrs;
+  attrs.speed = 1.3;
+  attrs.time_unit = 0.7;
+  attrs.orientation = 2.3;
+  attrs.chirality = -1;
+  const double horizon = 2.0 * rv::search::time_first_rounds(
+                                   rv::search::guaranteed_round(1.5, 0.1));
+  expect_matches_oracle(&rv::search::make_search_program, attrs,
+                        disk_options(horizon, 16), "algorithm4 rotated");
+}
+
+// Out along +x to radius 5, a full circle there (far outside the grid,
+// skipped whole), and back: the circle occupies [5, 5 + 10π].
+rv::traj::Path far_circle_path() {
+  rv::traj::Path p;
+  p.line_to({5.0, 0.0});
+  p.arc_around({0.0, 0.0}, rv::mathx::kTwoPi);
+  p.line_to({0.0, 0.0});
+  return p;
+}
+
+TEST(CoverageSkip, CheckpointsAndHorizonInsideASkippedSegment) {
+  const rv::traj::Path path = far_circle_path();
+  auto make = [&path] {
+    return std::make_shared<rv::traj::PathProgram>(path, "far-circle");
+  };
+  // Eight checkpoints over the whole path: several land mid-circle.
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(path.duration(), 8), "checkpoints");
+  // A horizon that ends mid-circle, with checkpoints before it.
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(20.0, 7), "horizon mid-circle");
+  // Past the path's end: the trailing waits at the origin count too.
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(path.duration() + 3.0, 5), "tail");
+
+  // A long far wait cut by the horizon.  Seven summed checkpoint steps
+  // overshoot this horizon by more than the 1e-12 slack, so the last
+  // checkpoint is padded at the horizon only if the jump stops there.
+  rv::traj::Path far_wait;
+  far_wait.line_to({5.0, 0.0});
+  far_wait.wait(1e7);
+  far_wait.line_to({0.0, 0.0});
+  expect_matches_oracle(
+      [&far_wait] {
+        return std::make_shared<rv::traj::PathProgram>(far_wait, "far-wait");
+      },
+      rv::geom::reference_attributes(), disk_options(3000000.1, 7),
+      "horizon mid-wait");
+}
+
+TEST(CoverageSkip, PathLeavingAndReenteringTheGridMatchesStepping) {
+  // Leaves diagonally, waits far out (a skipped wait), sweeps a half
+  // circle whose own circle passes the origin (never skipped), then an
+  // off-grid chord (a skipped line) and home.
+  rv::traj::Path p;
+  p.line_to({4.0, 4.0});
+  p.wait(2.5);
+  p.arc_around({4.0, 0.0}, rv::mathx::kPi);
+  p.line_to({-4.0, 4.0});
+  p.line_to({0.0, 0.0});
+  auto make = [&p] {
+    return std::make_shared<rv::traj::PathProgram>(p, "excursion");
+  };
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(p.duration(), 9), "excursion");
+  rv::geom::RobotAttributes attrs;
+  attrs.orientation = -0.9;
+  attrs.chirality = -1;
+  expect_matches_oracle(make, attrs, disk_options(p.duration(), 9),
+                        "excursion reflected");
+}
+
+TEST(CoverageSkip, SegmentsGrazingTheReachMarginMatchStepping) {
+  // Circles and tangent lines at exactly the reach margin (stepped: the
+  // skip needs a strictly larger approach) and one ulp either side.
+  // The margin measure_coverage skips beyond, for disk_options().
+  const CoverageOptions base = disk_options(1.0, 6);
+  const double extent = base.disk_radius + base.visibility + 1e-9;
+  const double reach = std::sqrt(2.0) * extent + base.visibility + base.cell;
+  for (const double radius : {std::nextafter(reach, 0.0), reach,
+                              std::nextafter(reach, 10.0)}) {
+    rv::traj::Path circle;
+    circle.line_to({radius, 0.0});
+    circle.arc_around({0.0, 0.0}, rv::mathx::kTwoPi);
+    circle.line_to({0.0, 0.0});
+    rv::traj::Path tangent;
+    tangent.line_to({radius, -3.0});
+    tangent.line_to({radius, 3.0});
+    tangent.line_to({0.0, 0.0});
+    for (const rv::traj::Path* path : {&circle, &tangent}) {
+      auto make = [path] {
+        return std::make_shared<rv::traj::PathProgram>(*path, "graze");
+      };
+      expect_matches_oracle(make, rv::geom::reference_attributes(),
+                            disk_options(path->duration(), 6), "graze");
+    }
+  }
 }
 
 }  // namespace

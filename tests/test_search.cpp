@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -190,6 +192,35 @@ INSTANTIATE_TEST_SUITE_P(SmallRounds, EmitterEquivalence,
 TEST(Emitter, RejectsBadRounds) {
   EXPECT_THROW(SearchRoundEmitter(0), std::invalid_argument);
   EXPECT_THROW(SearchRoundEmitter(31), std::invalid_argument);
+}
+
+TEST(Emitter, RadiiMatchTheClosedFormBitwise) {
+  // The emitter computes each sub-round's 2^{−k+j} and 2^{−3k+2j−1}
+  // once; every radius it emits must still be bitwise the per-circle
+  // formula below, the oracle.
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int k = 1; k <= 8; ++k) {
+    SearchRoundEmitter emitter(k);
+    for (int j = 0; j <= 2 * k - 1; ++j) {
+      const std::uint64_t m = std::uint64_t{1} << (2 * k - j);
+      for (std::uint64_t i = 0; i <= m; ++i) {
+        const double radius = pow2(-k + j) + 2.0 * static_cast<double>(i) *
+                                                 pow2(-3 * k + 2 * j - 1);
+        const Segment out = emitter.next();
+        const Segment arc = emitter.next();
+        const Segment back = emitter.next();
+        ASSERT_EQ(bits(std::get<rv::traj::LineSeg>(out).to.x), bits(radius))
+            << "k=" << k << " j=" << j << " i=" << i;
+        ASSERT_EQ(bits(std::get<rv::traj::ArcSeg>(arc).radius), bits(radius))
+            << "k=" << k << " j=" << j << " i=" << i;
+        ASSERT_EQ(bits(std::get<rv::traj::LineSeg>(back).from.x),
+                  bits(radius))
+            << "k=" << k << " j=" << j << " i=" << i;
+      }
+    }
+    EXPECT_TRUE(std::holds_alternative<rv::traj::WaitSeg>(emitter.next()));
+    EXPECT_TRUE(emitter.done());
+  }
 }
 
 // ---------------------------------------------------------------------------

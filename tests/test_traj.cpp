@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "geom/angle.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
+#include "rendezvous/algorithm7.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"
@@ -417,6 +421,65 @@ TEST(FrameTest, StreamClockAdvancesByTau) {
   EXPECT_NEAR(seg.speed(), 1.0, 1e-12);
 }
 
+// The segment's kind followed by the bit pattern of each of its doubles,
+// so `==` on two of these is bitwise equality of the geometry.
+std::vector<std::uint64_t> segment_bits(const Segment& seg) {
+  std::vector<std::uint64_t> bits{seg.index()};
+  auto push = [&bits](double v) {
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  };
+  if (const auto* line = std::get_if<LineSeg>(&seg)) {
+    push(line->from.x);
+    push(line->from.y);
+    push(line->to.x);
+    push(line->to.y);
+  } else if (const auto* arc = std::get_if<ArcSeg>(&seg)) {
+    push(arc->center.x);
+    push(arc->center.y);
+    push(arc->radius);
+    push(arc->start_angle);
+    push(arc->sweep);
+  } else {
+    const auto& wait = std::get<WaitSeg>(seg);
+    push(wait.at.x);
+    push(wait.at.y);
+    push(wait.duration);
+  }
+  return bits;
+}
+
+TEST(FrameTest, StreamMatchesPerSegmentMappingBitwise) {
+  // The stream builds its frame matrix once; each segment must still be
+  // bitwise the per-segment to_global_geometry of the local segment.
+  // Seeded attributes: non-dyadic τ, χ = −1 and φ within 1e-9 of ±π
+  // (normalisation may wrap those, so the oracle maps with the
+  // stream's own validated attributes).
+  rv::mathx::Xoshiro256 rng(4242);
+  const double phis[] = {kPi - 1e-9, -kPi + 1e-9, kPi, rng.angle()};
+  for (const double phi : phis) {
+    RobotAttributes attrs;
+    attrs.speed = rng.uniform(0.3, 3.0);
+    attrs.time_unit = rng.uniform(0.3, 0.9);  // not a power of two
+    attrs.orientation = phi;
+    attrs.chirality = -1;
+    const Vec2 origin{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+    GlobalSegmentStream stream(
+        std::make_shared<rv::rendezvous::RendezvousProgram>(), attrs, origin);
+    rv::rendezvous::RendezvousProgram local;
+    int compared = 0;
+    while (compared < 12'000) {
+      const Segment seg = local.next();
+      if (stream.attributes().time_unit * duration(seg) <= 0.0) continue;
+      const TimedSegment global = stream.next();
+      ASSERT_EQ(segment_bits(global.geometry),
+                segment_bits(to_global_geometry(seg, stream.attributes(),
+                                                stream.origin())))
+          << "phi=" << phi << " segment " << compared;
+      ++compared;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sampling / flattening
 // ---------------------------------------------------------------------------
@@ -463,59 +526,82 @@ TEST(SamplerTest, FlattenRejectsBadTolerance) {
 // Batched SoA position evaluation
 // ---------------------------------------------------------------------------
 
+// A random timed segment of the given kind: 0 line, 1 arc, 2 wait,
+// 3 zero-length line, 4 zero-span line or arc (t1 == t0), 5 zero-
+// duration wait.  Kinds 3–5 are the shapes the batch collapses to a
+// constant slot.
+TimedSegment random_timed_segment(rv::mathx::Xoshiro256& rng, int kind) {
+  const double t0 = rng.uniform(-3.0, 3.0);
+  double t1 = t0 + rng.uniform(1e-6, 3.0);
+  const Vec2 a{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+  const Vec2 b{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
+  const ArcSeg arc{a, rng.uniform(0.1, 3.0), rng.uniform(0.0, kTwoPi),
+                   rng.uniform(-2.0, 2.0) * kPi};
+  Segment geometry;
+  switch (kind) {
+    case 0:
+      geometry = LineSeg{a, b};
+      break;
+    case 1:
+      geometry = arc;
+      break;
+    case 2:
+      geometry = WaitSeg{a, rng.uniform(0.1, 2.0)};
+      break;
+    case 3:
+      geometry = LineSeg{a, a};
+      break;
+    case 4:
+      t1 = t0;
+      if (rng.uniform_int(0, 1) == 0) {
+        geometry = LineSeg{a, b};
+      } else {
+        geometry = arc;
+      }
+      break;
+    default:
+      geometry = WaitSeg{a, 0.0};
+      break;
+  }
+  return {geometry, t0, t1};
+}
+
+// Every slot's batched position at `at` has the bit pattern of the
+// scalar TimedSegment::position.
+void expect_batch_bitwise(const BatchedPositions& batch,
+                          const std::vector<TimedSegment>& segs, double at) {
+  std::vector<Vec2> out(segs.size());
+  batch.positions(at, out.data());
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const Vec2 ref = segs[i].position(at);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].x),
+              std::bit_cast<std::uint64_t>(ref.x))
+        << "slot " << i << " at=" << at;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].y),
+              std::bit_cast<std::uint64_t>(ref.y))
+        << "slot " << i << " at=" << at;
+  }
+}
+
 TEST(BatchTest, BitwiseMatchesScalarOnRandomSegmentSoups) {
   // The engine's golden bytes depend on BatchedPositions replaying the
   // exact floating-point sequence of TimedSegment::position, so the
-  // comparison here is `==`, not EXPECT_NEAR: any reordered operation
-  // fails loudly.  Query times deliberately land before t0 and after
-  // t1 to exercise the clamp paths too.
+  // comparison is of bit patterns, not EXPECT_NEAR: any reordered
+  // operation fails loudly.  Query times deliberately land before t0
+  // and after t1 to exercise the clamp paths too.
   rv::mathx::Xoshiro256 rng(2024);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<TimedSegment> segs;
-    const int n = 1 + rng.uniform_int(0, 19);
-    double t = rng.uniform(-2.0, 2.0);
+    const int n = 1 + static_cast<int>(rng.uniform_int(0, 19));
     for (int i = 0; i < n; ++i) {
-      const double t0 = t;
-      const double t1 = t0 + rng.uniform(1e-6, 3.0);
-      t = t1;
-      Segment geometry;
-      switch (rng.uniform_int(0, 3)) {
-        case 0:
-          geometry = LineSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                             {rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)}};
-          break;
-        case 1:
-          geometry = ArcSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                            rng.uniform(0.1, 3.0),
-                            rng.uniform(0.0, kTwoPi),
-                            rng.uniform(-2.0, 2.0) * kPi};
-          break;
-        case 2:
-          geometry = WaitSeg{{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)},
-                             rng.uniform(0.1, 2.0)};
-          break;
-        default:  // degenerate line: from == to
-          const Vec2 p{rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-          geometry = LineSeg{p, p};
-          break;
-      }
-      segs.push_back({geometry, t0, t1});
+      segs.push_back(
+          random_timed_segment(rng, static_cast<int>(rng.uniform_int(0, 5))));
     }
     BatchedPositions batch;
     batch.assemble(segs);
     ASSERT_EQ(batch.size(), segs.size());
-    std::vector<Vec2> out(segs.size());
     for (int q = 0; q < 8; ++q) {
-      const double at = rng.uniform(segs.front().t0 - 1.0,
-                                    segs.back().t1 + 1.0);
-      batch.positions(at, out.data());
-      for (std::size_t i = 0; i < segs.size(); ++i) {
-        const Vec2 ref = segs[i].position(at);
-        EXPECT_EQ(out[i].x, ref.x) << "trial=" << trial << " i=" << i
-                                   << " at=" << at;
-        EXPECT_EQ(out[i].y, ref.y) << "trial=" << trial << " i=" << i
-                                   << " at=" << at;
-      }
+      expect_batch_bitwise(batch, segs, rng.uniform(-4.0, 7.0));
     }
   }
 }
@@ -532,6 +618,49 @@ TEST(BatchTest, ReassembleReplacesPreviousFleet) {
   const TimedSegment ref{LineSeg{{0.0, 0.0}, {0.0, 2.0}}, 0.0, 2.0};
   EXPECT_EQ(out.x, ref.position(1.0).x);
   EXPECT_EQ(out.y, ref.position(1.0).y);
+}
+
+TEST(BatchTest, AssembleOneIsABitwiseDropIn) {
+  // The sweep rewrites one slot per pulled robot instead of
+  // re-assembling the fleet, so a slot must hold no state from the
+  // segment it replaced — in particular across kind changes, where
+  // the new kind reads fields the old one left stale.
+  rv::mathx::Xoshiro256 rng(1403);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int n = 1 + static_cast<int>(rng.uniform_int(0, 11));
+    std::vector<TimedSegment> segs;
+    for (int i = 0; i < n; ++i) {
+      segs.push_back(
+          random_timed_segment(rng, static_cast<int>(rng.uniform_int(0, 5))));
+    }
+    BatchedPositions batch;
+    batch.assemble(segs);
+    for (int step = 0; step < 40; ++step) {
+      const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      segs[i] =
+          random_timed_segment(rng, static_cast<int>(rng.uniform_int(0, 5)));
+      batch.assemble_one(i, segs[i]);
+      ASSERT_EQ(batch.size(), segs.size());
+      for (int q = 0; q < 4; ++q) {
+        expect_batch_bitwise(batch, segs, rng.uniform(-4.0, 7.0));
+      }
+    }
+  }
+
+  // One slot walks arc → each constant shape → line while its
+  // neighbours stay put.
+  std::vector<TimedSegment> segs = {random_timed_segment(rng, 0),
+                                    random_timed_segment(rng, 1),
+                                    random_timed_segment(rng, 2)};
+  BatchedPositions batch;
+  batch.assemble(segs);
+  for (const int kind : {1, 2, 1, 3, 1, 4, 1, 5, 0, 1, 0}) {
+    segs[1] = random_timed_segment(rng, kind);
+    batch.assemble_one(1, segs[1]);
+    for (int q = 0; q < 8; ++q) {
+      expect_batch_bitwise(batch, segs, rng.uniform(-4.0, 7.0));
+    }
+  }
 }
 
 }  // namespace

@@ -148,9 +148,7 @@ std::vector<Vec2> jittered_ring(int n) {
 // kernel; arc-heavy Algorithm 4 fleets spend the time in per-robot
 // trig.)
 void run_gather_sweep_bench(benchmark::State& state, int n,
-                            rv::engine::KernelChoice kernel,
-                            rv::engine::SolverChoice solver =
-                                rv::engine::SolverChoice::kBisection) {
+                            rv::engine::KernelChoice kernel) {
   const std::vector<Vec2> origins = jittered_ring(n);
   std::uint64_t evals = 0;
   for (auto _ : state) {
@@ -170,7 +168,6 @@ void run_gather_sweep_bench(benchmark::State& state, int n,
     opts.visibility = 0.95 * diam;
     opts.max_time = 100.0;
     opts.kernel = kernel;
-    opts.solver = solver;
     opts.max_evals = 2000;
     rv::engine::ContactSweep sweep(std::move(robots),
                                    rv::engine::SweepMetric::kMaxPairwise,
@@ -205,31 +202,6 @@ void BM_ContactSweepGatherBrute(benchmark::State& state) {
                          rv::engine::KernelChoice::kBruteForce);
 }
 BENCHMARK(BM_ContactSweepGatherBrute)->Arg(50)->Arg(100)->Arg(250);
-
-// Event solvers head to head on the same gather workload: the
-// Lipschitz stepper burns its eval budget inching toward the constant
-// diameter, while the analytic solver proves each window clear from
-// the extremal pair's closed-form model and jumps window to window —
-// the evals ratio is SweepResult::evals ≥ 5× (pinned by
-// tests/test_event_solver.cpp), and the wall-time ratio lands in
-// BENCH_engine.json per fleet size.
-void BM_EventSolverBisect(benchmark::State& state) {
-  run_gather_sweep_bench(state, static_cast<int>(state.range(0)),
-                         rv::engine::KernelChoice::kAuto,
-                         rv::engine::SolverChoice::kBisection);
-}
-void BM_EventSolverAnalytic(benchmark::State& state) {
-  run_gather_sweep_bench(state, static_cast<int>(state.range(0)),
-                         rv::engine::KernelChoice::kAuto,
-                         rv::engine::SolverChoice::kAnalytic);
-}
-BENCHMARK(BM_EventSolverBisect)->Arg(3)->Arg(10)->Arg(50)->Arg(250)->Arg(1000);
-BENCHMARK(BM_EventSolverAnalytic)
-    ->Arg(3)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(250)
-    ->Arg(1000);
 
 // The SoA batched position evaluator on the gather fleet's current
 // segments: one switch-driven pass over n robots per query versus the

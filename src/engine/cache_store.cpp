@@ -131,22 +131,21 @@ bool get_gather_result(Reader& in, gather::GatherResult* r) {
   return true;
 }
 
-/// FNV-1a 64-bit over the record's key + payload bytes: cheap, strong
-/// enough to reject torn writes and bit rot, no dependency.
-std::uint64_t fnv1a64(std::string_view key, std::string_view payload) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto mix = [&hash](std::string_view bytes) {
-    for (const char c : bytes) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 0x100000001b3ull;
-    }
-  };
-  mix(key);
-  mix(payload);
-  return hash;
+/// The record checksum: FNV-1a 64 over key + payload bytes — cheap,
+/// strong enough to reject torn writes and bit rot, no dependency.
+std::uint64_t record_checksum(std::string_view key, std::string_view payload) {
+  return fnv1a64(payload, fnv1a64(key));
 }
 
 }  // namespace
+
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t hash) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
 
 void CacheLoadStats::add(const CacheLoadStats& other) {
   files += other.files;
@@ -293,7 +292,7 @@ void save_cache_file(const std::filesystem::path& path,
     put<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
     out += key;
     out += payload;
-    put<std::uint64_t>(out, fnv1a64(key, payload));
+    put<std::uint64_t>(out, record_checksum(key, payload));
   }
   if (!path.parent_path().empty()) {
     std::filesystem::create_directories(path.parent_path());
@@ -459,7 +458,7 @@ CacheLoadStats load_cache_file(const std::filesystem::path& path,
     std::uint64_t checksum = 0;
     std::memcpy(&checksum, base + key_size + payload_size, 8);
     ScenarioCache::Entry entry;
-    if (checksum != fnv1a64(key, payload) ||
+    if (checksum != record_checksum(key, payload) ||
         !deserialize_entry(key, payload, &entry)) {
       flag_bad();
       continue;

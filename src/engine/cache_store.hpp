@@ -58,6 +58,12 @@ inline constexpr const char* kCacheFileExtension = ".rvcache";
 /// outcomes are recomputed and re-persisted on the next run.
 inline constexpr std::uint32_t kEngineCacheEpoch = 1;
 
+/// FNV-1a 64-bit over `bytes`, continuing from `hash` (the FNV offset
+/// basis by default).  Record checksums and the content-addressed
+/// names of `rv_serve` persistence files both use it.
+[[nodiscard]] std::uint64_t fnv1a64(
+    std::string_view bytes, std::uint64_t hash = 0xcbf29ce484222325ull);
+
 /// What `load_cache_file` / `load_cache_dir` found.
 struct CacheLoadStats {
   std::size_t files = 0;       ///< cache files opened successfully

@@ -48,11 +48,6 @@ ContactSweep::ContactSweep(std::vector<RobotSpec> robots, SweepMetric metric,
   }
 }
 
-SweepResult ContactSweep::run() {
-  if (opts_.solver == SolverChoice::kBisection) return run_bisection();
-  return run_analytic(opts_.solver == SolverChoice::kAuto);
-}
-
 void ContactSweep::start(SweepResult& res) {
   res.best_metric = std::numeric_limits<double>::infinity();
   const std::size_t n = streams_.size();
@@ -108,13 +103,12 @@ double ContactSweep::metric_of(const std::vector<Vec2>& pos, int* out_i,
   return p.distance;
 }
 
-double ContactSweep::evaluate(double at, SweepResult& res, int* out_i,
-                              int* out_j) {
+double ContactSweep::evaluate(double at, SweepResult& res) {
   // The batched SoA evaluator replays the scalar per-robot arithmetic
   // bitwise (see traj/batch.hpp), so the metric stream is unchanged.
   batch_.positions(at, pos_.data());
   ++res.evals;
-  return metric_of(pos_, out_i, out_j);
+  return metric_of(pos_, nullptr, nullptr);
 }
 
 void ContactSweep::finalize(double at, SweepResult& res) {
@@ -128,7 +122,7 @@ void ContactSweep::finalize(double at, SweepResult& res) {
   res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
 }
 
-SweepResult ContactSweep::run_bisection() {
+SweepResult ContactSweep::run() {
   SweepResult res;
   const double r = opts_.visibility;
   start(res);
@@ -142,7 +136,7 @@ SweepResult ContactSweep::run_bisection() {
     pull(t, res);
     const double window_end = std::min(opts_.max_time, next_end_);
 
-    const double m = evaluate(t, res, nullptr, nullptr);
+    const double m = evaluate(t, res);
     if (m < res.best_metric) {
       res.best_metric = m;
       res.best_metric_time = t;
@@ -157,7 +151,7 @@ SweepResult ContactSweep::run_bisection() {
         double lo = prev_t, hi = t;
         while (hi - lo > opts_.time_tol) {
           const double mid = 0.5 * (lo + hi);
-          if (evaluate(mid, res, nullptr, nullptr) <= r) {
+          if (evaluate(mid, res) <= r) {
             hi = mid;
           } else {
             lo = mid;
@@ -193,117 +187,6 @@ SweepResult ContactSweep::run_bisection() {
   }
 
   // Horizon or eval budget reached without the event.
-  res.event = false;
-  res.time = std::min(t, opts_.max_time);
-  finalize(res.time, res);
-  return res;
-}
-
-SweepResult ContactSweep::run_analytic(bool auto_mode) {
-  SweepResult res;
-  const std::size_t n = streams_.size();
-  const double r = opts_.visibility;
-
-  CrossingControls controls;
-  controls.time_tol = opts_.time_tol;
-  controls.min_step = opts_.min_step;
-
-  start(res);
-
-  double t = 0.0;
-
-  while (t < opts_.max_time && res.evals < opts_.max_evals) {
-    pull(t, res);
-    const double window_end = std::min(opts_.max_time, next_end_);
-
-    int ext_i = -1, ext_j = -1;
-    const double m = evaluate(t, res, &ext_i, &ext_j);
-    if (m < res.best_metric) {
-      res.best_metric = m;
-      res.best_metric_time = t;
-    }
-
-    if (m <= r + opts_.contact_tol) {
-      // Every advance below is certified (the metric provably stays
-      // above r strictly before t, up to the Zeno guard), so the first
-      // evaluation at or inside the contact band *is* the event — no
-      // bisection refinement needed.
-      res.event = true;
-      res.time = t;
-      finalize(t, res);
-      return res;
-    }
-
-    const double w = window_end - t;
-    bool poly_window = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!is_polynomial(current_[i])) {
-        poly_window = false;
-        break;
-      }
-    }
-
-    double next_t;
-    if (auto_mode && !poly_window) {
-      // kAuto on an arc window: the classic certified Lipschitz step
-      // (the per-pair arc search may not pay off; kAnalytic forces it).
-      double step;
-      if (lipschitz_ <= 0.0) {
-        step = w > 0.0 ? w : opts_.min_step;
-      } else {
-        step = (m - r) / lipschitz_;
-      }
-      step = std::max(step, opts_.min_step);
-      next_t = std::min(t + step, window_end);
-    } else if (metric_ == SweepMetric::kMaxPairwise) {
-      // The max metric dominates every pair, so the current extremal
-      // pair's own first crossing of r is a certified lower bound on
-      // the event: before it, metric ≥ d(ext) > r.  Jump there (or to
-      // the window end when the pair provably stays above r), then
-      // re-evaluate — the new extremal pair drives the next jump.
-      const PairCrossing crossing = pair_first_crossing(
-          current_[static_cast<std::size_t>(ext_i)],
-          current_[static_cast<std::size_t>(ext_j)],
-          pos_[static_cast<std::size_t>(ext_i)],
-          pos_[static_cast<std::size_t>(ext_j)], t, r, w, controls,
-          &res.model_evals);
-      next_t = crossing.status == PairCrossing::Status::kClear
-                   ? window_end
-                   : t + crossing.s;
-    } else {
-      // The min metric is the lower envelope of all pairs, and every
-      // pair starts the window above r (the metric did), so the first
-      // pair crossing *is* the event.  A Lipschitz prefilter — pair
-      // (i, j) cannot reach r within the window unless
-      // d(t) ≤ r + (v_i + v_j)·w — kills almost every pair with one
-      // multiply-add before any model is built.
-      double s_min = w;  // default: jump to the window end
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-          const double reach = r + (speeds_[i] + speeds_[j]) * s_min;
-          const Vec2 delta = pos_[j] - pos_[i];
-          if (geom::norm_sq(delta) > reach * reach) continue;
-          const PairCrossing crossing =
-              pair_first_crossing(current_[i], current_[j], pos_[i], pos_[j],
-                                  t, r, s_min, controls, &res.model_evals);
-          if (crossing.status != PairCrossing::Status::kClear) {
-            // Crossing or certified-partial bound: either way the
-            // sweep may not advance beyond it.
-            s_min = std::min(s_min, crossing.s);
-          }
-        }
-      }
-      next_t = t + s_min;
-    }
-
-    // Zeno guard: forced progress, as on the bisection path.  A jump
-    // landing up to min_step past an exact crossing is caught by the
-    // next evaluation (inside the disk ⇒ within the contact band
-    // acceptance above, with time error ≤ min_step ≈ time_tol).
-    next_t = std::max(next_t, t + opts_.min_step);
-    t = std::min(next_t, opts_.max_time);
-  }
-
   res.event = false;
   res.time = std::min(t, opts_.max_time);
   finalize(res.time, res);

@@ -24,27 +24,24 @@
 /// O(n²) loops, so step schedules and outputs are unchanged while
 /// 1000-robot fleets sweep in near-linear time per evaluation.
 ///
-/// How the sweep *advances* between evaluations is itself dispatched
-/// (engine/event_solver.hpp, `SweepOptions::solver`): the default
-/// bisection path steps and bisects as described above, while the
-/// analytic path models each active segment pair's squared distance in
-/// closed form per window (quadratics for line/wait pairs, certified
-/// derivative-bound brackets refined with mathx::brent for arc pairs)
-/// and jumps straight to the first candidate crossing — O(active
-/// windows) metric evaluations per sweep instead of
-/// O(steps·log(1/tol)).  Positions are evaluated through the SoA
-/// batched evaluator (traj/batch.hpp) on every path — one pass over
-/// the fleet's current segments, bitwise identical to the per-robot
-/// variant dispatch it replaces.
+/// Positions are evaluated through the SoA batched evaluator
+/// (traj/batch.hpp) — one pass over the fleet's current segments,
+/// bitwise identical to the per-robot variant dispatch it replaces.
+///
+/// Stepping plus bisection is the only way the sweep advances.  Every
+/// reported meeting, search and gathering time comes from it, and every
+/// golden byte is pinned against it.  Closed-form per-window pair
+/// solvers were measured and deleted: they were slower end to end on
+/// every built-in set, because Algorithm 4/7 trajectories are
+/// arc-heavy.
 ///
 /// Cost model per step: a step pays for one metric evaluation and for
-/// what changed since the last step, nothing more.  Both solvers share
-/// one pull helper.  When no current segment ends by the step time it
-/// returns at once; otherwise it advances only the robots whose
-/// segments ended, rewrites only their batch slots
-/// (`BatchedPositions::assemble_one`) and cached speeds, and then
-/// recomputes the window end and the Lipschitz constant L.  A step
-/// that pulls nothing reuses both.
+/// what changed since the last step, nothing more.  When no current
+/// segment ends by the step time the pull returns at once; otherwise it
+/// advances only the robots whose segments ended, rewrites only their
+/// batch slots (`BatchedPositions::assemble_one`) and cached speeds,
+/// and then recomputes the window end and the Lipschitz constant L.  A
+/// step that pulls nothing reuses both.
 ///
 /// Tangential touches shallower than L·min_step can be passed over (a
 /// Zeno guard forces progress); all experiments in this repository
@@ -59,7 +56,6 @@
 #include <memory>
 #include <vector>
 
-#include "engine/event_solver.hpp"
 #include "engine/metric_kernel.hpp"
 #include "geom/attributes.hpp"
 #include "traj/batch.hpp"
@@ -89,17 +85,6 @@ struct SweepOptions {
   /// engine/metric_kernel.hpp); kAuto cuts over from the brute-force
   /// loop to the near-linear geometric kernels at `kKernelCutover`.
   KernelChoice kernel = KernelChoice::kAuto;
-  /// Which event solver advances the sweep between evaluations (see
-  /// engine/event_solver.hpp).  The default `kBisection` is the
-  /// historical Lipschitz-step + bisection path, byte-identical to
-  /// every committed output — and the only solver the batch families
-  /// ever use, so cacheable outcomes (`engine::cache_key` does not key
-  /// the solver) are never produced by the analytic path.  `kAnalytic`
-  /// jumps by per-window pair models (closed-form quadratics, brent on
-  /// arcs), agreeing with the oracle to within the sweep tolerances
-  /// while performing O(active windows) metric evaluations instead of
-  /// O(steps·log(1/tol)).
-  SolverChoice solver = SolverChoice::kBisection;
 };
 
 /// Which pairwise statistic the sweep watches for the event metric ≤ r.
@@ -118,13 +103,8 @@ struct SweepResult {
   int pair_i = -1;  ///< extremal pair at `time` (consistent with `metric`
   int pair_j = -1;  ///< and `positions`; set on event and at the horizon)
   std::vector<geom::Vec2> positions;  ///< all robot positions at `time`
-  std::uint64_t evals = 0;     ///< metric evaluations performed
+  std::uint64_t evals = 0;     ///< metric evaluations (steps + bisection)
   std::uint64_t segments = 0;  ///< timed segments consumed (all robots)
-  /// Single-pair model evaluations performed by the analytic solver
-  /// (closed-form solves and certified arc-search points); 0 on the
-  /// bisection path.  Each costs O(1) versus O(n)–O(n²) for a metric
-  /// evaluation counted in `evals`.
-  std::uint64_t model_evals = 0;
 };
 
 /// Sweeps n ≥ 2 robots forward in global time and reports the first
@@ -144,13 +124,6 @@ class ContactSweep {
   [[nodiscard]] std::size_t size() const { return streams_.size(); }
 
  private:
-  /// The historical Lipschitz-step + bisection sweep (the bitwise
-  /// oracle; `SweepOptions::solver == kBisection`).
-  [[nodiscard]] SweepResult run_bisection();
-  /// The analytic per-window sweep (`kAnalytic`, and `kAuto` which
-  /// falls back to certified stepping on windows containing arcs).
-  [[nodiscard]] SweepResult run_analytic(bool auto_mode);
-
   /// Pulls every robot's first segment and fills every slot.
   void start(SweepResult& res);
   /// Advances each robot whose current segment ends at or before t and
@@ -163,8 +136,7 @@ class ContactSweep {
   [[nodiscard]] double metric_of(const std::vector<geom::Vec2>& pos,
                                  int* out_i, int* out_j) const;
   /// Counted evaluation at a sweep/bisection point (into `pos_`).
-  [[nodiscard]] double evaluate(double at, SweepResult& res, int* out_i,
-                                int* out_j);
+  [[nodiscard]] double evaluate(double at, SweepResult& res);
   /// Final positions, metric and extremal pair at `at` (not counted).
   void finalize(double at, SweepResult& res);
 

@@ -825,14 +825,32 @@ void Service::persist(const std::string& set_name,
   if (options_.cache_dir.empty()) return;
   ScenarioCache own;
   ScenarioCache::Entry entry;
+  std::vector<std::string> keys;
   for (const WorkItem& item : work) {
     const std::optional<std::string> key = cache_key(item);
-    if (key && cache_.lookup(*key, &entry)) own.store(*key, entry);
+    if (key && cache_.lookup(*key, &entry) && own.store(*key, entry)) {
+      keys.push_back(*key);
+    }
   }
-  if (own.size() == 0) return;
+  if (keys.empty()) return;
+  // The file is named by its content, so two requests sharing a set
+  // name (every inline body without `name =` is "inline") write two
+  // files instead of replacing each other's outcomes.
+  std::sort(keys.begin(), keys.end());
+  std::uint64_t hash = fnv1a64({});
+  for (const std::string& key : keys) {
+    const std::uint64_t size = key.size();
+    hash = fnv1a64({reinterpret_cast<const char*>(&size), sizeof size}, hash);
+    hash = fnv1a64(key, hash);
+  }
+  std::string hex(16, '0');
+  for (std::size_t i = hex.size(); i-- > 0; hash >>= 4) {
+    hex[i] = "0123456789abcdef"[hash & 0xf];
+  }
   const std::lock_guard<std::mutex> disk(disk_mutex_);
-  save_cache_file(
-      options_.cache_dir / (sanitize_name(set_name) + "-serve.rvcache"), own);
+  save_cache_file(options_.cache_dir /
+                      (sanitize_name(set_name) + "-" + hex + "-serve.rvcache"),
+                  own);
 }
 
 void Service::compactor_loop() {

@@ -596,6 +596,90 @@ TEST(ContactSweep, HorizonReportReportsExtremalPairConsistently) {
                                        res.positions[res.pair_j]));
 }
 
+TEST(ContactSweep, ArcApproachCrossingMatchesClosedForm) {
+  // A parked robot at the origin and one riding the circle of radius 2
+  // around (3, 0), starting at angle π/2 and sweeping CCW toward π.
+  // d²(θ) = 13 + 12·cos θ, so d = 1.5 at θ* = arccos(−43/48); the
+  // crossing time is the arc length 2·(θ* − π/2).  Local frames start
+  // at (0, 0), so the arc has local center (0, −2) and the robot origin
+  // (3, 2) puts the global center at (3, 0).
+  Path arc_path;
+  arc_path.append(traj::ArcSeg{{0.0, -2.0}, 2.0, mathx::kPi / 2.0,
+                               mathx::kPi / 2.0});
+  std::vector<RobotSpec> robots;
+  robots.push_back({std::make_shared<StationaryProgram>(), RobotAttributes{},
+                    Vec2{0.0, 0.0}});
+  robots.push_back({std::make_shared<PathProgram>(std::move(arc_path), "arc"),
+                    RobotAttributes{}, Vec2{3.0, 2.0}});
+  SweepOptions opts;
+  opts.visibility = 1.5;
+  opts.max_time = 10.0;
+  ContactSweep sweep(std::move(robots), SweepMetric::kMinPairwise, opts);
+  const auto res = sweep.run();
+  ASSERT_TRUE(res.event);
+  const double theta_star = std::acos(-43.0 / 48.0);
+  EXPECT_NEAR(res.time, 2.0 * (theta_star - mathx::kPi / 2.0), 1e-7);
+}
+
+TEST(ContactSweep, GrazingMissAndHitAgree) {
+  // Two parallel east-bound robots offset in y by c, the faster one
+  // trailing in x: the separation shrinks toward c as it draws level.
+  // c = r ± 1e-3 turns the pass into a clean hit or a clean miss.
+  const double r = 0.5;
+  for (const bool hit : {true, false}) {
+    RobotAttributes fast;
+    fast.speed = 2.0;
+    std::vector<RobotSpec> robots;
+    robots.push_back({straight_line({40.0, 0.0}), fast, Vec2{-10.0, 0.0}});
+    robots.push_back({straight_line({20.0, 0.0}), RobotAttributes{},
+                      Vec2{0.0, hit ? r - 1e-3 : r + 1e-3}});
+    SweepOptions opts;
+    opts.visibility = r;
+    opts.max_time = 30.0;
+    ContactSweep sweep(std::move(robots), SweepMetric::kMinPairwise, opts);
+    EXPECT_EQ(sweep.run().event, hit);
+  }
+}
+
+TEST(ContactSweep, StationaryFleetsJumpWindowsWithoutEvents) {
+  // All-wait fleets never event: both metrics run to the horizon.
+  for (SweepMetric metric :
+       {SweepMetric::kMinPairwise, SweepMetric::kMaxPairwise}) {
+    std::vector<RobotSpec> robots;
+    for (int i = 0; i < 4; ++i) {
+      Path p;
+      p.wait(2.0);
+      p.wait(3.0);
+      robots.push_back({std::make_shared<PathProgram>(std::move(p), "parked"),
+                        RobotAttributes{},
+                        Vec2{static_cast<double>(i),
+                             static_cast<double>(i % 2)}});
+    }
+    SweepOptions opts;
+    opts.visibility = 0.5;
+    opts.max_time = 100.0;
+    ContactSweep sweep(std::move(robots), metric, opts);
+    const auto res = sweep.run();
+    EXPECT_FALSE(res.event);
+    EXPECT_DOUBLE_EQ(res.time, opts.max_time);
+  }
+}
+
+TEST(ContactSweep, CoincidentRobotsEventImmediately) {
+  // Two robots sharing an origin are in contact before either moves.
+  std::vector<RobotSpec> robots;
+  robots.push_back({straight_line({3.0, 1.0}), RobotAttributes{},
+                    Vec2{1.0, 1.0}});
+  robots.push_back({straight_line({-2.0, 4.0}), RobotAttributes{},
+                    Vec2{1.0, 1.0}});
+  SweepOptions opts;
+  opts.visibility = 0.25;
+  ContactSweep sweep(std::move(robots), SweepMetric::kMinPairwise, opts);
+  const auto res = sweep.run();
+  ASSERT_TRUE(res.event);
+  EXPECT_DOUBLE_EQ(res.time, 0.0);
+}
+
 TEST(Runner, AdapterParityGatherVsTwoRobot) {
   // A 2-robot gather in first-contact mode and the two-robot simulator
   // must report the same event through their shared engine core.

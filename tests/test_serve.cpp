@@ -48,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/cache_store.hpp"
 #include "engine/serve.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -590,6 +591,38 @@ TEST_F(ServeDaemon, CrashAfterFirstRequestLeavesDurableCacheForRestart) {
   EXPECT_EQ(warm.payload, cold_payload);
 }
 
+TEST_F(ServeDaemon, InlineBodiesSharingANameEachSurviveRestart) {
+  // Two different inline bodies are both named "inline".  Persisting
+  // the second must not replace the first's outcomes on disk.
+  const auto body_run = [](Daemon& daemon, const std::string& distances) {
+    const std::string body =
+        "[linear]\nmode = zigzag-search\nvisibility = 1e-3\n"
+        "distances = " + distances + "\nhorizon_rule = zigzag-reach+1\n";
+    return roundtrip(daemon,
+                     R"({"op":"run","id":"b","body_bytes":)" +
+                         std::to_string(body.size()) + "}",
+                     body, /*has_body=*/true);
+  };
+  Scratch scratch;
+  const std::string dir = (scratch.path / "cache").string();
+  std::string a_payload;
+  {
+    Daemon daemon({"--cache-dir", dir});
+    const Frame a = body_run(daemon, "1.0 -2.0");
+    ASSERT_EQ(field(a.header, "reply"), "ok") << a.header;
+    EXPECT_EQ(field(a.header, "misses"), "2");
+    a_payload = a.payload;
+    const Frame c = body_run(daemon, "4.0 8.0");
+    ASSERT_EQ(field(c.header, "reply"), "ok") << c.header;
+    daemon.close_stdin();
+    EXPECT_EQ(daemon.wait_exit(), 0);
+  }
+  Daemon revived({"--cache-dir", dir});
+  const Frame again = body_run(revived, "1.0 -2.0");
+  EXPECT_EQ(field(again.header, "misses"), "0");
+  EXPECT_EQ(again.payload, a_payload);
+}
+
 TEST_F(ServeDaemon, TornReplyTruncatesExactlyAndDaemonStaysHealthy) {
   // Capture the expected full frame from a clean daemon first.
   std::string expected;
@@ -721,8 +754,8 @@ TEST_F(ServeDaemon, CompactionTimerFoldsTheCacheDirectory) {
   }
   // The directory was folded into the canonical output, and a warm
   // restart replays everything from it.
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "compact.rvcache"));
-  EXPECT_FALSE(fs::exists(fs::path(dir) / "linear-line-serve.rvcache"));
+  EXPECT_EQ(rv::engine::list_cache_files(dir),
+            std::vector<fs::path>{fs::path(dir) / "compact.rvcache"});
   Daemon revived({"--cache-dir", dir});
   const Frame warm =
       roundtrip(revived, R"({"op":"run","id":"w","set":"linear-line"})");

@@ -6,8 +6,9 @@
 // tool turns that artifact into a *gate*: given a baseline and a
 // candidate file it matches benchmark series by name, computes the
 // relative change of the chosen metric, and exits non-zero when any
-// selected series regresses by more than the threshold — or when a
-// selected series silently disappears from the candidate.
+// selected series regresses by more than the threshold, when a
+// selected series silently disappears from the candidate, or when a
+// --series filter matches no baseline series.
 //
 //   bench_diff <baseline.json> <candidate.json>
 //              [--series <substring>]...      restrict to matching names
@@ -214,10 +215,8 @@ int compare(const Options& opts, const BenchFile& base,
   }
   std::printf("%-44s %14s %14s %9s\n", "series", "baseline(ns)",
               "candidate(ns)", "delta");
-  int selected = 0;
   for (const Series& b : base.series) {
     if (!name_selected(opts, b.name)) continue;
-    ++selected;
     const Series* c = find_series(cand, b.name);
     if (!c) {
       std::printf("%-44s %14.1f %14s %9s  MISSING\n", b.name.c_str(),
@@ -233,10 +232,25 @@ int compare(const Options& opts, const BenchFile& base,
                 pct, regressed ? "  REGRESSION" : "");
     if (regressed) ++failures;
   }
-  if (selected == 0) {
+  // A filter that matches nothing in the baseline gates nothing: it is
+  // stale (its series were deleted or renamed) and must be dropped.
+  for (const std::string& f : opts.series_filters) {
+    const bool matched =
+        std::any_of(base.series.begin(), base.series.end(),
+                    [&](const Series& s) {
+                      return s.name.find(f) != std::string::npos;
+                    });
+    if (!matched) {
+      std::fprintf(stderr,
+                   "bench_diff: --series %s matches no baseline series\n",
+                   f.c_str());
+      ++failures;
+    }
+  }
+  if (opts.series_filters.empty() && base.series.empty()) {
     std::fprintf(stderr,
-                 "bench_diff: no baseline series matched the filters — the "
-                 "gate would be vacuous\n");
+                 "bench_diff: the baseline has no series — the gate would "
+                 "be vacuous\n");
     ++failures;
   }
   if (failures > 0) {
@@ -326,6 +340,13 @@ int self_test() {
   opts.series_filters = {"BM_B"};
   if (compare(opts, *base, *unoptimized) == 0) {
     std::fprintf(stderr, "self-test: missing series NOT caught\n");
+    return 1;
+  }
+  std::printf("-- self-test: a filter matching no baseline series must be "
+              "caught\n");
+  opts.series_filters = {"BM_A", "BM_Gone"};
+  if (compare(opts, *base, *base) == 0) {
+    std::fprintf(stderr, "self-test: stale --series filter NOT caught\n");
     return 1;
   }
   std::printf("-- self-test: unoptimized candidate must be rejected\n");

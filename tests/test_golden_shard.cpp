@@ -1,8 +1,8 @@
 // Process-level golden pins for the rv_batch front-end — the
 // acceptance harness of the sharded engine:
 //
-//  * the single-process CSV of every built-in set is pinned byte for
-//    byte under tests/golden/rv_batch/;
+//  * the single-process CSV, JSON and table of every built-in set are
+//    pinned byte for byte under tests/golden/rv_batch/;
 //  * running the same set as 2 and as 3 shard *processes*, persisting
 //    each shard's outcomes to a cache file and merging, must reproduce
 //    those exact bytes (all cache hits, nothing recomputed);
@@ -25,6 +25,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 #include <vector>
 
@@ -100,6 +101,20 @@ TEST_P(GoldenBatchSet, SingleProcessCsvMatchesPin) {
   const auto out = run_and_capture(batch_cmd("run --set " + set));
   if (out.has_value()) {
     golden::compare(*out, "rv_batch/" + set + ".csv");
+  }
+}
+
+// JSON and the ASCII table are pinned too: each has its own number
+// formats and quirks (null for non-finite, yes/no, feasible/INFEASIBLE,
+// >horizon) that the CSV pin cannot see.
+TEST_P(GoldenBatchSet, SingleProcessJsonAndTableMatchPins) {
+  const std::string set = GetParam();
+  for (const auto& [format, extension] :
+       {std::pair<const char*, const char*>{"json", ".json"},
+        {"table", ".txt"}}) {
+    const auto out =
+        run_and_capture(batch_cmd("run --set " + set + " --format " + format));
+    if (out.has_value()) golden::compare(*out, "rv_batch/" + set + extension);
   }
 }
 
@@ -478,15 +493,6 @@ TEST(GoldenBatch, ListedSetsArePinned) {
   }
   const auto out = run_and_capture(batch_cmd("list"));
   if (out.has_value()) golden::compare(*out, "rv_batch/list.txt");
-}
-
-TEST(GoldenBatch, JsonEmissionMatchesPin) {
-  if (!fs::exists(rv_batch_binary())) {
-    GTEST_SKIP() << rv_batch_binary() << " not built";
-  }
-  const auto out =
-      run_and_capture(batch_cmd("run --set linear-line --format json"));
-  if (out.has_value()) golden::compare(*out, "rv_batch/linear-line.json");
 }
 
 }  // namespace

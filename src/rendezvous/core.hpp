@@ -44,7 +44,7 @@ struct Scenario {
 /// Scenario outcome: the simulator result plus derived quantities.
 struct Outcome {
   sim::SimResult sim;             ///< raw simulation result
-  FeasibilityClass feasibility;   ///< Theorem 4 classification
+  FeasibilityClass feasibility{}; ///< Theorem 4 classification
   double initial_distance = 0.0;  ///< d = |offset|
   std::string algorithm_name;
 };

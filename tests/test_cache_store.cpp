@@ -13,11 +13,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -863,6 +867,143 @@ TEST(CacheStoreFailpoints, TornWriteIsSkippedNeverACrash) {
   rv::engine::save_cache_file(file, cache);
   ScenarioCache healed;
   EXPECT_EQ(rv::engine::load_cache_file(file, &healed).loaded, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire-format guard: the bytes of one canonical cache file, pinned as an
+// FNV-1a 64 hash next to kEngineCacheEpoch in
+// tools/sanitizers/wire_schema.lock.  The file holds one record per
+// family (two for coverage: an empty and a non-empty series), each keyed
+// by the `cache_key` of a canonical work item, so both the key encoding
+// and every payload codec are covered.
+// ---------------------------------------------------------------------------
+
+void fill_canonical_cache(ScenarioCache* cache) {
+  const auto store = [&](const rv::engine::WorkItem& item,
+                         const ScenarioCache::Entry& entry) {
+    const std::optional<std::string> key = rv::engine::cache_key(item);
+    ASSERT_TRUE(key.has_value());
+    cache->store(*key, entry);
+  };
+
+  rv::engine::WorkItem rendezvous;
+  rendezvous.family = rv::engine::Family::kRendezvous;
+  rendezvous.scenario.attrs.speed = 1.5;
+  rendezvous.scenario.attrs.time_unit = 0.75;
+  rendezvous.scenario.attrs.orientation = 0.5;
+  rendezvous.scenario.attrs.chirality = -1;
+  rendezvous.scenario.offset = {1.0, -0.0};
+  rendezvous.scenario.max_time = 1e4;
+  ScenarioCache::Entry entry;
+  entry.outcome.sim = sample_sim_result();
+  entry.outcome.feasibility = rv::rendezvous::FeasibilityClass::kDifferentClocks;
+  entry.outcome.initial_distance = 1.0;
+  entry.outcome.algorithm_name = "algorithm7";
+  store(rendezvous, entry);
+
+  rv::engine::WorkItem search;
+  search.family = rv::engine::Family::kSearch;
+  search.search.distance = 2.0;
+  search.search.angles = 4;
+  search.search.targets = {{0.5, -1.5}};
+  entry = {};
+  entry.search_outcome.found = 3;
+  entry.search_outcome.missed = 1;
+  entry.search_outcome.worst_time = 123.456;
+  entry.search_outcome.mean_time = 98.7;
+  entry.search_outcome.worst_angle = -2.75;
+  entry.search_outcome.first_miss_angle = 0.03;
+  entry.search_outcome.program_name = "algorithm4";
+  entry.search_outcome.evals = 123456789ull;
+  entry.search_outcome.segments = 987654321ull;
+  store(search, entry);
+
+  rv::engine::WorkItem gather;
+  gather.family = rv::engine::Family::kGather;
+  gather.gather.fleet = {rv::geom::reference_attributes(),
+                         rv::geom::reference_attributes()};
+  gather.gather.fleet[1].speed = 2.0;
+  gather.gather.jitter = {{0.0, 0.25}};
+  entry = {};
+  entry.gather_outcome.contact.achieved = true;
+  entry.gather_outcome.contact.time = 17.25;
+  entry.gather_outcome.contact.pair_j = 1;
+  entry.gather_outcome.contact.pair_i = 0;
+  entry.gather_outcome.contact.evals = 77;
+  entry.gather_outcome.gathered.min_max_pairwise =
+      std::numeric_limits<double>::infinity();
+  entry.gather_outcome.gathered.segments = 31;
+  store(gather, entry);
+
+  rv::engine::WorkItem linear;
+  linear.family = rv::engine::Family::kLinear;
+  linear.linear.attrs.speed = 0.5;
+  linear.linear.target = -3.0;
+  entry = {};
+  entry.linear_outcome.feasible = true;
+  entry.linear_outcome.sim = sample_sim_result();
+  store(linear, entry);
+
+  rv::engine::WorkItem coverage;
+  coverage.family = rv::engine::Family::kCoverage;
+  coverage.coverage.program_name = "square-spiral";
+  coverage.coverage.program = rv::engine::SearchProgram::kSquareSpiral;
+  entry = {};
+  entry.coverage_outcome.series = {{10.0, 0.5, 3.5}, {20.0, 0.995, 7.0}};
+  entry.coverage_outcome.program_name = "square-spiral";
+  entry.coverage_outcome.t50 = 10.0;
+  entry.coverage_outcome.final_fraction = 0.995;
+  entry.coverage_outcome.covered_area = 7.0;
+  store(coverage, entry);
+
+  coverage.coverage.horizon = 1.0;  // a second cell: nothing recorded
+  entry = {};
+  entry.coverage_outcome.program_name = "square-spiral";
+  store(coverage, entry);
+}
+
+TEST(CacheStoreWire, CanonicalFileMatchesTheWireLock) {
+#ifndef RV_GOLDEN_DIR
+  GTEST_SKIP() << "RV_GOLDEN_DIR not set: no wire lock to compare against";
+#else
+  const fs::path lock_path = fs::path(RV_GOLDEN_DIR).parent_path().parent_path() /
+                             "tools" / "sanitizers" / "wire_schema.lock";
+  std::ifstream lock(lock_path);
+  ASSERT_TRUE(lock) << "cannot read " << lock_path;
+  long locked_epoch = -1;
+  std::string locked_hash;
+  for (std::string line; std::getline(lock, line);) {
+    std::istringstream fields(line);
+    std::string field;
+    fields >> field;
+    if (field == "epoch") fields >> locked_epoch;
+    if (field == "hash") fields >> locked_hash;
+  }
+
+  ScenarioCache cache;
+  fill_canonical_cache(&cache);
+  ASSERT_EQ(cache.size(), 6u);
+  Scratch scratch;
+  const fs::path path = scratch.path / "canonical.rvcache";
+  rv::engine::save_cache_file(path, cache);
+  std::ifstream file(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(file)),
+                          std::istreambuf_iterator<char>());
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(rv::engine::fnv1a64(bytes)));
+
+  const std::string instructions =
+      "If the change is intended: first bump kEngineCacheEpoch in "
+      "src/engine/cache_store.hpp (files written by the old engine must "
+      "not replay as current results), then write the new epoch and "
+      "hash into " + lock_path.string() + " in the same commit.";
+  EXPECT_EQ(hash, locked_hash)
+      << "the cache wire format changed: the canonical file now hashes to "
+      << hash << ".  " << instructions;
+  EXPECT_EQ(static_cast<long>(rv::engine::kEngineCacheEpoch), locked_epoch)
+      << "kEngineCacheEpoch no longer matches the lock.  " << instructions;
+#endif
 }
 
 }  // namespace

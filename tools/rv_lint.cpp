@@ -43,14 +43,12 @@
 //                        (must match [a-z0-9_.]+, the RV_FAILPOINTS
 //                        spec grammar) or duplicates another site: a
 //                        spec must target exactly one place.
-//   wire-epoch           the serialized-schema guard: a normalized
-//                        hash of engine/wire.hpp + the outcome-struct
-//                        definitions + the cache_store payload
-//                        encoders is pinned, together with
-//                        kEngineCacheEpoch, in
-//                        tools/sanitizers/wire_schema.lock.  Changing
-//                        the schema without bumping the epoch (or
-//                        bumping without re-blessing the lock) fails.
+//   uninit-field         a scalar field (arithmetic, pointer or enum
+//                        type) without a default initializer in a
+//                        struct under src/ whose name ends in Outcome,
+//                        Result or Cell: a default-constructed outcome
+//                        or cell must not carry indeterminate bytes
+//                        into emission or the cache wire format.
 //
 // Escape hatch: a `// rv-lint: allow(<rule>)` comment on the finding's
 // line or the line directly above suppresses that rule there.  Use it
@@ -58,12 +56,10 @@
 // pattern, and say why next to it.
 //
 //   rv_lint [--root <dir>] [--verbose]    lint the tree, exit 1 on findings
-//   rv_lint --root <dir> --update-wire-lock   re-bless the wire schema
 //   rv_lint --self-test                   inject one violation per rule
 //                                         into a scratch tree and verify
 //                                         every rule (and the allow
-//                                         escape, and both wire-epoch
-//                                         failure modes) fires
+//                                         escape) fires
 //
 // Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -115,13 +111,6 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     hash *= 0x100000001b3ull;
   }
   return hash;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -562,256 +551,129 @@ void rule_failpoint_site(Linter& lint, const SourceFile& f,
 }
 
 // ---------------------------------------------------------------------------
-// Wire-epoch guard
+// Default initializers on outcome / result / cell fields
 // ---------------------------------------------------------------------------
 
-/// `struct <name> { ... };` block, or nullopt.
-std::optional<std::string> extract_struct(const SourceFile& f,
-                                          const std::string& name) {
-  for (const std::size_t at : find_ident(f.code, name)) {
-    // Must be a definition: preceded by `struct`, followed by `{`.
-    std::size_t j = at + name.size();
-    while (j < f.code.size() &&
-           std::isspace(static_cast<unsigned char>(f.code[j]))) {
-      ++j;
+/// Names declared as enumerations (`enum X`, `enum class X`) in `code`.
+void collect_enum_names(const std::string& code,
+                        std::set<std::string>* names) {
+  for (std::size_t at : find_ident(code, "enum")) {
+    at += 4;
+    for (const std::string_view key : {"class", "struct"}) {
+      std::size_t j = at;
+      while (j < code.size() && code[j] == ' ') ++j;
+      if (code.compare(j, key.size(), key) == 0) at = j + key.size();
     }
-    if (j >= f.code.size() || f.code[j] != '{') continue;
-    const std::size_t close = match_at(f.code, j, '{', '}');
+    while (at < code.size() && code[at] == ' ') ++at;
+    std::size_t end = at;
+    while (end < code.size() && ident_char(code[end])) ++end;
+    if (end > at) names->insert(code.substr(at, end - at));
+  }
+}
+
+/// True for arithmetic, pointer and enumeration types: the types whose
+/// default-initialized value is indeterminate.
+bool scalar_type(const std::string& type, const std::set<std::string>& enums) {
+  if (type.find('<') != std::string::npos) return false;  // a template class
+  if (type.find('*') != std::string::npos) return true;
+  static const std::set<std::string> builtins = {
+      "bool",     "char",      "short",    "int",      "long",
+      "unsigned", "signed",    "float",    "double",   "size_t",
+      "ptrdiff_t", "int8_t",   "int16_t",  "int32_t",  "int64_t",
+      "uint8_t",  "uint16_t",  "uint32_t", "uint64_t", "uintptr_t"};
+  std::size_t end = type.size();
+  while (end > 0 && !ident_char(type[end - 1])) --end;
+  std::size_t begin = end;
+  while (begin > 0 && ident_char(type[begin - 1])) --begin;
+  const std::string base = type.substr(begin, end - begin);
+  return builtins.count(base) != 0 || enums.count(base) != 0;
+}
+
+/// Checks one member declaration `text` (no trailing ';') of struct
+/// `owner`, starting at `offset` in the code view.
+void check_member(Linter& lint, const SourceFile& f,
+                  const std::set<std::string>& enums, const std::string& owner,
+                  const std::string& text, std::size_t offset) {
+  // The leading keyword, read past an access label (`public:`).
+  std::string word;
+  std::size_t pos = 0;
+  do {
+    pos = text.find_first_not_of(" \n:", pos + word.size());
+    if (pos == std::string::npos) return;
+    std::size_t end = pos;
+    while (end < text.size() && ident_char(text[end])) ++end;
+    word = text.substr(pos, end - pos);
+  } while (word == "public" || word == "protected" || word == "private");
+  static const std::set<std::string> not_fields = {
+      "struct", "class",  "enum",     "union",  "using",        "typedef",
+      "friend", "static", "template", "inline", "static_assert"};
+  if (not_fields.count(word) != 0) return;
+  // Functions, initialized fields and brace-initialized fields pass.
+  if (text.find_first_of("(={") != std::string::npos) return;
+  const std::size_t declarator = text.find(',');
+  std::string decl = text.substr(0, declarator);
+  const std::size_t bracket = decl.find('[');
+  if (bracket != std::string::npos) decl.erase(bracket);
+  std::size_t end = decl.size();
+  while (end > 0 && !ident_char(decl[end - 1])) --end;
+  std::size_t begin = end;
+  while (begin > 0 && ident_char(decl[begin - 1])) --begin;
+  if (begin == end || !scalar_type(decl.substr(0, begin), enums)) {
+    return;
+  }
+  lint.report(f, offset + begin, "uninit-field",
+              "scalar field '" + decl.substr(begin, end - begin) + "' of " +
+                  owner +
+                  " has no default initializer — a default-constructed "
+                  "value would carry indeterminate bytes into output");
+}
+
+bool ends_with(std::string_view s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+void rule_uninit_field(Linter& lint, const SourceFile& f,
+                       const std::set<std::string>& enums) {
+  if (!path_under(f.rel, "src/")) return;
+  const std::string& code = f.code;
+  for (const std::size_t at : find_ident(code, "struct")) {
+    std::size_t name_begin = at + 6;
+    while (name_begin < code.size() &&
+           std::isspace(static_cast<unsigned char>(code[name_begin]))) {
+      ++name_begin;
+    }
+    std::size_t name_end = name_begin;
+    while (name_end < code.size() && ident_char(code[name_end])) ++name_end;
+    const std::string owner = code.substr(name_begin, name_end - name_begin);
+    if (!ends_with(owner, "Outcome") && !ends_with(owner, "Result") &&
+        !ends_with(owner, "Cell")) {
+      continue;
+    }
+    const std::size_t open = code.find_first_of("{;", name_end);
+    if (open == std::string::npos || code[open] == ';') continue;
+    const std::size_t close = match_at(code, open, '{', '}');
     if (close == std::string::npos) continue;
-    std::size_t k = at;
-    while (k > 0 && std::isspace(static_cast<unsigned char>(f.code[k - 1]))) {
-      --k;
-    }
-    if (k < 6 || f.code.compare(k - 6, 6, "struct") != 0) continue;
-    return f.raw.substr(at, close - at + 1);
-  }
-  return std::nullopt;
-}
-
-/// `<name>(...) { ... }` function definition block, or nullopt.
-std::optional<std::string> extract_function(const SourceFile& f,
-                                            const std::string& name) {
-  for (const std::size_t at : find_ident(f.code, name)) {
-    std::size_t j = at + name.size();
-    while (j < f.code.size() &&
-           std::isspace(static_cast<unsigned char>(f.code[j]))) {
-      ++j;
-    }
-    if (j >= f.code.size() || f.code[j] != '(') continue;
-    const std::size_t args_close = match_at(f.code, j, '(', ')');
-    if (args_close == std::string::npos) continue;
-    std::size_t k = args_close + 1;
-    while (k < f.code.size() &&
-           std::isspace(static_cast<unsigned char>(f.code[k]))) {
-      ++k;
-    }
-    if (k >= f.code.size() || f.code[k] != '{') continue;  // a call, not a def
-    const std::size_t close = match_at(f.code, k, '{', '}');
-    if (close == std::string::npos) continue;
-    return f.raw.substr(at, close - at + 1);
-  }
-  return std::nullopt;
-}
-
-/// Comment-stripped, whitespace-collapsed: doc edits don't move the
-/// hash, any code/layout change of the schema does.
-std::string normalize(const std::string& text) {
-  const std::string code = strip_code(text);
-  std::string out;
-  out.reserve(code.size());
-  bool in_space = true;
-  for (const char c : code) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!in_space) out += ' ';
-      in_space = true;
-    } else {
-      out += c;
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-/// The serialized-schema surface: which files and which named blocks
-/// inside them define the cache wire format.  An empty block list
-/// means "the whole file".
-struct WireSurface {
-  const char* file;
-  std::vector<const char*> structs;
-  std::vector<const char*> functions;
-};
-
-const std::vector<WireSurface>& wire_surfaces() {
-  static const std::vector<WireSurface> surfaces = {
-      {"src/engine/wire.hpp", {}, {}},
-      {"src/sim/simulator.hpp", {"SimResult"}, {}},
-      {"src/gather/multi_simulator.hpp", {"GatherResult"}, {}},
-      {"src/rendezvous/core.hpp", {"Outcome"}, {}},
-      {"src/analysis/coverage.hpp", {"CoveragePoint"}, {}},
-      {"src/engine/families.hpp",
-       {"SearchOutcome", "GatherOutcome", "LinearOutcome", "CoverageOutcome"},
-       {}},
-      {"src/engine/cache_store.cpp",
-       {},
-       {"put_sim_result", "put_gather_result", "serialize_entry"}},
-  };
-  return surfaces;
-}
-
-constexpr const char* kWireLockRel = "tools/sanitizers/wire_schema.lock";
-constexpr const char* kEpochHeaderRel = "src/engine/cache_store.hpp";
-
-struct WireState {
-  std::string hash;   ///< hex digest of the normalized schema surface
-  long epoch = -1;    ///< kEngineCacheEpoch as committed in the header
-};
-
-std::optional<WireState> compute_wire_state(const fs::path& root,
-                                            std::string* error) {
-  std::string material;
-  for (const WireSurface& s : wire_surfaces()) {
-    const auto raw = read_file(root / s.file);
-    if (!raw) {
-      *error = std::string("cannot read ") + s.file;
-      return std::nullopt;
-    }
-    const SourceFile f = load_source(root / s.file, s.file, *raw);
-    material += std::string("== ") + s.file + "\n";
-    if (s.structs.empty() && s.functions.empty()) {
-      material += normalize(f.raw);
-      material += '\n';
-    }
-    for (const char* name : s.structs) {
-      const auto block = extract_struct(f, name);
-      if (!block) {
-        *error = std::string("struct ") + name + " not found in " + s.file +
-                 " (update the wire-surface list in tools/rv_lint.cpp)";
-        return std::nullopt;
+    // Split the body into member declarations at top-level ';'.  A
+    // brace block belongs to its declaration, except a function body,
+    // which ends the member without a ';'.
+    std::size_t start = open + 1;
+    for (std::size_t i = start; i < close; ++i) {
+      if (code[i] == '(') {
+        i = match_at(code, i, '(', ')');
+      } else if (code[i] == '{') {
+        const std::size_t end = match_at(code, i, '{', '}');
+        if (code.substr(start, i - start).find('(') != std::string::npos) {
+          start = end + 1;
+        }
+        i = end;
+      } else if (code[i] == ';') {
+        check_member(lint, f, enums, owner, code.substr(start, i - start),
+                     start);
+        start = i + 1;
       }
-      material += normalize(*block);
-      material += '\n';
+      if (i == std::string::npos) break;
     }
-    for (const char* name : s.functions) {
-      const auto block = extract_function(f, name);
-      if (!block) {
-        *error = std::string("function ") + name + " not found in " + s.file +
-                 " (update the wire-surface list in tools/rv_lint.cpp)";
-        return std::nullopt;
-      }
-      material += normalize(*block);
-      material += '\n';
-    }
-  }
-  const auto header = read_file(root / kEpochHeaderRel);
-  if (!header) {
-    *error = std::string("cannot read ") + kEpochHeaderRel;
-    return std::nullopt;
-  }
-  const std::string header_code = strip_code(*header);
-  const std::size_t at = header_code.find("kEngineCacheEpoch");
-  std::size_t eq = at == std::string::npos ? std::string::npos
-                                           : header_code.find('=', at);
-  if (eq == std::string::npos) {
-    *error = std::string("kEngineCacheEpoch not found in ") + kEpochHeaderRel;
-    return std::nullopt;
-  }
-  WireState state;
-  state.epoch = std::strtol(header_code.c_str() + eq + 1, nullptr, 10);
-  state.hash = hex64(fnv1a64(material));
-  return state;
-}
-
-std::optional<WireState> read_wire_lock(const fs::path& root) {
-  const auto text = read_file(root / kWireLockRel);
-  if (!text) return std::nullopt;
-  WireState state;
-  std::istringstream in(*text);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (key == "epoch") fields >> state.epoch;
-    if (key == "hash") fields >> state.hash;
-  }
-  if (state.epoch < 0 || state.hash.size() != 16) return std::nullopt;
-  return state;
-}
-
-bool write_wire_lock(const fs::path& root, const WireState& state) {
-  std::error_code ec;
-  fs::create_directories((root / kWireLockRel).parent_path(), ec);
-  std::ostringstream out;
-  out << "# wire_schema.lock — the blessed serialized-schema state.\n"
-      << "#\n"
-      << "# `rv_lint` hashes the cache wire surface (engine/wire.hpp, the\n"
-      << "# outcome structs, the cache_store payload encoders) and fails\n"
-      << "# when hash or kEngineCacheEpoch drift from this file: a schema\n"
-      << "# change requires an epoch bump, and both require re-blessing\n"
-      << "# with `rv_lint --update-wire-lock` in the same commit.\n"
-      << "epoch " << state.epoch << "\n"
-      << "hash " << state.hash << "\n";
-  return write_file(root / kWireLockRel, out.str());
-}
-
-/// Checks (or, with `update`, re-blesses) the wire schema.  Returns
-/// findings in the same stream as the textual rules.
-void rule_wire_epoch(Linter& lint, const fs::path& root, bool update) {
-  std::string error;
-  const auto current = compute_wire_state(root, &error);
-  SourceFile anchor;  // findings anchor at the lock file
-  anchor.rel = kWireLockRel;
-  anchor.raw = "";
-  anchor.allows.emplace_back();
-  if (!current) {
-    lint.findings.push_back({"wire-epoch", kWireLockRel, 1, error});
-    return;
-  }
-  if (update) {
-    if (!write_wire_lock(root, *current)) {
-      lint.findings.push_back({"wire-epoch", kWireLockRel, 1,
-                               "cannot write the wire-schema lock"});
-    } else {
-      std::printf("rv_lint: wire lock re-blessed: epoch %ld, hash %s\n",
-                  current->epoch, current->hash.c_str());
-    }
-    return;
-  }
-  const auto locked = read_wire_lock(root);
-  if (!locked) {
-    lint.findings.push_back(
-        {"wire-epoch", kWireLockRel, 1,
-         "missing or unreadable wire-schema lock — generate it with "
-         "`rv_lint --update-wire-lock` and commit it"});
-    return;
-  }
-  const bool hash_changed = current->hash != locked->hash;
-  const bool epoch_changed = current->epoch != locked->epoch;
-  if (hash_changed && !epoch_changed) {
-    lint.findings.push_back(
-        {"wire-epoch", kWireLockRel, 1,
-         "serialized schema changed (hash " + locked->hash + " -> " +
-             current->hash +
-             ") without a kEngineCacheEpoch bump: persisted caches from "
-             "the old engine would replay as current results.  Bump "
-             "kEngineCacheEpoch in src/engine/cache_store.hpp, then "
-             "re-bless with `rv_lint --update-wire-lock`"});
-  } else if (epoch_changed && !hash_changed) {
-    lint.findings.push_back(
-        {"wire-epoch", kWireLockRel, 1,
-         "kEngineCacheEpoch changed (" + std::to_string(locked->epoch) +
-             " -> " + std::to_string(current->epoch) +
-             ") but the lock was not re-blessed.  If the bump is "
-             "intentional (it invalidates every persisted cache), run "
-             "`rv_lint --update-wire-lock` and commit the lock with it"});
-  } else if (hash_changed && epoch_changed) {
-    lint.findings.push_back(
-        {"wire-epoch", kWireLockRel, 1,
-         "schema and epoch both changed but the lock still records epoch " +
-             std::to_string(locked->epoch) + " / hash " + locked->hash +
-             " — re-bless with `rv_lint --update-wire-lock` and commit "
-             "the lock in the same change"});
   }
 }
 
@@ -839,18 +701,23 @@ std::vector<fs::path> collect_files(const fs::path& root) {
   return files;
 }
 
-int lint_tree(const fs::path& root, bool update_wire_lock, bool verbose) {
-  Linter lint(verbose);
-  FailpointSites sites;
+/// Runs every rule over every file under `root`.  False when a file
+/// cannot be read.
+bool lint_files(Linter& lint, const fs::path& root) {
+  std::vector<SourceFile> files;
   for (const fs::path& path : collect_files(root)) {
     const auto raw = read_file(path);
     if (!raw) {
       std::fprintf(stderr, "rv_lint: cannot read %s\n", path.c_str());
-      return 2;
+      return false;
     }
-    const std::string rel =
-        fs::relative(path, root).generic_string();
-    const SourceFile f = load_source(path, rel, *raw);
+    files.push_back(
+        load_source(path, fs::relative(path, root).generic_string(), *raw));
+  }
+  std::set<std::string> enums;
+  for (const SourceFile& f : files) collect_enum_names(f.code, &enums);
+  FailpointSites sites;
+  for (const SourceFile& f : files) {
     rule_pragma_once(lint, f);
     rule_nondeterminism(lint, f);
     rule_float_type(lint, f);
@@ -858,8 +725,14 @@ int lint_tree(const fs::path& root, bool update_wire_lock, bool verbose) {
     rule_catch_swallow(lint, f);
     rule_unordered_iteration(lint, f);
     rule_failpoint_site(lint, f, &sites);
+    rule_uninit_field(lint, f, enums);
   }
-  rule_wire_epoch(lint, root, update_wire_lock);
+  return true;
+}
+
+int lint_tree(const fs::path& root, bool verbose) {
+  Linter lint(verbose);
+  if (!lint_files(lint, root)) return 2;
   for (const Finding& finding : lint.findings) {
     std::fprintf(stderr, "rv_lint: %s:%zu: [%s] %s\n", finding.rel.c_str(),
                  finding.line, finding.rule.c_str(),
@@ -908,20 +781,7 @@ struct SelfTree {
 /// Lints `root` and returns the findings (no printing).
 std::vector<Finding> scan(const fs::path& root) {
   Linter lint(false);
-  FailpointSites sites;
-  for (const fs::path& path : collect_files(root)) {
-    const auto raw = read_file(path);
-    if (!raw) continue;
-    const SourceFile f =
-        load_source(path, fs::relative(path, root).generic_string(), *raw);
-    rule_pragma_once(lint, f);
-    rule_nondeterminism(lint, f);
-    rule_float_type(lint, f);
-    rule_stdout_write(lint, f);
-    rule_catch_swallow(lint, f);
-    rule_unordered_iteration(lint, f);
-    rule_failpoint_site(lint, f, &sites);
-  }
+  (void)lint_files(lint, root);
   return lint.findings;
 }
 
@@ -943,44 +803,6 @@ int expect(const std::vector<Finding>& findings, const char* rule,
   }
   std::printf("-- self-test: %-52s OK\n", what);
   return 0;
-}
-
-/// Minimal but complete wire surface for the guard's self-test: every
-/// file + block the production surface list names, in miniature.
-void put_wire_surface(const SelfTree& tree, const char* sim_extra,
-                      int epoch) {
-  tree.put("src/engine/wire.hpp",
-           "#pragma once\nnamespace w { inline int put() { return 1; } }\n");
-  tree.put("src/sim/simulator.hpp",
-           std::string("#pragma once\nstruct SimResult { double t;") +
-               sim_extra + " };\n");
-  tree.put("src/gather/multi_simulator.hpp",
-           "#pragma once\nstruct GatherResult { double t; };\n");
-  tree.put("src/rendezvous/core.hpp",
-           "#pragma once\nstruct Outcome { double d; };\n");
-  tree.put("src/analysis/coverage.hpp",
-           "#pragma once\nstruct CoveragePoint { double f; };\n");
-  tree.put("src/engine/families.hpp",
-           "#pragma once\nstruct SearchOutcome { int found; };\n"
-           "struct GatherOutcome { int g; };\n"
-           "struct LinearOutcome { int l; };\n"
-           "struct CoverageOutcome { int c; };\n");
-  tree.put("src/engine/cache_store.cpp",
-           "void put_sim_result() { }\n"
-           "void put_gather_result() { }\n"
-           "void serialize_entry() { }\n");
-  tree.put("src/engine/cache_store.hpp",
-           "#pragma once\ninline constexpr unsigned kEngineCacheEpoch = " +
-               std::to_string(epoch) + ";\n");
-}
-
-int wire_guard_findings(const fs::path& root) {
-  Linter lint(false);
-  rule_wire_epoch(lint, root, false);
-  for (const Finding& f : lint.findings) {
-    std::printf("   (wire-epoch message: %s)\n", f.message.c_str());
-  }
-  return static_cast<int>(lint.findings.size());
 }
 
 int self_test() {
@@ -1098,6 +920,29 @@ int self_test() {
                        "allow() escape blesses a framed stdout writer");
   }
 
+  {  // --- uninit-field: scalar fields of outcome/result/cell structs
+    SelfTree tree("fields");
+    tree.put("src/engine/probe.hpp",
+             "#pragma once\n#include <string>\n"
+             "enum class Kind { kA, kB };\n"
+             "struct ProbeOutcome {\n"
+             "  double time;\n"         // fires
+             "  Kind kind;\n"           // fires: an enum
+             "  const char* name;\n"    // fires: a pointer
+             "  int count = 0;\n"
+             " public:\n"
+             "  bool ok{};\n"
+             "  std::string label;\n"
+             "  double twice() const { return 2 * time; }\n"
+             "  struct Inner { int n = 0; };\n"
+             "};\n"
+             "struct ProbeCell;\n"
+             "struct Plain { double untouched; };\n");
+    tree.put("tests/probe.cpp", "struct TestOutcome { double t; };\n");
+    failures += expect(scan(tree.root), "uninit-field", 3,
+                       "uninitialized scalar fields of *Outcome fire");
+  }
+
   {  // --- the allow escape suppresses, on-line and line-above
     SelfTree tree("allow");
     tree.put("src/engine/blessed.cpp",
@@ -1115,53 +960,6 @@ int self_test() {
                        "allow() on the finding's own line suppresses");
   }
 
-  {  // --- wire-epoch guard: blessed state passes
-    SelfTree tree("wire");
-    put_wire_surface(tree, "", 1);
-    Linter lint(false);
-    rule_wire_epoch(lint, tree.root, true);  // bless
-    const int blessed = wire_guard_findings(tree.root);
-    failures += expect(std::vector<Finding>(static_cast<std::size_t>(blessed),
-                                            {"wire-epoch", "", 1, ""}),
-                       "wire-epoch", 0, "blessed schema+epoch passes");
-
-    // Schema change without an epoch bump must fail.
-    put_wire_surface(tree, " double extra;", 1);
-    failures +=
-        expect(std::vector<Finding>(
-                   static_cast<std::size_t>(wire_guard_findings(tree.root)),
-                   {"wire-epoch", "", 1, ""}),
-               "wire-epoch", 1, "schema change without epoch bump fails");
-
-    // Epoch bump without re-blessing the lock must fail too.
-    put_wire_surface(tree, "", 2);
-    failures +=
-        expect(std::vector<Finding>(
-                   static_cast<std::size_t>(wire_guard_findings(tree.root)),
-                   {"wire-epoch", "", 1, ""}),
-               "wire-epoch", 1, "epoch bump without lock re-bless fails");
-
-    // Schema change + epoch bump + re-bless is the sanctioned workflow.
-    put_wire_surface(tree, " double extra;", 2);
-    Linter rebless(false);
-    rule_wire_epoch(rebless, tree.root, true);
-    failures +=
-        expect(std::vector<Finding>(
-                   static_cast<std::size_t>(wire_guard_findings(tree.root)),
-                   {"wire-epoch", "", 1, ""}),
-               "wire-epoch", 0, "schema change + bump + re-bless passes");
-
-    // A comment-only edit of a surface file must NOT move the hash.
-    tree.put("src/rendezvous/core.hpp",
-             "#pragma once\n// new doc comment\nstruct Outcome { double d; "
-             "};  // trailing\n");
-    failures +=
-        expect(std::vector<Finding>(
-                   static_cast<std::size_t>(wire_guard_findings(tree.root)),
-                   {"wire-epoch", "", 1, ""}),
-               "wire-epoch", 0, "comment-only schema edit keeps the hash");
-  }
-
   if (failures == 0) std::printf("self-test: every rule fires and escapes\n");
   return failures == 0 ? 0 : 1;
 }
@@ -1169,7 +967,6 @@ int self_test() {
 void usage() {
   std::fprintf(stderr,
                "usage: rv_lint [--root <dir>] [--verbose]\n"
-               "       rv_lint --root <dir> --update-wire-lock\n"
                "       rv_lint --self-test\n");
 }
 
@@ -1177,7 +974,6 @@ void usage() {
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
-  bool update_wire_lock = false;
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1185,8 +981,6 @@ int main(int argc, char** argv) {
       return self_test();
     } else if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--update-wire-lock") {
-      update_wire_lock = true;
     } else if (arg == "--verbose") {
       verbose = true;
     } else {
@@ -1200,5 +994,5 @@ int main(int argc, char** argv) {
                  root.c_str());
     return 2;
   }
-  return lint_tree(root, update_wire_lock, verbose);
+  return lint_tree(root, verbose);
 }

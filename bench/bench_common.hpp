@@ -34,20 +34,28 @@ inline void banner(const std::string& id, const std::string& title,
             << "================================================================\n";
 }
 
-/// Writes a table's rows as CSV next to the printed output.
-inline void dump_csv(const std::string& filename,
-                     const rv::io::CsvRow& header,
-                     const std::vector<rv::io::CsvRow>& rows) {
+/// Writes a finished CSV document of `rows` data rows next to the
+/// printed output.
+inline void dump_csv(const std::string& filename, const std::string& document,
+                     std::size_t rows) {
   const auto path = results_dir() / filename;
   std::ofstream out(path);
   if (!out) {
     std::cerr << "warning: cannot write " << path << '\n';
     return;
   }
-  rv::io::CsvWriter writer(out);
-  writer.header(header);
-  for (const auto& row : rows) writer.row(row);
-  std::cout << "[csv] " << path.string() << " (" << rows.size() << " rows)\n";
+  out << document;
+  std::cout << "[csv] " << path.string() << " (" << rows << " rows)\n";
+}
+
+/// Writes a table's rows as CSV next to the printed output.
+inline void dump_csv(const std::string& filename,
+                     const rv::io::CsvRow& header,
+                     const std::vector<rv::io::CsvRow>& rows) {
+  std::string document;
+  rv::io::append_csv_row(document, header);
+  for (const auto& row : rows) rv::io::append_csv_row(document, row);
+  dump_csv(filename, document, rows.size());
 }
 
 /// Formats a ratio as e.g. "0.43x"; reports "n/a" instead of dividing

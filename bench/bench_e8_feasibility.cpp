@@ -131,8 +131,8 @@ int main() {
       {"lower_bound", [&](const engine::RunRecord& rec) {
          return io::format_double(lower_bound_of(rec));
        }}};
-  bench::dump_csv("e8_feasibility.csv", results.csv_header(extras),
-                  results.csv_rows(extras));
+  bench::dump_csv("e8_feasibility.csv", results.to_csv(extras),
+                  results.size());
 
   std::cout
       << "\nshape check: the three feasible families all meet; the identical "

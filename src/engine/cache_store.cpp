@@ -21,115 +21,8 @@ namespace {
 constexpr char kHeader[] = "RVCACHE\x01";  // 8 bytes: magic + format version
 constexpr std::size_t kHeaderSize = 12;    // magic + u32 engine epoch
 constexpr std::uint32_t kRecordMagic = 0x52435245;  // "ERCR" little-endian
-/// Upper bound on a single key/payload size a reader will believe.  A
-/// corrupt length field larger than this is treated as garbage instead
-/// of an allocation request.
-constexpr std::uint32_t kMaxFieldSize = 1u << 28;
-
-// --- primitive encoders (wire::put is the shared fixed-width memcpy
-// core; doubles go through it raw, so every value — including -0.0 and
-// the exact bit pattern of computed results — round-trips identically)
-// ---------------------------------------------------------------------------
-
+using wire::kMaxFieldSize;
 using wire::put;
-
-void put_bool(std::string& out, bool v) {
-  put<std::uint8_t>(out, v ? 1 : 0);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-/// Bounds-checked sequential reader over a payload.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  template <typename T>
-  bool get(T* v) {
-    if (data_.size() - pos_ < sizeof(T)) return ok_ = false;
-    std::memcpy(v, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool get_bool(bool* v) {
-    std::uint8_t byte = 0;
-    if (!get(&byte)) return false;
-    *v = byte != 0;
-    return true;
-  }
-
-  bool get_str(std::string* s) {
-    std::uint32_t size = 0;
-    if (!get(&size)) return false;
-    if (size > kMaxFieldSize || data_.size() - pos_ < size) {
-      return ok_ = false;
-    }
-    s->assign(data_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-// --- outcome payloads ------------------------------------------------------
-
-void put_sim_result(std::string& out, const sim::SimResult& r) {
-  put_bool(out, r.met);
-  put(out, r.time);
-  put(out, r.distance);
-  put(out, r.min_distance);
-  put(out, r.min_distance_time);
-  put(out, r.position1.x);
-  put(out, r.position1.y);
-  put(out, r.position2.x);
-  put(out, r.position2.y);
-  put(out, r.evals);
-  put(out, r.segments);
-}
-
-bool get_sim_result(Reader& in, sim::SimResult* r) {
-  return in.get_bool(&r->met) && in.get(&r->time) && in.get(&r->distance) &&
-         in.get(&r->min_distance) && in.get(&r->min_distance_time) &&
-         in.get(&r->position1.x) && in.get(&r->position1.y) &&
-         in.get(&r->position2.x) && in.get(&r->position2.y) &&
-         in.get(&r->evals) && in.get(&r->segments);
-}
-
-void put_gather_result(std::string& out, const gather::GatherResult& r) {
-  put_bool(out, r.achieved);
-  put(out, r.time);
-  put<std::int32_t>(out, r.pair_i);
-  put<std::int32_t>(out, r.pair_j);
-  put(out, r.max_pairwise);
-  put(out, r.min_max_pairwise);
-  put(out, r.evals);
-  put(out, r.segments);
-}
-
-bool get_gather_result(Reader& in, gather::GatherResult* r) {
-  std::int32_t pair_i = 0, pair_j = 0;
-  if (!(in.get_bool(&r->achieved) && in.get(&r->time) && in.get(&pair_i) &&
-        in.get(&pair_j) && in.get(&r->max_pairwise) &&
-        in.get(&r->min_max_pairwise) && in.get(&r->evals) &&
-        in.get(&r->segments))) {
-    return false;
-  }
-  r->pair_i = pair_i;
-  r->pair_j = pair_j;
-  return true;
-}
 
 /// The record checksum: FNV-1a 64 over key + payload bytes — cheap,
 /// strong enough to reject torn writes and bit rot, no dependency.
@@ -157,128 +50,28 @@ void CacheLoadStats::add(const CacheLoadStats& other) {
 
 std::string serialize_entry(const std::string& key,
                             const ScenarioCache::Entry& entry) {
-  if (key.empty()) {
-    throw std::invalid_argument("serialize_entry: empty cache key");
+  const FamilyDescriptor* family = describe_key(key);
+  if (family == nullptr) {
+    throw std::invalid_argument(
+        "serialize_entry: empty cache key or unknown family byte");
+  }
+  if (&describe(static_cast<Family>(entry.index())) != family) {
+    throw std::invalid_argument(
+        "serialize_entry: the entry holds another family's outcome");
   }
   std::string out;
-  switch (key[0]) {
-    case 'R': {
-      const rendezvous::Outcome& o = entry.outcome;
-      put_sim_result(out, o.sim);
-      put<std::int32_t>(out, static_cast<std::int32_t>(o.feasibility));
-      put(out, o.initial_distance);
-      put_str(out, o.algorithm_name);
-      return out;
-    }
-    case 'S': {
-      const SearchOutcome& o = entry.search_outcome;
-      put<std::int32_t>(out, o.found);
-      put<std::int32_t>(out, o.missed);
-      put_bool(out, o.complete);
-      put(out, o.worst_time);
-      put(out, o.mean_time);
-      put(out, o.worst_angle);
-      put(out, o.first_miss_angle);
-      put_str(out, o.program_name);
-      put(out, o.evals);
-      put(out, o.segments);
-      return out;
-    }
-    case 'G': {
-      put_gather_result(out, entry.gather_outcome.contact);
-      put_gather_result(out, entry.gather_outcome.gathered);
-      return out;
-    }
-    case 'L': {
-      put_bool(out, entry.linear_outcome.feasible);
-      put_sim_result(out, entry.linear_outcome.sim);
-      return out;
-    }
-    case 'C': {
-      const CoverageOutcome& o = entry.coverage_outcome;
-      put<std::uint32_t>(out, static_cast<std::uint32_t>(o.series.size()));
-      for (const analysis::CoveragePoint& p : o.series) {
-        put(out, p.time);
-        put(out, p.fraction);
-        put(out, p.covered_area);
-      }
-      put_str(out, o.program_name);
-      put(out, o.t50);
-      put(out, o.t99);
-      put(out, o.final_fraction);
-      put(out, o.covered_area);
-      return out;
-    }
-    default:
-      throw std::invalid_argument(
-          "serialize_entry: unknown family byte in cache key");
-  }
+  family->encode(out, entry);
+  return out;
 }
 
 bool deserialize_entry(const std::string& key, std::string_view payload,
                        ScenarioCache::Entry* entry) {
-  if (key.empty()) return false;
-  *entry = ScenarioCache::Entry{};
-  Reader in(payload);
-  bool decoded = false;
-  switch (key[0]) {
-    case 'R': {
-      rendezvous::Outcome& o = entry->outcome;
-      std::int32_t feasibility = 0;
-      decoded = get_sim_result(in, &o.sim) && in.get(&feasibility) &&
-                in.get(&o.initial_distance) && in.get_str(&o.algorithm_name);
-      o.feasibility = static_cast<rendezvous::FeasibilityClass>(feasibility);
-      break;
-    }
-    case 'S': {
-      SearchOutcome& o = entry->search_outcome;
-      std::int32_t found = 0, missed = 0;
-      decoded = in.get(&found) && in.get(&missed) &&
-                in.get_bool(&o.complete) && in.get(&o.worst_time) &&
-                in.get(&o.mean_time) && in.get(&o.worst_angle) &&
-                in.get(&o.first_miss_angle) && in.get_str(&o.program_name) &&
-                in.get(&o.evals) && in.get(&o.segments);
-      o.found = found;
-      o.missed = missed;
-      break;
-    }
-    case 'G':
-      decoded = get_gather_result(in, &entry->gather_outcome.contact) &&
-                get_gather_result(in, &entry->gather_outcome.gathered);
-      break;
-    case 'L':
-      decoded = in.get_bool(&entry->linear_outcome.feasible) &&
-                get_sim_result(in, &entry->linear_outcome.sim);
-      break;
-    case 'C': {
-      CoverageOutcome& o = entry->coverage_outcome;
-      std::uint32_t count = 0;
-      // The count is untrusted until proven payable: each point costs
-      // 3 doubles of payload, so a count the remaining bytes cannot
-      // cover is corruption — reject it *before* allocating.
-      decoded = in.get(&count) &&
-                count <= in.remaining() / (3 * sizeof(double));
-      if (decoded) {
-        o.series.resize(count);
-        for (analysis::CoveragePoint& p : o.series) {
-          if (!(in.get(&p.time) && in.get(&p.fraction) &&
-                in.get(&p.covered_area))) {
-            decoded = false;
-            break;
-          }
-        }
-        decoded = decoded && in.get_str(&o.program_name) && in.get(&o.t50) &&
-                  in.get(&o.t99) && in.get(&o.final_fraction) &&
-                  in.get(&o.covered_area);
-      }
-      break;
-    }
-    default:
-      return false;
-  }
+  const FamilyDescriptor* family = describe_key(key);
+  if (family == nullptr) return false;
+  wire::Reader in(payload);
   // Trailing bytes mean the payload does not actually encode this
   // family's outcome — treat the record as corrupt.
-  return decoded && in.ok() && in.exhausted();
+  return family->decode(in, entry) && in.ok() && in.exhausted();
 }
 
 void save_cache_file(const std::filesystem::path& path,

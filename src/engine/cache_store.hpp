@@ -30,10 +30,9 @@
 ///               payload_size bytes of outcome payload
 ///               u64 fnv1a64(key bytes + payload bytes)
 ///
-/// The payload encodes only the outcome matching the key's family (its
-/// leading byte, 'R'/'S'/'G'/'L'/'C' — see `engine::cache_key`); the
-/// other `ScenarioCache::Entry` members stay default-constructed on
-/// load, exactly as the in-memory cache keeps them.
+/// The payload encodes the one outcome an entry holds, with the codec
+/// of the key's family (its leading byte, 'R'/'S'/'G'/'L'/'C' — see
+/// `engine::cache_key` and `FamilyDescriptor`).
 
 #include <cstddef>
 #include <cstdint>
@@ -77,8 +76,8 @@ struct CacheLoadStats {
 };
 
 /// Serializes the payload of `entry` for `key` (family = key's leading
-/// byte).  \throws std::invalid_argument when the key is empty or its
-/// family byte is unknown.
+/// byte).  \throws std::invalid_argument when the key is empty, its
+/// family byte is unknown, or `entry` holds another family's outcome.
 [[nodiscard]] std::string serialize_entry(const std::string& key,
                                           const ScenarioCache::Entry& entry);
 

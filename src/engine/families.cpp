@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "engine/wire.hpp"
 #include "linear/zigzag.hpp"
@@ -14,16 +16,7 @@
 
 namespace rv::engine {
 
-const char* family_name(Family family) {
-  switch (family) {
-    case Family::kRendezvous: return "rendezvous";
-    case Family::kSearch: return "search";
-    case Family::kGather: return "gather";
-    case Family::kLinear: return "linear";
-    case Family::kCoverage: return "coverage";
-  }
-  return "?";
-}
+const char* family_name(Family family) { return describe(family).name; }
 
 double component_value(const Components& components,
                        const std::string& name) {
@@ -197,11 +190,6 @@ void append_f64(std::string& out, double v) {
 
 void append_i32(std::string& out, std::int32_t v) { wire::put(out, v); }
 
-void append_str(std::string& out, const std::string& s) {
-  append_i32(out, static_cast<std::int32_t>(s.size()));
-  out += s;
-}
-
 void append_attrs(std::string& out, const geom::RobotAttributes& a) {
   append_f64(out, a.speed);
   append_f64(out, a.time_unit);
@@ -224,7 +212,7 @@ void append_vec2(std::string& out, const geom::Vec2& v) {
   if (has_factory) {
     if (name.empty()) return false;
     out += 'c';
-    append_str(out, name);
+    wire::put_str(out, name);
   } else {
     out += 'a';
     append_i32(out, algorithm);
@@ -238,11 +226,10 @@ std::optional<std::string> cache_key(const WorkItem& item) {
   // Components-only items have no payload outcome to memoize, and the
   // hook itself (an arbitrary function) has no stable identity.
   if (item.components_only) return std::nullopt;
-  std::string key;
+  std::string key(1, describe(item.family).key_tag);
   switch (item.family) {
     case Family::kRendezvous: {
       const rendezvous::Scenario& s = item.scenario;
-      key += 'R';
       if (!append_program_identity(key, static_cast<bool>(s.program),
                                    s.program_name,
                                    static_cast<std::int32_t>(s.algorithm))) {
@@ -256,7 +243,6 @@ std::optional<std::string> cache_key(const WorkItem& item) {
     }
     case Family::kSearch: {
       const SearchCell& c = item.search;
-      key += 'S';
       if (!append_program_identity(key, static_cast<bool>(c.program_factory),
                                    c.program_name,
                                    static_cast<std::int32_t>(c.program))) {
@@ -265,7 +251,7 @@ std::optional<std::string> cache_key(const WorkItem& item) {
       // The name is keyed even without a factory: run_search_cell
       // echoes a non-empty program_name into the reported outcome, so
       // cells differing only in it must not share an entry.
-      append_str(key, c.program_name);
+      wire::put_str(key, c.program_name);
       append_f64(key, c.distance);
       append_f64(key, c.visibility);
       append_i32(key, c.angles);
@@ -281,7 +267,6 @@ std::optional<std::string> cache_key(const WorkItem& item) {
     }
     case Family::kGather: {
       const GatherCell& c = item.gather;
-      key += 'G';
       append_i32(key, static_cast<std::int32_t>(c.algorithm));
       append_i32(key, static_cast<std::int32_t>(c.fleet.size()));
       for (const geom::RobotAttributes& a : c.fleet) append_attrs(key, a);
@@ -296,7 +281,6 @@ std::optional<std::string> cache_key(const WorkItem& item) {
     }
     case Family::kLinear: {
       const LinearCell& c = item.linear;
-      key += 'L';
       append_i32(key, static_cast<std::int32_t>(c.mode));
       append_f64(key, c.attrs.speed);
       append_f64(key, c.attrs.time_unit);
@@ -308,7 +292,6 @@ std::optional<std::string> cache_key(const WorkItem& item) {
     }
     case Family::kCoverage: {
       const CoverageCell& c = item.coverage;
-      key += 'C';
       if (!append_program_identity(key, static_cast<bool>(c.program_factory),
                                    c.program_name,
                                    static_cast<std::int32_t>(c.program))) {
@@ -316,7 +299,7 @@ std::optional<std::string> cache_key(const WorkItem& item) {
       }
       // Keyed even without a factory: run_coverage_cell echoes a
       // non-empty program_name into the reported outcome.
-      append_str(key, c.program_name);
+      wire::put_str(key, c.program_name);
       append_attrs(key, c.attrs);
       append_f64(key, c.disk_radius);
       append_f64(key, c.visibility);
@@ -353,6 +336,361 @@ GatherOutcome run_gather_cell(const GatherCell& cell) {
   out.gathered =
       gather::simulate_gathering(factory, cell.fleet, origins, gather_opts);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Family descriptors
+// ---------------------------------------------------------------------------
+
+namespace {
+
+rendezvous::Outcome& field_of(RunRecord& r, const rendezvous::Outcome&) {
+  return r.outcome;
+}
+SearchOutcome& field_of(RunRecord& r, const SearchOutcome&) {
+  return r.search_outcome;
+}
+GatherOutcome& field_of(RunRecord& r, const GatherOutcome&) {
+  return r.gather_outcome;
+}
+LinearOutcome& field_of(RunRecord& r, const LinearOutcome&) {
+  return r.linear_outcome;
+}
+CoverageOutcome& field_of(RunRecord& r, const CoverageOutcome&) {
+  return r.coverage_outcome;
+}
+
+}  // namespace
+
+void RunRecord::set_outcome(CellOutcome cell_outcome) {
+  std::visit([this](auto& o) { field_of(*this, o) = std::move(o); },
+             cell_outcome);
+}
+
+namespace {
+
+// --- payload codecs (raw doubles: outcomes round-trip bit-exactly) ---
+
+using wire::put;
+using wire::put_bool;
+using wire::put_str;
+
+void put_sim_result(std::string& out, const sim::SimResult& r) {
+  put_bool(out, r.met);
+  put(out, r.time);
+  put(out, r.distance);
+  put(out, r.min_distance);
+  put(out, r.min_distance_time);
+  put(out, r.position1.x);
+  put(out, r.position1.y);
+  put(out, r.position2.x);
+  put(out, r.position2.y);
+  put(out, r.evals);
+  put(out, r.segments);
+}
+
+bool get_sim_result(wire::Reader& in, sim::SimResult* r) {
+  return in.get_bool(&r->met) && in.get(&r->time) && in.get(&r->distance) &&
+         in.get(&r->min_distance) && in.get(&r->min_distance_time) &&
+         in.get(&r->position1.x) && in.get(&r->position1.y) &&
+         in.get(&r->position2.x) && in.get(&r->position2.y) &&
+         in.get(&r->evals) && in.get(&r->segments);
+}
+
+void put_gather_result(std::string& out, const gather::GatherResult& r) {
+  put_bool(out, r.achieved);
+  put(out, r.time);
+  put<std::int32_t>(out, r.pair_i);
+  put<std::int32_t>(out, r.pair_j);
+  put(out, r.max_pairwise);
+  put(out, r.min_max_pairwise);
+  put(out, r.evals);
+  put(out, r.segments);
+}
+
+bool get_gather_result(wire::Reader& in, gather::GatherResult* r) {
+  std::int32_t pair_i = 0, pair_j = 0;
+  const bool ok = in.get_bool(&r->achieved) && in.get(&r->time) &&
+                  in.get(&pair_i) && in.get(&pair_j) &&
+                  in.get(&r->max_pairwise) && in.get(&r->min_max_pairwise) &&
+                  in.get(&r->evals) && in.get(&r->segments);
+  r->pair_i = pair_i;
+  r->pair_j = pair_j;
+  return ok;
+}
+
+void encode_rendezvous(std::string& out, const CellOutcome& outcome) {
+  const rendezvous::Outcome& o = std::get<rendezvous::Outcome>(outcome);
+  put_sim_result(out, o.sim);
+  put<std::int32_t>(out, static_cast<std::int32_t>(o.feasibility));
+  put(out, o.initial_distance);
+  put_str(out, o.algorithm_name);
+}
+
+bool decode_rendezvous(wire::Reader& in, CellOutcome* outcome) {
+  rendezvous::Outcome& o = outcome->emplace<rendezvous::Outcome>();
+  std::int32_t feasibility = 0;
+  const bool ok = get_sim_result(in, &o.sim) && in.get(&feasibility) &&
+                  in.get(&o.initial_distance) &&
+                  in.get_str(&o.algorithm_name);
+  o.feasibility = static_cast<rendezvous::FeasibilityClass>(feasibility);
+  return ok;
+}
+
+void encode_search(std::string& out, const CellOutcome& outcome) {
+  const SearchOutcome& o = std::get<SearchOutcome>(outcome);
+  put<std::int32_t>(out, o.found);
+  put<std::int32_t>(out, o.missed);
+  put_bool(out, o.complete);
+  put(out, o.worst_time);
+  put(out, o.mean_time);
+  put(out, o.worst_angle);
+  put(out, o.first_miss_angle);
+  put_str(out, o.program_name);
+  put(out, o.evals);
+  put(out, o.segments);
+}
+
+bool decode_search(wire::Reader& in, CellOutcome* outcome) {
+  SearchOutcome& o = outcome->emplace<SearchOutcome>();
+  std::int32_t found = 0, missed = 0;
+  const bool ok = in.get(&found) && in.get(&missed) &&
+                  in.get_bool(&o.complete) && in.get(&o.worst_time) &&
+                  in.get(&o.mean_time) && in.get(&o.worst_angle) &&
+                  in.get(&o.first_miss_angle) && in.get_str(&o.program_name) &&
+                  in.get(&o.evals) && in.get(&o.segments);
+  o.found = found;
+  o.missed = missed;
+  return ok;
+}
+
+void encode_gather(std::string& out, const CellOutcome& outcome) {
+  const GatherOutcome& o = std::get<GatherOutcome>(outcome);
+  put_gather_result(out, o.contact);
+  put_gather_result(out, o.gathered);
+}
+
+bool decode_gather(wire::Reader& in, CellOutcome* outcome) {
+  GatherOutcome& o = outcome->emplace<GatherOutcome>();
+  return get_gather_result(in, &o.contact) &&
+         get_gather_result(in, &o.gathered);
+}
+
+void encode_linear(std::string& out, const CellOutcome& outcome) {
+  const LinearOutcome& o = std::get<LinearOutcome>(outcome);
+  put_bool(out, o.feasible);
+  put_sim_result(out, o.sim);
+}
+
+bool decode_linear(wire::Reader& in, CellOutcome* outcome) {
+  LinearOutcome& o = outcome->emplace<LinearOutcome>();
+  return in.get_bool(&o.feasible) && get_sim_result(in, &o.sim);
+}
+
+void encode_coverage(std::string& out, const CellOutcome& outcome) {
+  const CoverageOutcome& o = std::get<CoverageOutcome>(outcome);
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(o.series.size()));
+  for (const analysis::CoveragePoint& p : o.series) {
+    put(out, p.time);
+    put(out, p.fraction);
+    put(out, p.covered_area);
+  }
+  put_str(out, o.program_name);
+  put(out, o.t50);
+  put(out, o.t99);
+  put(out, o.final_fraction);
+  put(out, o.covered_area);
+}
+
+bool decode_coverage(wire::Reader& in, CellOutcome* outcome) {
+  CoverageOutcome& o = outcome->emplace<CoverageOutcome>();
+  std::uint32_t count = 0;
+  // The count is untrusted until proven payable: each point costs 3
+  // doubles of payload, so a count the remaining bytes cannot cover is
+  // corruption — reject it *before* allocating.
+  if (!in.get(&count) || count > in.remaining() / (3 * sizeof(double))) {
+    return false;
+  }
+  o.series.resize(count);
+  for (analysis::CoveragePoint& p : o.series) {
+    if (!(in.get(&p.time) && in.get(&p.fraction) && in.get(&p.covered_area))) {
+      return false;
+    }
+  }
+  return in.get_str(&o.program_name) && in.get(&o.t50) && in.get(&o.t99) &&
+         in.get(&o.final_fraction) && in.get(&o.covered_area);
+}
+
+// --- output schemas ---
+
+using R = const RunRecord&;
+
+FieldValue number(double v) {
+  FieldValue f;
+  f.number = v;
+  return f;
+}
+
+template <typename Int>
+FieldValue integer(Int v) {
+  FieldValue f;
+  f.kind = FieldValue::Kind::kInteger;
+  f.integer = static_cast<std::int64_t>(v);
+  return f;
+}
+
+FieldValue flag(bool v) {
+  FieldValue f;
+  f.kind = FieldValue::Kind::kFlag;
+  f.flag = v;
+  return f;
+}
+
+FieldValue text(std::string_view v) {
+  FieldValue f;
+  f.kind = FieldValue::Kind::kText;
+  f.text = v;
+  return f;
+}
+
+constexpr TableFormat fixed(int digits) { return {.digits = digits}; }
+constexpr TableFormat kFeasibleWords{.yes = "feasible", .no = "INFEASIBLE"};
+constexpr TableFormat kPastHorizon{.negative = ">horizon"};
+
+constexpr SchemaColumn kRendezvousColumns[] = {
+    {"v", [](R r) { return number(r.scenario.attrs.speed); }, fixed(2)},
+    {"tau", [](R r) { return number(r.scenario.attrs.time_unit); }, fixed(3)},
+    {"phi", [](R r) { return number(r.scenario.attrs.orientation); },
+     fixed(3)},
+    {"chi", [](R r) { return integer(r.scenario.attrs.chirality); }},
+    {"d", [](R r) { return number(r.outcome.initial_distance); }, fixed(2)},
+    {"r", [](R r) { return number(r.scenario.visibility); }, fixed(3)},
+    {"algorithm", [](R r) { return text(r.outcome.algorithm_name); }},
+    {"feasible",
+     [](R r) { return flag(rendezvous::is_feasible(r.outcome.feasibility)); },
+     kFeasibleWords},
+    {"met", [](R r) { return flag(r.outcome.sim.met); }},
+    {"time", [](R r) { return number(r.outcome.sim.time); }},
+    {"distance", [](R r) { return number(r.outcome.sim.distance); }},
+    {"min_distance", [](R r) { return number(r.outcome.sim.min_distance); }},
+    {"evals", [](R r) { return integer(r.outcome.sim.evals); }},
+    {"segments", [](R r) { return integer(r.outcome.sim.segments); }},
+};
+
+constexpr SchemaColumn kSearchColumns[] = {
+    {"d", [](R r) { return number(r.search.distance); }, fixed(2)},
+    {"r", [](R r) { return number(r.search.visibility); }, fixed(4)},
+    {"angles", [](R r) { return integer(r.search.angles); }},
+    {"program", [](R r) { return text(r.search_outcome.program_name); }},
+    {"found", [](R r) { return integer(r.search_outcome.found); }},
+    {"missed", [](R r) { return integer(r.search_outcome.missed); }},
+    {"worst_time", [](R r) { return number(r.search_outcome.worst_time); }},
+    {"mean_time", [](R r) { return number(r.search_outcome.mean_time); }},
+    {"worst_angle", [](R r) { return number(r.search_outcome.worst_angle); },
+     fixed(3)},
+    {"evals", [](R r) { return integer(r.search_outcome.evals); }},
+    {"segments", [](R r) { return integer(r.search_outcome.segments); }},
+};
+
+constexpr SchemaColumn kGatherColumns[] = {
+    {"n", [](R r) { return integer(r.gather.fleet.size()); }},
+    {"ring_radius", [](R r) { return number(r.gather.ring_radius); },
+     fixed(2)},
+    {"r", [](R r) { return number(r.gather.visibility); }, fixed(3)},
+    {"algorithm",
+     [](R r) {
+       using rendezvous::AlgorithmChoice;
+       return text(r.gather.algorithm == AlgorithmChoice::kAlgorithm4
+                       ? "algorithm4"
+                       : "algorithm7");
+     }},
+    {"contact", [](R r) { return flag(r.gather_outcome.contact.achieved); }},
+    {"contact_time",
+     [](R r) { return number(r.gather_outcome.contact.time); }},
+    {"pair_i", [](R r) { return integer(r.gather_outcome.contact.pair_i); }},
+    {"pair_j", [](R r) { return integer(r.gather_outcome.contact.pair_j); }},
+    {"gathered", [](R r) { return flag(r.gather_outcome.gathered.achieved); }},
+    {"gathered_time",
+     [](R r) { return number(r.gather_outcome.gathered.time); }},
+    {"min_max_pairwise",
+     [](R r) { return number(r.gather_outcome.gathered.min_max_pairwise); }},
+    {"evals",
+     [](R r) {
+       const GatherOutcome& o = r.gather_outcome;
+       return integer(o.contact.evals + o.gathered.evals);
+     }},
+    {"segments",
+     [](R r) {
+       const GatherOutcome& o = r.gather_outcome;
+       return integer(o.contact.segments + o.gathered.segments);
+     }},
+};
+
+constexpr SchemaColumn kLinearColumns[] = {
+    {"mode", [](R r) { return text(linear_mode_name(r.linear.mode)); }},
+    {"v", [](R r) { return number(r.linear.attrs.speed); }, fixed(2)},
+    {"tau", [](R r) { return number(r.linear.attrs.time_unit); }, fixed(3)},
+    {"dir", [](R r) { return integer(r.linear.attrs.direction); }},
+    {"d", [](R r) { return number(r.linear.target); }, fixed(2)},
+    {"r", [](R r) { return number(r.linear.visibility); }, fixed(3)},
+    {"feasible", [](R r) { return flag(r.linear_outcome.feasible); },
+     kFeasibleWords},
+    {"met", [](R r) { return flag(r.linear_outcome.sim.met); }},
+    {"time", [](R r) { return number(r.linear_outcome.sim.time); }},
+    {"distance", [](R r) { return number(r.linear_outcome.sim.distance); }},
+    {"min_distance",
+     [](R r) { return number(r.linear_outcome.sim.min_distance); }},
+    {"evals", [](R r) { return integer(r.linear_outcome.sim.evals); }},
+    {"segments", [](R r) { return integer(r.linear_outcome.sim.segments); }},
+};
+
+constexpr SchemaColumn kCoverageColumns[] = {
+    {"program", [](R r) { return text(r.coverage_outcome.program_name); }},
+    {"R", [](R r) { return number(r.coverage.disk_radius); }, fixed(2)},
+    {"r", [](R r) { return number(r.coverage.visibility); }, fixed(3)},
+    {"cell", [](R r) { return number(r.coverage.cell); }, fixed(3)},
+    {"checkpoints", [](R r) { return integer(r.coverage.checkpoints); }},
+    {"horizon", [](R r) { return number(r.coverage.horizon); }, fixed(0)},
+    {"t50", [](R r) { return number(r.coverage_outcome.t50); }, kPastHorizon},
+    {"t99", [](R r) { return number(r.coverage_outcome.t99); }, kPastHorizon},
+    {"final_fraction",
+     [](R r) { return number(r.coverage_outcome.final_fraction); }, fixed(4)},
+    {"covered_area",
+     [](R r) { return number(r.coverage_outcome.covered_area); }},
+};
+
+/// Indexed by `Family`, like the alternatives of `CellOutcome`.
+constexpr FamilyDescriptor kFamilies[] = {
+    {"rendezvous", 'R', kRendezvousColumns,
+     [](R r) { return r.outcome.sim.met; }, encode_rendezvous,
+     decode_rendezvous},
+    {"search", 'S', kSearchColumns,
+     [](R r) { return r.search_outcome.complete; }, encode_search,
+     decode_search},
+    {"gather", 'G', kGatherColumns,
+     [](R r) { return r.gather_outcome.gathered.achieved; }, encode_gather,
+     decode_gather},
+    {"linear", 'L', kLinearColumns,
+     [](R r) { return r.linear_outcome.sim.met; }, encode_linear,
+     decode_linear},
+    {"coverage", 'C', kCoverageColumns,
+     // A coverage cell succeeds once it covers 99% of its disk.
+     [](R r) { return !(r.coverage_outcome.t99 < 0.0); }, encode_coverage,
+     decode_coverage},
+};
+static_assert(std::size(kFamilies) == std::variant_size_v<CellOutcome>);
+
+}  // namespace
+
+const FamilyDescriptor& describe(Family family) {
+  return kFamilies[static_cast<std::size_t>(family)];
+}
+
+const FamilyDescriptor* describe_key(std::string_view key) {
+  for (const FamilyDescriptor& family : kFamilies) {
+    if (!key.empty() && key[0] == family.key_tag) return &family;
+  }
+  return nullptr;
 }
 
 }  // namespace rv::engine

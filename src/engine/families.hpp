@@ -39,10 +39,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "analysis/coverage.hpp"
+#include "engine/wire.hpp"
 #include "gather/multi_simulator.hpp"
 #include "geom/attributes.hpp"
 #include "geom/vec2.hpp"
@@ -63,7 +67,7 @@ enum class Family {
 };
 
 /// Display name ("rendezvous", "search", "gather", "linear",
-/// "coverage").
+/// "coverage"): `describe(family).name`.
 [[nodiscard]] const char* family_name(Family family);
 
 // ---------------------------------------------------------------------------
@@ -263,6 +267,12 @@ struct CoverageOutcome {
 /// geometry/options (propagated from `analysis::measure_coverage`).
 [[nodiscard]] CoverageOutcome run_coverage_cell(const CoverageCell& cell);
 
+/// The outcome of one cell of any family.  Alternative i belongs to the
+/// family whose `Family` value is i.
+using CellOutcome = std::variant<rendezvous::Outcome, SearchOutcome,
+                                 GatherOutcome, LinearOutcome,
+                                 CoverageOutcome>;
+
 // ---------------------------------------------------------------------------
 // Work items
 // ---------------------------------------------------------------------------
@@ -318,6 +328,9 @@ struct RunRecord {
   CoverageOutcome coverage_outcome;
   /// Evaluated component times (empty when the item had no hook).
   Components components;
+
+  /// Moves `outcome` into the payload field of its family.
+  void set_outcome(CellOutcome outcome);
 };
 
 // ---------------------------------------------------------------------------
@@ -342,5 +355,65 @@ struct RunRecord {
 /// they produce no payload outcome to memoize (component hooks are
 /// always re-evaluated, never cached).
 [[nodiscard]] std::optional<std::string> cache_key(const WorkItem& item);
+
+// ---------------------------------------------------------------------------
+// Family descriptors: output schema, success predicate, payload codec
+// ---------------------------------------------------------------------------
+
+/// One value of a standard output column.  Its kind decides how each
+/// format renders it: a flag is 1/0 in CSV, true/false in JSON and
+/// yes/no (or the column's own words) in the table.
+struct FieldValue {
+  enum class Kind { kNumber, kInteger, kFlag, kText };
+  Kind kind = Kind::kNumber;
+  double number = 0.0;       ///< kNumber
+  std::int64_t integer = 0;  ///< kInteger
+  bool flag = false;         ///< kFlag
+  std::string_view text;     ///< kText: a view into the record or a literal
+};
+
+/// How `ResultSet::to_table` renders a standard column.  CSV and JSON
+/// need no per-column format: numbers are %.12g there.
+struct TableFormat {
+  /// The `digits` value meaning "the caller's precision".
+  static constexpr int kPrecision = -1;
+  int digits = kPrecision;         ///< fixed digits of a number
+  const char* yes = "yes";         ///< a true flag
+  const char* no = "no";           ///< a false flag
+  const char* negative = nullptr;  ///< replaces a number that is not >= 0
+};
+
+/// One standard output column of a family.
+struct SchemaColumn {
+  const char* name = "";
+  FieldValue (*get)(const RunRecord&) = nullptr;
+  TableFormat table = {};
+};
+
+/// What the engine knows about a family beyond its cell function: the
+/// one place its output columns, its success test and its cache
+/// payload are defined.
+struct FamilyDescriptor {
+  const char* name = "";  ///< `family_name`
+  char key_tag = 0;       ///< first byte of the family's cache keys
+  /// Standard output columns in emission order (after the label, before
+  /// component columns and caller extras).
+  std::span<const SchemaColumn> columns;
+  /// Whether a record succeeded, for `ResultSet::all_met`.
+  bool (*met)(const RunRecord&) = nullptr;
+  /// Appends the cache-store payload of `outcome`, which holds this
+  /// family's alternative.
+  void (*encode)(std::string& out, const CellOutcome& outcome) = nullptr;
+  /// Decodes a payload written by `encode` into `*outcome`; false on a
+  /// short or malformed read.
+  bool (*decode)(wire::Reader& in, CellOutcome* outcome) = nullptr;
+};
+
+/// The descriptor of `family`.
+[[nodiscard]] const FamilyDescriptor& describe(Family family);
+
+/// The descriptor of the family whose keys start with `key`'s first
+/// byte, or null (empty key, unknown tag).
+[[nodiscard]] const FamilyDescriptor* describe_key(std::string_view key);
 
 }  // namespace rv::engine

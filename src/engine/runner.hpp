@@ -14,20 +14,11 @@
 /// sweep parallelises embarrassingly; the search family's
 /// worst-over-angles reduction runs inside its item, in ring order.
 ///
-/// `ResultSet` is the io::Table-backed aggregate with *per-family
-/// standard columns*:
-///   * rendezvous — v, tau, phi, chi, d, r, algorithm, feasible, met,
-///     time, distance, min_distance, evals, segments;
-///   * search — d, r, angles, program, found, missed, worst_time,
-///     mean_time, worst_angle, evals, segments;
-///   * gather — n, ring_radius, r, algorithm, contact, contact_time,
-///     pair_i, pair_j, gathered, gathered_time, min_max_pairwise,
-///     evals, segments;
-///   * linear — mode, v, tau, dir, d, r, feasible, met, time, distance,
-///     min_distance, evals, segments;
-///   * coverage — program, R, r, cell, checkpoints, horizon, t50, t99,
-///     final_fraction, covered_area;
-/// then one column per component time (when the cells carry a
+/// `ResultSet` is the io::Table-backed aggregate.  Every format lists
+/// the same columns in the same order: the label (when any record has
+/// one), the family's standard columns (its `FamilyDescriptor` schema
+/// in engine/families.cpp, the one place their names and formats are
+/// defined), one column per component time (when the cells carry a
 /// component-times hook; names must agree across records), then
 /// caller-supplied derived columns (bounds, ratios, certificates)
 /// computed from each record.  Emission requires a homogeneous family;
@@ -37,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -68,19 +60,11 @@ namespace rv::engine {
 /// null (the default).
 class ScenarioCache {
  public:
-  /// One memoized outcome; only the payload matching the key's family
-  /// (its leading byte) is meaningful — cross-family collisions are
-  /// impossible, so the entry carries no family tag of its own.
-  /// Component times are never stored: hooks are re-evaluated on every
-  /// run (they are pure functions of the record, and an arbitrary
-  /// function has no content identity to key).
-  struct Entry {
-    rendezvous::Outcome outcome;      ///< kRendezvous payload
-    SearchOutcome search_outcome;     ///< kSearch payload
-    GatherOutcome gather_outcome;     ///< kGather payload
-    LinearOutcome linear_outcome;     ///< kLinear payload
-    CoverageOutcome coverage_outcome; ///< kCoverage payload
-  };
+  /// One memoized outcome, of the family named by the key's leading
+  /// byte.  Component times are never stored: hooks are re-evaluated
+  /// on every run (they are pure functions of the record, and an
+  /// arbitrary function has no content identity to key).
+  using Entry = CellOutcome;
 
   /// Copies the entry stored under `key` into `*out`; false if absent.
   [[nodiscard]] bool lookup(const std::string& key, Entry* out) const;
@@ -168,15 +152,13 @@ class ResultSet {
   /// runs one family at a time).
   [[nodiscard]] ResultSet filtered(Family family) const;
 
-  /// The standard column names of the records' family (label only when
-  /// any record has one), followed by the extras.  \throws
-  /// std::logic_error when records of different families are mixed.
+  /// The column names every format uses: "label" (only when any record
+  /// has one), the family's standard columns, the component names, the
+  /// extras.  \throws std::logic_error when records of different
+  /// families are mixed or disagree on component names.
   [[nodiscard]] io::CsvRow csv_header(
       const std::vector<Column>& extras = {}) const;
-  /// One CSV row per record, same order as `records()`.
-  [[nodiscard]] std::vector<io::CsvRow> csv_rows(
-      const std::vector<Column>& extras = {}) const;
-  /// Full CSV document (header + rows).
+  /// Full CSV document (header + one row per record, in order).
   [[nodiscard]] std::string to_csv(
       const std::vector<Column>& extras = {}) const;
   /// JSON array of row objects keyed by column name.  Strict RFC 8259:
@@ -190,14 +172,10 @@ class ResultSet {
                                    int precision = 4) const;
 
  private:
-  /// The single family of the records; \throws std::logic_error when
-  /// mixed (emission is per family).
-  [[nodiscard]] Family emission_family() const;
-
-  /// The component-column names shared by every record (empty when no
-  /// record carries components); \throws std::logic_error when records
-  /// disagree on names (emission needs one homogeneous schema).
-  [[nodiscard]] std::vector<std::string> component_names() const;
+  /// The standard columns of the records' single family, after
+  /// checking the set can be emitted.  \throws std::logic_error when
+  /// families are mixed or component names disagree.
+  [[nodiscard]] std::span<const SchemaColumn> schema() const;
 
   std::vector<RunRecord> records_;
   bool any_label_ = false;

@@ -16,6 +16,7 @@
 #include "engine/failpoint.hpp"
 #include "engine/set_decl.hpp"
 #include "engine/shard.hpp"
+#include "io/json.hpp"
 
 namespace rv::engine::serve {
 namespace {
@@ -27,32 +28,6 @@ double now_ms() {
   // rv-lint: allow(nondeterminism) — serve pacing/latency only, never output
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double, std::milli>(t).count();
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    const unsigned char uc = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (uc < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", uc);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Fixed-precision milliseconds for status latency fields.
@@ -318,9 +293,9 @@ std::string frame(const std::string& header, std::string_view payload,
 
 std::string error_frame(const std::string& id, const std::string& code,
                         const std::string& message) {
-  return frame("{\"reply\":\"error\",\"id\":\"" + json_escape(id) +
-               "\",\"code\":\"" + json_escape(code) + "\",\"message\":\"" +
-               json_escape(message) + "\"}");
+  return frame("{\"reply\":\"error\",\"id\":" + io::json_string(id) +
+               ",\"code\":" + io::json_string(code) + ",\"message\":" +
+               io::json_string(message) + "}");
 }
 
 bool read_frame(std::istream& in, std::string* header, std::string* payload) {
@@ -440,8 +415,8 @@ Service::Admission Service::submit(Request request, Sink sink) {
       sink(frame(status_header(request)));
       return Admission::kReplied;
     case Op::kShutdown:
-      sink(frame("{\"reply\":\"shutdown\",\"id\":\"" +
-                 json_escape(request.id) + "\"}"));
+      sink(frame("{\"reply\":\"shutdown\",\"id\":" +
+                 io::json_string(request.id) + "}"));
       return Admission::kShutdown;
     case Op::kRun:
       break;
@@ -452,8 +427,9 @@ Service::Admission Service::submit(Request request, Sink sink) {
       counters_.rejected += 1;
       counters_.errors += 1;
       lock.unlock();
-      sink(frame("{\"reply\":\"error\",\"id\":\"" + json_escape(request.id) +
-                 "\",\"code\":\"overloaded\",\"retry_after_ms\":" +
+      sink(frame("{\"reply\":\"error\",\"id\":" +
+                 io::json_string(request.id) +
+                 ",\"code\":\"overloaded\",\"retry_after_ms\":" +
                  std::to_string(options_.retry_after_ms) +
                  ",\"message\":\"admission queue full (depth " +
                  std::to_string(options_.queue_depth) + ")\"}"));
@@ -530,7 +506,7 @@ std::string Service::status_header(const Request& request) const {
           ? c.latency_total_ms / static_cast<double>(c.latency_count)
           : 0.0;
   std::ostringstream os;
-  os << "{\"reply\":\"status\",\"id\":\"" << json_escape(request.id) << "\""
+  os << "{\"reply\":\"status\",\"id\":" << io::json_string(request.id)
      << ",\"requests\":" << c.requests << ",\"ok\":" << c.ok
      << ",\"errors\":" << c.errors << ",\"rejected\":" << c.rejected
      << ",\"expired\":" << c.expired << ",\"hits\":" << c.hits
@@ -595,22 +571,22 @@ std::string Service::execute(const Request& request) {
       counters_.latency_total_ms += latency;
       counters_.latency_max_ms = std::max(counters_.latency_max_ms, latency);
     }
-    std::ostringstream header;
-    header << "{\"reply\":\"" << reply.kind << "\",\"id\":\""
-           << json_escape(request.id) << "\",\"bytes\":"
-           << reply.payload.size() << ",\"hits\":" << reply.stats.hits
-           << ",\"misses\":" << reply.stats.misses
-           << ",\"uncacheable\":" << reply.stats.uncacheable;
+    std::string header = "{\"reply\":\"" + reply.kind + "\",\"id\":";
+    io::append_json_string(header, request.id);
+    header += ",\"bytes\":" + std::to_string(reply.payload.size()) +
+              ",\"hits\":" + std::to_string(reply.stats.hits) +
+              ",\"misses\":" + std::to_string(reply.stats.misses) +
+              ",\"uncacheable\":" + std::to_string(reply.stats.uncacheable);
     if (reply.kind == "partial") {
-      header << ",\"missing_indices\":[";
+      header += ",\"missing_indices\":[";
       for (std::size_t i = 0; i < reply.missing.size(); ++i) {
-        if (i > 0) header << ',';
-        header << reply.missing[i];
+        if (i > 0) header += ',';
+        header += std::to_string(reply.missing[i]);
       }
-      header << ']';
+      header += ']';
     }
-    header << '}';
-    return frame(header.str(), reply.payload, true);
+    header += '}';
+    return frame(header, reply.payload, true);
   } catch (const ServeError& error) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);

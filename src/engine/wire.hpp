@@ -1,32 +1,38 @@
 #pragma once
 
 /// \file wire.hpp
-/// Fixed-width byte encoders shared by the two binary surfaces of the
-/// engine: the cache-*key* builder (`engine::cache_key` in
-/// families.cpp) and the cache-*store* payload codec
-/// (engine/cache_store.cpp).  Both append raw `memcpy` bytes of
-/// fixed-width types (little-endian on every supported target), but
-/// they need different double semantics — keys canonicalise −0.0 onto
-/// +0.0 so numerically equal cells key identically, while stored
-/// outcomes must round-trip bit-exactly — so both variants live here,
-/// explicitly named, instead of two drifting private copies.
+/// Fixed-width byte encoders and the bounds-checked decoder shared by
+/// the two binary surfaces of the engine: the cache-*key* builder
+/// (`engine::cache_key`) and the cache-*store* payload codecs (the
+/// family descriptors in families.cpp, framed by cache_store.cpp).
+/// Both append raw `memcpy` bytes of fixed-width types (little-endian
+/// on every supported target), but they need different double
+/// semantics — keys canonicalise −0.0 onto +0.0 so numerically equal
+/// cells key identically, while stored outcomes must round-trip
+/// bit-exactly — so both variants live here, explicitly named.
 
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace rv::engine::wire {
 
-/// Appends the raw bytes of a fixed-width value.
+/// Upper bound on a single key/payload/string size a reader will
+/// believe.  A corrupt length field larger than this is treated as
+/// garbage instead of an allocation request.
+inline constexpr std::uint32_t kMaxFieldSize = 1u << 28;
+
+/// Appends the raw bytes of a fixed-width value.  Doubles go through
+/// raw, so stored payloads round-trip exactly (−0.0, NaN payloads and
+/// all).
 template <typename T>
 inline void put(std::string& out, T v) {
   char bytes[sizeof(T)];
   std::memcpy(bytes, &v, sizeof(T));
   out.append(bytes, sizeof(T));
 }
-
-/// Doubles for *stored payloads*: raw IEEE-754 bytes, exact round-trip
-/// (−0.0, NaN payloads and all).
-inline void put_f64_raw(std::string& out, double v) { put(out, v); }
 
 /// Doubles for *content keys*: −0.0 normalised onto +0.0 (the only
 /// distinct representations that compare numerically equal here), so
@@ -35,5 +41,58 @@ inline void put_f64_canonical(std::string& out, double v) {
   v += 0.0;  // −0.0 → +0.0
   put(out, v);
 }
+
+inline void put_bool(std::string& out, bool v) {
+  put<std::uint8_t>(out, v ? 1 : 0);
+}
+
+/// A u32 length prefix, then the bytes.
+inline void put_str(std::string& out, std::string_view s) {
+  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
+  out += s;
+}
+
+/// Bounds-checked sequential reader over a payload: every getter
+/// returns false (and latches `ok() == false`) instead of reading past
+/// the end.
+class Reader {
+ public:
+  explicit Reader(std::string_view data) : data_(data) {}
+
+  template <typename T>
+  bool get(T* v) {
+    if (data_.size() - pos_ < sizeof(T)) return ok_ = false;
+    std::memcpy(v, data_.data() + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+
+  bool get_bool(bool* v) {
+    std::uint8_t byte = 0;
+    if (!get(&byte)) return false;
+    *v = byte != 0;
+    return true;
+  }
+
+  bool get_str(std::string* s) {
+    std::uint32_t size = 0;
+    if (!get(&size)) return false;
+    if (size > kMaxFieldSize || data_.size() - pos_ < size) {
+      return ok_ = false;
+    }
+    s->assign(data_.data() + pos_, size);
+    pos_ += size;
+    return true;
+  }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
+
+ private:
+  std::string_view data_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
 
 }  // namespace rv::engine::wire

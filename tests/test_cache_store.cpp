@@ -10,8 +10,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +25,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "engine/cache_store.hpp"
@@ -87,113 +90,125 @@ ScenarioCache::Entry round_trip(const std::string& key,
 }
 
 TEST(CacheStoreSerialization, RendezvousOutcomeRoundTripsExactly) {
-  ScenarioCache::Entry entry;
-  entry.outcome.sim = sample_sim_result();
-  entry.outcome.feasibility = rv::rendezvous::classify(
+  rv::rendezvous::Outcome outcome;
+  outcome.sim = sample_sim_result();
+  outcome.feasibility = rv::rendezvous::classify(
       rv::geom::reference_attributes());
-  entry.outcome.initial_distance = -0.0;  // sign must survive
-  entry.outcome.algorithm_name = "algorithm7";
+  outcome.initial_distance = -0.0;  // sign must survive
+  outcome.algorithm_name = "algorithm7";
 
-  const ScenarioCache::Entry decoded = round_trip("R-key", entry);
-  EXPECT_EQ(decoded.outcome.sim.met, entry.outcome.sim.met);
-  EXPECT_TRUE(same_bits(decoded.outcome.sim.time, entry.outcome.sim.time));
-  EXPECT_TRUE(same_bits(decoded.outcome.sim.position2.y,
-                        entry.outcome.sim.position2.y));
-  EXPECT_EQ(decoded.outcome.sim.evals, entry.outcome.sim.evals);
-  EXPECT_EQ(decoded.outcome.sim.segments, entry.outcome.sim.segments);
-  EXPECT_EQ(decoded.outcome.feasibility, entry.outcome.feasibility);
-  EXPECT_TRUE(same_bits(decoded.outcome.initial_distance, -0.0));
-  EXPECT_EQ(decoded.outcome.algorithm_name, "algorithm7");
+  const auto decoded =
+      std::get<rv::rendezvous::Outcome>(round_trip("R-key", outcome));
+  EXPECT_EQ(decoded.sim.met, outcome.sim.met);
+  EXPECT_TRUE(same_bits(decoded.sim.time, outcome.sim.time));
+  EXPECT_TRUE(same_bits(decoded.sim.position2.y, outcome.sim.position2.y));
+  EXPECT_EQ(decoded.sim.evals, outcome.sim.evals);
+  EXPECT_EQ(decoded.sim.segments, outcome.sim.segments);
+  EXPECT_EQ(decoded.feasibility, outcome.feasibility);
+  EXPECT_TRUE(same_bits(decoded.initial_distance, -0.0));
+  EXPECT_EQ(decoded.algorithm_name, "algorithm7");
 }
 
 TEST(CacheStoreSerialization, SearchOutcomeRoundTripsExactly) {
-  ScenarioCache::Entry entry;
-  entry.search_outcome.found = 7;
-  entry.search_outcome.missed = 1;
-  entry.search_outcome.complete = false;
-  entry.search_outcome.worst_time = 123.456;
-  entry.search_outcome.mean_time = 98.7;
-  entry.search_outcome.worst_angle = -2.7488935718910690836;
-  entry.search_outcome.first_miss_angle = 0.03;
-  entry.search_outcome.program_name = "algorithm4";
-  entry.search_outcome.evals = 123456789ull;
-  entry.search_outcome.segments = 987654321ull;
+  rv::engine::SearchOutcome outcome;
+  outcome.found = 7;
+  outcome.missed = 1;
+  outcome.complete = false;
+  outcome.worst_time = 123.456;
+  outcome.mean_time = 98.7;
+  outcome.worst_angle = -2.7488935718910690836;
+  outcome.first_miss_angle = 0.03;
+  outcome.program_name = "algorithm4";
+  outcome.evals = 123456789ull;
+  outcome.segments = 987654321ull;
 
-  const ScenarioCache::Entry decoded = round_trip("S-key", entry);
-  EXPECT_EQ(decoded.search_outcome.found, 7);
-  EXPECT_EQ(decoded.search_outcome.missed, 1);
-  EXPECT_FALSE(decoded.search_outcome.complete);
-  EXPECT_TRUE(same_bits(decoded.search_outcome.worst_angle,
-                        entry.search_outcome.worst_angle));
-  EXPECT_EQ(decoded.search_outcome.program_name, "algorithm4");
-  EXPECT_EQ(decoded.search_outcome.evals, entry.search_outcome.evals);
-  EXPECT_EQ(decoded.search_outcome.segments, entry.search_outcome.segments);
+  const auto decoded =
+      std::get<rv::engine::SearchOutcome>(round_trip("S-key", outcome));
+  EXPECT_EQ(decoded.found, 7);
+  EXPECT_EQ(decoded.missed, 1);
+  EXPECT_FALSE(decoded.complete);
+  EXPECT_TRUE(same_bits(decoded.worst_angle, outcome.worst_angle));
+  EXPECT_EQ(decoded.program_name, "algorithm4");
+  EXPECT_EQ(decoded.evals, outcome.evals);
+  EXPECT_EQ(decoded.segments, outcome.segments);
 }
 
 TEST(CacheStoreSerialization, GatherOutcomeRoundTripsExactly) {
-  ScenarioCache::Entry entry;
-  entry.gather_outcome.contact.achieved = true;
-  entry.gather_outcome.contact.time = 17.25;
-  entry.gather_outcome.contact.pair_i = 0;
-  entry.gather_outcome.contact.pair_j = 2;
-  entry.gather_outcome.contact.max_pairwise = 3.5;
-  entry.gather_outcome.contact.min_max_pairwise = 0.19;
-  entry.gather_outcome.contact.evals = 77;
-  entry.gather_outcome.contact.segments = 31;
-  entry.gather_outcome.gathered.achieved = false;
-  entry.gather_outcome.gathered.time = 2e5;
-  entry.gather_outcome.gathered.pair_i = -1;
-  entry.gather_outcome.gathered.pair_j = -1;
-  entry.gather_outcome.gathered.min_max_pairwise =
+  rv::engine::GatherOutcome outcome;
+  outcome.contact.achieved = true;
+  outcome.contact.time = 17.25;
+  outcome.contact.pair_i = 0;
+  outcome.contact.pair_j = 2;
+  outcome.contact.max_pairwise = 3.5;
+  outcome.contact.min_max_pairwise = 0.19;
+  outcome.contact.evals = 77;
+  outcome.contact.segments = 31;
+  outcome.gathered.achieved = false;
+  outcome.gathered.time = 2e5;
+  outcome.gathered.pair_i = -1;
+  outcome.gathered.pair_j = -1;
+  outcome.gathered.min_max_pairwise =
       std::numeric_limits<double>::infinity();  // non-finite must survive
 
-  const ScenarioCache::Entry decoded = round_trip("G-key", entry);
-  EXPECT_TRUE(decoded.gather_outcome.contact.achieved);
-  EXPECT_EQ(decoded.gather_outcome.contact.pair_j, 2);
-  EXPECT_TRUE(same_bits(decoded.gather_outcome.contact.min_max_pairwise,
-                        0.19));
-  EXPECT_FALSE(decoded.gather_outcome.gathered.achieved);
-  EXPECT_EQ(decoded.gather_outcome.gathered.pair_i, -1);
-  EXPECT_TRUE(std::isinf(decoded.gather_outcome.gathered.min_max_pairwise));
+  const auto decoded =
+      std::get<rv::engine::GatherOutcome>(round_trip("G-key", outcome));
+  EXPECT_TRUE(decoded.contact.achieved);
+  EXPECT_EQ(decoded.contact.pair_j, 2);
+  EXPECT_TRUE(same_bits(decoded.contact.min_max_pairwise, 0.19));
+  EXPECT_FALSE(decoded.gathered.achieved);
+  EXPECT_EQ(decoded.gathered.pair_i, -1);
+  EXPECT_TRUE(std::isinf(decoded.gathered.min_max_pairwise));
 }
 
 TEST(CacheStoreSerialization, LinearOutcomeRoundTripsExactly) {
-  ScenarioCache::Entry entry;
-  entry.linear_outcome.feasible = true;
-  entry.linear_outcome.sim = sample_sim_result();
+  rv::engine::LinearOutcome outcome;
+  outcome.feasible = true;
+  outcome.sim = sample_sim_result();
 
-  const ScenarioCache::Entry decoded = round_trip("L-key", entry);
-  EXPECT_TRUE(decoded.linear_outcome.feasible);
-  EXPECT_TRUE(same_bits(decoded.linear_outcome.sim.min_distance_time,
-                        entry.linear_outcome.sim.min_distance_time));
-  EXPECT_EQ(decoded.linear_outcome.sim.segments,
-            entry.linear_outcome.sim.segments);
+  const auto decoded =
+      std::get<rv::engine::LinearOutcome>(round_trip("L-key", outcome));
+  EXPECT_TRUE(decoded.feasible);
+  EXPECT_TRUE(same_bits(decoded.sim.min_distance_time,
+                        outcome.sim.min_distance_time));
+  EXPECT_EQ(decoded.sim.segments, outcome.sim.segments);
 }
 
 TEST(CacheStoreSerialization, CoverageOutcomeRoundTripsExactly) {
-  ScenarioCache::Entry entry;
-  entry.coverage_outcome.series = {
-      {0.0, 0.0, 0.0}, {10.0, 0.5, 3.53}, {20.0, 0.995, 7.03}};
-  entry.coverage_outcome.program_name = "square-spiral";
-  entry.coverage_outcome.t50 = 10.0;
-  entry.coverage_outcome.t99 = 20.0;
-  entry.coverage_outcome.final_fraction = 0.995;
-  entry.coverage_outcome.covered_area = 7.03;
+  rv::engine::CoverageOutcome outcome;
+  outcome.series = {{0.0, 0.0, 0.0}, {10.0, 0.5, 3.53}, {20.0, 0.995, 7.03}};
+  outcome.program_name = "square-spiral";
+  outcome.t50 = 10.0;
+  outcome.t99 = 20.0;
+  outcome.final_fraction = 0.995;
+  outcome.covered_area = 7.03;
 
-  const ScenarioCache::Entry decoded = round_trip("C-key", entry);
-  ASSERT_EQ(decoded.coverage_outcome.series.size(), 3u);
-  EXPECT_TRUE(same_bits(decoded.coverage_outcome.series[1].fraction, 0.5));
-  EXPECT_TRUE(same_bits(decoded.coverage_outcome.series[2].covered_area,
-                        7.03));
-  EXPECT_EQ(decoded.coverage_outcome.program_name, "square-spiral");
-  EXPECT_TRUE(same_bits(decoded.coverage_outcome.t99, 20.0));
+  const auto decoded =
+      std::get<rv::engine::CoverageOutcome>(round_trip("C-key", outcome));
+  ASSERT_EQ(decoded.series.size(), 3u);
+  EXPECT_TRUE(same_bits(decoded.series[1].fraction, 0.5));
+  EXPECT_TRUE(same_bits(decoded.series[2].covered_area, 7.03));
+  EXPECT_EQ(decoded.program_name, "square-spiral");
+  EXPECT_TRUE(same_bits(decoded.t99, 20.0));
+}
+
+TEST(CacheStoreSerialization, AnEntryHoldsOneOutcome) {
+  // An entry is the largest outcome plus the variant's index, not all
+  // five outcomes side by side: every hit copies exactly one.
+  const std::size_t largest = std::max(
+      {sizeof(rv::rendezvous::Outcome), sizeof(rv::engine::SearchOutcome),
+       sizeof(rv::engine::GatherOutcome), sizeof(rv::engine::LinearOutcome),
+       sizeof(rv::engine::CoverageOutcome)});
+  EXPECT_LE(sizeof(ScenarioCache::Entry), largest + alignof(std::max_align_t));
 }
 
 TEST(CacheStoreSerialization, RejectsUnknownFamilyAndTrailingBytes) {
-  ScenarioCache::Entry entry;
+  const ScenarioCache::Entry entry = rv::engine::LinearOutcome{};
   EXPECT_THROW((void)rv::engine::serialize_entry("", entry),
                std::invalid_argument);
   EXPECT_THROW((void)rv::engine::serialize_entry("Xkey", entry),
+               std::invalid_argument);
+  // An entry is serialized only under a key of its own family.
+  EXPECT_THROW((void)rv::engine::serialize_entry("R-key", entry),
                std::invalid_argument);
 
   ScenarioCache::Entry decoded;
@@ -218,7 +233,7 @@ TEST(CacheStoreSerialization, RejectsCoverageCountLargerThanPayload) {
   payload.append(64, '\0');  // far fewer than huge * 24 bytes
   ScenarioCache::Entry decoded;
   EXPECT_FALSE(rv::engine::deserialize_entry("C-key", payload, &decoded));
-  EXPECT_TRUE(decoded.coverage_outcome.series.empty());
+  EXPECT_TRUE(std::get<rv::engine::CoverageOutcome>(decoded).series.empty());
 }
 
 /// A small all-family scenario set, used to populate caches with real
@@ -894,29 +909,29 @@ void fill_canonical_cache(ScenarioCache* cache) {
   rendezvous.scenario.attrs.chirality = -1;
   rendezvous.scenario.offset = {1.0, -0.0};
   rendezvous.scenario.max_time = 1e4;
-  ScenarioCache::Entry entry;
-  entry.outcome.sim = sample_sim_result();
-  entry.outcome.feasibility = rv::rendezvous::FeasibilityClass::kDifferentClocks;
-  entry.outcome.initial_distance = 1.0;
-  entry.outcome.algorithm_name = "algorithm7";
-  store(rendezvous, entry);
+  rv::rendezvous::Outcome met;
+  met.sim = sample_sim_result();
+  met.feasibility = rv::rendezvous::FeasibilityClass::kDifferentClocks;
+  met.initial_distance = 1.0;
+  met.algorithm_name = "algorithm7";
+  store(rendezvous, met);
 
   rv::engine::WorkItem search;
   search.family = rv::engine::Family::kSearch;
   search.search.distance = 2.0;
   search.search.angles = 4;
   search.search.targets = {{0.5, -1.5}};
-  entry = {};
-  entry.search_outcome.found = 3;
-  entry.search_outcome.missed = 1;
-  entry.search_outcome.worst_time = 123.456;
-  entry.search_outcome.mean_time = 98.7;
-  entry.search_outcome.worst_angle = -2.75;
-  entry.search_outcome.first_miss_angle = 0.03;
-  entry.search_outcome.program_name = "algorithm4";
-  entry.search_outcome.evals = 123456789ull;
-  entry.search_outcome.segments = 987654321ull;
-  store(search, entry);
+  rv::engine::SearchOutcome found;
+  found.found = 3;
+  found.missed = 1;
+  found.worst_time = 123.456;
+  found.mean_time = 98.7;
+  found.worst_angle = -2.75;
+  found.first_miss_angle = 0.03;
+  found.program_name = "algorithm4";
+  found.evals = 123456789ull;
+  found.segments = 987654321ull;
+  store(search, found);
 
   rv::engine::WorkItem gather;
   gather.family = rv::engine::Family::kGather;
@@ -924,42 +939,42 @@ void fill_canonical_cache(ScenarioCache* cache) {
                          rv::geom::reference_attributes()};
   gather.gather.fleet[1].speed = 2.0;
   gather.gather.jitter = {{0.0, 0.25}};
-  entry = {};
-  entry.gather_outcome.contact.achieved = true;
-  entry.gather_outcome.contact.time = 17.25;
-  entry.gather_outcome.contact.pair_j = 1;
-  entry.gather_outcome.contact.pair_i = 0;
-  entry.gather_outcome.contact.evals = 77;
-  entry.gather_outcome.gathered.min_max_pairwise =
+  rv::engine::GatherOutcome gathered;
+  gathered.contact.achieved = true;
+  gathered.contact.time = 17.25;
+  gathered.contact.pair_j = 1;
+  gathered.contact.pair_i = 0;
+  gathered.contact.evals = 77;
+  gathered.gathered.min_max_pairwise =
       std::numeric_limits<double>::infinity();
-  entry.gather_outcome.gathered.segments = 31;
-  store(gather, entry);
+  gathered.gathered.segments = 31;
+  store(gather, gathered);
 
   rv::engine::WorkItem linear;
   linear.family = rv::engine::Family::kLinear;
   linear.linear.attrs.speed = 0.5;
   linear.linear.target = -3.0;
-  entry = {};
-  entry.linear_outcome.feasible = true;
-  entry.linear_outcome.sim = sample_sim_result();
-  store(linear, entry);
+  rv::engine::LinearOutcome caught;
+  caught.feasible = true;
+  caught.sim = sample_sim_result();
+  store(linear, caught);
 
   rv::engine::WorkItem coverage;
   coverage.family = rv::engine::Family::kCoverage;
   coverage.coverage.program_name = "square-spiral";
   coverage.coverage.program = rv::engine::SearchProgram::kSquareSpiral;
-  entry = {};
-  entry.coverage_outcome.series = {{10.0, 0.5, 3.5}, {20.0, 0.995, 7.0}};
-  entry.coverage_outcome.program_name = "square-spiral";
-  entry.coverage_outcome.t50 = 10.0;
-  entry.coverage_outcome.final_fraction = 0.995;
-  entry.coverage_outcome.covered_area = 7.0;
-  store(coverage, entry);
+  rv::engine::CoverageOutcome covered;
+  covered.series = {{10.0, 0.5, 3.5}, {20.0, 0.995, 7.0}};
+  covered.program_name = "square-spiral";
+  covered.t50 = 10.0;
+  covered.final_fraction = 0.995;
+  covered.covered_area = 7.0;
+  store(coverage, covered);
 
   coverage.coverage.horizon = 1.0;  // a second cell: nothing recorded
-  entry = {};
-  entry.coverage_outcome.program_name = "square-spiral";
-  store(coverage, entry);
+  rv::engine::CoverageOutcome empty;
+  empty.program_name = "square-spiral";
+  store(coverage, empty);
 }
 
 TEST(CacheStoreWire, CanonicalFileMatchesTheWireLock) {

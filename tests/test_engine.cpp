@@ -65,8 +65,13 @@ class StrictJson {
  public:
   using Row = std::map<std::string, std::string>;
 
-  static std::vector<Row> parse_rows(const std::string& text) {
+  /// Parses an array of flat objects; with `keys`, also records each
+  /// object's keys in document order.
+  static std::vector<Row> parse_rows(
+      const std::string& text,
+      std::vector<std::vector<std::string>>* keys = nullptr) {
     StrictJson p(text);
+    p.keys_ = keys;
     p.skip_ws();
     std::vector<Row> rows = p.parse_array();
     p.skip_ws();
@@ -123,6 +128,7 @@ class StrictJson {
   Row parse_object() {
     expect('{');
     Row row;
+    if (keys_ != nullptr) keys_->emplace_back();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
@@ -131,6 +137,7 @@ class StrictJson {
     while (true) {
       skip_ws();
       const std::string key = parse_string();
+      if (keys_ != nullptr) keys_->back().push_back(key);
       skip_ws();
       expect(':');
       skip_ws();
@@ -258,6 +265,7 @@ class StrictJson {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::vector<std::vector<std::string>>* keys_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -471,15 +479,105 @@ TEST(ResultSet, CsvHasHeaderLabelAndExtras) {
   ASSERT_FALSE(header.empty());
   EXPECT_EQ(header.front(), "label");
   EXPECT_EQ(header.back(), "twice_time");
-  const auto rows = results.csv_rows(extras);
-  ASSERT_EQ(rows.size(), 1u);
-  ASSERT_EQ(rows[0].size(), header.size());
-  EXPECT_EQ(rows[0].front(), "case-a");
-  // CSV string parses back to the same grid.
+  // The CSV document parses back to the header plus one row.
   const auto parsed = io::parse_csv(results.to_csv(extras));
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], header);
-  EXPECT_EQ(parsed[1], rows[0]);
+  ASSERT_EQ(parsed[1].size(), header.size());
+  EXPECT_EQ(parsed[1].front(), "case-a");
+  EXPECT_EQ(parsed[1].back(),
+            io::format_double(2.0 * results[0].outcome.sim.time));
+}
+
+/// The column names of an io::Table's ASCII rendering (its second line).
+std::vector<std::string> table_header(const std::string& ascii) {
+  const std::size_t start = ascii.find('\n') + 1;
+  const std::string line =
+      ascii.substr(start, ascii.find('\n', start) - start);
+  std::vector<std::string> names;
+  std::size_t bar = line.find('|');
+  for (std::size_t next; (next = line.find('|', bar + 1)) != std::string::npos;
+       bar = next) {
+    const std::string field = line.substr(bar + 1, next - bar - 1);
+    const std::size_t first = field.find_first_not_of(' ');
+    const std::size_t last = field.find_last_not_of(' ');
+    names.push_back(field.substr(first, last - first + 1));
+  }
+  return names;
+}
+
+TEST(ResultSet, EveryFormatListsTheSameColumnsForEveryFamily) {
+  for (const engine::Family family :
+       {engine::Family::kRendezvous, engine::Family::kSearch,
+        engine::Family::kGather, engine::Family::kLinear,
+        engine::Family::kCoverage}) {
+    SCOPED_TRACE(engine::family_name(family));
+    std::vector<engine::RunRecord> records(2);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      records[i].family = family;
+      records[i].label = "cell-" + std::to_string(i);
+      records[i].components = {{"lemma", 1.5}, {"bound", 2.5}};
+    }
+    const engine::ResultSet results(std::move(records));
+    const std::vector<engine::Column> extras{
+        {"note",
+         [](const engine::RunRecord& rec) { return "x," + rec.label; }}};
+
+    // label, the family's schema, components, extras — in that order.
+    const io::CsvRow header = results.csv_header(extras);
+    const auto columns = engine::describe(family).columns;
+    ASSERT_EQ(header.size(), columns.size() + 4);
+    EXPECT_EQ(header.front(), "label");
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      EXPECT_EQ(header[i + 1], columns[i].name);
+    }
+    EXPECT_EQ(std::vector<std::string>(header.end() - 3, header.end()),
+              (std::vector<std::string>{"lemma", "bound", "note"}));
+
+    const auto csv = io::parse_csv(results.to_csv(extras));
+    ASSERT_EQ(csv.size(), 3u);
+    EXPECT_EQ(csv[0], header);
+    EXPECT_EQ(csv[2].size(), header.size());
+    EXPECT_EQ(csv[2].back(), "x,cell-1");
+
+    std::vector<std::vector<std::string>> keys;
+    std::vector<StrictJson::Row> json;
+    ASSERT_NO_THROW(
+        json = StrictJson::parse_rows(results.to_json(extras), &keys));
+    ASSERT_EQ(keys.size(), 2u);
+    EXPECT_EQ(keys[0], header);
+    EXPECT_EQ(keys[1], header);
+    EXPECT_EQ(json[1].at("lemma"), "1.5");
+
+    EXPECT_EQ(table_header(results.to_table(extras).to_ascii()), header);
+  }
+}
+
+TEST(ResultSet, TableKeepsItsPerColumnFormats) {
+  engine::RunRecord linear;
+  linear.family = engine::Family::kLinear;
+  linear.linear.attrs.speed = 0.5;
+  linear.linear_outcome.sim.time = 1.23456;
+  const io::Table linear_table =
+      engine::ResultSet({linear}).to_table({}, 2);
+  const std::string row = linear_table.to_ascii();
+  // Fixed digits per column (v: 2), the caller's precision for times,
+  // and the feasible/INFEASIBLE and yes/no words.
+  EXPECT_NE(row.find("| 0.50 |"), std::string::npos) << row;
+  EXPECT_NE(row.find("| 1.23 |"), std::string::npos) << row;
+  EXPECT_NE(row.find("| INFEASIBLE |"), std::string::npos) << row;
+  EXPECT_NE(row.find("|  no |"), std::string::npos) << row;
+
+  engine::RunRecord coverage;  // t50 = t99 = -1: never reached
+  coverage.family = engine::Family::kCoverage;
+  const std::string ascii =
+      engine::ResultSet({coverage}).to_table().to_ascii();
+  std::size_t horizons = 0;
+  for (std::size_t at = ascii.find(">horizon"); at != std::string::npos;
+       at = ascii.find(">horizon", at + 1)) {
+    ++horizons;
+  }
+  EXPECT_EQ(horizons, 2u) << ascii;
 }
 
 TEST(ResultSet, JsonIsWellFormedEnoughToRoundTripKeys) {
@@ -1246,8 +1344,8 @@ TEST(Components, HookColumnsEmitAcrossAllFormats) {
   EXPECT_EQ(header[header.size() - 3], "twice_d");
   EXPECT_EQ(header[header.size() - 2], "worst_sq");
   EXPECT_EQ(header.back(), "extra");
-  const auto rows = results.csv_rows(extras);
-  EXPECT_EQ(rows[0][header.size() - 3], io::format_double(2.0));
+  const auto rows = io::parse_csv(results.to_csv(extras));
+  EXPECT_EQ(rows[1][header.size() - 3], io::format_double(2.0));
   // JSON: components are numeric fields, strictly parseable.
   std::vector<StrictJson::Row> json;
   ASSERT_NO_THROW(json = StrictJson::parse_rows(results.to_json()));
@@ -1354,9 +1452,9 @@ TEST(Components, ComponentsOnlyRendezvousEmitsTheorem4Feasibility) {
   const auto column = static_cast<std::size_t>(
       std::find(header.begin(), header.end(), "feasible") - header.begin());
   ASSERT_LT(column, header.size());
-  const auto rows = results.csv_rows();
-  EXPECT_EQ(rows[0][column], "1");
-  EXPECT_EQ(rows[1][column], "0");
+  const auto rows = io::parse_csv(results.to_csv());
+  EXPECT_EQ(rows[1][column], "1");
+  EXPECT_EQ(rows[2][column], "0");
   const std::string json = results.to_json();
   EXPECT_NE(json.find("\"label\": \"feasible\", "), std::string::npos);
   EXPECT_NE(json.find("\"feasible\": true"), std::string::npos);

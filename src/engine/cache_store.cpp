@@ -71,7 +71,7 @@ bool deserialize_entry(const std::string& key, std::string_view payload,
   wire::Reader in(payload);
   // Trailing bytes mean the payload does not actually encode this
   // family's outcome — treat the record as corrupt.
-  return family->decode(in, entry) && in.ok() && in.exhausted();
+  return family->decode(in, entry) && in.exhausted();
 }
 
 void save_cache_file(const std::filesystem::path& path,

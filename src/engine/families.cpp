@@ -369,189 +369,84 @@ void RunRecord::set_outcome(CellOutcome cell_outcome) {
 
 namespace {
 
-// --- payload codecs (raw doubles: outcomes round-trip bit-exactly) ---
+// --- payload codecs: each `fields` lists its wire fields once, in wire
+// order, for both directions (wire::Writer / wire::Reader).  Doubles
+// are raw, so outcomes round-trip bit-exactly. ---
 
-using wire::put;
-using wire::put_bool;
-using wire::put_str;
-
-void put_sim_result(std::string& out, const sim::SimResult& r) {
-  put_bool(out, r.met);
-  put(out, r.time);
-  put(out, r.distance);
-  put(out, r.min_distance);
-  put(out, r.min_distance_time);
-  put(out, r.position1.x);
-  put(out, r.position1.y);
-  put(out, r.position2.x);
-  put(out, r.position2.y);
-  put(out, r.evals);
-  put(out, r.segments);
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, sim::SimResult> r) {
+  return io(r.met) && io(r.time) && io(r.distance) && io(r.min_distance) &&
+         io(r.min_distance_time) && io(r.position1.x) && io(r.position1.y) &&
+         io(r.position2.x) && io(r.position2.y) && io(r.evals) &&
+         io(r.segments);
 }
 
-bool get_sim_result(wire::Reader& in, sim::SimResult* r) {
-  return in.get_bool(&r->met) && in.get(&r->time) && in.get(&r->distance) &&
-         in.get(&r->min_distance) && in.get(&r->min_distance_time) &&
-         in.get(&r->position1.x) && in.get(&r->position1.y) &&
-         in.get(&r->position2.x) && in.get(&r->position2.y) &&
-         in.get(&r->evals) && in.get(&r->segments);
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, gather::GatherResult> r) {
+  return io(r.achieved) && io(r.time) && io(r.pair_i) && io(r.pair_j) &&
+         io(r.max_pairwise) && io(r.min_max_pairwise) && io(r.evals) &&
+         io(r.segments);
 }
 
-void put_gather_result(std::string& out, const gather::GatherResult& r) {
-  put_bool(out, r.achieved);
-  put(out, r.time);
-  put<std::int32_t>(out, r.pair_i);
-  put<std::int32_t>(out, r.pair_j);
-  put(out, r.max_pairwise);
-  put(out, r.min_max_pairwise);
-  put(out, r.evals);
-  put(out, r.segments);
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, rendezvous::Outcome> o) {
+  return fields<Io>(io, o.sim) && io(o.feasibility) &&
+         io(o.initial_distance) && io(o.algorithm_name);
 }
 
-bool get_gather_result(wire::Reader& in, gather::GatherResult* r) {
-  std::int32_t pair_i = 0, pair_j = 0;
-  const bool ok = in.get_bool(&r->achieved) && in.get(&r->time) &&
-                  in.get(&pair_i) && in.get(&pair_j) &&
-                  in.get(&r->max_pairwise) && in.get(&r->min_max_pairwise) &&
-                  in.get(&r->evals) && in.get(&r->segments);
-  r->pair_i = pair_i;
-  r->pair_j = pair_j;
-  return ok;
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, SearchOutcome> o) {
+  return io(o.found) && io(o.missed) && io(o.complete) &&
+         io(o.worst_time) && io(o.mean_time) && io(o.worst_angle) &&
+         io(o.first_miss_angle) && io(o.program_name) && io(o.evals) &&
+         io(o.segments);
 }
 
-void encode_rendezvous(std::string& out, const CellOutcome& outcome) {
-  const rendezvous::Outcome& o = std::get<rendezvous::Outcome>(outcome);
-  put_sim_result(out, o.sim);
-  put<std::int32_t>(out, static_cast<std::int32_t>(o.feasibility));
-  put(out, o.initial_distance);
-  put_str(out, o.algorithm_name);
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, GatherOutcome> o) {
+  return fields<Io>(io, o.contact) && fields<Io>(io, o.gathered);
 }
 
-bool decode_rendezvous(wire::Reader& in, CellOutcome* outcome) {
-  rendezvous::Outcome& o = outcome->emplace<rendezvous::Outcome>();
-  std::int32_t feasibility = 0;
-  const bool ok = get_sim_result(in, &o.sim) && in.get(&feasibility) &&
-                  in.get(&o.initial_distance) &&
-                  in.get_str(&o.algorithm_name);
-  o.feasibility = static_cast<rendezvous::FeasibilityClass>(feasibility);
-  return ok;
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, LinearOutcome> o) {
+  return io(o.feasible) && fields<Io>(io, o.sim);
 }
 
-void encode_search(std::string& out, const CellOutcome& outcome) {
-  const SearchOutcome& o = std::get<SearchOutcome>(outcome);
-  put<std::int32_t>(out, o.found);
-  put<std::int32_t>(out, o.missed);
-  put_bool(out, o.complete);
-  put(out, o.worst_time);
-  put(out, o.mean_time);
-  put(out, o.worst_angle);
-  put(out, o.first_miss_angle);
-  put_str(out, o.program_name);
-  put(out, o.evals);
-  put(out, o.segments);
-}
-
-bool decode_search(wire::Reader& in, CellOutcome* outcome) {
-  SearchOutcome& o = outcome->emplace<SearchOutcome>();
-  std::int32_t found = 0, missed = 0;
-  const bool ok = in.get(&found) && in.get(&missed) &&
-                  in.get_bool(&o.complete) && in.get(&o.worst_time) &&
-                  in.get(&o.mean_time) && in.get(&o.worst_angle) &&
-                  in.get(&o.first_miss_angle) && in.get_str(&o.program_name) &&
-                  in.get(&o.evals) && in.get(&o.segments);
-  o.found = found;
-  o.missed = missed;
-  return ok;
-}
-
-void encode_gather(std::string& out, const CellOutcome& outcome) {
-  const GatherOutcome& o = std::get<GatherOutcome>(outcome);
-  put_gather_result(out, o.contact);
-  put_gather_result(out, o.gathered);
-}
-
-bool decode_gather(wire::Reader& in, CellOutcome* outcome) {
-  GatherOutcome& o = outcome->emplace<GatherOutcome>();
-  return get_gather_result(in, &o.contact) &&
-         get_gather_result(in, &o.gathered);
-}
-
-void encode_linear(std::string& out, const CellOutcome& outcome) {
-  const LinearOutcome& o = std::get<LinearOutcome>(outcome);
-  put_bool(out, o.feasible);
-  put_sim_result(out, o.sim);
-}
-
-bool decode_linear(wire::Reader& in, CellOutcome* outcome) {
-  LinearOutcome& o = outcome->emplace<LinearOutcome>();
-  return in.get_bool(&o.feasible) && get_sim_result(in, &o.sim);
-}
-
-void encode_coverage(std::string& out, const CellOutcome& outcome) {
-  const CoverageOutcome& o = std::get<CoverageOutcome>(outcome);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(o.series.size()));
-  for (const analysis::CoveragePoint& p : o.series) {
-    put(out, p.time);
-    put(out, p.fraction);
-    put(out, p.covered_area);
+template <typename Io>
+bool fields(Io& io, wire::Ref<Io, CoverageOutcome> o) {
+  auto count = static_cast<std::uint32_t>(o.series.size());
+  if (!io(count) || !io.fits(count, 3 * sizeof(double))) return false;
+  if constexpr (!Io::kWrites) o.series.resize(count);
+  for (auto& p : o.series) {
+    if (!(io(p.time) && io(p.fraction) && io(p.covered_area))) return false;
   }
-  put_str(out, o.program_name);
-  put(out, o.t50);
-  put(out, o.t99);
-  put(out, o.final_fraction);
-  put(out, o.covered_area);
+  return io(o.program_name) && io(o.t50) && io(o.t99) &&
+         io(o.final_fraction) && io(o.covered_area);
 }
 
-bool decode_coverage(wire::Reader& in, CellOutcome* outcome) {
-  CoverageOutcome& o = outcome->emplace<CoverageOutcome>();
-  std::uint32_t count = 0;
-  // The count is untrusted until proven payable: each point costs 3
-  // doubles of payload, so a count the remaining bytes cannot cover is
-  // corruption — reject it *before* allocating.
-  if (!in.get(&count) || count > in.remaining() / (3 * sizeof(double))) {
-    return false;
-  }
-  o.series.resize(count);
-  for (analysis::CoveragePoint& p : o.series) {
-    if (!(in.get(&p.time) && in.get(&p.fraction) && in.get(&p.covered_area))) {
-      return false;
-    }
-  }
-  return in.get_str(&o.program_name) && in.get(&o.t50) && in.get(&o.t99) &&
-         in.get(&o.final_fraction) && in.get(&o.covered_area);
+template <typename Outcome>
+void encode(std::string& out, const CellOutcome& outcome) {
+  wire::Writer writer(out);
+  (void)fields<wire::Writer>(writer, std::get<Outcome>(outcome));
+}
+
+template <typename Outcome>
+bool decode(wire::Reader& in, CellOutcome* outcome) {
+  return fields<wire::Reader>(in, outcome->emplace<Outcome>());
 }
 
 // --- output schemas ---
 
 using R = const RunRecord&;
 
-FieldValue number(double v) {
-  FieldValue f;
-  f.number = v;
-  return f;
-}
-
+using Kind = FieldValue::Kind;
+FieldValue number(double v) { return {Kind::kNumber, v}; }
 template <typename Int>
 FieldValue integer(Int v) {
-  FieldValue f;
-  f.kind = FieldValue::Kind::kInteger;
-  f.integer = static_cast<std::int64_t>(v);
-  return f;
+  return {Kind::kInteger, 0.0, static_cast<std::int64_t>(v)};
 }
-
-FieldValue flag(bool v) {
-  FieldValue f;
-  f.kind = FieldValue::Kind::kFlag;
-  f.flag = v;
-  return f;
-}
-
-FieldValue text(std::string_view v) {
-  FieldValue f;
-  f.kind = FieldValue::Kind::kText;
-  f.text = v;
-  return f;
-}
+FieldValue flag(bool v) { return {Kind::kFlag, 0.0, 0, v}; }
+FieldValue text(std::string_view v) { return {Kind::kText, 0.0, 0, false, v}; }
 
 constexpr TableFormat fixed(int digits) { return {.digits = digits}; }
 constexpr TableFormat kFeasibleWords{.yes = "feasible", .no = "INFEASIBLE"};
@@ -662,21 +557,21 @@ constexpr SchemaColumn kCoverageColumns[] = {
 /// Indexed by `Family`, like the alternatives of `CellOutcome`.
 constexpr FamilyDescriptor kFamilies[] = {
     {"rendezvous", 'R', kRendezvousColumns,
-     [](R r) { return r.outcome.sim.met; }, encode_rendezvous,
-     decode_rendezvous},
+     [](R r) { return r.outcome.sim.met; }, encode<rendezvous::Outcome>,
+     decode<rendezvous::Outcome>},
     {"search", 'S', kSearchColumns,
-     [](R r) { return r.search_outcome.complete; }, encode_search,
-     decode_search},
+     [](R r) { return r.search_outcome.complete; }, encode<SearchOutcome>,
+     decode<SearchOutcome>},
     {"gather", 'G', kGatherColumns,
-     [](R r) { return r.gather_outcome.gathered.achieved; }, encode_gather,
-     decode_gather},
+     [](R r) { return r.gather_outcome.gathered.achieved; },
+     encode<GatherOutcome>, decode<GatherOutcome>},
     {"linear", 'L', kLinearColumns,
-     [](R r) { return r.linear_outcome.sim.met; }, encode_linear,
-     decode_linear},
+     [](R r) { return r.linear_outcome.sim.met; }, encode<LinearOutcome>,
+     decode<LinearOutcome>},
     {"coverage", 'C', kCoverageColumns,
      // A coverage cell succeeds once it covers 99% of its disk.
-     [](R r) { return !(r.coverage_outcome.t99 < 0.0); }, encode_coverage,
-     decode_coverage},
+     [](R r) { return !(r.coverage_outcome.t99 < 0.0); },
+     encode<CoverageOutcome>, decode<CoverageOutcome>},
 };
 static_assert(std::size(kFamilies) == std::variant_size_v<CellOutcome>);
 

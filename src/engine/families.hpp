@@ -369,7 +369,7 @@ struct FieldValue {
   double number = 0.0;       ///< kNumber
   std::int64_t integer = 0;  ///< kInteger
   bool flag = false;         ///< kFlag
-  std::string_view text;     ///< kText: a view into the record or a literal
+  std::string_view text{};   ///< kText: a view into the record or a literal
 };
 
 /// How `ResultSet::to_table` renders a standard column.  CSV and JSON

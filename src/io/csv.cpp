@@ -1,6 +1,5 @@
 #include "io/csv.hpp"
 
-#include <ostream>
 #include <stdexcept>
 
 namespace rv::io {
@@ -18,12 +17,6 @@ void append_csv_field(std::string& out, std::string_view field) {
   out.push_back('"');
 }
 
-std::string csv_escape(const std::string& field) {
-  std::string out;
-  append_csv_field(out, field);
-  return out;
-}
-
 void append_csv_row(std::string& out, const CsvRow& fields) {
   bool first = true;
   for (const std::string& f : fields) {
@@ -32,34 +25,6 @@ void append_csv_row(std::string& out, const CsvRow& fields) {
     first = false;
   }
   out.push_back('\n');
-}
-
-CsvWriter::CsvWriter(std::ostream& os) : os_(os) {}
-
-void CsvWriter::write_row(const CsvRow& fields) {
-  std::string line;
-  append_csv_row(line, fields);
-  os_ << line;
-}
-
-void CsvWriter::header(const CsvRow& names) {
-  if (header_written_ || rows_ > 0) {
-    throw std::logic_error("CsvWriter: header after data");
-  }
-  write_row(names);
-  header_written_ = true;
-}
-
-void CsvWriter::row(const CsvRow& fields) {
-  write_row(fields);
-  ++rows_;
-}
-
-void CsvWriter::row_numeric(const std::vector<double>& values, int precision) {
-  CsvRow fields;
-  fields.reserve(values.size());
-  for (const double v : values) fields.push_back(format_double(v, precision));
-  row(fields);
 }
 
 std::vector<CsvRow> parse_csv(const std::string& text) {

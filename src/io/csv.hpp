@@ -11,7 +11,6 @@
 /// locale.  No iostream (and hence no stream locale) is involved.
 
 #include <charconv>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,42 +20,13 @@ namespace rv::io {
 /// One CSV record.
 using CsvRow = std::vector<std::string>;
 
-/// Escapes a single field per RFC 4180 (quotes fields containing
-/// commas, quotes or newlines; doubles embedded quotes).
-[[nodiscard]] std::string csv_escape(const std::string& field);
-
-/// Appends `field` to `out`, escaped as by `csv_escape` (fields that
-/// need no quoting are appended as they are, without a copy).
+/// Appends `field` to `out`, escaped per RFC 4180: a field containing
+/// a comma, quote, CR or LF is quoted, with embedded quotes doubled;
+/// any other field is appended as it is.
 void append_csv_field(std::string& out, std::string_view field);
 
 /// Appends one CSV record (escaped fields, comma-separated, '\n').
 void append_csv_row(std::string& out, const CsvRow& fields);
-
-/// Streams rows to an output stream.
-class CsvWriter {
- public:
-  /// Writes to `os`; the stream must outlive the writer.
-  explicit CsvWriter(std::ostream& os);
-
-  /// Writes a header row (only allowed before any data row).
-  void header(const CsvRow& names);
-
-  /// Writes one data row.
-  void row(const CsvRow& fields);
-
-  /// Convenience: writes a row of doubles with `precision` significant
-  /// digits.
-  void row_numeric(const std::vector<double>& values, int precision = 12);
-
-  /// Rows written (excluding the header).
-  [[nodiscard]] std::size_t rows_written() const { return rows_; }
-
- private:
-  void write_row(const CsvRow& fields);
-  std::ostream& os_;
-  std::size_t rows_ = 0;
-  bool header_written_ = false;
-};
 
 /// Parses CSV text into rows (supports quoted fields with embedded
 /// commas/newlines/doubled quotes).  Intended for test round-trips.

@@ -109,88 +109,6 @@ TEST(CacheStoreSerialization, RendezvousOutcomeRoundTripsExactly) {
   EXPECT_EQ(decoded.algorithm_name, "algorithm7");
 }
 
-TEST(CacheStoreSerialization, SearchOutcomeRoundTripsExactly) {
-  rv::engine::SearchOutcome outcome;
-  outcome.found = 7;
-  outcome.missed = 1;
-  outcome.complete = false;
-  outcome.worst_time = 123.456;
-  outcome.mean_time = 98.7;
-  outcome.worst_angle = -2.7488935718910690836;
-  outcome.first_miss_angle = 0.03;
-  outcome.program_name = "algorithm4";
-  outcome.evals = 123456789ull;
-  outcome.segments = 987654321ull;
-
-  const auto decoded =
-      std::get<rv::engine::SearchOutcome>(round_trip("S-key", outcome));
-  EXPECT_EQ(decoded.found, 7);
-  EXPECT_EQ(decoded.missed, 1);
-  EXPECT_FALSE(decoded.complete);
-  EXPECT_TRUE(same_bits(decoded.worst_angle, outcome.worst_angle));
-  EXPECT_EQ(decoded.program_name, "algorithm4");
-  EXPECT_EQ(decoded.evals, outcome.evals);
-  EXPECT_EQ(decoded.segments, outcome.segments);
-}
-
-TEST(CacheStoreSerialization, GatherOutcomeRoundTripsExactly) {
-  rv::engine::GatherOutcome outcome;
-  outcome.contact.achieved = true;
-  outcome.contact.time = 17.25;
-  outcome.contact.pair_i = 0;
-  outcome.contact.pair_j = 2;
-  outcome.contact.max_pairwise = 3.5;
-  outcome.contact.min_max_pairwise = 0.19;
-  outcome.contact.evals = 77;
-  outcome.contact.segments = 31;
-  outcome.gathered.achieved = false;
-  outcome.gathered.time = 2e5;
-  outcome.gathered.pair_i = -1;
-  outcome.gathered.pair_j = -1;
-  outcome.gathered.min_max_pairwise =
-      std::numeric_limits<double>::infinity();  // non-finite must survive
-
-  const auto decoded =
-      std::get<rv::engine::GatherOutcome>(round_trip("G-key", outcome));
-  EXPECT_TRUE(decoded.contact.achieved);
-  EXPECT_EQ(decoded.contact.pair_j, 2);
-  EXPECT_TRUE(same_bits(decoded.contact.min_max_pairwise, 0.19));
-  EXPECT_FALSE(decoded.gathered.achieved);
-  EXPECT_EQ(decoded.gathered.pair_i, -1);
-  EXPECT_TRUE(std::isinf(decoded.gathered.min_max_pairwise));
-}
-
-TEST(CacheStoreSerialization, LinearOutcomeRoundTripsExactly) {
-  rv::engine::LinearOutcome outcome;
-  outcome.feasible = true;
-  outcome.sim = sample_sim_result();
-
-  const auto decoded =
-      std::get<rv::engine::LinearOutcome>(round_trip("L-key", outcome));
-  EXPECT_TRUE(decoded.feasible);
-  EXPECT_TRUE(same_bits(decoded.sim.min_distance_time,
-                        outcome.sim.min_distance_time));
-  EXPECT_EQ(decoded.sim.segments, outcome.sim.segments);
-}
-
-TEST(CacheStoreSerialization, CoverageOutcomeRoundTripsExactly) {
-  rv::engine::CoverageOutcome outcome;
-  outcome.series = {{0.0, 0.0, 0.0}, {10.0, 0.5, 3.53}, {20.0, 0.995, 7.03}};
-  outcome.program_name = "square-spiral";
-  outcome.t50 = 10.0;
-  outcome.t99 = 20.0;
-  outcome.final_fraction = 0.995;
-  outcome.covered_area = 7.03;
-
-  const auto decoded =
-      std::get<rv::engine::CoverageOutcome>(round_trip("C-key", outcome));
-  ASSERT_EQ(decoded.series.size(), 3u);
-  EXPECT_TRUE(same_bits(decoded.series[1].fraction, 0.5));
-  EXPECT_TRUE(same_bits(decoded.series[2].covered_area, 7.03));
-  EXPECT_EQ(decoded.program_name, "square-spiral");
-  EXPECT_TRUE(same_bits(decoded.t99, 20.0));
-}
-
 TEST(CacheStoreSerialization, AnEntryHoldsOneOutcome) {
   // An entry is the largest outcome plus the variant's index, not all
   // five outcomes side by side: every hit copies exactly one.
@@ -975,6 +893,23 @@ void fill_canonical_cache(ScenarioCache* cache) {
   rv::engine::CoverageOutcome empty;
   empty.program_name = "square-spiral";
   store(coverage, empty);
+}
+
+// Each payload codec is one field list run in both directions, and the
+// wire lock pins that every field is encoded, so re-encoding a decoded
+// record reproducing its bytes proves every field round-trips
+// bit-exactly (non-finite values, -1 pairs and empty series included).
+TEST(CacheStoreSerialization, EveryCanonicalRecordRoundTripsBitExactly) {
+  ScenarioCache cache;
+  fill_canonical_cache(&cache);
+  for (const auto& [key, entry] : cache.snapshot()) {
+    SCOPED_TRACE(std::string(1, key[0]));
+    const std::string payload = rv::engine::serialize_entry(key, entry);
+    ScenarioCache::Entry decoded;
+    ASSERT_TRUE(rv::engine::deserialize_entry(key, payload, &decoded));
+    EXPECT_EQ(decoded.index(), entry.index());
+    EXPECT_EQ(rv::engine::serialize_entry(key, decoded), payload);
+  }
 }
 
 TEST(CacheStoreWire, CanonicalFileMatchesTheWireLock) {

@@ -554,76 +554,63 @@ void rule_failpoint_site(Linter& lint, const SourceFile& f,
 // Default initializers on outcome / result / cell fields
 // ---------------------------------------------------------------------------
 
+/// Every identifier of `text` with its offset, in order.
+std::vector<std::pair<std::size_t, std::string>> idents(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::string>> words;
+  for (std::size_t i = 0; i < text.size();) {
+    if (!ident_char(text[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < text.size() && ident_char(text[i])) ++i;
+    words.emplace_back(begin, text.substr(begin, i - begin));
+  }
+  return words;
+}
+
 /// Names declared as enumerations (`enum X`, `enum class X`) in `code`.
 void collect_enum_names(const std::string& code,
                         std::set<std::string>* names) {
-  for (std::size_t at : find_ident(code, "enum")) {
-    at += 4;
-    for (const std::string_view key : {"class", "struct"}) {
-      std::size_t j = at;
-      while (j < code.size() && code[j] == ' ') ++j;
-      if (code.compare(j, key.size(), key) == 0) at = j + key.size();
-    }
-    while (at < code.size() && code[at] == ' ') ++at;
-    std::size_t end = at;
-    while (end < code.size() && ident_char(code[end])) ++end;
-    if (end > at) names->insert(code.substr(at, end - at));
+  const auto words = idents(code);
+  for (std::size_t k = 0; k + 1 < words.size(); ++k) {
+    if (words[k].second != "enum") continue;
+    const std::string& next = words[k + 1].second;
+    const std::size_t name = next == "class" || next == "struct" ? k + 2 : k + 1;
+    if (name < words.size()) names->insert(words[name].second);
   }
 }
 
-/// True for arithmetic, pointer and enumeration types: the types whose
-/// default-initialized value is indeterminate.
-bool scalar_type(const std::string& type, const std::set<std::string>& enums) {
-  if (type.find('<') != std::string::npos) return false;  // a template class
-  if (type.find('*') != std::string::npos) return true;
-  static const std::set<std::string> builtins = {
-      "bool",     "char",      "short",    "int",      "long",
-      "unsigned", "signed",    "float",    "double",   "size_t",
-      "ptrdiff_t", "int8_t",   "int16_t",  "int32_t",  "int64_t",
-      "uint8_t",  "uint16_t",  "uint32_t", "uint64_t", "uintptr_t"};
-  std::size_t end = type.size();
-  while (end > 0 && !ident_char(type[end - 1])) --end;
-  std::size_t begin = end;
-  while (begin > 0 && ident_char(type[begin - 1])) --begin;
-  const std::string base = type.substr(begin, end - begin);
-  return builtins.count(base) != 0 || enums.count(base) != 0;
-}
-
-/// Checks one member declaration `text` (no trailing ';') of struct
-/// `owner`, starting at `offset` in the code view.
+/// Checks one member declaration `decl` (no trailing ';') of struct
+/// `owner`, found at `offset` in the code view: a field of arithmetic,
+/// pointer or enumeration type needs a default initializer.
 void check_member(Linter& lint, const SourceFile& f,
                   const std::set<std::string>& enums, const std::string& owner,
-                  const std::string& text, std::size_t offset) {
-  // The leading keyword, read past an access label (`public:`).
-  std::string word;
-  std::size_t pos = 0;
-  do {
-    pos = text.find_first_not_of(" \n:", pos + word.size());
-    if (pos == std::string::npos) return;
-    std::size_t end = pos;
-    while (end < text.size() && ident_char(text[end])) ++end;
-    word = text.substr(pos, end - pos);
-  } while (word == "public" || word == "protected" || word == "private");
+                  std::string decl, std::size_t offset) {
+  // Member functions and initialized fields pass; so do class types.
+  if (decl.find_first_of("(={<") != std::string::npos) return;
+  decl = decl.substr(0, std::min(decl.find(','), decl.find('[')));
+  const auto words = idents(decl);
   static const std::set<std::string> not_fields = {
-      "struct", "class",  "enum",     "union",  "using",        "typedef",
-      "friend", "static", "template", "inline", "static_assert"};
-  if (not_fields.count(word) != 0) return;
-  // Functions, initialized fields and brace-initialized fields pass.
-  if (text.find_first_of("(={") != std::string::npos) return;
-  const std::size_t declarator = text.find(',');
-  std::string decl = text.substr(0, declarator);
-  const std::size_t bracket = decl.find('[');
-  if (bracket != std::string::npos) decl.erase(bracket);
-  std::size_t end = decl.size();
-  while (end > 0 && !ident_char(decl[end - 1])) --end;
-  std::size_t begin = end;
-  while (begin > 0 && ident_char(decl[begin - 1])) --begin;
-  if (begin == end || !scalar_type(decl.substr(0, begin), enums)) {
+      "struct", "class",  "enum",     "union",  "using",
+      "typedef", "friend", "static", "template"};
+  static const std::set<std::string> builtins = {
+      "bool",     "char",     "short",    "int",       "long",
+      "unsigned", "float",    "double",   "size_t",    "ptrdiff_t",
+      "int8_t",   "int16_t",  "int32_t",  "int64_t",   "uint8_t",
+      "uint16_t", "uint32_t", "uint64_t", "uintptr_t"};
+  if (words.size() < 2) return;
+  for (const auto& word : words) {
+    if (not_fields.count(word.second) != 0) return;
+  }
+  const std::string& type = words[words.size() - 2].second;
+  if (decl.find('*') == std::string::npos && builtins.count(type) == 0 &&
+      enums.count(type) == 0) {
     return;
   }
-  lint.report(f, offset + begin, "uninit-field",
-              "scalar field '" + decl.substr(begin, end - begin) + "' of " +
-                  owner +
+  lint.report(f, offset + words.back().first, "uninit-field",
+              "scalar field '" + words.back().second + "' of " + owner +
                   " has no default initializer — a default-constructed "
                   "value would carry indeterminate bytes into output");
 }
@@ -637,23 +624,17 @@ void rule_uninit_field(Linter& lint, const SourceFile& f,
                        const std::set<std::string>& enums) {
   if (!path_under(f.rel, "src/")) return;
   const std::string& code = f.code;
-  for (const std::size_t at : find_ident(code, "struct")) {
-    std::size_t name_begin = at + 6;
-    while (name_begin < code.size() &&
-           std::isspace(static_cast<unsigned char>(code[name_begin]))) {
-      ++name_begin;
-    }
-    std::size_t name_end = name_begin;
-    while (name_end < code.size() && ident_char(code[name_end])) ++name_end;
-    const std::string owner = code.substr(name_begin, name_end - name_begin);
-    if (!ends_with(owner, "Outcome") && !ends_with(owner, "Result") &&
-        !ends_with(owner, "Cell")) {
+  const auto words = idents(code);
+  for (std::size_t k = 0; k + 1 < words.size(); ++k) {
+    const auto& [owner_at, owner] = words[k + 1];
+    if (words[k].second != "struct" ||
+        !(ends_with(owner, "Outcome") || ends_with(owner, "Result") ||
+          ends_with(owner, "Cell"))) {
       continue;
     }
-    const std::size_t open = code.find_first_of("{;", name_end);
+    const std::size_t open = code.find_first_of("{;", owner_at);
     if (open == std::string::npos || code[open] == ';') continue;
     const std::size_t close = match_at(code, open, '{', '}');
-    if (close == std::string::npos) continue;
     // Split the body into member declarations at top-level ';'.  A
     // brace block belongs to its declaration, except a function body,
     // which ends the member without a ';'.
@@ -663,9 +644,7 @@ void rule_uninit_field(Linter& lint, const SourceFile& f,
         i = match_at(code, i, '(', ')');
       } else if (code[i] == '{') {
         const std::size_t end = match_at(code, i, '{', '}');
-        if (code.substr(start, i - start).find('(') != std::string::npos) {
-          start = end + 1;
-        }
+        if (code.find('(', start) < i) start = end + 1;
         i = end;
       } else if (code[i] == ';') {
         check_member(lint, f, enums, owner, code.substr(start, i - start),

@@ -32,8 +32,10 @@
 ///
 /// All families are executed by the same deterministic `Runner`
 /// (results placed by cell index, never completion order) and reported
-/// through `ResultSet` with per-family standard columns, so table/CSV/
-/// JSON output stays byte-identical at any thread count.
+/// through `ResultSet`, so table/CSV/JSON output stays byte-identical
+/// at any thread count.  Each family's output columns, success test
+/// and cache payload codec are defined once, in its `FamilyDescriptor`
+/// (`describe`, at the end of this header).
 
 #include <cstdint>
 #include <functional>

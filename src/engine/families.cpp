@@ -373,6 +373,10 @@ namespace {
 // order, for both directions (wire::Writer / wire::Reader).  Doubles
 // are raw, so outcomes round-trip bit-exactly. ---
 
+// `int` counters and the feasibility enum go on the wire as 4 bytes.
+static_assert(sizeof(int) == 4 &&
+              sizeof(rendezvous::FeasibilityClass) == 4);
+
 template <typename Io>
 bool fields(Io& io, wire::Ref<Io, sim::SimResult> r) {
   return io(r.met) && io(r.time) && io(r.distance) && io(r.min_distance) &&

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "engine/metric_kernel.hpp"
+
 namespace rv::engine {
 
 using geom::Vec2;
@@ -93,11 +95,11 @@ void ContactSweep::refresh_window() {
 
 double ContactSweep::metric_of(const std::vector<Vec2>& pos, int* out_i,
                                int* out_j) const {
-  // Kernel dispatch (engine/metric_kernel.hpp): same value and same
-  // lexicographically-first pair as the historical O(n²) loop.
+  // Same value and same lexicographically-first pair as the historical
+  // hypot loop (engine/metric_kernel.hpp).
   const geom::ExtremalPair p = metric_ == SweepMetric::kMinPairwise
-                                   ? min_pairwise(pos, opts_.kernel)
-                                   : max_pairwise(pos, opts_.kernel);
+                                   ? min_pairwise(pos)
+                                   : max_pairwise(pos);
   if (out_i) *out_i = p.i;
   if (out_j) *out_j = p.j;
   return p.distance;

@@ -17,12 +17,11 @@
 /// metric dips below r.  This yields *certified* event times up to a
 /// tolerance, without trusting any fixed sampling grid.
 ///
-/// Both per-step quantities are computed by near-linear kernels
-/// (engine/metric_kernel.hpp): the metric by an adaptive
-/// brute-force/grid/calipers kernel, and L as the sum of the two
-/// largest current segment speeds — identical values to the historical
-/// O(n²) loops, so step schedules and outputs are unchanged while
-/// 1000-robot fleets sweep in near-linear time per evaluation.
+/// Both per-step quantities come from engine/metric_kernel.hpp: the
+/// metric from one O(n²) squared-distance pair loop and L from the two
+/// largest current segment speeds.  Both equal the historical hypot
+/// loops bit for bit.  Shipped fleets have n ≤ 4 robots; larger ones
+/// pay the quadratic loop (docs/ARCHITECTURE.md records the cost).
 ///
 /// Positions are evaluated through the SoA batched evaluator
 /// (traj/batch.hpp) — one pass over the fleet's current segments,
@@ -56,8 +55,8 @@
 #include <memory>
 #include <vector>
 
-#include "engine/metric_kernel.hpp"
 #include "geom/attributes.hpp"
+#include "geom/vec2.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/program.hpp"
@@ -81,10 +80,6 @@ struct SweepOptions {
   double time_tol = 1e-9;       ///< bisection tolerance on the event time
   double min_step = 1e-9;       ///< Zeno guard: forced progress per step
   std::uint64_t max_evals = 500'000'000;  ///< hard cap on metric evaluations
-  /// Which pairwise metric kernel evaluates the sweep (see
-  /// engine/metric_kernel.hpp); kAuto cuts over from the brute-force
-  /// loop to the near-linear geometric kernels at `kKernelCutover`.
-  KernelChoice kernel = KernelChoice::kAuto;
 };
 
 /// Which pairwise statistic the sweep watches for the event metric ≤ r.

@@ -1,10 +1,8 @@
 #include "engine/metric_kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
-
-#include "geom/closest_pair.hpp"
-#include "geom/convex_hull.hpp"
 
 namespace rv::engine {
 
@@ -20,17 +18,18 @@ namespace {
 /// (hypot, lex) comparator — one hypot per evaluation on generic
 /// fleets, a handful on symmetric ones (see geom/extremal_pair.hpp).
 template <ExtremalSense Sense>
-[[nodiscard]] ExtremalPair brute_force(const std::vector<Vec2>& pts) {
+[[nodiscard]] ExtremalPair brute_force(const std::vector<Vec2>& pts,
+                                       const char* who) {
+  if (pts.size() < 2) {
+    throw std::invalid_argument(std::string(who) + ": need >= 2 points");
+  }
   const int n = static_cast<int>(pts.size());
   double best_sq = geom::norm_sq(pts[1] - pts[0]);
   for (int i = 0; i < n; ++i) {
     for (int j = (i == 0) ? 2 : i + 1; j < n; ++j) {
       const double d_sq = geom::norm_sq(pts[j] - pts[i]);
-      if constexpr (Sense == ExtremalSense::kLess) {
-        if (d_sq < best_sq) best_sq = d_sq;
-      } else {
-        if (d_sq > best_sq) best_sq = d_sq;
-      }
+      best_sq = Sense == ExtremalSense::kLess ? std::min(best_sq, d_sq)
+                                              : std::max(best_sq, d_sq);
     }
   }
   const double band = best_sq * geom::kDistanceSqBand;
@@ -56,30 +55,14 @@ template <ExtremalSense Sense>
   return {best_v, best_i, best_j};
 }
 
-void require_pair(const std::vector<Vec2>& pts, const char* who) {
-  if (pts.size() < 2) {
-    throw std::invalid_argument(std::string(who) + ": need >= 2 points");
-  }
-}
-
 }  // namespace
 
-ExtremalPair min_pairwise(const std::vector<Vec2>& pts, KernelChoice choice) {
-  require_pair(pts, "min_pairwise");
-  const bool brute = choice == KernelChoice::kBruteForce ||
-                     (choice == KernelChoice::kAuto &&
-                      pts.size() < kKernelCutover);
-  return brute ? brute_force<ExtremalSense::kLess>(pts)
-               : geom::closest_pair(pts);
+ExtremalPair min_pairwise(const std::vector<Vec2>& pts) {
+  return brute_force<ExtremalSense::kLess>(pts, "min_pairwise");
 }
 
-ExtremalPair max_pairwise(const std::vector<Vec2>& pts, KernelChoice choice) {
-  require_pair(pts, "max_pairwise");
-  const bool brute = choice == KernelChoice::kBruteForce ||
-                     (choice == KernelChoice::kAuto &&
-                      pts.size() < kKernelCutover);
-  return brute ? brute_force<ExtremalSense::kGreater>(pts)
-               : geom::hull_diameter(pts);
+ExtremalPair max_pairwise(const std::vector<Vec2>& pts) {
+  return brute_force<ExtremalSense::kGreater>(pts, "max_pairwise");
 }
 
 double lipschitz_speed_sum(const std::vector<double>& speeds) {

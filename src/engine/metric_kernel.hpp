@@ -1,36 +1,23 @@
 #pragma once
 
 /// \file metric_kernel.hpp
-/// The pairwise metric kernels of the certified sweep.
+/// The pairwise metric kernel of the certified sweep.
 ///
 /// `ContactSweep` evaluates one of two statistics over the fleet's
-/// current positions at every sweep/bisection point:
-///   * min over pairs of d_ij — first contact / rendezvous;
-///   * max over pairs of d_ij — all-pairs gathering.
-/// The historical implementation was a brute-force O(n²) loop with one
-/// `std::hypot` per pair.  This layer replaces it with an adaptive
-/// kernel:
-///   * **small fleets** (n < `kKernelCutover`) — a squared-distance
-///     brute-force loop: pairs are compared by d² (one multiply-add per
-///     pair instead of a hypot) and a single hypot resolves the winning
-///     pair's metric value, so 2-robot results are bit-exact with the
-///     historical loop;
-///   * **large fleets** — exact near-linear geometry: closest pair via
-///     spatial grid hashing (geom/closest_pair.hpp) for the min metric,
-///     point-set diameter via convex hull + rotating calipers
-///     (geom/convex_hull.hpp) for the max metric.
-/// All kernels implement the shared extremal-pair contract
-/// (geom/extremal_pair.hpp): identical metric value and identical
-/// lexicographically-first extremal pair as the historical loop,
-/// pinned by tests/test_metric_kernel.cpp on degenerate and randomized
-/// fleets.
+/// current positions at every sweep/bisection point: min over pairs of
+/// d_ij (first contact / rendezvous) or max over pairs of d_ij
+/// (all-pairs gathering).  The kernel is one O(n²) pair loop on squared
+/// distances — one multiply-add per pair instead of a hypot — and a
+/// hypot resolves only the pairs inside the tie band
+/// (geom/extremal_pair.hpp).  It returns the identical value and the
+/// identical lexicographically-first pair as the historical hypot loop,
+/// pinned by tests/test_metric_kernel.cpp.
 ///
-/// `lipschitz_speed_sum` is the companion O(n) replacement for the
-/// per-step O(n²) Lipschitz recompute: max over pairs of (v_i + v_j)
-/// is the sum of the two largest speeds — the same two doubles are
-/// added, so the bound (and hence every step schedule) is unchanged.
+/// `lipschitz_speed_sum` replaces the per-step O(n²) Lipschitz
+/// recompute: max over pairs of (v_i + v_j) is the sum of the two
+/// largest speeds — the same two doubles are added, so every step
+/// schedule is unchanged.
 
-#include <cstddef>
 #include <vector>
 
 #include "geom/extremal_pair.hpp"
@@ -38,30 +25,15 @@
 
 namespace rv::engine {
 
-/// Which kernel evaluates the pairwise metric.
-enum class KernelChoice {
-  kAuto,        ///< brute force below `kKernelCutover`, geometric above
-  kBruteForce,  ///< always the O(n²) squared-distance loop
-  kGeometric,   ///< always grid closest-pair / calipers diameter
-};
-
-/// The kAuto cutover: fleets smaller than this use the brute-force
-/// kernel (lower constant), larger ones the near-linear geometry.
-/// Chosen from BM_MetricKernel: the curves cross between n ≈ 24 and
-/// n ≈ 64 depending on metric and layout.
-inline constexpr std::size_t kKernelCutover = 48;
-
 /// Min-pairwise metric (first contact): closest pair of `pts`.
 /// \throws std::invalid_argument for fewer than 2 points.
 [[nodiscard]] geom::ExtremalPair min_pairwise(
-    const std::vector<geom::Vec2>& pts,
-    KernelChoice choice = KernelChoice::kAuto);
+    const std::vector<geom::Vec2>& pts);
 
 /// Max-pairwise metric (all-pairs gathering): diameter of `pts`.
 /// \throws std::invalid_argument for fewer than 2 points.
 [[nodiscard]] geom::ExtremalPair max_pairwise(
-    const std::vector<geom::Vec2>& pts,
-    KernelChoice choice = KernelChoice::kAuto);
+    const std::vector<geom::Vec2>& pts);
 
 /// O(n) Lipschitz bound of both sweep metrics: max over pairs of
 /// (v_i + v_j) = the sum of the two largest speeds.  Identical value

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -145,7 +146,11 @@ std::string_view parse_json_number(Cursor& c, double* value) {
     while (std::isdigit(static_cast<unsigned char>(c.peek()))) c.get();
   }
   const std::string_view raw = c.text.substr(start, c.pos - start);
-  *value = std::stod(std::string(raw));
+  // The grammar is checked above, so range is the only failure left.
+  if (std::from_chars(raw.data(), raw.data() + raw.size(), *value).ec !=
+      std::errc{}) {
+    parse_fail("number out of range");
+  }
   return raw;
 }
 

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file extremal_pair.hpp
-/// The result type shared by the extremal-pair queries (closest pair,
-/// point-set diameter) and the tie-break rule they all implement.
+/// The result type of the extremal-pair queries (closest pair,
+/// point-set diameter) and the tie-break rule they implement.
 ///
-/// Every kernel in the repository reports the extremal pair under the
-/// *same* contract as the historical O(n²) loop in
+/// The metric kernel (engine/metric_kernel.hpp) reports the extremal
+/// pair under the *same* contract as the historical O(n²) loop in
 /// `engine::ContactSweep`: among all pairs attaining the extremal
 /// *computed hypot distance*, the lexicographically smallest (i, j)
 /// with i < j — exactly the pair a `for i { for j > i }` loop with a
@@ -16,15 +16,13 @@
 /// the last ulp.  On a symmetric fleet (robots on a ring) many pairs
 /// tie in computed hypot while their computed d² values differ by an
 /// ulp, so a kernel that selected purely by d² would tie-break to a
-/// different pair than the historical loop.  All kernels therefore use
+/// different pair than the historical loop.  The kernel therefore uses
 /// d² only as a *monotone pre-filter*: any pair whose d² lies outside
 /// `kDistanceSqBand` (relative) of the extremal d² provably cannot tie
 /// the winner in computed hypot, and the few pairs inside the band are
 /// resolved with the historical (hypot, lex) comparator.  This keeps
-/// the near-linear kernels bit-identical drop-in replacements at one
-/// (or a few) hypots per evaluation.
-
-#include <cstdint>
+/// the kernel bit-identical to the hypot loop at one (or a few) hypots
+/// per evaluation.
 
 namespace rv::geom {
 
@@ -48,9 +46,8 @@ struct ExtremalPair {
 /// iff its value is strictly more extremal, or equal with a
 /// lexicographically smaller (i, j).  `value` must be the computed
 /// hypot distance when matching the historical loop (see the file
-/// comment); kernels may use it on d² internally where only the
-/// extremal *value* matters.  `kLess` selects minima (closest pair),
-/// `kGreater` maxima (diameter).
+/// comment).  `kLess` selects minima (closest pair), `kGreater` maxima
+/// (diameter).
 enum class ExtremalSense { kLess, kGreater };
 
 template <ExtremalSense Sense>

@@ -2,8 +2,38 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace rv::io {
+
+namespace {
+
+/// Converts the whole of `text` with std::stoi or std::stod; a failure
+/// names the flag instead of passing on the library's bare "stoi" or
+/// "stod" message.
+template <typename T>
+T convert(const std::string& text, const std::string& name) {
+  constexpr bool kInt = std::is_same_v<T, int>;
+  const std::string kind = kInt ? "integer" : "number";
+  try {
+    std::size_t pos = 0;
+    T v{};
+    if constexpr (kInt) {
+      v = std::stoi(text, &pos);
+    } else {
+      v = std::stod(text, &pos);
+    }
+    if (pos == text.size()) return v;
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("Args: " + kind + " out of range for --" +
+                                name);
+  } catch (const std::invalid_argument&) {
+    // Not a number at all: reported as malformed below.
+  }
+  throw std::invalid_argument("Args: malformed " + kind + " for --" + name);
+}
+
+}  // namespace
 
 void Args::declare(const std::string& name, const std::string& default_value,
                    const std::string& help) {
@@ -59,7 +89,8 @@ bool Args::provided(const std::string& name) const {
   return values_.find(name) != values_.end();
 }
 
-const Args::Spec& Args::spec_for(const std::string& name, Kind expected) const {
+const std::string& Args::value_of(const std::string& name,
+                                  Kind expected) const {
   const auto it = specs_.find(name);
   if (it == specs_.end()) {
     throw std::invalid_argument("Args: undeclared flag --" + name);
@@ -67,46 +98,24 @@ const Args::Spec& Args::spec_for(const std::string& name, Kind expected) const {
   if (it->second.kind != expected) {
     throw std::invalid_argument("Args: type mismatch for --" + name);
   }
-  return it->second;
+  const auto vit = values_.find(name);
+  return vit != values_.end() ? vit->second : it->second.default_value;
 }
 
 std::string Args::get(const std::string& name) const {
-  const Spec& spec = spec_for(name, Kind::kString);
-  const auto it = values_.find(name);
-  return it != values_.end() ? it->second : spec.default_value;
+  return value_of(name, Kind::kString);
 }
 
 double Args::get_double(const std::string& name) const {
-  const Spec& spec = spec_for(name, Kind::kDouble);
-  const auto it = values_.find(name);
-  const std::string& text = it != values_.end() ? it->second : spec.default_value;
-  std::size_t pos = 0;
-  const double v = std::stod(text, &pos);
-  if (pos != text.size()) {
-    throw std::invalid_argument("Args: malformed number for --" + name);
-  }
-  return v;
+  return convert<double>(value_of(name, Kind::kDouble), name);
 }
 
 int Args::get_int(const std::string& name) const {
-  const Spec& spec = spec_for(name, Kind::kInt);
-  const auto it = values_.find(name);
-  const std::string& text = it != values_.end() ? it->second : spec.default_value;
-  std::size_t pos = 0;
-  const int v = std::stoi(text, &pos);
-  if (pos != text.size()) {
-    throw std::invalid_argument("Args: malformed integer for --" + name);
-  }
-  return v;
+  return convert<int>(value_of(name, Kind::kInt), name);
 }
 
 bool Args::get_bool(const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end() || it->second.kind != Kind::kBool) {
-    throw std::invalid_argument("Args: undeclared bool flag --" + name);
-  }
-  const auto vit = values_.find(name);
-  return vit != values_.end() && vit->second == "1";
+  return value_of(name, Kind::kBool) == "1";
 }
 
 std::string Args::usage(const std::string& program) const {

@@ -66,7 +66,8 @@ class Args {
   std::map<std::string, std::string> values_;
   bool help_ = false;
 
-  const Spec& spec_for(const std::string& name, Kind expected) const;
+  /// The flag's given value, or its default; checks `expected`.
+  const std::string& value_of(const std::string& name, Kind expected) const;
 };
 
 }  // namespace rv::io

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "engine/families.hpp"
+#include "engine/serve.hpp"
 #include "engine/set_decl.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
@@ -553,66 +554,74 @@ TEST(FuzzSetDecl, EveryTruncationFailsCleanlyOrParses) {
   EXPECT_GT(rejected, 0);
 }
 
+/// Applies 1–4 seeded random edits to `text`: byte overwrites and
+/// insertions drawn from `pool`, truncation, line duplication and span
+/// deletion.
+std::string mutate(std::string text, Xoshiro256& rng,
+                   const std::string& pool) {
+  const auto pool_byte = [&] {
+    return pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(pool.size()) - 1))];
+  };
+  const int edits = rng.uniform_int(1, 4);
+  for (int e = 0; e < edits; ++e) {
+    switch (rng.uniform_int(0, 4)) {
+      case 0: {  // flip/overwrite one byte
+        if (text.empty()) break;
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(text.size()) - 1));
+        text[at] = pool_byte();
+        break;
+      }
+      case 1: {  // insert a garbage byte
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(text.size())));
+        text.insert(at, 1, pool_byte());
+        break;
+      }
+      case 2: {  // truncate at a random point
+        text.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(text.size()))));
+        break;
+      }
+      case 3: {  // duplicate a random line (dup-key pressure)
+        std::vector<std::string> lines;
+        std::size_t start = 0;
+        while (start < text.size()) {
+          std::size_t eol = text.find('\n', start);
+          if (eol == std::string::npos) eol = text.size();
+          lines.push_back(text.substr(start, eol - start));
+          start = eol + 1;
+        }
+        if (lines.empty()) break;
+        const auto which = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(lines.size()) - 1));
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(which),
+                     lines[which]);
+        text.clear();
+        for (const std::string& line : lines) text += line + "\n";
+        break;
+      }
+      default: {  // delete a random span
+        if (text.empty()) break;
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(text.size()) - 1));
+        const auto len = static_cast<std::size_t>(rng.uniform_int(1, 12));
+        text.erase(at, len);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
 TEST(FuzzSetDecl, RandomMutationsNeverCrashOrMisThrow) {
   Xoshiro256 rng(20260808);
-  const std::string seed = kSeedDecl;
   static const std::string garbage_pool =
       std::string("\0\x01\x7f\xc3\xa9\xe2\x82\xac[]=# \t\n-+.e0129xX/", 26);
   int parsed = 0, rejected = 0;
   for (int trial = 0; trial < 3000; ++trial) {
-    std::string text = seed;
-    const int edits = rng.uniform_int(1, 4);
-    for (int e = 0; e < edits; ++e) {
-      switch (rng.uniform_int(0, 4)) {
-        case 0: {  // flip/overwrite one byte
-          if (text.empty()) break;
-          const auto at = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(text.size()) - 1));
-          text[at] = garbage_pool[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<int>(garbage_pool.size()) - 1))];
-          break;
-        }
-        case 1: {  // insert a garbage byte
-          const auto at = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(text.size())));
-          text.insert(at, 1,
-                      garbage_pool[static_cast<std::size_t>(rng.uniform_int(
-                          0, static_cast<int>(garbage_pool.size()) - 1))]);
-          break;
-        }
-        case 2: {  // truncate at a random point
-          text.resize(static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(text.size()))));
-          break;
-        }
-        case 3: {  // duplicate a random line (dup-key pressure)
-          std::vector<std::string> lines;
-          std::size_t start = 0;
-          while (start < text.size()) {
-            std::size_t eol = text.find('\n', start);
-            if (eol == std::string::npos) eol = text.size();
-            lines.push_back(text.substr(start, eol - start));
-            start = eol + 1;
-          }
-          if (lines.empty()) break;
-          const auto which = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(lines.size()) - 1));
-          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(which),
-                       lines[which]);
-          text.clear();
-          for (const std::string& line : lines) text += line + "\n";
-          break;
-        }
-        default: {  // delete a random span
-          if (text.empty()) break;
-          const auto at = static_cast<std::size_t>(
-              rng.uniform_int(0, static_cast<int>(text.size()) - 1));
-          const auto len = static_cast<std::size_t>(rng.uniform_int(1, 12));
-          text.erase(at, len);
-          break;
-        }
-      }
-    }
+    const std::string text = mutate(kSeedDecl, rng, garbage_pool);
     rv::engine::SetDecl decl;
     try {
       decl = rv::engine::parse_set_decl(text);
@@ -670,6 +679,34 @@ TEST(FuzzSetDecl, CorruptValuesErrorInsteadOfMisParsing) {
   EXPECT_THROW((void)rv::engine::parse_set_decl(
                    "[gather]\nsizes = 99999999999999999999\n"),
                rv::engine::SetDeclError);
+}
+
+// rv_serve request headers: a mutated header parses or fails with the
+// "parse" ServeError; any other exception would escape the daemon.
+TEST(FuzzServeRequest, RandomMutationsParseOrFailWithParseError) {
+  Xoshiro256 rng(20261017);
+  const std::string seeds[] = {
+      R"({"op":"run","id":"a","set":"gather-fleet","format":"json",)"
+      R"("deadline_ms":12.5,"partial":true})",
+      R"({"op":"run","set":"gather-fleet","deadline_ms":1e999})",
+      R"({"op":"run","body_bytes":)" + std::string(400, '9') + "}",
+      R"({"op":"status","id":"s"})",
+  };
+  static const std::string pool =
+      std::string("\0\x01\x7f\xc3\xa9{}[]:,\"\\ -+.eE0159", 23);
+  int parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string text = mutate(seeds[trial % 4], rng, pool);
+    try {
+      (void)rv::engine::serve::parse_request(text);
+      ++parsed;
+    } catch (const rv::engine::serve::ServeError& error) {
+      ASSERT_EQ(error.code(), "parse") << text;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(FuzzPaths, RandomPathsAreAlwaysContinuousAndClamped) {

@@ -294,17 +294,27 @@ TEST(ArgsTest, MissingValueThrows) {
 }
 
 TEST(ArgsTest, MalformedNumbersThrow) {
-  Args args;
-  args.declare_double("x", 1.0, "value");
-  args.declare_int("n", 1, "count");
-  const char* argv[] = {"prog", "--x", "1.5abc"};
-  args.parse(3, argv);
-  EXPECT_THROW((void)args.get_double("x"), std::invalid_argument);
-  const char* argv2[] = {"prog", "--n", "7.5"};
-  Args args2;
-  args2.declare_int("n", 1, "count");
-  args2.parse(3, argv2);
-  EXPECT_THROW((void)args2.get_int("n"), std::invalid_argument);
+  // Every conversion failure is an invalid_argument naming the flag.
+  const auto message = [](const std::string& flag, const char* value) {
+    Args args;
+    args.declare_int("n", 1, "count");
+    args.declare_double("x", 1.0, "value");
+    const char* argv[] = {"prog", flag.c_str(), value};
+    args.parse(3, argv);
+    try {
+      (void)(flag == "--x" ? args.get_double("x") : args.get_int("n"));
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no-error");
+  };
+  EXPECT_EQ(message("--x", "1.5abc"), "Args: malformed number for --x");
+  EXPECT_EQ(message("--x", "abc"), "Args: malformed number for --x");
+  EXPECT_EQ(message("--x", "1e999"), "Args: number out of range for --x");
+  EXPECT_EQ(message("--n", "7.5"), "Args: malformed integer for --n");
+  EXPECT_EQ(message("--n", "abc"), "Args: malformed integer for --n");
+  EXPECT_EQ(message("--n", "99999999999999999999"),
+            "Args: integer out of range for --n");
 }
 
 TEST(ArgsTest, TypeMismatchThrows) {

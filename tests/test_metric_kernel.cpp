@@ -1,31 +1,26 @@
-// Property tests for the near-linear metric kernels: on randomized and
-// degenerate fleets the grid closest-pair and calipers diameter must
-// return the exact same metric value (bitwise) and the exact same
-// extremal pair — including the lexicographic tie-break order — as the
-// historical brute-force hypot loop; the O(n) top-two-speeds Lipschitz
-// bound must equal the O(n²) pair maximum; and SweepOptions must
-// reject non-finite knobs.
+// Property tests for the pairwise metric kernel: on randomized and
+// degenerate fleets the squared-distance pair loop must return the
+// exact same metric value (bitwise) and the exact same extremal pair —
+// including the lexicographic tie-break order — as the historical
+// hypot loop; the O(n) top-two-speeds Lipschitz bound must equal the
+// O(n²) pair maximum; and SweepOptions must reject non-finite knobs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "engine/contact_sweep.hpp"
 #include "engine/metric_kernel.hpp"
-#include "geom/closest_pair.hpp"
-#include "geom/convex_hull.hpp"
 #include "geom/vec2.hpp"
 #include "mathx/constants.hpp"
 #include "rendezvous/algorithm7.hpp"
 
 namespace {
 
-using rv::engine::KernelChoice;
 using rv::engine::max_pairwise;
 using rv::engine::min_pairwise;
 using rv::geom::ExtremalPair;
@@ -56,13 +51,16 @@ struct Lcg {
 // attaining pair wins).
 // ---------------------------------------------------------------------------
 
-ExtremalPair oracle_min(const std::vector<Vec2>& pts) {
-  double best = std::numeric_limits<double>::infinity();
+template <rv::geom::ExtremalSense Sense>
+ExtremalPair oracle(const std::vector<Vec2>& pts) {
+  constexpr bool kMin = Sense == rv::geom::ExtremalSense::kLess;
+  double best = kMin ? std::numeric_limits<double>::infinity()
+                     : -std::numeric_limits<double>::infinity();
   int bi = -1, bj = -1;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     for (std::size_t j = i + 1; j < pts.size(); ++j) {
       const double d = rv::geom::distance(pts[i], pts[j]);
-      if (d < best) {
+      if (kMin ? d < best : d > best) {
         best = d;
         bi = static_cast<int>(i);
         bj = static_cast<int>(j);
@@ -72,36 +70,14 @@ ExtremalPair oracle_min(const std::vector<Vec2>& pts) {
   return {best, bi, bj};
 }
 
-ExtremalPair oracle_max(const std::vector<Vec2>& pts) {
-  double worst = -std::numeric_limits<double>::infinity();
-  int bi = -1, bj = -1;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    for (std::size_t j = i + 1; j < pts.size(); ++j) {
-      const double d = rv::geom::distance(pts[i], pts[j]);
-      if (d > worst) {
-        worst = d;
-        bi = static_cast<int>(i);
-        bj = static_cast<int>(j);
-      }
-    }
-  }
-  return {worst, bi, bj};
-}
-
 void expect_matches_oracle(const std::vector<Vec2>& pts, const char* what) {
-  const ExtremalPair omin = oracle_min(pts);
-  const ExtremalPair omax = oracle_max(pts);
-  for (const KernelChoice choice :
-       {KernelChoice::kAuto, KernelChoice::kBruteForce,
-        KernelChoice::kGeometric}) {
-    const ExtremalPair kmin = min_pairwise(pts, choice);
-    EXPECT_EQ(omin.distance, kmin.distance) << what;
-    EXPECT_EQ(omin.i, kmin.i) << what;
-    EXPECT_EQ(omin.j, kmin.j) << what;
-    const ExtremalPair kmax = max_pairwise(pts, choice);
-    EXPECT_EQ(omax.distance, kmax.distance) << what;
-    EXPECT_EQ(omax.i, kmax.i) << what;
-    EXPECT_EQ(omax.j, kmax.j) << what;
+  using rv::geom::ExtremalSense;
+  for (const auto& [want, got] :
+       {std::pair{oracle<ExtremalSense::kLess>(pts), min_pairwise(pts)},
+        std::pair{oracle<ExtremalSense::kGreater>(pts), max_pairwise(pts)}}) {
+    EXPECT_EQ(want.distance, got.distance) << what;
+    EXPECT_EQ(want.i, got.i) << what;
+    EXPECT_EQ(want.j, got.j) << what;
   }
 }
 
@@ -147,7 +123,7 @@ std::vector<Vec2> ring(int n, double phase) {
   return pts;
 }
 
-/// Injects exact duplicates (including of hull vertices) into a cloud.
+/// Injects exact duplicates into a cloud.
 std::vector<Vec2> with_duplicates(Lcg& rng, std::vector<Vec2> pts) {
   const int m = static_cast<int>(pts.size());
   for (int i = 0; i < m / 2; ++i) {
@@ -210,9 +186,9 @@ TEST(MetricKernel, MatchesOracleWithCoincidentRobots) {
   expect_matches_oracle(all_same, "all-coincident");
 }
 
-TEST(MetricKernel, MatchesOracleOnDegenerateHulls) {
-  // 2-point degenerate hull: the whole fleet on one segment, exact
-  // endpoints, interior points at safe fractions.
+TEST(MetricKernel, MatchesOracleOnDegenerateSegments) {
+  // The whole fleet on one segment: exact endpoints, interior points at
+  // safe fractions.
   Lcg rng(0xFACEULL);
   const Vec2 a{-3.0, 1.0}, b{5.0, -2.0};
   for (const int n : {2, 3, 50, 130}) {
@@ -223,7 +199,7 @@ TEST(MetricKernel, MatchesOracleOnDegenerateHulls) {
     expect_matches_oracle(pts, "segment");
   }
   // Two robots only (the paper's rendezvous case) — must stay
-  // bit-exact through every kernel.
+  // bit-exact.
   expect_matches_oracle({Vec2{0.1, 0.2}, Vec2{-1.0, 0.7}}, "two-robot");
   expect_matches_oracle({Vec2{0.1, 0.2}, Vec2{0.1, 0.2}}, "two-coincident");
 }
@@ -231,67 +207,6 @@ TEST(MetricKernel, MatchesOracleOnDegenerateHulls) {
 TEST(MetricKernel, RejectsDegenerateInputs) {
   EXPECT_THROW((void)min_pairwise({}), std::invalid_argument);
   EXPECT_THROW((void)max_pairwise({Vec2{0, 0}}), std::invalid_argument);
-  EXPECT_THROW((void)rv::geom::closest_pair({Vec2{0, 0}}),
-               std::invalid_argument);
-  EXPECT_THROW((void)rv::geom::hull_diameter({Vec2{0, 0}}),
-               std::invalid_argument);
-}
-
-TEST(ConvexHull, RecoversSquareAndDropsInteriorPoints) {
-  const std::vector<Vec2> pts{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5},
-                              {0.25, 0.5}, {0.5, 0.25}};
-  const std::vector<int> hull = rv::geom::convex_hull(pts);
-  EXPECT_EQ(hull, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(ConvexHull, CollinearCollapsesToEndpointsAndDuplicatesToMinIndex) {
-  const std::vector<Vec2> line{{0, 0}, {1, 1}, {2, 2}, {3, 3}, {1, 1}};
-  EXPECT_EQ(rv::geom::convex_hull(line), (std::vector<int>{0, 3}));
-  const std::vector<Vec2> dupes{{1, 1}, {0, 0}, {1, 1}, {0, 0}};
-  EXPECT_EQ(rv::geom::convex_hull(dupes), (std::vector<int>{1, 0}));
-}
-
-// ---------------------------------------------------------------------------
-// Sweep-level equivalence above the cutover
-// ---------------------------------------------------------------------------
-
-TEST(MetricKernel, SweepResultsIdenticalAcrossKernelsAboveCutover) {
-  // A 60-robot fleet (above kKernelCutover) swept with each kernel
-  // choice: every field of the result — event, time, metric, pair,
-  // eval and segment counts — must be identical, because the kernels
-  // return identical metric values at every evaluation.
-  auto run_with = [](rv::engine::SweepMetric metric, KernelChoice choice) {
-    std::vector<rv::engine::RobotSpec> robots;
-    const int n = 60;
-    for (int i = 0; i < n; ++i) {
-      rv::geom::RobotAttributes attrs;
-      attrs.speed = 1.0 + 0.1 * (i % 7);
-      robots.push_back({rv::rendezvous::make_rendezvous_program(), attrs,
-                        rv::geom::polar(1.0, rv::mathx::kTwoPi * i / n)});
-    }
-    rv::engine::SweepOptions opts;
-    opts.visibility = 0.05;
-    opts.max_time = 30.0;
-    opts.kernel = choice;
-    rv::engine::ContactSweep sweep(std::move(robots), metric, opts);
-    return sweep.run();
-  };
-  for (const auto metric : {rv::engine::SweepMetric::kMinPairwise,
-                            rv::engine::SweepMetric::kMaxPairwise}) {
-    const auto brute = run_with(metric, KernelChoice::kBruteForce);
-    const auto geo = run_with(metric, KernelChoice::kGeometric);
-    const auto adaptive = run_with(metric, KernelChoice::kAuto);
-    for (const auto* res : {&geo, &adaptive}) {
-      EXPECT_EQ(brute.event, res->event);
-      EXPECT_EQ(brute.time, res->time);
-      EXPECT_EQ(brute.metric, res->metric);
-      EXPECT_EQ(brute.best_metric, res->best_metric);
-      EXPECT_EQ(brute.pair_i, res->pair_i);
-      EXPECT_EQ(brute.pair_j, res->pair_j);
-      EXPECT_EQ(brute.evals, res->evals);
-      EXPECT_EQ(brute.segments, res->segments);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

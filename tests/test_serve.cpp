@@ -460,6 +460,11 @@ TEST_F(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
       {R"({"op":"run","set":"x","format":"xml"})", "parse"},
       {R"({"op":"status","set":"x"})", "parse"},          // run-only key
       {R"({"op":"run","set":"no-such-set"})", "bad-set"},
+      // Numbers outside double range: overflow, underflow, 400 digits.
+      {R"({"op":"run","set":"x","deadline_ms":1e999})", "parse"},
+      {R"({"op":"run","set":"x","deadline_ms":1e-999})", "parse"},
+      {R"({"op":"run","body_bytes":)" + std::string(400, '9') + "}",
+       "parse"},
   };
   for (const auto& [line, code] : cases) {
     const Frame reply = roundtrip(daemon, line);
@@ -858,6 +863,10 @@ TEST(ServeRequestParse, StrictHeaderGrammar) {
   EXPECT_EQ(code(R"({"op":"run","set":""})"), "parse");
   EXPECT_EQ(code(""), "parse");
   EXPECT_EQ(code(R"({"op":"run","set":"s")"), "parse");  // unterminated
+  EXPECT_EQ(code(R"({"op":"run","set":"s","deadline_ms":1e999})"), "parse");
+  EXPECT_EQ(code(R"({"op":"run","set":"s","deadline_ms":1e-999})"), "parse");
+  EXPECT_EQ(code(R"({"op":"run","body_bytes":)" + std::string(400, '9') + "}"),
+            "parse");
 }
 
 TEST(ServeFrame, RoundTripsThroughReadFrame) {

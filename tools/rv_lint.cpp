@@ -21,8 +21,8 @@
 //                        all randomness must flow through the seeded
 //                        deterministic engine rng.
 //   float-type           the `float` type inside src/engine and
-//                        src/geom: the certified sweep and kernels are
-//                        double-only; a narrowing anywhere in those
+//                        src/geom: the certified sweep and its metric
+//                        kernel are double-only; a narrowing in those
 //                        paths silently changes certified bytes.
 //   stdout-write         std::cout / printf / puts / putchar / fwrite /
 //                        fputs / `stdout` / STDOUT_FILENO in library

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       .visibility(0.25)
       .algorithm(rendezvous::AlgorithmChoice::kAlgorithm7)
       .max_time(horizon);
-  const std::vector<engine::LabeledScenario> cells = set.materialize();
+  const std::vector<engine::WorkItem> work = set.materialize_work();
 
   // Theory-only mode never simulates; otherwise the runner fans the
   // grid out across cores.
@@ -65,15 +65,15 @@ int main(int argc, char** argv) {
   if (!quick) {
     engine::RunnerOptions ropts;
     ropts.threads = static_cast<unsigned>(args.get_int("threads"));
-    results = engine::run_scenarios(cells, ropts);
+    results = engine::run_scenarios(work, ropts);
   }
 
   io::Table table({"v", "tau", "phi", "chi", "verdict", "why",
                    quick ? "mu / det" : "simulated"});
   int feasible_cells = 0, infeasible_cells = 0;
 
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const geom::RobotAttributes& a = cells[i].scenario.attrs;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const geom::RobotAttributes& a = work[i].scenario.attrs;
     const auto cls = rendezvous::classify(a);
     const bool ok = rendezvous::is_feasible(cls);
     (ok ? feasible_cells : infeasible_cells)++;

@@ -130,6 +130,9 @@ LinearOutcome run_linear_cell(const LinearCell& cell) {
                                      linear::to_planar(cell.attrs));
       return out;
     case LinearMode::kRendezvous:
+      if (cell.target == 0.0) {
+        throw std::invalid_argument("run_linear_cell: robots must start apart");
+      }
       out.feasible = linear::linear_rendezvous_feasible(cell.attrs);
       out.sim = sim::simulate_rendezvous(
           [] { return linear::make_linear_rendezvous_program(); },

@@ -386,20 +386,6 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
   return result;
 }
 
-ResultSet run_scenarios(const std::vector<LabeledScenario>& scenarios,
-                        RunnerOptions options) {
-  std::vector<WorkItem> work;
-  work.reserve(scenarios.size());
-  for (const LabeledScenario& ls : scenarios) {
-    WorkItem item;
-    item.family = Family::kRendezvous;
-    item.label = ls.label;
-    item.scenario = ls.scenario;
-    work.push_back(std::move(item));
-  }
-  return run_scenarios(work, options);
-}
-
 ResultSet run_scenarios(const ScenarioSet& set, RunnerOptions options) {
   return run_scenarios(set.materialize_work(), options);
 }

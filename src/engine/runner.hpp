@@ -198,8 +198,4 @@ class ResultSet {
 [[nodiscard]] ResultSet run_scenarios(const std::vector<WorkItem>& work,
                                       RunnerOptions options = {});
 
-/// Same, for a rendezvous-only list.
-[[nodiscard]] ResultSet run_scenarios(
-    const std::vector<LabeledScenario>& scenarios, RunnerOptions options = {});
-
 }  // namespace rv::engine

@@ -9,21 +9,24 @@
 /// grid of search instances evaluated over a target-angle ring, a list
 /// of gathering fleets on origin rings, a (d, r) grid of 1-D cells, or
 /// a (program, R, r) grid of swept-area cells.  `ScenarioSet` captures
-/// all of them as *data*: axes, base cells, and per-cell hooks
-/// (horizon rules, filters, labellers, component times) per family.
+/// all of them as *data*.  Each family is one block of the same shape:
+/// its explicitly added cells, a base cell, whether a grid is declared,
+/// and the per-cell hooks (horizon rule, filter, labeller, component
+/// times); only the grid axes differ between families.
 ///
 /// Materialisation order is fixed and documented so the output of every
-/// downstream table/CSV is deterministic:
-///   1. explicitly `add`ed rendezvous scenarios, then the rendezvous
-///      grid (speeds ⊃ time_units ⊃ orientations ⊃ chiralities ⊃
-///      offsets, speeds outermost);
-///   2. explicitly `add_search`ed cells, then the search grid
-///      (search_distances ⊃ search_radii ⊃ search_programs);
-///   3. explicitly `add_gather`ed cells, then the gather size grid;
-///   4. explicitly `add_linear`ed cells, then the linear grid
-///      (linear_distances ⊃ linear_radii);
-///   5. explicitly `add_coverage`d cells, then the coverage grid
-///      (coverage_programs ⊃ coverage_disk_radii ⊃ coverage_radii).
+/// downstream table/CSV is deterministic.  Families come in the order
+/// below; within each, the explicit adds (in insertion order) precede
+/// the grid, whose axes nest outermost first:
+///   1. rendezvous: speeds ⊃ time_units ⊃ orientations ⊃ chiralities ⊃
+///      offsets;
+///   2. search: search_distances ⊃ search_radii ⊃ search_programs;
+///   3. gather: gather_sizes;
+///   4. linear: linear_distances ⊃ linear_radii;
+///   5. coverage: coverage_programs ⊃ coverage_disk_radii ⊃
+///      coverage_radii.
+/// Every cell, explicit or grid, then passes through one emit step:
+/// filter, then horizon, then label, then component times.
 ///
 /// Run a set with `engine::run_scenarios` (runner.hpp), which fans the
 /// work items out across a thread pool and aggregates the outcomes.
@@ -38,27 +41,20 @@
 
 namespace rv::engine {
 
-/// One materialised rendezvous scenario plus its display label (the
-/// historical rendezvous-only view; `WorkItem` is the general form).
-struct LabeledScenario {
-  rendezvous::Scenario scenario;
-  std::string label;
-};
-
-/// Typed component-times hooks, one per family: given the cell and its
+/// Typed component-times hook of one family: given the cell and its
 /// outcome, return the named sub-metric values (see `Components` in
 /// engine/families.hpp).  For components-only sets the outcome is
 /// default-constructed — hooks that only need the cell just ignore it.
-using RendezvousComponentsFn = std::function<Components(
-    const rendezvous::Scenario&, const rendezvous::Outcome&)>;
-using SearchComponentsFn =
-    std::function<Components(const SearchCell&, const SearchOutcome&)>;
-using GatherComponentsFn =
-    std::function<Components(const GatherCell&, const GatherOutcome&)>;
-using LinearComponentsFn =
-    std::function<Components(const LinearCell&, const LinearOutcome&)>;
+template <class Cell, class Outcome>
+using FamilyComponentsFn =
+    std::function<Components(const Cell&, const Outcome&)>;
+using RendezvousComponentsFn =
+    FamilyComponentsFn<rendezvous::Scenario, rendezvous::Outcome>;
+using SearchComponentsFn = FamilyComponentsFn<SearchCell, SearchOutcome>;
+using GatherComponentsFn = FamilyComponentsFn<GatherCell, GatherOutcome>;
+using LinearComponentsFn = FamilyComponentsFn<LinearCell, LinearOutcome>;
 using CoverageComponentsFn =
-    std::function<Components(const CoverageCell&, const CoverageOutcome&)>;
+    FamilyComponentsFn<CoverageCell, CoverageOutcome>;
 
 /// A declarative multi-family grid/list of engine work.  All setters
 /// return *this for fluent declaration-style use.
@@ -120,8 +116,6 @@ class ScenarioSet {
   ScenarioSet& search_horizon(std::function<double(const SearchCell&)> fn);
   /// Keep-predicate over search cells (e.g. "bound applicable").
   ScenarioSet& search_filter(std::function<bool(const SearchCell&)> fn);
-  /// Label generator for search cells without an explicit label.
-  ScenarioSet& search_label(std::function<std::string(const SearchCell&)> fn);
   /// Component-times hook for search cells without their own.
   ScenarioSet& search_components(SearchComponentsFn fn);
 
@@ -133,17 +127,11 @@ class ScenarioSet {
                           GatherComponentsFn components = nullptr);
   /// Base cell for the gather size grid (ring, visibility, horizons).
   ScenarioSet& gather_base(GatherCell base_cell);
-  /// Grid axis over fleet sizes; each size is expanded through the
-  /// fleet builder (`gather_fleet`), or — when no builder is set — a
-  /// fleet of n reference robots.
+  /// Grid axis over fleet sizes; each size n becomes a fleet of n
+  /// reference robots.
   ScenarioSet& gather_sizes(std::vector<int> values);
-  /// Fleet builder for the size grid: n ↦ attributes of the n robots.
-  ScenarioSet& gather_fleet(
-      std::function<std::vector<geom::RobotAttributes>(int)> fleet_fn);
   /// Label generator for gather cells without an explicit label.
   ScenarioSet& gather_label(std::function<std::string(const GatherCell&)> fn);
-  /// Component-times hook for gather cells without their own.
-  ScenarioSet& gather_components(GatherComponentsFn fn);
 
   // --- linear family (1-D, [11]) ----------------------------------------
   /// Appends one explicit linear cell (kept before the linear grid, in
@@ -182,13 +170,9 @@ class ScenarioSet {
   ScenarioSet& coverage_radii(std::vector<double> values);
   /// Per-cell horizon rule (e.g. a multiple of the Theorem 1 time).
   ScenarioSet& coverage_horizon(std::function<double(const CoverageCell&)> fn);
-  /// Keep-predicate over coverage cells.
-  ScenarioSet& coverage_filter(std::function<bool(const CoverageCell&)> fn);
   /// Label generator for coverage cells without an explicit label.
   ScenarioSet& coverage_label(
       std::function<std::string(const CoverageCell&)> fn);
-  /// Component-times hook for coverage cells without their own.
-  ScenarioSet& coverage_components(CoverageComponentsFn fn);
 
   // --- set-wide knobs ---------------------------------------------------
   /// Marks every materialised cell components-only: the runner skips
@@ -202,68 +186,53 @@ class ScenarioSet {
   /// (the fixed materialisation order documented in the file comment).
   [[nodiscard]] std::vector<WorkItem> materialize_work() const;
 
-  /// Historical rendezvous-only view: the rendezvous items of
-  /// `materialize_work()`.  \throws std::logic_error if the set also
-  /// declares search, gather, linear or coverage cells, component
-  /// hooks, or `components_only()` — `LabeledScenario` cannot carry
-  /// those (use `materialize_work`).
-  [[nodiscard]] std::vector<LabeledScenario> materialize() const;
-
  private:
-  // rendezvous (explicit adds are stored as work items so per-cell
-  // component hooks ride along)
-  std::vector<WorkItem> explicit_;
+  /// Everything one family declares apart from its grid axes.  The
+  /// explicit cells carry their per-cell component hook already lifted
+  /// onto the record-level `ComponentsFn`.
+  template <class Cell, class Outcome>
+  struct Block {
+    struct Added {
+      Cell cell;
+      std::string label;
+      ComponentsFn components;
+    };
+    std::vector<Added> added;
+    Cell base;
+    bool has_grid = false;
+    std::function<double(const Cell&)> horizon;
+    std::function<bool(const Cell&)> keep;
+    std::function<std::string(const Cell&)> label;
+    FamilyComponentsFn<Cell, Outcome> components;
+  };
+
+  /// The emit step every family shares: appends the block's explicit
+  /// cells, then (when declared) the cells `grid` passes to the callback
+  /// it is given, each filtered, horizoned, labelled and given its
+  /// component hook.
+  template <class Cell, class Outcome, class Grid>
+  void emit(const Block<Cell, Outcome>& block, const Grid& grid,
+            std::vector<WorkItem>& out) const;
+
+  Block<rendezvous::Scenario, rendezvous::Outcome> rendezvous_;
   std::vector<double> speeds_;
   std::vector<double> time_units_;
   std::vector<double> orientations_;
   std::vector<int> chiralities_;
   std::vector<geom::Vec2> offsets_;
-  rendezvous::Scenario base_;
-  bool has_grid_ = false;
-  std::function<double(const rendezvous::Scenario&)> horizon_fn_;
-  std::function<bool(const rendezvous::Scenario&)> keep_fn_;
-  std::function<std::string(const rendezvous::Scenario&)> label_fn_;
-  RendezvousComponentsFn components_fn_;
-  // search
-  std::vector<WorkItem> explicit_search_;
-  SearchCell search_base_;
+  Block<SearchCell, SearchOutcome> search_;
   std::vector<double> search_distances_;
   std::vector<double> search_radii_;
   std::vector<SearchProgram> search_programs_;
-  bool has_search_grid_ = false;
-  std::function<double(const SearchCell&)> search_horizon_fn_;
-  std::function<bool(const SearchCell&)> search_keep_fn_;
-  std::function<std::string(const SearchCell&)> search_label_fn_;
-  SearchComponentsFn search_components_fn_;
-  // gather
-  std::vector<WorkItem> explicit_gather_;
-  GatherCell gather_base_;
+  Block<GatherCell, GatherOutcome> gather_;
   std::vector<int> gather_sizes_;
-  std::function<std::vector<geom::RobotAttributes>(int)> gather_fleet_fn_;
-  std::function<std::string(const GatherCell&)> gather_label_fn_;
-  GatherComponentsFn gather_components_fn_;
-  // linear
-  std::vector<WorkItem> explicit_linear_;
-  LinearCell linear_base_;
+  Block<LinearCell, LinearOutcome> linear_;
   std::vector<double> linear_distances_;
   std::vector<double> linear_radii_;
-  bool has_linear_grid_ = false;
-  std::function<double(const LinearCell&)> linear_horizon_fn_;
-  std::function<bool(const LinearCell&)> linear_keep_fn_;
-  std::function<std::string(const LinearCell&)> linear_label_fn_;
-  LinearComponentsFn linear_components_fn_;
-  // coverage
-  std::vector<WorkItem> explicit_coverage_;
-  CoverageCell coverage_base_;
+  Block<CoverageCell, CoverageOutcome> coverage_;
   std::vector<SearchProgram> coverage_programs_;
   std::vector<double> coverage_disk_radii_;
   std::vector<double> coverage_radii_;
-  bool has_coverage_grid_ = false;
-  std::function<double(const CoverageCell&)> coverage_horizon_fn_;
-  std::function<bool(const CoverageCell&)> coverage_keep_fn_;
-  std::function<std::string(const CoverageCell&)> coverage_label_fn_;
-  CoverageComponentsFn coverage_components_fn_;
-  // set-wide
   bool components_only_ = false;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -20,69 +21,81 @@ namespace {
 // Hook registries (named stand-ins for the built-in sets' C++ lambdas)
 // ---------------------------------------------------------------------------
 
-struct SearchHorizonRule {
-  const char* name;
-  double (*fn)(const SearchCell&);
+enum class HookKind { kHorizon, kComponents };
+
+/// The grid-section key that names a hook of each kind, and how error
+/// texts call it.
+struct HookKey {
+  HookKind kind;
+  const char* key;
+  const char* what;
 };
-constexpr SearchHorizonRule kSearchHorizonRules[] = {
-    {"guaranteed-rounds+1",
-     [](const SearchCell& c) {
-       return search::time_first_rounds(
-                  search::guaranteed_round(c.distance, c.visibility)) +
-              1.0;
+constexpr HookKey kHookKeys[] = {
+    {HookKind::kHorizon, "horizon_rule", "horizon rule"},
+    {HookKind::kComponents, "components", "components hook"},
+};
+
+/// One named hook: `install` sets it on a set's `family` block.
+struct Hook {
+  Family family;
+  HookKind kind;
+  const char* name;
+  void (*install)(ScenarioSet&);
+};
+
+constexpr Hook kHooks[] = {
+    {Family::kSearch, HookKind::kHorizon, "guaranteed-rounds+1",
+     [](ScenarioSet& set) {
+       set.search_horizon([](const SearchCell& c) {
+         return search::time_first_rounds(
+                    search::guaranteed_round(c.distance, c.visibility)) +
+                1.0;
+       });
+     }},
+    {Family::kSearch, HookKind::kComponents, "guaranteed-rounds",
+     [](ScenarioSet& set) {
+       set.search_components([](const SearchCell& c, const SearchOutcome&) {
+         const int round = search::guaranteed_round(c.distance, c.visibility);
+         return Components{
+             {"guaranteed_round", static_cast<double>(round)},
+             {"round_time_bound", search::time_first_rounds(round)},
+         };
+       });
+     }},
+    {Family::kLinear, HookKind::kHorizon, "zigzag-reach+1",
+     [](ScenarioSet& set) {
+       set.linear_horizon([](const LinearCell& c) {
+         return c.mode == LinearMode::kZigZagSearch
+                    ? linear::zigzag_reach_bound(c.target) + 1.0
+                    : c.max_time;
+       });
+     }},
+    {Family::kLinear, HookKind::kComponents, "zigzag-reach",
+     [](ScenarioSet& set) {
+       set.linear_components([](const LinearCell& c, const LinearOutcome&) {
+         return Components{
+             {"reach_bound", linear::zigzag_reach_bound(c.target)}};
+       });
+     }},
+    {Family::kCoverage, HookKind::kHorizon, "2x-guaranteed-rounds",
+     [](ScenarioSet& set) {
+       set.coverage_horizon([](const CoverageCell& c) {
+         return 2.0 * search::time_first_rounds(search::guaranteed_round(
+                          c.disk_radius, c.visibility));
+       });
      }},
 };
 
-struct LinearHorizonRule {
-  const char* name;
-  double (*fn)(const LinearCell&);
-};
-constexpr LinearHorizonRule kLinearHorizonRules[] = {
-    {"zigzag-reach+1",
-     [](const LinearCell& c) {
-       return c.mode == LinearMode::kZigZagSearch
-                  ? linear::zigzag_reach_bound(c.target) + 1.0
-                  : c.max_time;
-     }},
-};
-
-struct CoverageHorizonRule {
-  const char* name;
-  double (*fn)(const CoverageCell&);
-};
-constexpr CoverageHorizonRule kCoverageHorizonRules[] = {
-    {"2x-guaranteed-rounds",
-     [](const CoverageCell& c) {
-       return 2.0 * search::time_first_rounds(search::guaranteed_round(
-                        c.disk_radius, c.visibility));
-     }},
-};
-
-struct SearchComponentsHook {
-  const char* name;
-  Components (*fn)(const SearchCell&, const SearchOutcome&);
-};
-constexpr SearchComponentsHook kSearchComponentsHooks[] = {
-    {"guaranteed-rounds",
-     [](const SearchCell& c, const SearchOutcome&) {
-       const int round = search::guaranteed_round(c.distance, c.visibility);
-       return Components{
-           {"guaranteed_round", static_cast<double>(round)},
-           {"round_time_bound", search::time_first_rounds(round)},
-       };
-     }},
-};
-
-struct LinearComponentsHook {
-  const char* name;
-  Components (*fn)(const LinearCell&, const LinearOutcome&);
-};
-constexpr LinearComponentsHook kLinearComponentsHooks[] = {
-    {"zigzag-reach",
-     [](const LinearCell& c, const LinearOutcome&) {
-       return Components{{"reach_bound", linear::zigzag_reach_bound(c.target)}};
-     }},
-};
+[[nodiscard]] std::vector<std::string> hook_names(Family family,
+                                                  HookKind kind) {
+  std::vector<std::string> names;
+  for (const Hook& hook : kHooks) {
+    if (hook.family == family && hook.kind == kind) {
+      names.push_back(hook.name);
+    }
+  }
+  return names;
+}
 
 // ---------------------------------------------------------------------------
 // Lexing helpers
@@ -423,6 +436,45 @@ class Keys {
   return out;
 }
 
+/// Takes the `horizon_rule` and `components` keys of a grid section —
+/// each only for a family that has hooks of that kind — and installs
+/// the registry hooks they name.  True when any hook was given.
+bool take_hooks(Keys& keys, Family family, ScenarioSet& set) {
+  bool any_hook = false;
+  for (const HookKey& hook_key : kHookKeys) {
+    const auto of_kind = [&](const Hook& hook) {
+      return hook.family == family && hook.kind == hook_key.kind;
+    };
+    if (std::none_of(std::begin(kHooks), std::end(kHooks), of_kind)) continue;
+    const std::optional<KeyValue> kv = keys.take(hook_key.key);
+    if (!kv) continue;
+    const Hook* match = std::find_if(
+        std::begin(kHooks), std::end(kHooks), [&](const Hook& hook) {
+          return of_kind(hook) && kv->value == hook.name;
+        });
+    if (match == std::end(kHooks)) {
+      throw SetDeclError(
+          kv->line, hook_key.key,
+          std::string("unknown ") + family_name(family) + " " + hook_key.what +
+              " '" + kv->value + "' (valid: " +
+              join_names(hook_names(family, hook_key.kind)) + ")");
+    }
+    match->install(set);
+    any_hook = true;
+  }
+  return any_hook;
+}
+
+/// The `label` key of a `[family.add]` section; grid sections have none.
+[[nodiscard]] std::string take_label(Keys& keys, bool add) {
+  std::string label;
+  if (add) {
+    keys.apply("label", label,
+               [](const KeyValue& kv, const std::string&) { return kv.value; });
+  }
+  return label;
+}
+
 void apply_attrs(Keys& keys, geom::RobotAttributes& attrs) {
   keys.apply("speed", attrs.speed, to_double);
   keys.apply("time_unit", attrs.time_unit, to_double);
@@ -442,11 +494,7 @@ void apply_attrs(Keys& keys, geom::RobotAttributes& attrs) {
 
 void apply_rendezvous(Section& section, bool add, ScenarioSet& set) {
   Keys keys(section);
-  std::string label;
-  if (add) keys.apply("label", label, [](const KeyValue& kv,
-                                         const std::string&) {
-    return kv.value;
-  });
+  std::string label = take_label(keys, add);
   rendezvous::Scenario cell = parse_rendezvous_cell(keys);
   if (add) {
     keys.finish();
@@ -511,11 +559,7 @@ void apply_rendezvous(Section& section, bool add, ScenarioSet& set) {
 
 void apply_search(Section& section, bool add, ScenarioSet& set) {
   Keys keys(section);
-  std::string label;
-  if (add) keys.apply("label", label, [](const KeyValue& kv,
-                                         const std::string&) {
-    return kv.value;
-  });
+  std::string label = take_label(keys, add);
   SearchCell cell = parse_search_cell(keys);
   if (add) {
     keys.apply("targets", cell.targets, to_pair_list);
@@ -538,39 +582,7 @@ void apply_search(Section& section, bool add, ScenarioSet& set) {
     set.search_programs(programs);
     any_axis = true;
   }
-  bool any_hook = false;
-  if (const std::optional<KeyValue> rule = keys.take("horizon_rule")) {
-    for (const SearchHorizonRule& entry : kSearchHorizonRules) {
-      if (rule->value == entry.name) {
-        set.search_horizon(entry.fn);
-        any_hook = true;
-        break;
-      }
-    }
-    if (!any_hook) {
-      throw SetDeclError(
-          rule->line, "horizon_rule",
-          "unknown search horizon rule '" + rule->value + "' (valid: " +
-              join_names(horizon_rule_names(Family::kSearch)) + ")");
-    }
-  }
-  if (const std::optional<KeyValue> hook = keys.take("components")) {
-    bool found = false;
-    for (const SearchComponentsHook& entry : kSearchComponentsHooks) {
-      if (hook->value == entry.name) {
-        set.search_components(entry.fn);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw SetDeclError(
-          hook->line, "components",
-          "unknown search components hook '" + hook->value + "' (valid: " +
-              join_names(components_hook_names(Family::kSearch)) + ")");
-    }
-    any_hook = true;
-  }
+  const bool any_hook = take_hooks(keys, Family::kSearch, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -612,11 +624,7 @@ void apply_search(Section& section, bool add, ScenarioSet& set) {
 
 void apply_gather(Section& section, bool add, ScenarioSet& set) {
   Keys keys(section);
-  std::string label;
-  if (add) keys.apply("label", label, [](const KeyValue& kv,
-                                         const std::string&) {
-    return kv.value;
-  });
+  std::string label = take_label(keys, add);
   GatherCell cell = parse_gather_cell(keys);
   if (add) {
     keys.finish();
@@ -642,8 +650,15 @@ void apply_gather(Section& section, bool add, ScenarioSet& set) {
     throw SetDeclError(section.line, "",
                        "[gather] declares no grid axis (expected: sizes)");
   }
+  std::vector<int> fleet_sizes = to_int_list(*sizes, "sizes");
+  for (const int n : fleet_sizes) {
+    if (n < 2) {
+      throw SetDeclError(sizes->line, "sizes",
+                         "gather size must be >= 2, got " + std::to_string(n));
+    }
+  }
   set.gather_base(std::move(cell));
-  set.gather_sizes(to_int_list(*sizes, "sizes"));
+  set.gather_sizes(std::move(fleet_sizes));
 }
 
 [[nodiscard]] LinearCell parse_linear_cell(Keys& keys) {
@@ -660,11 +675,7 @@ void apply_gather(Section& section, bool add, ScenarioSet& set) {
 
 void apply_linear(Section& section, bool add, ScenarioSet& set) {
   Keys keys(section);
-  std::string label;
-  if (add) keys.apply("label", label, [](const KeyValue& kv,
-                                         const std::string&) {
-    return kv.value;
-  });
+  std::string label = take_label(keys, add);
   LinearCell cell = parse_linear_cell(keys);
   if (add) {
     keys.finish();
@@ -681,41 +692,7 @@ void apply_linear(Section& section, bool add, ScenarioSet& set) {
     set.linear_radii(values);
     any_axis = true;
   }
-  bool any_hook = false;
-  if (const std::optional<KeyValue> rule = keys.take("horizon_rule")) {
-    bool found = false;
-    for (const LinearHorizonRule& entry : kLinearHorizonRules) {
-      if (rule->value == entry.name) {
-        set.linear_horizon(entry.fn);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw SetDeclError(
-          rule->line, "horizon_rule",
-          "unknown linear horizon rule '" + rule->value + "' (valid: " +
-              join_names(horizon_rule_names(Family::kLinear)) + ")");
-    }
-    any_hook = true;
-  }
-  if (const std::optional<KeyValue> hook = keys.take("components")) {
-    bool found = false;
-    for (const LinearComponentsHook& entry : kLinearComponentsHooks) {
-      if (hook->value == entry.name) {
-        set.linear_components(entry.fn);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw SetDeclError(
-          hook->line, "components",
-          "unknown linear components hook '" + hook->value + "' (valid: " +
-              join_names(components_hook_names(Family::kLinear)) + ")");
-    }
-    any_hook = true;
-  }
+  const bool any_hook = take_hooks(keys, Family::kLinear, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -739,11 +716,7 @@ void apply_linear(Section& section, bool add, ScenarioSet& set) {
 
 void apply_coverage(Section& section, bool add, ScenarioSet& set) {
   Keys keys(section);
-  std::string label;
-  if (add) keys.apply("label", label, [](const KeyValue& kv,
-                                         const std::string&) {
-    return kv.value;
-  });
+  std::string label = take_label(keys, add);
   CoverageCell cell = parse_coverage_cell(keys);
   if (add) {
     keys.finish();
@@ -765,24 +738,7 @@ void apply_coverage(Section& section, bool add, ScenarioSet& set) {
     set.coverage_radii(values);
     any_axis = true;
   }
-  bool any_hook = false;
-  if (const std::optional<KeyValue> rule = keys.take("horizon_rule")) {
-    bool found = false;
-    for (const CoverageHorizonRule& entry : kCoverageHorizonRules) {
-      if (rule->value == entry.name) {
-        set.coverage_horizon(entry.fn);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw SetDeclError(
-          rule->line, "horizon_rule",
-          "unknown coverage horizon rule '" + rule->value + "' (valid: " +
-              join_names(horizon_rule_names(Family::kCoverage)) + ")");
-    }
-    any_hook = true;
-  }
+  const bool any_hook = take_hooks(keys, Family::kCoverage, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -853,7 +809,8 @@ SetDecl parse_set_decl(std::string_view text) {
   }
 
   bool any_section = false;
-  bool grid_seen[5] = {false, false, false, false, false};
+  constexpr std::size_t kFamilyCount = std::variant_size_v<CellOutcome>;
+  bool grid_seen[kFamilyCount] = {};
   for (std::size_t i = 1; i < sections.size(); ++i) {
     Section& section = sections[i];
     std::string family = section.header;
@@ -869,14 +826,11 @@ SetDecl parse_set_decl(std::string_view text) {
       }
       add = true;
     }
-    static const std::pair<const char*, Family> kFamilies[] = {
-        {"rendezvous", Family::kRendezvous}, {"search", Family::kSearch},
-        {"gather", Family::kGather},         {"linear", Family::kLinear},
-        {"coverage", Family::kCoverage},
-    };
     std::optional<Family> which;
-    for (const auto& [name, value] : kFamilies) {
-      if (family == name) which = value;
+    for (std::size_t f = 0; f < kFamilyCount; ++f) {
+      if (family == family_name(static_cast<Family>(f))) {
+        which = static_cast<Family>(f);
+      }
     }
     if (!which) {
       throw SetDeclError(section.line, "",
@@ -893,11 +847,7 @@ SetDecl parse_set_decl(std::string_view text) {
       }
       seen = true;
     }
-    if (!add && !section.robots.empty() && *which != Family::kGather) {
-      throw SetDeclError(section.robots.front().line, "robot",
-                         "'robot' lines belong in [gather.add] sections");
-    }
-    if (add && !section.robots.empty() && *which != Family::kGather) {
+    if (!section.robots.empty() && *which != Family::kGather) {
       throw SetDeclError(section.robots.front().line, "robot",
                          "'robot' lines belong in [gather.add] sections");
     }
@@ -957,39 +907,11 @@ SetDecl parse_set_decl_file(const std::filesystem::path& path) {
 }
 
 std::vector<std::string> horizon_rule_names(Family family) {
-  std::vector<std::string> names;
-  switch (family) {
-    case Family::kSearch:
-      for (const auto& rule : kSearchHorizonRules) names.push_back(rule.name);
-      break;
-    case Family::kLinear:
-      for (const auto& rule : kLinearHorizonRules) names.push_back(rule.name);
-      break;
-    case Family::kCoverage:
-      for (const auto& rule : kCoverageHorizonRules) names.push_back(rule.name);
-      break;
-    case Family::kRendezvous:
-    case Family::kGather:
-      break;
-  }
-  return names;
+  return hook_names(family, HookKind::kHorizon);
 }
 
 std::vector<std::string> components_hook_names(Family family) {
-  std::vector<std::string> names;
-  switch (family) {
-    case Family::kSearch:
-      for (const auto& hook : kSearchComponentsHooks) names.push_back(hook.name);
-      break;
-    case Family::kLinear:
-      for (const auto& hook : kLinearComponentsHooks) names.push_back(hook.name);
-      break;
-    case Family::kRendezvous:
-    case Family::kGather:
-    case Family::kCoverage:
-      break;
-  }
-  return names;
+  return hook_names(family, HookKind::kComponents);
 }
 
 }  // namespace rv::engine

@@ -360,7 +360,7 @@ TEST(ContactSweep, Validation) {
 TEST(ScenarioSet, GridCoversCrossProductInFixedOrder) {
   engine::ScenarioSet set;
   set.speeds({1.0, 2.0}).time_units({0.5, 1.0}).visibility(0.1);
-  const auto cells = set.materialize();
+  const auto cells = set.materialize_work();
   ASSERT_EQ(cells.size(), 4u);
   // speeds outermost, time_units next.
   EXPECT_EQ(cells[0].scenario.attrs.speed, 1.0);
@@ -389,7 +389,7 @@ TEST(ScenarioSet, ExplicitAddsPrecedeGridAndHooksApply) {
       .label([](const rendezvous::Scenario& s) {
         return "v=" + std::to_string(static_cast<int>(s.attrs.speed));
       });
-  const auto cells = set.materialize();
+  const auto cells = set.materialize_work();
   ASSERT_EQ(cells.size(), 3u);  // special + v=1 + v=3
   EXPECT_EQ(cells[0].label, "special");
   EXPECT_EQ(cells[0].scenario.max_time, 900.0);  // horizon hook applies
@@ -401,7 +401,7 @@ TEST(ScenarioSet, ExplicitAddsPrecedeGridAndHooksApply) {
 TEST(ScenarioSet, DistancesSugarSetsOffsetsOnXAxis) {
   engine::ScenarioSet set;
   set.distances({2.0, 5.0});
-  const auto cells = set.materialize();
+  const auto cells = set.materialize_work();
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].scenario.offset.x, 2.0);
   EXPECT_EQ(cells[0].scenario.offset.y, 0.0);
@@ -985,8 +985,6 @@ TEST(Families, MixedSetsRunTogetherAndEmitPerFamily) {
     EXPECT_NO_THROW((void)StrictJson::parse_rows(view.to_json()));
     EXPECT_EQ(io::parse_csv(view.to_csv()).size(), 2u);
   }
-  // The rendezvous-only materialize() view refuses multi-family sets.
-  EXPECT_THROW((void)set.materialize(), std::logic_error);
 }
 
 TEST(Families, ThreadCountDoesNotChangeFamilyEmission) {
@@ -1212,6 +1210,21 @@ TEST(Families, LinearCellsRunBothModes) {
   EXPECT_EQ(rows[2].at("met"), "false");
 }
 
+TEST(Families, LinearRendezvousRefusesZeroOffset) {
+  // Robots that start together have nothing to solve; the cell must
+  // not report a meeting at t = 0 for an infeasible pair.
+  engine::LinearCell cell;
+  cell.mode = engine::LinearMode::kRendezvous;
+  cell.target = 0.0;
+  EXPECT_THROW((void)engine::run_linear_cell(cell), std::invalid_argument);
+  engine::ScenarioSet set;
+  set.linear_distances({0.0});
+  EXPECT_THROW((void)engine::run_scenarios(set), std::invalid_argument);
+  // Zigzag search to the origin is still a valid cell.
+  cell.mode = engine::LinearMode::kZigZagSearch;
+  EXPECT_NO_THROW((void)engine::run_linear_cell(cell));
+}
+
 TEST(Families, LinearGridMaterializesWithHooks) {
   engine::LinearCell base;
   base.mode = engine::LinearMode::kZigZagSearch;
@@ -1236,8 +1249,6 @@ TEST(Families, LinearGridMaterializesWithHooks) {
   EXPECT_EQ(work[0].linear.max_time, 100.0);
   EXPECT_EQ(work[2].linear.target, 4.0);
   EXPECT_EQ(work[2].label, "d=4");
-  // The rendezvous-only view refuses linear sets.
-  EXPECT_THROW((void)set.materialize(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -1352,34 +1363,6 @@ TEST(Components, HookColumnsEmitAcrossAllFormats) {
   EXPECT_EQ(json[0].at("twice_d"), "2");
   // Table: one column per component.
   EXPECT_NE(results.to_table().to_ascii().find("worst_sq"), std::string::npos);
-}
-
-TEST(Components, RendezvousOnlyMaterializeRejectsComponentSets) {
-  // LabeledScenario cannot carry hooks or the components-only flag, so
-  // the historical view must refuse instead of silently dropping them.
-  engine::ScenarioSet with_hook;
-  with_hook.add(rendezvous::Scenario{});
-  with_hook.components([](const rendezvous::Scenario&,
-                          const rendezvous::Outcome&) {
-    return engine::Components{{"c", 1.0}};
-  });
-  EXPECT_THROW((void)with_hook.materialize(), std::logic_error);
-  EXPECT_NO_THROW((void)with_hook.materialize_work());
-
-  engine::ScenarioSet algebra;
-  algebra.components_only().add(rendezvous::Scenario{});
-  EXPECT_THROW((void)algebra.materialize(), std::logic_error);
-
-  engine::ScenarioSet per_cell;
-  per_cell.add(rendezvous::Scenario{}, "",
-               [](const rendezvous::Scenario&, const rendezvous::Outcome&) {
-                 return engine::Components{{"c", 1.0}};
-               });
-  EXPECT_THROW((void)per_cell.materialize(), std::logic_error);
-
-  engine::ScenarioSet plain;
-  plain.add(rendezvous::Scenario{});
-  EXPECT_NO_THROW((void)plain.materialize());
 }
 
 TEST(Components, MismatchedSchemasRejectEmission) {

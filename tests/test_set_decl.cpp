@@ -111,13 +111,34 @@ TEST(SetDeclParse, GridAndAddSectionsMaterializeInDeclarationOrder) {
       "target = 2.0\n"
       "[linear]\n"
       "mode = zigzag-search\n"
-      "distances = 3.0 4.0\n");
+      "distances = 3.0 4.0\n"
+      "radii = 0.1 0.2\n"
+      "[coverage]\n"
+      "programs = algorithm4 concentric\n"
+      "disk_radii = 1 2\n"
+      "radii = 0.1 0.2\n");
   const std::vector<WorkItem> items = decl.set.materialize_work();
-  ASSERT_EQ(items.size(), 4u);
+  ASSERT_EQ(items.size(), 14u);
   EXPECT_EQ(items[0].label, "first");
   EXPECT_EQ(items[1].label, "second");
-  EXPECT_EQ(items[2].linear.target, 3.0);
-  EXPECT_EQ(items[3].linear.target, 4.0);
+  // Linear grid: distances ⊃ radii.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const WorkItem& item = items[2 + i];
+    EXPECT_EQ(item.family, rv::engine::Family::kLinear);
+    EXPECT_EQ(item.linear.target, i < 2 ? 3.0 : 4.0) << i;
+    EXPECT_EQ(item.linear.visibility, i % 2 == 0 ? 0.1 : 0.2) << i;
+  }
+  // Coverage grid: programs ⊃ disk_radii ⊃ radii.
+  for (std::size_t i = 0; i < 8; ++i) {
+    const WorkItem& item = items[6 + i];
+    EXPECT_EQ(item.family, rv::engine::Family::kCoverage);
+    EXPECT_EQ(item.coverage.program,
+              i < 4 ? rv::engine::SearchProgram::kAlgorithm4
+                    : rv::engine::SearchProgram::kConcentric)
+        << i;
+    EXPECT_EQ(item.coverage.disk_radius, (i / 2) % 2 == 0 ? 1.0 : 2.0) << i;
+    EXPECT_EQ(item.coverage.visibility, i % 2 == 0 ? 0.1 : 0.2) << i;
+  }
 }
 
 TEST(SetDeclParse, CommentsBlankLinesAndPaddingAreIgnored) {
@@ -201,6 +222,7 @@ TEST(SetDeclErrors, NameLineAndKeyOnEveryFailureMode) {
       {"robot at top level", "robot = 1 1\n[search]\ndistances = 1\n", 1,
        "robot"},
       {"gather grid without sizes", "[gather]\nvisibility = 0.2\n", 1, ""},
+      {"gather size below 2", "[gather]\nsizes = 3 1\n", 2, "sizes"},
       {"lone robot", "[gather.add]\nrobot = 1.0 1.0\n", 1, "robot"},
       {"malformed robot", "[gather.add]\nrobot = 1.0\nrobot = 1 1\n", 2,
        "robot"},

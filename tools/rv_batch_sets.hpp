@@ -64,7 +64,7 @@ inline engine::ScenarioSet build_search_ring() {
   return set;
 }
 
-inline engine::ScenarioSet build_gather_fleet() {
+inline engine::ScenarioSet build_heterogeneous_fleets() {
   const auto mk = [](double v, double tau) {
     geom::RobotAttributes a;
     a.speed = v;
@@ -145,7 +145,7 @@ inline const std::vector<BuiltinSet>& builtin_sets() {
        "search (d x r x program) grid over an 8-angle target ring",
        &build_search_ring},
       {"gather-fleet", "three heterogeneous fleets on a unit origin ring",
-       &build_gather_fleet},
+       &build_heterogeneous_fleets},
       {"linear-line",
        "1-D zigzag search depths plus one linear-rendezvous cell",
        &build_linear_line},

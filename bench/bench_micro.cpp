@@ -241,8 +241,9 @@ BENCHMARK(BM_SweepGatherFleet);
 
 // The coverage-disk set's Algorithm 4 cell: R = 1.5, r = 0.1, cell
 // 0.05, 16 checkpoints, horizon twice the guaranteed round's Lemma 2
-// time.  Late rounds run circles far outside the grid, which the
-// sweep skips whole.
+// time.  Late rounds run circles far outside the grid, and retrace
+// circles whose every cell is already marked; the sweep skips both
+// whole.
 void BM_MeasureCoverageDisk(benchmark::State& state) {
   rv::analysis::CoverageOptions opts;
   opts.disk_radius = 1.5;

@@ -1,8 +1,10 @@
 #include "analysis/coverage.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <variant>
 
@@ -30,6 +32,32 @@ double closest_approach(const traj::Segment& seg) {
   }
   return geom::norm(std::get<traj::WaitSeg>(seg).at);
 }
+
+// A box holding every point of `seg`: a line's endpoint min/max, an
+// arc's whole circle, a wait's point.
+traj::Box segment_box(const traj::Segment& seg) {
+  if (const auto* line = std::get_if<traj::LineSeg>(&seg)) {
+    return {{std::min(line->from.x, line->to.x),
+             std::min(line->from.y, line->to.y)},
+            {std::max(line->from.x, line->to.x),
+             std::max(line->from.y, line->to.y)}};
+  }
+  if (const auto* arc = std::get_if<traj::ArcSeg>(&seg)) {
+    const Vec2 half{arc->radius, arc->radius};
+    return {arc->center - half, arc->center + half};
+  }
+  const Vec2 at = std::get<traj::WaitSeg>(seg).at;
+  return {at, at};
+}
+
+// The bits of row word `w` that hold columns lo..hi (inclusive; the
+// range meets the word).
+std::uint64_t word_span(int w, int lo, int hi) {
+  const int base = w << 6;
+  const int first = std::max(lo, base) - base;
+  const int last = std::min(hi, base + 63) - base;
+  return (~std::uint64_t{0} >> (63 - last)) & (~std::uint64_t{0} << first);
+}
 }  // namespace
 
 CoverageGrid::CoverageGrid(double extent, double cell)
@@ -42,34 +70,69 @@ CoverageGrid::CoverageGrid(double extent, double cell)
     throw std::invalid_argument("CoverageGrid: resolution too fine");
   }
   side_ = static_cast<int>(cells);
-  cells_.assign(static_cast<std::size_t>(side_) * side_, false);
+  words_per_row_ = (static_cast<std::size_t>(side_) + 63) / 64;
+  bits_.assign(words_per_row_ * static_cast<std::size_t>(side_), 0);
 }
 
 int CoverageGrid::index_of(double coord) const {
-  return static_cast<int>(std::floor((coord + extent_) / cell_));
+  // Clamped in double so a far (or NaN) coordinate never overflows the
+  // int cast; −1 and side both lie off the grid, so clipping is exact.
+  const double i = std::floor((coord + extent_) / cell_);
+  if (!(i >= -1.0)) return -1;
+  return i > side_ ? side_ : static_cast<int>(i);
+}
+
+bool CoverageGrid::marked(int ix, int iy) const {
+  const std::uint64_t word =
+      bits_[static_cast<std::size_t>(iy) * words_per_row_ +
+            static_cast<std::size_t>(ix >> 6)];
+  return (word >> (ix & 63)) & 1u;
+}
+
+CoverageGrid::CellRect CoverageGrid::cells_between(const Vec2& lo,
+                                                  const Vec2& hi) const {
+  return {std::max(0, index_of(lo.x)), std::min(side_ - 1, index_of(hi.x)),
+          std::max(0, index_of(lo.y)), std::min(side_ - 1, index_of(hi.y))};
 }
 
 void CoverageGrid::mark_disk(const Vec2& p, double radius) {
-  const int lo_x = std::max(0, index_of(p.x - radius));
-  const int hi_x = std::min(side_ - 1, index_of(p.x + radius));
-  const int lo_y = std::max(0, index_of(p.y - radius));
-  const int hi_y = std::min(side_ - 1, index_of(p.y + radius));
+  const CellRect c = cells_between({p.x - radius, p.y - radius},
+                                   {p.x + radius, p.y + radius});
+  if (c.lo_x > c.hi_x) return;
   const double r2 = radius * radius;
-  for (int iy = lo_y; iy <= hi_y; ++iy) {
+  for (int iy = c.lo_y; iy <= c.hi_y; ++iy) {
     const double cy = -extent_ + (iy + 0.5) * cell_;
     const double dy2 = (cy - p.y) * (cy - p.y);
     if (dy2 > r2) continue;
-    for (int ix = lo_x; ix <= hi_x; ++ix) {
-      const double cx = -extent_ + (ix + 0.5) * cell_;
-      if ((cx - p.x) * (cx - p.x) + dy2 > r2) continue;
-      const std::size_t idx =
-          static_cast<std::size_t>(iy) * side_ + static_cast<std::size_t>(ix);
-      if (!cells_[idx]) {
-        cells_[idx] = true;
+    std::uint64_t* row =
+        bits_.data() + static_cast<std::size_t>(iy) * words_per_row_;
+    for (int w = c.lo_x >> 6; w <= c.hi_x >> 6; ++w) {
+      // Only the cells not yet marked are tested.
+      std::uint64_t todo = word_span(w, c.lo_x, c.hi_x) & ~row[w];
+      while (todo != 0) {
+        const int ix = (w << 6) + std::countr_zero(todo);
+        todo &= todo - 1;
+        const double cx = -extent_ + (ix + 0.5) * cell_;
+        if ((cx - p.x) * (cx - p.x) + dy2 > r2) continue;
+        row[w] |= std::uint64_t{1} << (ix & 63);
         ++marked_;
       }
     }
   }
+}
+
+bool CoverageGrid::all_marked(const traj::Box& box, double pad) const {
+  const CellRect c = cells_between({box.lo.x - pad, box.lo.y - pad},
+                                   {box.hi.x + pad, box.hi.y + pad});
+  if (c.lo_x > c.hi_x) return true;
+  for (int iy = c.lo_y; iy <= c.hi_y; ++iy) {
+    const std::uint64_t* row =
+        bits_.data() + static_cast<std::size_t>(iy) * words_per_row_;
+    for (int w = c.lo_x >> 6; w <= c.hi_x >> 6; ++w) {
+      if ((word_span(w, c.lo_x, c.hi_x) & ~row[w]) != 0) return false;
+    }
+  }
+  return true;
 }
 
 double CoverageGrid::covered_fraction_of_disk(double disk_radius) const {
@@ -84,10 +147,7 @@ double CoverageGrid::covered_fraction_of_disk(double disk_radius) const {
       const double cx = -extent_ + (ix + 0.5) * cell_;
       if (cx * cx + cy * cy > r2) continue;
       ++inside;
-      if (cells_[static_cast<std::size_t>(iy) * side_ +
-                 static_cast<std::size_t>(ix)]) {
-        ++covered;
-      }
+      if (marked(ix, iy)) ++covered;
     }
   }
   if (inside == 0) return 0.0;
@@ -101,9 +161,20 @@ double CoverageGrid::covered_area() const {
 std::vector<CoveragePoint> measure_coverage(
     std::shared_ptr<traj::Program> program,
     const geom::RobotAttributes& attrs, const CoverageOptions& options) {
-  if (!(options.horizon > 0.0) || !(options.visibility > 0.0) ||
-      options.checkpoints < 1) {
-    throw std::invalid_argument("measure_coverage: bad options");
+  // std::isfinite beside the sign checks, as in ContactSweep: +inf
+  // passes `> 0`, and an infinite horizon would never finish.
+  const auto require = [](double v, const char* what) {
+    if (!std::isfinite(v) || !(v > 0.0)) {
+      throw std::invalid_argument(std::string("measure_coverage: ") + what +
+                                  " must be finite > 0");
+    }
+  };
+  require(options.horizon, "horizon");
+  require(options.visibility, "visibility");
+  require(options.disk_radius, "disk_radius");
+  require(options.cell, "cell");
+  if (options.checkpoints < 1) {
+    throw std::invalid_argument("measure_coverage: checkpoints must be >= 1");
   }
   // Window must include everything the robot can reach plus its
   // visibility halo, clipped to the disk of interest for economy.
@@ -123,16 +194,25 @@ std::vector<CoveragePoint> measure_coverage(
   const double reach =
       std::sqrt(2.0) * grid.extent() + options.visibility + grid.cell();
 
+  // A segment whose every mark would land on marked cells is skipped
+  // like a far one (see coverage.hpp); the pad covers the mark radius
+  // plus a cell for rounding of the sampled positions.
+  const double pad = options.visibility + grid.cell();
+  const auto skippable = [&](const traj::TimedSegment& s) {
+    return closest_approach(s.geometry) > reach ||
+           grid.all_marked(segment_box(s.geometry), pad);
+  };
+
   double t = 0.0;
   traj::TimedSegment seg = stream.next();
-  bool far = closest_approach(seg.geometry) > reach;
+  bool skip = skippable(seg);
   grid.mark_disk(seg.position(0.0), options.visibility);
   while (t < options.horizon) {
     while (seg.t1 <= t) {
       seg = stream.next();
-      far = closest_approach(seg.geometry) > reach;
+      skip = skippable(seg);
     }
-    if (far) {
+    if (skip) {
       // Jump to the segment's end: the marks in between would not
       // change the grid, and the checkpoints passed below see the same
       // grid state they would have seen stepping.

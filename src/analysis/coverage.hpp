@@ -14,17 +14,20 @@
 /// mis-tuned variants (A3 spacing ablation) either re-cover or leave
 /// gaps.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "geom/attributes.hpp"
 #include "geom/vec2.hpp"
+#include "traj/path.hpp"
 #include "traj/program.hpp"
 
 namespace rv::analysis {
 
-/// A square occupancy grid over [−extent, extent]².
+/// A square occupancy grid over [−extent, extent]², one bit per cell in
+/// row-major 64-bit words (⌈side/64⌉ words a row).
 class CoverageGrid {
  public:
   /// `extent` is the half-width of the window; `cell` the cell size.
@@ -32,8 +35,15 @@ class CoverageGrid {
   /// resolutions (> 4096² cells).
   CoverageGrid(double extent, double cell);
 
-  /// Marks every cell whose centre lies within `radius` of `p`.
+  /// Marks every cell whose centre lies within `radius` of `p`.  Only
+  /// the unmarked cells of the disk's bounding rows are tested.
   void mark_disk(const geom::Vec2& p, double radius);
+
+  /// True when every cell of the index rectangle spanned by `box`
+  /// grown by `pad` on each side, clipped to the grid, is marked (an
+  /// empty rectangle is).  A mark of radius ≤ `pad` centred in `box`
+  /// then changes nothing.
+  [[nodiscard]] bool all_marked(const traj::Box& box, double pad) const;
 
   /// Fraction of cells inside the disk of radius `disk_radius`
   /// (centred at the origin) that are marked.
@@ -45,6 +55,9 @@ class CoverageGrid {
   /// Number of marked cells.
   [[nodiscard]] std::uint64_t marked_cells() const { return marked_; }
 
+  /// Whether cell (ix, iy) is marked; both indices in [0, side).
+  [[nodiscard]] bool marked(int ix, int iy) const;
+
   /// Grid geometry.
   [[nodiscard]] double extent() const { return extent_; }
   [[nodiscard]] double cell() const { return cell_; }
@@ -54,10 +67,23 @@ class CoverageGrid {
   double extent_;
   double cell_;
   int side_;
-  std::vector<bool> cells_;
+  std::size_t words_per_row_;
+  std::vector<std::uint64_t> bits_;
   std::uint64_t marked_ = 0;
 
+  /// An inclusive cell-index rectangle (empty when lo > hi).
+  struct CellRect {
+    int lo_x, hi_x, lo_y, hi_y;
+  };
+
+  /// Cell index of `coord` on either axis, saturated to [−1, side]:
+  /// monotone in `coord` and exact inside the grid.
   [[nodiscard]] int index_of(double coord) const;
+
+  /// The cells whose indices lie between those of `lo` and `hi`,
+  /// clipped to the grid.
+  [[nodiscard]] CellRect cells_between(const geom::Vec2& lo,
+                                       const geom::Vec2& hi) const;
 };
 
 /// One point of a coverage-vs-time series.
@@ -81,19 +107,32 @@ struct CoverageOptions {
 /// series.  Positions are sampled every cell/2 of travel so no cell
 /// on the path can be skipped.
 ///
-/// Segments that cannot reach the grid are skipped whole: when a
-/// segment's closest approach to the origin exceeds
-/// √2·extent + r + cell, the sweep jumps straight to its end (or the
-/// horizon), still recording every checkpoint it passes.  The approach
-/// is |radius − |center|| for an arc (its whole circle, a lower bound),
-/// the point-to-segment distance for a line and the point for a wait.
-/// The margin is certified: the grid has ⌈2·extent/cell⌉ cells a side
-/// starting at −extent, so every cell centre lies within
-/// √2·(extent + cell/2) of the origin, and a mark of radius r at a
-/// farther point than √2·extent + r + cell misses every centre by more
-/// than (1 − √2/2)·cell — far above floating-point rounding.  The
-/// skipped marks would not have changed the grid, so the series is
-/// bitwise the one full stepping produces.
+/// A segment is skipped whole, by either of two rules decided when it
+/// is fetched: the sweep jumps straight to its end (or the horizon),
+/// still recording every checkpoint it passes.
+///
+/// 1. It cannot reach the grid: its closest approach to the origin
+///    exceeds √2·extent + r + cell.  The approach is |radius − |center||
+///    for an arc (its whole circle, a lower bound), the point-to-segment
+///    distance for a line and the point for a wait.  The margin is
+///    certified: the grid has ⌈2·extent/cell⌉ cells a side starting at
+///    −extent, so every cell centre lies within √2·(extent + cell/2) of
+///    the origin, and a mark of radius r at a farther point than
+///    √2·extent + r + cell misses every centre by more than
+///    (1 − √2/2)·cell — far above floating-point rounding.
+/// 2. Every cell it could touch is already marked:
+///    `all_marked(box, r + cell)` holds for its box (a line's endpoint
+///    min/max, an arc's centre ± radius, a wait's point).  A mark at p
+///    only tests cells in the index rectangle of p ∓ r, and the cell
+///    index is monotone (saturated off the grid), so every mark on the
+///    segment lands in that padded rectangle; the extra cell of pad
+///    absorbs the rounding of sampled positions.  The grid only grows,
+///    so a rectangle marked at fetch stays marked.
+///
+/// Either way the skipped marks would not have changed the grid, so the
+/// series is bitwise the one full stepping produces.
+/// \throws std::invalid_argument when horizon, visibility, disk_radius
+/// or cell is not finite and > 0, or checkpoints < 1.
 [[nodiscard]] std::vector<CoveragePoint> measure_coverage(
     std::shared_ptr<traj::Program> program,
     const geom::RobotAttributes& attrs, const CoverageOptions& options);

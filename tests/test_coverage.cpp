@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "analysis/coverage.hpp"
 #include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
+#include "mathx/rng.hpp"
 #include "search/algorithm4.hpp"
 #include "search/baselines.hpp"
 #include "search/paths.hpp"
@@ -63,6 +65,172 @@ TEST(CoverageGrid, OutOfWindowMarksClip) {
   EXPECT_EQ(grid.marked_cells(), 0u);
   grid.mark_disk({1.0, 0.0}, 0.3);  // straddles the boundary
   EXPECT_GT(grid.marked_cells(), 0u);
+}
+
+TEST(CoverageGrid, FarMarksAreNoOps) {
+  // The cell index saturates instead of overflowing its int cast.
+  CoverageGrid grid(1.0, 0.1);
+  for (const double far : {1e12, -1e12, 1e300, -1e300}) {
+    grid.mark_disk({far, 0.0}, 0.5);
+    grid.mark_disk({0.0, far}, 0.5);
+  }
+  EXPECT_EQ(grid.marked_cells(), 0u);
+}
+
+TEST(CoverageGrid, AllMarkedChecksThePaddedRectangle) {
+  using rv::traj::Box;
+  CoverageGrid grid(1.0, 0.1);
+  EXPECT_FALSE(grid.all_marked(Box{{0.0, 0.0}, {0.0, 0.0}}, 0.0));
+  // Off the grid the rectangle is empty, hence all marked.
+  EXPECT_TRUE(grid.all_marked(Box{{5.0, 5.0}, {6.0, 6.0}}, 0.5));
+  EXPECT_TRUE(grid.all_marked(Box{{1e12, 0.0}, {1e300, 0.0}}, 0.1));
+  // Edges far out on both sides clip to the whole grid, not to nothing.
+  EXPECT_FALSE(grid.all_marked(Box{{-1e12, 0.0}, {1e12, 0.0}}, 0.1));
+  EXPECT_FALSE(grid.all_marked(Box{{0.0, 0.0}, {1e12, 0.0}}, 0.1));
+
+  // Cells 8..11 a side (centres within 0.22 of the origin) are marked;
+  // a pad of 0.3 reaches cells 6..13, whose corners are not.
+  grid.mark_disk({0.0, 0.0}, 0.35);
+  EXPECT_TRUE(grid.all_marked(Box{{-0.05, -0.05}, {0.05, 0.05}}, 0.1));
+  EXPECT_FALSE(grid.all_marked(Box{{-0.05, -0.05}, {0.05, 0.05}}, 0.3));
+  grid.mark_disk({0.0, 0.0}, 2.0);
+  EXPECT_TRUE(grid.all_marked(Box{{-1e12, -1e12}, {1e12, 1e12}}, 0.1));
+}
+
+// The grid as it was before bits were packed into words: one bool a
+// cell, every cell of the bounding rows tested on every mark.
+struct BoolGrid {
+  double extent;
+  double cell;
+  int side;
+  std::vector<bool> cells;
+  std::uint64_t marked = 0;
+
+  BoolGrid(double e, double c)
+      : extent(e),
+        cell(c),
+        side(static_cast<int>(std::ceil(2.0 * e / c))),
+        cells(static_cast<std::size_t>(side) * side, false) {}
+
+  int index_of(double coord) const {
+    return static_cast<int>(std::floor((coord + extent) / cell));
+  }
+
+  void mark_disk(const Vec2& p, double radius) {
+    const int lo_x = std::max(0, index_of(p.x - radius));
+    const int hi_x = std::min(side - 1, index_of(p.x + radius));
+    const int lo_y = std::max(0, index_of(p.y - radius));
+    const int hi_y = std::min(side - 1, index_of(p.y + radius));
+    const double r2 = radius * radius;
+    for (int iy = lo_y; iy <= hi_y; ++iy) {
+      const double cy = -extent + (iy + 0.5) * cell;
+      const double dy2 = (cy - p.y) * (cy - p.y);
+      if (dy2 > r2) continue;
+      for (int ix = lo_x; ix <= hi_x; ++ix) {
+        const double cx = -extent + (ix + 0.5) * cell;
+        if ((cx - p.x) * (cx - p.x) + dy2 > r2) continue;
+        const std::size_t idx = static_cast<std::size_t>(iy) * side +
+                                static_cast<std::size_t>(ix);
+        if (!cells[idx]) {
+          cells[idx] = true;
+          ++marked;
+        }
+      }
+    }
+  }
+
+  // Whether every cell of the clipped index rectangle of `box` grown
+  // by `pad` is marked, cell by cell.
+  bool all_marked(const rv::traj::Box& box, double pad) const {
+    const int lo_x = std::max(0, index_of(box.lo.x - pad));
+    const int hi_x = std::min(side - 1, index_of(box.hi.x + pad));
+    const int lo_y = std::max(0, index_of(box.lo.y - pad));
+    const int hi_y = std::min(side - 1, index_of(box.hi.y + pad));
+    for (int iy = lo_y; iy <= hi_y; ++iy) {
+      for (int ix = lo_x; ix <= hi_x; ++ix) {
+        if (!cells[static_cast<std::size_t>(iy) * side +
+                   static_cast<std::size_t>(ix)]) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  double covered_fraction_of_disk(double disk_radius) const {
+    const double r2 = disk_radius * disk_radius;
+    std::uint64_t inside = 0, covered = 0;
+    for (int iy = 0; iy < side; ++iy) {
+      const double cy = -extent + (iy + 0.5) * cell;
+      for (int ix = 0; ix < side; ++ix) {
+        const double cx = -extent + (ix + 0.5) * cell;
+        if (cx * cx + cy * cy > r2) continue;
+        ++inside;
+        if (cells[static_cast<std::size_t>(iy) * side +
+                  static_cast<std::size_t>(ix)]) {
+          ++covered;
+        }
+      }
+    }
+    if (inside == 0) return 0.0;
+    return static_cast<double>(covered) / static_cast<double>(inside);
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(CoverageGrid, WordPackedGridMatchesPerCellGrid) {
+  // Sides at and around the 64-bit word edges; seeded disks inside,
+  // outside and straddling the grid, radii from below one cell to
+  // beyond the grid.  Every cell, the count and the disk fractions
+  // must agree after every mark.
+  const double cell = 0.05;
+  rv::mathx::Xoshiro256 rng(0xC0FFEE);
+  for (const int side : {63, 64, 65, 130}) {
+    const double extent = (side - 0.5) * cell / 2.0;
+    for (int round = 0; round < 4; ++round) {
+      CoverageGrid grid(extent, cell);
+      BoolGrid want(extent, cell);
+      ASSERT_EQ(grid.side(), side);
+      ASSERT_EQ(want.side, side);
+      for (int k = 0; k < 24; ++k) {
+        const Vec2 p{rng.uniform(-1.5 * extent, 1.5 * extent),
+                     rng.uniform(-1.5 * extent, 1.5 * extent)};
+        const double radius = rng.log_uniform(0.3 * cell, 2.5 * extent);
+        grid.mark_disk(p, radius);
+        want.mark_disk(p, radius);
+        const std::string what = "side " + std::to_string(side) +
+                                 " round " + std::to_string(round) +
+                                 " mark " + std::to_string(k);
+        ASSERT_EQ(grid.marked_cells(), want.marked) << what;
+        for (int iy = 0; iy < side; ++iy) {
+          for (int ix = 0; ix < side; ++ix) {
+            ASSERT_EQ(grid.marked(ix, iy),
+                      want.cells[static_cast<std::size_t>(iy) * side +
+                                 static_cast<std::size_t>(ix)])
+                << what << " cell " << ix << "," << iy;
+          }
+        }
+        for (const double disk : {0.3 * extent, extent, 1.5 * extent}) {
+          ASSERT_EQ(bits(grid.covered_fraction_of_disk(disk)),
+                    bits(want.covered_fraction_of_disk(disk)))
+              << what << " disk " << disk;
+        }
+        // Boxes about the disk just marked, some inside it and some
+        // reaching past its edge, across word boundaries.
+        for (int b = 0; b < 8; ++b) {
+          const Vec2 below{rng.uniform(0.0, 1.5) * radius,
+                           rng.uniform(0.0, 1.5) * radius};
+          const Vec2 above{rng.uniform(0.0, 1.5) * radius,
+                           rng.uniform(0.0, 1.5) * radius};
+          const rv::traj::Box box{p - below, p + above};
+          const double pad = rng.uniform(0.0, 2.0 * cell);
+          ASSERT_EQ(grid.all_marked(box, pad), want.all_marked(box, pad))
+              << what << " box " << b;
+        }
+      }
+    }
+  }
 }
 
 TEST(MeasureCoverage, SingleCirclePassCoversAnnulusBand) {
@@ -158,11 +326,36 @@ TEST(AreaBudget, ClosedFormAndGuards) {
 }
 
 TEST(MeasureCoverage, OptionValidation) {
-  CoverageOptions bad;
-  bad.horizon = 0.0;
-  EXPECT_THROW((void)measure_coverage(rv::search::make_search_program(),
-                                      rv::geom::reference_attributes(), bad),
-               std::invalid_argument);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<const char*, void (*)(CoverageOptions&)> rows[] = {
+      {"horizon 0", [](CoverageOptions& o) { o.horizon = 0.0; }},
+      {"horizon inf", [](CoverageOptions& o) { o.horizon = inf; }},
+      {"horizon nan", [](CoverageOptions& o) { o.horizon = nan; }},
+      {"visibility 0", [](CoverageOptions& o) { o.visibility = 0.0; }},
+      {"visibility inf", [](CoverageOptions& o) { o.visibility = inf; }},
+      {"disk_radius -1", [](CoverageOptions& o) { o.disk_radius = -1.0; }},
+      {"disk_radius inf", [](CoverageOptions& o) { o.disk_radius = inf; }},
+      {"cell 0", [](CoverageOptions& o) { o.cell = 0.0; }},
+      {"cell inf", [](CoverageOptions& o) { o.cell = inf; }},
+      {"cell nan", [](CoverageOptions& o) { o.cell = nan; }},
+      {"checkpoints 0", [](CoverageOptions& o) { o.checkpoints = 0; }},
+  };
+  for (const auto& [what, spoil] : rows) {
+    CoverageOptions bad;
+    bad.horizon = 10.0;
+    spoil(bad);
+    // The message names the offending option.
+    const std::string option(what, std::string(what).find(' '));
+    try {
+      (void)measure_coverage(rv::search::make_search_program(),
+                             rv::geom::reference_attributes(), bad);
+      ADD_FAILURE() << what << ": no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +411,6 @@ std::vector<CoveragePoint> stepping_oracle(
   return series;
 }
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 // Runs both sweeps on fresh programs from `make` and requires the same
 // series, compared as bit patterns.
 template <typename Make>
@@ -238,12 +429,14 @@ void expect_matches_oracle(Make make, const rv::geom::RobotAttributes& attrs,
   }
 }
 
-// The coverage-disk set's cell: R = 1.5, r = 0.1, cell 0.05.
-CoverageOptions disk_options(double horizon, int checkpoints) {
+// The coverage-disk set's cell: R = 1.5, r = 0.1, cell 0.05 (0.035 in
+// the cold-sweep benchmark's perturbation).
+CoverageOptions disk_options(double horizon, int checkpoints,
+                             double cell = 0.05) {
   CoverageOptions opts;
   opts.disk_radius = 1.5;
   opts.visibility = 0.1;
-  opts.cell = 0.05;
+  opts.cell = cell;
   opts.horizon = horizon;
   opts.checkpoints = checkpoints;
   return opts;
@@ -259,10 +452,14 @@ TEST(CoverageSkip, UniversalProgramsMatchSteppingAtRoundHorizons) {
   const double round_horizon = rv::search::time_first_rounds(
       rv::search::guaranteed_round(1.5, 0.1));
   for (const auto& [name, make] : programs) {
-    for (const double scale : {1.0, 2.0, 4.0}) {
-      expect_matches_oracle(make, rv::geom::reference_attributes(),
-                            disk_options(scale * round_horizon, 16),
-                            std::string(name) + " x" + std::to_string(scale));
+    for (const double cell : {0.05, 0.035}) {
+      for (const double scale : {1.0, 2.0, 4.0}) {
+        expect_matches_oracle(make, rv::geom::reference_attributes(),
+                              disk_options(scale * round_horizon, 16, cell),
+                              std::string(name) + " cell " +
+                                  std::to_string(cell) + " x" +
+                                  std::to_string(scale));
+      }
     }
   }
 }
@@ -366,6 +563,97 @@ TEST(CoverageSkip, SegmentsGrazingTheReachMarginMatchStepping) {
                             disk_options(path->duration(), 6), "graze");
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Covered-segment skip: invisible in the output
+// ---------------------------------------------------------------------------
+
+TEST(CoverageSkip, LineToAFarPointStillMarksItsNearEnd) {
+  // The line's box reaches 1e12: its cell rectangle must clip to the
+  // grid edge rather than wrap to an empty one and skip the line.
+  rv::traj::Path p;
+  p.line_to({1e12, 0.0});
+  p.line_to({0.0, 0.0});
+  auto make = [&p] {
+    return std::make_shared<rv::traj::PathProgram>(p, "far-line");
+  };
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(5.0, 5), "far line");
+}
+
+// Concentric circles r-spaced out past the grid's edge, so the disk of
+// radius 1.7 is covered; then `retraces` rounds of one ray to radius 1
+// and the circle there, and a wait inside the covered disk.  Every
+// retraced segment's padded box lies inside the covered disk.
+rv::traj::Path retrace_path(int retraces, double* covered_at) {
+  rv::traj::Path p;
+  for (int i = 0; i < 11; ++i) {
+    p.line_to({0.1 + 0.15 * i, 0.0});
+    p.arc_around({0.0, 0.0}, rv::mathx::kTwoPi);
+  }
+  p.line_to({0.0, 0.0});
+  *covered_at = p.duration();
+  for (int i = 0; i < retraces; ++i) {
+    p.line_to({1.0, 0.0});
+    p.arc_around({0.0, 0.0}, (i % 2 == 0 ? 1.0 : -1.0) * rv::mathx::kTwoPi);
+    p.line_to({0.0, 0.0});
+  }
+  p.line_to({0.5, 0.5});
+  p.wait(3.0);
+  // Out to the grid's uncovered corner and back twice: no leg's padded
+  // box is all marked, so these are stepped again.
+  for (int i = 0; i < 2; ++i) {
+    p.line_to({1.55, 1.55});
+    p.line_to({0.0, 0.0});
+  }
+  return p;
+}
+
+TEST(CoverageSkip, RetracedSegmentsInsideACoveredDiskMatchStepping) {
+  double covered_at = 0.0;
+  const rv::traj::Path path = retrace_path(4, &covered_at);
+  auto make = [&path] {
+    return std::make_shared<rv::traj::PathProgram>(path, "retrace");
+  };
+  const double round = 2.0 + rv::mathx::kTwoPi;  // ray out, circle, back
+  // Many checkpoints over the whole path: most land in retraced
+  // segments and the wait.
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(path.duration(), 41), "whole path");
+  // Horizons mid-ray, mid-circle and mid-wait.
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(covered_at + round + 0.5, 13),
+                        "horizon mid-ray");
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(covered_at + 2.0 * round + 4.0, 17),
+                        "horizon mid-circle");
+  expect_matches_oracle(
+      make, rv::geom::reference_attributes(),
+      disk_options(covered_at + 4.0 * round + std::sqrt(0.5) + 1.5, 11),
+      "horizon mid-wait");
+  // The same path seen by a rotated, reflected, faster robot.
+  rv::geom::RobotAttributes attrs;
+  attrs.speed = 1.1;
+  attrs.orientation = 0.7;
+  attrs.chirality = -1;
+  expect_matches_oracle(make, attrs, disk_options(path.duration(), 23),
+                        "rotated");
+}
+
+TEST(CoverageSkip, SmallCircleBeyondALineEndIsStepped) {
+  // The circle's own box lies in cells the line already marked, but
+  // its marks reach up to 0.04 past the line's last one: only the pad
+  // of r + cell keeps it from being skipped.
+  rv::traj::Path p;
+  p.line_to({0.5, 0.0});
+  p.arc_around({0.52, 0.0}, rv::mathx::kTwoPi);
+  p.line_to({0.0, 0.0});
+  auto make = [&p] {
+    return std::make_shared<rv::traj::PathProgram>(p, "small-circle");
+  };
+  expect_matches_oracle(make, rv::geom::reference_attributes(),
+                        disk_options(p.duration(), 4), "small circle");
 }
 
 }  // namespace

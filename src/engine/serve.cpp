@@ -683,7 +683,7 @@ Service::Reply Service::execute_run(const Request& request) {
     } else {
       dispatch_forked(name, misses, miss_indices, request, &reply.missing);
     }
-    persist(name, work);
+    persist(name, misses);
   }
 
   // Warm replay of the full (or surviving) set: every computed outcome
@@ -720,38 +720,12 @@ void Service::dispatch_forked(const std::string& set_name,
                               const Request& request,
                               std::vector<std::size_t>* missing) {
   const std::lock_guard<std::mutex> disk(disk_mutex_);
-  // Children must not touch the shared cache: another worker may hold
-  // its mutex at fork time, which would deadlock the child.  They get a
-  // fresh, empty cache instead — they only compute misses, which are
-  // absent from the shared cache by definition.
-  ScenarioCache warm;
-  const std::size_t procs = options_.procs;
-  unsigned budget = options_.threads != 0 ? options_.threads
-                                          : std::thread::hardware_concurrency();
-  if (budget == 0) budget = 1;
-  const unsigned child_threads =
-      std::max(1u, static_cast<unsigned>(budget / procs));
-  const std::string shard_set = sanitize_name(set_name) + "-serve";
-  const auto shard_path = [&](std::size_t p) {
-    return options_.cache_dir / shard_file_name(shard_set, p, procs);
-  };
-  const auto child_main = [&](std::size_t p) -> int {
-    RV_FAILPOINT_AT("serve.shard", p);
-    const ShardPlan plan = shard_plan(misses.size(), p, procs);
-    RunnerOptions ropts;
-    ropts.threads = child_threads;
-    ropts.cache = &warm;
-    (void)run_shard(misses, plan, ropts);
-    ScenarioCache own;
-    ScenarioCache::Entry entry;
-    for (const std::size_t i : plan.indices) {
-      const std::optional<std::string> key = cache_key(misses[i]);
-      if (key && warm.lookup(*key, &entry)) own.store(*key, entry);
-    }
-    save_cache_file(shard_path(p), own);
-    return 0;
-  };
-  SupervisorOptions sup = options_.supervisor;
+  ForkOptions fork;
+  fork.dir = options_.cache_dir;
+  fork.set_name = sanitize_name(set_name) + "-serve";
+  fork.procs = options_.procs;
+  fork.threads = options_.threads;
+  fork.supervisor = options_.supervisor;
   if (request.deadline_ms > 0.0) {
     const double remaining_ms =
         request.admitted_ms + request.deadline_ms - now_ms();
@@ -761,19 +735,23 @@ void Service::dispatch_forked(const std::string& set_name,
                                        " ms expired before forked dispatch");
     }
     const double remaining_sec = remaining_ms / 1000.0;
-    sup.timeout_sec = sup.timeout_sec > 0.0
-                          ? std::min(sup.timeout_sec, remaining_sec)
-                          : remaining_sec;
+    fork.supervisor.timeout_sec =
+        fork.supervisor.timeout_sec > 0.0
+            ? std::min(fork.supervisor.timeout_sec, remaining_sec)
+            : remaining_sec;
   }
-  const SupervisorReport report = supervise_shards(procs, child_main, sup);
-  // Fold every child's persisted outcomes back into the warm cache
-  // (first-writer-wins; a failed shard's file may simply be absent).
-  for (std::size_t p = 0; p < procs; ++p) {
-    (void)load_cache_file(shard_path(p), &cache_);
+  // Children must not touch the shared cache: another worker may hold
+  // its mutex at fork time, which would deadlock the child.  They get a
+  // fresh, empty cache instead — they only compute misses, which are
+  // absent from the shared cache by definition.
+  ScenarioCache fresh;
+  const SupervisorReport report = run_forked(misses, fresh, fork);
+  // Fold what the children computed into the resident cache.
+  for (auto& [key, entry] : fresh.snapshot()) {
+    (void)cache_.store(key, std::move(entry));
   }
   if (report.any_failures()) note("serve: supervisor report:\n" + report.table());
   if (report.complete()) return;
-  const std::vector<std::size_t> failed = report.failed_shards();
   bool timed_out = false;
   for (const ShardStatus& status : report.shards) {
     if (status.succeeded) continue;
@@ -783,7 +761,7 @@ void Service::dispatch_forked(const std::string& set_name,
   }
   if (!request.partial) {
     std::string list;
-    for (const std::size_t shard : failed) {
+    for (const std::size_t shard : report.failed_shards()) {
       if (!list.empty()) list += ", ";
       list += std::to_string(shard);
     }
@@ -793,21 +771,18 @@ void Service::dispatch_forked(const std::string& set_name,
                          " (request 'partial' to accept the surviving "
                          "subset)");
   }
-  for (std::size_t j = 0; j < miss_indices.size(); ++j) {
-    const std::size_t shard = j % procs;
-    if (std::find(failed.begin(), failed.end(), shard) != failed.end()) {
-      missing->push_back(miss_indices[j]);
-    }
+  for (const std::size_t j : report.missing_indices(misses.size())) {
+    missing->push_back(miss_indices[j]);
   }
 }
 
 void Service::persist(const std::string& set_name,
-                      const std::vector<WorkItem>& work) {
+                      const std::vector<WorkItem>& misses) {
   if (options_.cache_dir.empty()) return;
   ScenarioCache own;
   ScenarioCache::Entry entry;
   std::vector<std::string> keys;
-  for (const WorkItem& item : work) {
+  for (const WorkItem& item : misses) {
     const std::optional<std::string> key = cache_key(item);
     if (key && cache_.lookup(*key, &entry) && own.store(*key, entry)) {
       keys.push_back(*key);

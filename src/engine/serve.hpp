@@ -70,9 +70,10 @@
 ///
 /// Failpoint sites (chaos hooks, see engine/failpoint.hpp):
 /// `serve.accept` (admission, index = request seq), `serve.dispatch`
-/// (worker dequeue, index = request seq), `serve.shard` (forked shard
-/// child entry, index = shard id), `serve.reply` (the framed writer —
-/// the only site honouring `torn_write`).
+/// (worker dequeue, index = request seq), `serve.reply` (the framed
+/// writer — the only site honouring `torn_write`).  Forked dispatch
+/// goes through `engine::run_forked`, so its children fire
+/// `shard.worker.start` (index = shard id) like `rv_batch --procs`.
 ///
 /// Determinism: computed payload bytes stay a pure function of the
 /// scenario inputs.  The clocks consulted here pace deadlines,
@@ -174,7 +175,8 @@ struct Options {
   /// replies in admission order — the deterministic mode conformance
   /// tests pin; more workers trade ordering for throughput.
   unsigned workers = 1;
-  /// Runner threads per dispatch (0 = hardware concurrency).
+  /// Runner threads per dispatch (0 = hardware concurrency); with
+  /// procs > 1 each forked worker gets threads / procs (at least 1).
   unsigned threads = 0;
   /// Forked shard workers per dispatch; 1 (the default) computes
   /// misses in-process.  > 1 requires `cache_dir` (children hand their
@@ -294,14 +296,19 @@ class Service {
   void compactor_loop();
   [[nodiscard]] std::string execute(const Request& request);
   [[nodiscard]] Reply execute_run(const Request& request);
-  /// Fork dispatch of the request's misses; fills `missing` with lost
-  /// global indices when shards fail.  \throws ServeError.
+  /// Fork dispatch of the request's misses through `run_forked`; fills
+  /// `missing` with lost global indices when shards fail.
+  /// \throws ServeError.
   void dispatch_forked(const std::string& set_name,
                        const std::vector<WorkItem>& misses,
                        const std::vector<std::size_t>& miss_indices,
                        const Request& request,
                        std::vector<std::size_t>* missing);
-  void persist(const std::string& set_name, const std::vector<WorkItem>& work);
+  /// Saves the outcomes of this request's misses to a content-named
+  /// `<set>-<hash>-serve.rvcache`.  Hits are not saved again: they were
+  /// loaded at boot or saved by the request that computed them.
+  void persist(const std::string& set_name,
+               const std::vector<WorkItem>& misses);
   [[nodiscard]] std::string status_header(const Request& request) const;
   void note(const std::string& message) const;
 

@@ -1,33 +1,16 @@
 #include "engine/shard.hpp"
 
-#include <set>
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "engine/cache_store.hpp"
 #include "engine/failpoint.hpp"
 
 namespace rv::engine {
-
-namespace {
-
-/// "1, 4, 7" for small lists; elides the tail past `cap` so a merge
-/// missing thousands of items stays one readable line.
-std::string join_indices(const std::vector<std::size_t>& indices,
-                         std::size_t cap = 16) {
-  std::string out;
-  for (std::size_t k = 0; k < indices.size() && k < cap; ++k) {
-    if (k > 0) out += ", ";
-    out += std::to_string(indices[k]);
-  }
-  if (indices.size() > cap) {
-    out += ", ... (" + std::to_string(indices.size() - cap) + " more)";
-  }
-  return out;
-}
-
-}  // namespace
 
 ShardPlan shard_plan(std::size_t total, std::size_t shard,
                      std::size_t num_shards) {
@@ -77,89 +60,50 @@ std::string shard_file_name(const std::string& set_name, std::size_t shard,
          kCacheFileExtension;
 }
 
-ResultSet merge_shards(const std::vector<ShardResult>& shards,
-                       const std::string& set_name) {
-  if (shards.empty()) return ResultSet{};
-  const std::size_t total = shards[0].plan.total;
-  const std::size_t num_shards = shards[0].plan.num_shards;
-  std::vector<RunRecord> records(total);
-  std::vector<bool> placed(total, false);
-  CacheStats stats;
-  for (const ShardResult& shard : shards) {
-    if (shard.plan.total != total || shard.plan.num_shards != num_shards) {
-      throw std::invalid_argument(
-          "merge_shards: shard plans disagree on the partition "
-          "(total/num_shards)");
-    }
-    if (shard.results.size() != shard.plan.indices.size()) {
-      throw std::invalid_argument(
-          "merge_shards: shard " + std::to_string(shard.plan.shard) +
-          " has " + std::to_string(shard.results.size()) + " records for " +
-          std::to_string(shard.plan.indices.size()) + " planned items");
-    }
-    for (std::size_t k = 0; k < shard.plan.indices.size(); ++k) {
-      const std::size_t i = shard.plan.indices[k];
-      if (i >= total) {
-        throw std::invalid_argument(
-            "merge_shards: shard " + std::to_string(shard.plan.shard) +
-            " claims global item index " + std::to_string(i) +
-            " but the set has only " + std::to_string(total) + " items");
-      }
-      if (placed[i]) {
-        throw std::invalid_argument(
-            "merge_shards: global item index " + std::to_string(i) +
-            " covered twice — shard " + std::to_string(i % num_shards) +
-            " (" + shard_file_name(set_name, i % num_shards, num_shards) +
-            ") appears more than once in the merge input");
-      }
-      records[i] = shard.results[k];
-      placed[i] = true;
-    }
-    stats.hits += shard.results.cache_stats().hits;
-    stats.misses += shard.results.cache_stats().misses;
-    stats.uncacheable += shard.results.cache_stats().uncacheable;
+std::size_t save_shard_file(const std::filesystem::path& path,
+                            const std::vector<WorkItem>& work,
+                            const ShardPlan& plan, const ResultSet& ran,
+                            const ScenarioCache& cache) {
+  if (ran.cache_stats().misses == 0) return 0;
+  ScenarioCache own;
+  ScenarioCache::Entry entry;
+  for (const std::size_t i : plan.indices) {
+    const std::optional<std::string> key = cache_key(work[i]);
+    if (key && cache.lookup(*key, &entry)) own.store(*key, std::move(entry));
   }
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < total; ++i) {
-    if (!placed[i]) missing.push_back(i);
-  }
-  if (!missing.empty()) {
-    // Name the shards that own the holes and the cache files an
-    // operator must re-drive; the strided rule makes ownership a pure
-    // function of the index.
-    std::set<std::size_t> missing_shards;
-    for (const std::size_t i : missing) missing_shards.insert(i % num_shards);
-    std::string files;
-    for (const std::size_t s : missing_shards) {
-      if (!files.empty()) files += ", ";
-      files += shard_file_name(set_name, s, num_shards);
-    }
-    throw std::invalid_argument(
-        "merge_shards: incomplete merge — global item indices {" +
-        join_indices(missing) + "} covered by no shard; re-drive shard file" +
-        (missing_shards.size() == 1 ? "" : "s") + " " + files);
-  }
-  ResultSet merged(std::move(records));
-  merged.set_cache_stats(stats);
-  return merged;
+  save_cache_file(path, own);
+  return own.size();
 }
 
-ResultSet run_sharded(const ScenarioSet& set, std::size_t num_shards,
-                      RunnerOptions options) {
-  if (num_shards == 0) {
-    // Without this, zero shards would "merge" into an empty ResultSet
-    // that masquerades as an empty set; fail like shard_plan does.
-    throw std::invalid_argument("run_sharded: num_shards must be >= 1");
+SupervisorReport run_forked(const std::vector<WorkItem>& work,
+                            ScenarioCache& cache, const ForkOptions& options) {
+  const std::size_t procs = options.procs;
+  if (procs == 0) throw std::invalid_argument("run_forked: procs must be >= 1");
+  // Split the budget: P children each taking all of it would
+  // oversubscribe the box P-fold.
+  const std::size_t budget = options.threads != 0
+                                 ? options.threads
+                                 : std::thread::hardware_concurrency();
+  const auto child_threads =
+      static_cast<unsigned>(std::max<std::size_t>(1, budget / procs));
+  const auto shard_path = [&](std::size_t p) {
+    return options.dir / shard_file_name(options.set_name, p, procs);
+  };
+  const auto child_main = [&](std::size_t p) -> int {
+    // Chaos site: crash/delay/error a worker at its very first
+    // instruction — the supervisor must detect and retry it.
+    RV_FAILPOINT_AT("shard.worker.start", p);
+    const ShardPlan plan = shard_plan(work.size(), p, procs);
+    const ResultSet ran = run_shard(work, plan, {child_threads, &cache});
+    (void)save_shard_file(shard_path(p), work, plan, ran, cache);
+    return 0;
+  };
+  SupervisorReport report =
+      supervise_shards(procs, child_main, options.supervisor);
+  for (std::size_t p = 0; p < procs; ++p) {
+    (void)load_cache_file(shard_path(p), &cache);
   }
-  const std::vector<WorkItem> work = set.materialize_work();
-  std::vector<ShardResult> shards;
-  shards.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardPlan plan = shard_plan(work.size(), s, num_shards);
-    ResultSet results = run_shard(work, plan, options);
-    shards.push_back({std::move(plan), std::move(results)});
-  }
-  return merge_shards(shards);
+  return report;
 }
 
 }  // namespace rv::engine

@@ -13,26 +13,26 @@
 /// threads, other processes, other machines) and reassembled by global
 /// index into the **byte-identical** single-process table/CSV/JSON.
 ///
-/// Two reassembly paths exist:
-///
-///  * in-process — `merge_shards` places each shard's records back at
-///    their global indices (`run_sharded` is the one-call version used
-///    by the tests to pin shard-count invariance);
-///  * cross-process — each `rv_batch run --shard s/N` process persists
-///    its computed outcomes to a cache file (engine/cache_store.hpp);
-///    the merge process loads every shard file into one
-///    `ScenarioCache` and runs the *full* set warm, replaying every
-///    outcome (all hits, no recomputation) into the single-process
-///    emission.  Cached outcomes replay bit-for-bit, so both paths
-///    produce the same bytes.
+/// Reassembly is always a cache replay: each shard persists the
+/// outcomes it owns to a cache file (engine/cache_store.hpp), the
+/// files are loaded into one `ScenarioCache`, and the *full* set runs
+/// warm, replaying every outcome (all hits, no recomputation) into the
+/// single-process emission.  Cached outcomes replay bit-for-bit, so
+/// any partition produces the same bytes.  The shard processes are
+/// either separate `rv_batch run --shard s/N` invocations (merged by
+/// `rv_batch merge`) or the children `run_forked` supervises — the one
+/// forked-dispatch path behind `rv_batch run --procs` and `rv_serve
+/// --procs`.
 
 #include <cstddef>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "engine/families.hpp"
 #include "engine/runner.hpp"
 #include "engine/scenario_set.hpp"
+#include "engine/supervisor.hpp"
 
 namespace rv::engine {
 
@@ -61,17 +61,10 @@ struct ShardPlan {
 [[nodiscard]] std::vector<WorkItem> shard_work(
     const std::vector<WorkItem>& work, const ShardPlan& plan);
 
-/// Runs only the plan's items (records come back in plan order — pass
-/// them to `merge_shards` to restore global order).
+/// Runs only the plan's items (records come back in plan order).
 [[nodiscard]] ResultSet run_shard(const std::vector<WorkItem>& work,
                                   const ShardPlan& plan,
                                   RunnerOptions options = {});
-
-/// One shard's executed slice, ready to merge.
-struct ShardResult {
-  ShardPlan plan;
-  ResultSet results;  ///< records in plan order (as returned by run_shard)
-};
 
 /// The canonical cache file name of one shard of a set:
 /// `<set>-shard-<I>-of-<N>.rvcache` (a "<set>" placeholder stands in
@@ -82,23 +75,41 @@ struct ShardResult {
                                           std::size_t shard,
                                           std::size_t num_shards);
 
-/// Reassembles per-shard results into the single-process `ResultSet`:
-/// every record is placed at its global index and the shards' cache
-/// counters are summed.  \throws std::invalid_argument when the plans
-/// disagree on total/num_shards, a slice's size does not match its
-/// plan, or the union does not cover every index exactly once — the
-/// incomplete/duplicate messages name the affected global indices and
-/// the shard cache file (via `set_name`) to re-drive.
-[[nodiscard]] ResultSet merge_shards(const std::vector<ShardResult>& shards,
-                                     const std::string& set_name = "");
+/// Persists the outcomes `plan` owns from `cache` to `path`, but only
+/// when `ran` (the plan's `run_shard` result) computed at least one
+/// outcome.  A run that computed nothing replayed every item from
+/// entries loaded from files still on disk, so skipping its write
+/// loses nothing.  A run that did compute writes every owned outcome,
+/// warm-loaded ones included, so rewriting a file never drops an
+/// outcome whose only copy was in it.  Returns the number of outcomes
+/// written (0: no file written).
+std::size_t save_shard_file(const std::filesystem::path& path,
+                            const std::vector<WorkItem>& work,
+                            const ShardPlan& plan, const ResultSet& ran,
+                            const ScenarioCache& cache);
 
-/// Convenience: materialises `set`, runs all `num_shards` shards as
-/// separate `run_scenarios` calls (sequentially, sharing `options` —
-/// including its cache, as cross-process merges do), and merges.  The
-/// result is byte-identical to `run_scenarios(set, options)` for any
-/// shard count — the invariance the golden tests pin.
-[[nodiscard]] ResultSet run_sharded(const ScenarioSet& set,
-                                    std::size_t num_shards,
-                                    RunnerOptions options = {});
+/// Knobs of `run_forked`.
+struct ForkOptions {
+  std::filesystem::path dir;  ///< where the children leave shard files
+  std::string set_name;       ///< shard-file stem (see shard_file_name)
+  std::size_t procs = 1;      ///< child processes, one shard each
+  /// The whole thread budget (0 = hardware concurrency); each child
+  /// runs with max(1, budget / procs) threads.
+  unsigned threads = 0;
+  SupervisorOptions supervisor;  ///< retries / deadline / backoff
+};
+
+/// Runs `work` across `options.procs` forked children under
+/// `supervise_shards`.  Child p fires the `shard.worker.start`
+/// failpoint (index p), runs shard p/procs on its copy-on-write view
+/// of `cache`, and saves what it owns to `dir / shard_file_name(
+/// set_name, p, procs)` via `save_shard_file`.  The parent then folds
+/// every shard file back into `cache` (first writer wins; a missing
+/// file loads nothing) and returns the supervisor's report — the
+/// caller replays `cache` and decides what a failed shard means.
+/// \throws std::invalid_argument when procs == 0.
+[[nodiscard]] SupervisorReport run_forked(const std::vector<WorkItem>& work,
+                                          ScenarioCache& cache,
+                                          const ForkOptions& options);
 
 }  // namespace rv::engine

@@ -66,6 +66,15 @@ std::vector<std::size_t> SupervisorReport::failed_shards() const {
   return failed;
 }
 
+std::vector<std::size_t> SupervisorReport::missing_indices(
+    std::size_t total_items) const {
+  std::vector<std::size_t> missing;
+  for (std::size_t i = 0; i < total_items && !shards.empty(); ++i) {
+    if (!shards[i % shards.size()].succeeded) missing.push_back(i);
+  }
+  return missing;
+}
+
 bool SupervisorReport::any_failures() const {
   for (const ShardStatus& s : shards) {
     for (const ShardAttempt& a : s.attempts) {
@@ -91,7 +100,6 @@ std::string SupervisorReport::table() const {
 }
 
 std::string SupervisorReport::to_json(std::size_t total_items) const {
-  const std::vector<std::size_t> failed = failed_shards();
   const auto join = [](const std::vector<std::size_t>& values) {
     std::string list;
     for (const std::size_t v : values) {
@@ -100,23 +108,13 @@ std::string SupervisorReport::to_json(std::size_t total_items) const {
     }
     return list;
   };
-  // The strided partition (engine/shard.hpp): global item i belongs to
-  // shard i % num_shards, so a failed shard's items are recoverable
-  // from its id alone.
-  std::vector<std::size_t> missing;
-  const std::size_t num_shards = shards.size();
-  for (std::size_t i = 0; i < total_items && num_shards > 0; ++i) {
-    if (std::find(failed.begin(), failed.end(), i % num_shards) !=
-        failed.end()) {
-      missing.push_back(i);
-    }
-  }
   std::string out = "{\n";
   out += std::string("  \"complete\": ") + (complete() ? "true" : "false");
-  out += ",\n  \"num_shards\": " + std::to_string(num_shards);
+  out += ",\n  \"num_shards\": " + std::to_string(shards.size());
   out += ",\n  \"total_items\": " + std::to_string(total_items);
-  out += ",\n  \"failed_shards\": [" + join(failed) + "]";
-  out += ",\n  \"missing_indices\": [" + join(missing) + "]";
+  out += ",\n  \"failed_shards\": [" + join(failed_shards()) + "]";
+  out += ",\n  \"missing_indices\": [" + join(missing_indices(total_items)) +
+         "]";
   out += ",\n  \"shards\": [\n";
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const ShardStatus& shard = shards[s];

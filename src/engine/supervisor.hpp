@@ -13,13 +13,14 @@
 /// rename, and merges are first-writer-wins, so a half-done attempt
 /// leaves nothing a retry cannot overwrite.
 ///
-/// The attempt taxonomy (success / nonzero exit / signal / timeout /
-/// spawn failure) and the report shape are what `tools/rv_batch
-/// --procs` uses today and what the planned `rv_serve` admission
-/// queue will reuse (see ROADMAP.md).  Determinism note: the
-/// supervisor consults a wall clock for deadlines and backoff pacing
-/// only — nothing it measures ever feeds emitted bytes, which stay a
-/// pure function of the scenario inputs.
+/// Its one caller is `engine::run_forked` (engine/shard.hpp), the
+/// forked dispatch behind both `rv_batch run --procs` and `rv_serve
+/// --procs`, so both report the same attempt taxonomy (success /
+/// nonzero exit / signal / timeout / spawn failure).
+///
+/// Determinism note: the supervisor consults a wall clock for deadlines
+/// and backoff pacing only — nothing it measures ever feeds emitted
+/// bytes, which stay a pure function of the scenario inputs.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,6 +73,11 @@ struct SupervisorReport {
   [[nodiscard]] bool complete() const;
   /// Shards whose attempt budget ran out, ascending.
   [[nodiscard]] std::vector<std::size_t> failed_shards() const;
+  /// Global item indices of `total_items` owned by failed shards under
+  /// the strided partition (item i belongs to shard i % shards.size(),
+  /// engine/shard.hpp), ascending.
+  [[nodiscard]] std::vector<std::size_t> missing_indices(
+      std::size_t total_items) const;
   /// True when any attempt failed (even if a retry recovered it).
   [[nodiscard]] bool any_failures() const;
   /// Human-readable per-shard attempt/latency/exit-status table.

@@ -192,6 +192,29 @@ TEST(GoldenBatch, ForkedProcsModeMatchesSingleProcessBytes) {
   EXPECT_EQ(*forked, *single);
 }
 
+TEST(GoldenBatch, RunsThatComputeNothingWriteNoShardFile) {
+  if (!fs::exists(rv_batch_binary())) {
+    GTEST_SKIP() << rv_batch_binary() << " not built";
+  }
+  Scratch scratch;
+  const std::string dir = (scratch.path / "cache").string();
+  // The plain run computes everything and writes its one shard file;
+  // the forked and the single-shard reruns replay it and write nothing.
+  const std::string run = "run --set search-ring --cache-dir '" + dir + "'";
+  ASSERT_TRUE(run_and_capture(batch_cmd(run)).has_value());
+  for (const std::string mode : {" --procs 2", " --shard 1/3"}) {
+    ASSERT_TRUE(
+        run_and_capture(batch_cmd(run + mode + " --require-all-hits"))
+            .has_value())
+        << mode;
+  }
+  std::size_t cache_files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".rvcache") ++cache_files;
+  }
+  EXPECT_EQ(cache_files, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos pins: failpoint-armed shard runs (engine/failpoint.hpp) under
 // the supervisor must either recover to the exact fault-free bytes or

@@ -628,6 +628,51 @@ TEST_F(ServeDaemon, InlineBodiesSharingANameEachSurviveRestart) {
   EXPECT_EQ(again.payload, a_payload);
 }
 
+TEST_F(ServeDaemon, PersistSavesOnlyTheRequestsMisses) {
+  // The second body repeats the first's three cells and adds one: its
+  // persist file must hold that one new outcome, not all four again.
+  const std::string three =
+      "[linear]\nmode = zigzag-search\nvisibility = 1e-3\n"
+      "distances = 1.0 -2.0 4.0\nhorizon_rule = zigzag-reach+1\n";
+  const std::string four =
+      three +
+      "\n[linear.add]\nmode = linear-rendezvous\nspeed = 1.5\n"
+      "target = 1.0\nvisibility = 0.05\nmax_time = 1e4\n";
+  const auto body_run = [](Daemon& daemon, const std::string& body) {
+    return roundtrip(daemon,
+                     R"({"op":"run","id":"b","body_bytes":)" +
+                         std::to_string(body.size()) + "}",
+                     body, /*has_body=*/true);
+  };
+  Scratch scratch;
+  const fs::path dir = scratch.path / "cache";
+  std::string four_payload;
+  {
+    Daemon daemon({"--cache-dir", dir.string()});
+    const Frame first = body_run(daemon, three);
+    ASSERT_EQ(field(first.header, "reply"), "ok") << first.header;
+    EXPECT_EQ(field(first.header, "hits"), "0");
+    EXPECT_EQ(field(first.header, "misses"), "3");
+    const Frame second = body_run(daemon, four);
+    ASSERT_EQ(field(second.header, "reply"), "ok") << second.header;
+    EXPECT_EQ(field(second.header, "hits"), "3");
+    EXPECT_EQ(field(second.header, "misses"), "1");
+    four_payload = second.payload;
+    daemon.close_stdin();
+    EXPECT_EQ(daemon.wait_exit(), 0);
+  }
+  std::size_t records = 0;
+  for (const fs::path& file : rv::engine::list_cache_files(dir)) {
+    rv::engine::ScenarioCache loaded;
+    records += rv::engine::load_cache_file(file, &loaded).loaded;
+  }
+  EXPECT_EQ(records, 4u);
+  Daemon revived({"--cache-dir", dir.string()});
+  const Frame again = body_run(revived, four);
+  EXPECT_EQ(field(again.header, "misses"), "0");
+  EXPECT_EQ(again.payload, four_payload);
+}
+
 TEST_F(ServeDaemon, TornReplyTruncatesExactlyAndDaemonStaysHealthy) {
   // Capture the expected full frame from a clean daemon first.
   std::string expected;
@@ -698,7 +743,7 @@ TEST_F(ServeForked, FailedShardYieldsPinnedPartialReply) {
   // lost global indices named (linear-line: shard 1 of 2 owns 1, 3).
   Daemon daemon({"--cache-dir", (scratch.path / "cache").string(), "--procs",
                  "2"},
-                "serve.shard=crash(87),index=1");
+                "shard.worker.start=crash(87),index=1");
   const Frame partial = roundtrip(
       daemon, R"({"op":"run","id":"p","set":"linear-line","partial":true})");
   EXPECT_EQ(field(partial.header, "reply"), "partial");
@@ -721,7 +766,7 @@ TEST_F(ServeForked, FailedShardWithoutPartialIsAFailedReply) {
   Scratch scratch;
   Daemon daemon({"--cache-dir", (scratch.path / "cache").string(), "--procs",
                  "2"},
-                "serve.shard=crash(87),index=0");
+                "shard.worker.start=crash(87),index=0");
   const Frame failed =
       roundtrip(daemon, R"({"op":"run","id":"f","set":"linear-line"})");
   EXPECT_EQ(failed.header,

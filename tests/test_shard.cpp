@@ -1,31 +1,63 @@
 // Tests for deterministic process sharding (engine/shard): plan
-// properties, merge validation, and the load-bearing invariant — a
-// sharded run merged by global index emits table/CSV/JSON
-// byte-identical to the single-process run, for every family and any
-// shard count.
+// properties and the load-bearing invariant — a set run across forked
+// shard processes (`run_forked`) and replayed from the folded cache
+// emits table/CSV/JSON byte-identical to the single-process run, for
+// every family and any shard count.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "engine/cache_store.hpp"
+#include "engine/failpoint.hpp"
 #include "engine/runner.hpp"
 #include "engine/scenario_set.hpp"
 #include "engine/shard.hpp"
 
 namespace {
 
+namespace fs = std::filesystem;
 using rv::engine::Family;
+using rv::engine::ForkOptions;
 using rv::engine::ResultSet;
 using rv::engine::RunnerOptions;
 using rv::engine::ScenarioCache;
 using rv::engine::ScenarioSet;
 using rv::engine::ShardPlan;
-using rv::engine::ShardResult;
+using rv::engine::SupervisorReport;
 using rv::engine::WorkItem;
+
+/// Scratch directory removed on every exit path.
+struct Scratch {
+  fs::path path;
+  Scratch() {
+    std::string buffer =
+        (fs::temp_directory_path() / "rv_shard_XXXXXX").string();
+    EXPECT_NE(mkdtemp(buffer.data()), nullptr) << "mkdtemp failed";
+    path = buffer;
+  }
+  ~Scratch() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
+/// Fork options over `dir` with one runner thread per child (the
+/// children then never start threads of their own).
+ForkOptions fork_options(const fs::path& dir, std::size_t procs) {
+  ForkOptions fork;
+  fork.dir = dir;
+  fork.set_name = "set";
+  fork.procs = procs;
+  fork.threads = static_cast<unsigned>(procs);
+  return fork;
+}
 
 TEST(ShardPlanTest, PartitionsIndicesByStride) {
   const ShardPlan plan = rv::engine::shard_plan(10, 1, 3);
@@ -146,13 +178,21 @@ TEST_P(ShardedRunPerFamily, MergedOutputMatchesSingleProcessByteForByte) {
     return os.str();
   }();
 
-  for (const std::size_t num_shards : {1u, 2u, 3u, 5u}) {
-    const ResultSet merged = rv::engine::run_sharded(set, num_shards, options);
-    EXPECT_EQ(merged.to_csv(), csv) << num_shards << " shards";
-    EXPECT_EQ(merged.to_json(), json) << num_shards << " shards";
+  const std::vector<WorkItem> work = set.materialize_work();
+  for (const std::size_t procs : {1u, 2u, 3u, 5u}) {
+    Scratch scratch;
+    ScenarioCache cache;
+    const SupervisorReport report =
+        rv::engine::run_forked(work, cache, fork_options(scratch.path, procs));
+    EXPECT_TRUE(report.complete()) << procs << " procs\n" << report.table();
+    options.cache = &cache;
+    const ResultSet replay = rv::engine::run_scenarios(work, options);
+    EXPECT_EQ(replay.cache_stats().misses, 0u) << procs << " procs";
+    EXPECT_EQ(replay.to_csv(), csv) << procs << " procs";
+    EXPECT_EQ(replay.to_json(), json) << procs << " procs";
     std::ostringstream os;
-    merged.to_table().print(os);
-    EXPECT_EQ(os.str(), table) << num_shards << " shards";
+    replay.to_table().print(os);
+    EXPECT_EQ(os.str(), table) << procs << " procs";
   }
 }
 
@@ -165,72 +205,6 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, ShardedRunPerFamily,
                            return rv::engine::family_name(info.param);
                          });
 
-TEST(MergeShardsTest, RejectsIncompleteAndInconsistentMerges) {
-  const ScenarioSet set = family_set(Family::kLinear);
-  const std::vector<WorkItem> work = set.materialize_work();
-  RunnerOptions options;
-  options.threads = 1;
-
-  ShardResult shard0{rv::engine::shard_plan(work.size(), 0, 2), ResultSet{}};
-  shard0.results = rv::engine::run_shard(work, shard0.plan, options);
-  ShardResult shard1{rv::engine::shard_plan(work.size(), 1, 2), ResultSet{}};
-  shard1.results = rv::engine::run_shard(work, shard1.plan, options);
-
-  // A full merge works...
-  const ResultSet merged = rv::engine::merge_shards({shard0, shard1});
-  EXPECT_EQ(merged.size(), work.size());
-  // ...but a missing shard, a duplicated shard, or mismatched plans
-  // are loud errors, not silently wrong output.
-  EXPECT_THROW((void)rv::engine::merge_shards({shard0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)rv::engine::merge_shards({shard0, shard0}),
-               std::invalid_argument);
-  ShardResult bad = shard1;
-  bad.plan.total = work.size() + 1;
-  EXPECT_THROW((void)rv::engine::merge_shards({shard0, bad}),
-               std::invalid_argument);
-}
-
-TEST(MergeShardsTest, MissingCoverageNamesIndicesAndShardFile) {
-  const ScenarioSet set = family_set(Family::kLinear);  // 4 items
-  const std::vector<WorkItem> work = set.materialize_work();
-  RunnerOptions options;
-  options.threads = 1;
-  ShardResult shard0{rv::engine::shard_plan(work.size(), 0, 2), ResultSet{}};
-  shard0.results = rv::engine::run_shard(work, shard0.plan, options);
-  try {
-    (void)rv::engine::merge_shards({shard0}, "myset");
-    FAIL() << "incomplete merge did not throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    // Shard 1 of 2 over 4 items owns global indices 1 and 3; the error
-    // must name them and the cache file to re-drive.
-    EXPECT_NE(what.find("incomplete"), std::string::npos) << what;
-    EXPECT_NE(what.find("{1, 3}"), std::string::npos) << what;
-    EXPECT_NE(what.find("myset-shard-1-of-2.rvcache"), std::string::npos)
-        << what;
-  }
-}
-
-TEST(MergeShardsTest, DuplicateCoverageNamesIndexAndShardFile) {
-  const ScenarioSet set = family_set(Family::kLinear);
-  const std::vector<WorkItem> work = set.materialize_work();
-  RunnerOptions options;
-  options.threads = 1;
-  ShardResult shard0{rv::engine::shard_plan(work.size(), 0, 2), ResultSet{}};
-  shard0.results = rv::engine::run_shard(work, shard0.plan, options);
-  try {
-    (void)rv::engine::merge_shards({shard0, shard0}, "myset");
-    FAIL() << "duplicate merge did not throw";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("covered twice"), std::string::npos) << what;
-    EXPECT_NE(what.find("index 0"), std::string::npos) << what;
-    EXPECT_NE(what.find("myset-shard-0-of-2.rvcache"), std::string::npos)
-        << what;
-  }
-}
-
 TEST(ShardFileNameTest, FormatsSetShardAndPlaceholder) {
   EXPECT_EQ(rv::engine::shard_file_name("linear-line", 1, 3),
             "linear-line-shard-1-of-3.rvcache");
@@ -238,20 +212,59 @@ TEST(ShardFileNameTest, FormatsSetShardAndPlaceholder) {
             "<set>-shard-0-of-2.rvcache");
 }
 
-TEST(MergeShardsTest, EmptyMergeIsEmpty) {
-  const ResultSet merged = rv::engine::merge_shards({});
-  EXPECT_TRUE(merged.empty());
+TEST(RunForkedTest, CrashedShardLosesItsStridedIndices) {
+  const std::vector<WorkItem> work =
+      family_set(Family::kLinear).materialize_work();
+  ASSERT_EQ(work.size(), 4u);
+  Scratch scratch;
+  ScenarioCache cache;
+  rv::engine::failpoint::arm("shard.worker.start=crash(87),index=1");
+  const SupervisorReport report =
+      rv::engine::run_forked(work, cache, fork_options(scratch.path, 2));
+  rv::engine::failpoint::disarm_all();
+  EXPECT_FALSE(report.complete());
+  EXPECT_EQ(report.failed_shards(), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(report.missing_indices(4), (std::vector<std::size_t>{1, 3}));
+  // Only the surviving shard's file exists, and only its two outcomes
+  // were folded back.
+  EXPECT_TRUE(fs::exists(scratch.path /
+                         rv::engine::shard_file_name("set", 0, 2)));
+  EXPECT_FALSE(fs::exists(scratch.path /
+                          rv::engine::shard_file_name("set", 1, 2)));
+  EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(MergeShardsTest, RunShardedRejectsZeroShards) {
-  EXPECT_THROW((void)rv::engine::run_sharded(family_set(Family::kLinear), 0),
+TEST(RunForkedTest, WarmRerunWritesNoShardFileAndReplaysEverything) {
+  const std::vector<WorkItem> work =
+      family_set(Family::kSearch).materialize_work();
+  ScenarioCache warm;
+  RunnerOptions options;
+  options.threads = 1;
+  options.cache = &warm;
+  (void)rv::engine::run_scenarios(work, options);
+  Scratch scratch;
+  const SupervisorReport report =
+      rv::engine::run_forked(work, warm, fork_options(scratch.path, 2));
+  EXPECT_TRUE(report.complete());
+  // Every child replayed what it owns: nothing was computed, so no
+  // child wrote a shard file.
+  EXPECT_TRUE(rv::engine::list_cache_files(scratch.path).empty());
+  const ResultSet replay = rv::engine::run_scenarios(work, options);
+  EXPECT_EQ(replay.cache_stats().hits, work.size());
+  EXPECT_EQ(replay.cache_stats().misses, 0u);
+}
+
+TEST(RunForkedTest, RejectsZeroProcs) {
+  ScenarioCache cache;
+  EXPECT_THROW((void)rv::engine::run_forked({}, cache, fork_options("", 0)),
                std::invalid_argument);
 }
 
-TEST(ShardCacheTest, ShardsSharingACacheReplayDuplicateCells) {
-  // Two shards over a set whose cells repeat: with one shared cache the
-  // second occurrence of each cell replays instead of recomputing, and
-  // the merged output is unchanged.
+TEST(ShardCacheTest, ForkedShardsReplayDuplicateCells) {
+  // Two forked shards over a set whose cells repeat: the strided plan
+  // gives each shard both copies of one cell, so each child computes
+  // it once and replays it once, writes one outcome, and the replay of
+  // the folded cache is unchanged.
   ScenarioSet set;
   rv::engine::LinearCell cell;
   cell.mode = rv::engine::LinearMode::kZigZagSearch;
@@ -264,18 +277,28 @@ TEST(ShardCacheTest, ShardsSharingACacheReplayDuplicateCells) {
     }
   }
 
-  RunnerOptions plain;
-  plain.threads = 1;
-  const std::string want = rv::engine::run_scenarios(set, plain).to_csv();
+  RunnerOptions options;
+  options.threads = 1;
+  const std::string want = rv::engine::run_scenarios(set, options).to_csv();
 
+  const std::vector<WorkItem> work = set.materialize_work();
+  Scratch scratch;
   ScenarioCache cache;
-  RunnerOptions cached = plain;
-  cached.cache = &cache;
-  const ResultSet merged = rv::engine::run_sharded(set, 2, cached);
-  EXPECT_EQ(merged.to_csv(), want);
-  EXPECT_EQ(merged.cache_stats().hits + merged.cache_stats().misses, 4u);
-  EXPECT_EQ(merged.cache_stats().misses, 2u);  // two distinct cells
-  EXPECT_EQ(merged.cache_stats().hits, 2u);    // two replays
+  const SupervisorReport report =
+      rv::engine::run_forked(work, cache, fork_options(scratch.path, 2));
+  EXPECT_TRUE(report.complete());
+  for (std::size_t p = 0; p < 2; ++p) {
+    ScenarioCache file;
+    const rv::engine::CacheLoadStats stats = rv::engine::load_cache_file(
+        scratch.path / rv::engine::shard_file_name("set", p, 2), &file);
+    EXPECT_EQ(stats.loaded, 1u) << "shard " << p;
+  }
+  EXPECT_EQ(cache.size(), 2u);  // two distinct cells
+  options.cache = &cache;
+  const ResultSet replay = rv::engine::run_scenarios(work, options);
+  EXPECT_EQ(replay.to_csv(), want);
+  EXPECT_EQ(replay.cache_stats().hits, 4u);
+  EXPECT_EQ(replay.cache_stats().misses, 0u);
 }
 
 }  // namespace

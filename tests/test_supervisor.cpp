@@ -159,6 +159,7 @@ TEST(SupervisorTest, CoverageReportNamesMissingIndices) {
   EXPECT_NE(json.find("\"failed_shards\": [1]"), std::string::npos);
   EXPECT_NE(json.find("\"missing_indices\": [1, 4, 7]"), std::string::npos);
   EXPECT_NE(json.find("\"outcome\": \"exit\""), std::string::npos);
+  EXPECT_EQ(report.missing_indices(10), (std::vector<std::size_t>{1, 4, 7}));
 }
 
 TEST(SupervisorTest, CompleteRunEmitsEmptyFailureLists) {

@@ -33,8 +33,10 @@
 // first), then deletes the originals — a warm `--require-all-hits`
 // rerun stays at 100% hits (see docs/OPERATIONS.md).
 //
-// Fork mode (--procs P) runs under a shard supervisor
-// (engine/supervisor.hpp): each shard gets a per-attempt deadline
+// Fork mode (--procs P) is engine::run_forked (engine/shard.hpp), the
+// forked dispatch rv_serve uses too: --threads T is the whole budget,
+// each child runs T/P threads (at least 1), and a shard supervisor
+// (engine/supervisor.hpp) gives each shard a per-attempt deadline
 // (--shard-timeout), failed/killed/timed-out shards are retried —
 // only they — up to --retries times with exponential backoff
 // (--backoff-ms base), and a per-shard attempt/latency/exit-status
@@ -58,14 +60,11 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/cache_store.hpp"
-#include "engine/failpoint.hpp"
 #include "engine/runner.hpp"
 #include "engine/set_decl.hpp"
 #include "engine/shard.hpp"
@@ -80,7 +79,6 @@ using rv::engine::CacheLoadStats;
 using rv::engine::ResultSet;
 using rv::engine::ScenarioCache;
 using rv::engine::ShardPlan;
-using rv::engine::SupervisorOptions;
 using rv::engine::SupervisorReport;
 using rv::engine::WorkItem;
 
@@ -181,149 +179,88 @@ int check_all_hits(bool required, const rv::engine::CacheStats& stats) {
   return kExitMissedHits;
 }
 
-/// The cache file a shard persists its outcomes to.  Set-qualified so
-/// different sets can share one cache directory without clobbering
-/// each other's files.
-fs::path shard_cache_path(const fs::path& dir, const std::string& set_name,
-                          const ShardSpec& spec) {
-  return dir /
-         rv::engine::shard_file_name(set_name, spec.shard, spec.num_shards);
-}
-
 /// Runs one shard (or, with num_shards == 1, the whole set): warm-loads
-/// the cache directory if given (unless `preloaded` already holds it —
-/// the fork mode loads once in the parent), executes the plan,
-/// persists the cache back, and returns the executed slice.
+/// the cache directory if given, executes the plan, persists what the
+/// shard owns to its set-qualified shard file (so different sets share
+/// one cache directory without clobbering each other's files), and
+/// returns the executed slice.
 ResultSet run_one_shard(const std::vector<WorkItem>& work,
                         const std::string& set_name, const ShardSpec& spec,
-                        unsigned threads, const fs::path& cache_dir,
-                        ScenarioCache* preloaded = nullptr) {
-  ScenarioCache local;
-  ScenarioCache* cache = preloaded != nullptr ? preloaded : &local;
-  if (preloaded == nullptr && !cache_dir.empty()) {
-    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, cache));
+                        unsigned threads, const fs::path& cache_dir) {
+  ScenarioCache cache;
+  if (!cache_dir.empty()) {
+    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &cache));
   }
   const ShardPlan plan =
       rv::engine::shard_plan(work.size(), spec.shard, spec.num_shards);
-  rv::engine::RunnerOptions options;
-  options.threads = threads;
-  options.cache = cache;
-  ResultSet results = rv::engine::run_shard(work, plan, options);
-  const fs::path shard_file =
-      cache_dir.empty() ? fs::path{}
-                        : shard_cache_path(cache_dir, set_name, spec);
-  if (!cache_dir.empty() && results.cache_stats().misses == 0 &&
-      fs::exists(shard_file)) {
-    // Pure replay: nothing new was computed and the shard file already
-    // exists, so rewriting it would produce the same bytes.
-    std::cerr << "rv_batch: " << shard_file << " unchanged (all hits)\n";
-  } else if (!cache_dir.empty()) {
-    // Persist only the outcomes this shard *owns*: warm-loaded entries
-    // stay in the files they came from, so a shared cache directory
-    // grows linearly in the sweep size however many shards run
-    // through it sequentially.
-    ScenarioCache own;
-    for (const std::size_t i : plan.indices) {
-      const std::optional<std::string> key = rv::engine::cache_key(work[i]);
-      ScenarioCache::Entry entry;
-      if (key.has_value() && cache->lookup(*key, &entry)) {
-        own.store(*key, std::move(entry));
-      }
+  ResultSet results = rv::engine::run_shard(work, plan, {threads, &cache});
+  if (!cache_dir.empty()) {
+    const fs::path shard_file =
+        cache_dir /
+        rv::engine::shard_file_name(set_name, spec.shard, spec.num_shards);
+    const std::size_t written = rv::engine::save_shard_file(
+        shard_file, work, plan, results, cache);
+    if (written == 0) {
+      std::cerr << "rv_batch: all hits, " << shard_file << " not written\n";
+    } else {
+      std::cerr << "rv_batch: wrote " << written << " outcomes to "
+                << shard_file << "\n";
     }
-    rv::engine::save_cache_file(shard_file, own);
-    std::cerr << "rv_batch: wrote " << own.size() << " outcomes to "
-              << shard_file << "\n";
   }
   return results;
 }
 
-/// Fork-mode knobs beyond the worker count.
-struct ForkOptions {
-  unsigned threads = 0;            ///< per-child thread budget (0 = split hw)
-  SupervisorOptions supervisor;    ///< retries / deadline / backoff
-  bool partial = false;            ///< emit surviving subset on failure
-};
-
-/// `run --procs P`: supervises P children (engine/supervisor.hpp), each
-/// executing shard p/P with the shared cache directory, then replays
-/// the merged cache into the full set in this process.  Failed shards
-/// are retried per `options.supervisor`; with every shard eventually
-/// succeeding the merge covers the full set (all hits).  When shards
+/// `run --procs P`: warm-loads the cache directory, runs the set
+/// across P supervised children (engine::run_forked), then replays the
+/// folded cache into the full set in this process.  Failed shards are
+/// retried per `fork.supervisor`; with every shard eventually
+/// succeeding the replay covers the full set (all hits).  When shards
 /// exhaust their budget, the attempt table and a JSON coverage report
 /// go to stderr, then either a ShardFailure escapes (default) or —
-/// with `options.partial` — the surviving subset is replayed and
-/// returned in global-index order.
-ResultSet run_forked(const std::vector<WorkItem>& work,
-                     const std::string& set_name, std::size_t procs,
-                     const fs::path& cache_dir, const ForkOptions& options) {
-  // Warm-load the directory once, before forking: the children inherit
-  // the populated cache copy-on-write instead of each re-parsing every
-  // file.
+/// with `partial` — the surviving subset is replayed and returned in
+/// global-index order.
+ResultSet run_procs(const std::vector<WorkItem>& work,
+                    const rv::engine::ForkOptions& fork, bool partial) {
+  // Loaded once, before forking: the children inherit it copy-on-write
+  // instead of each re-parsing every file.
   ScenarioCache warm;
-  print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &warm));
-  // Split the thread budget across the workers: P children each
-  // defaulting to hardware concurrency would oversubscribe the box
-  // P-fold.  An explicit --threads T is taken as the per-process
-  // budget the operator asked for and left alone.
-  unsigned child_threads = options.threads;
-  if (child_threads == 0) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    child_threads = std::max(1u, hw / static_cast<unsigned>(procs));
-  }
-  const auto child_main = [&](std::size_t p) -> int {
-    // Chaos site: crash/delay/error a worker at its very first
-    // instruction — the supervisor must detect and retry it.
-    RV_FAILPOINT_AT("shard.worker.start", p);
-    (void)run_one_shard(work, set_name, {p, procs}, child_threads, cache_dir,
-                        &warm);
-    return 0;
-  };
-  const SupervisorReport report =
-      rv::engine::supervise_shards(procs, child_main, options.supervisor);
+  print_load_stats("loaded", rv::engine::load_cache_dir(fork.dir, &warm));
+  const SupervisorReport report = rv::engine::run_forked(work, warm, fork);
   if (report.any_failures()) {
     std::cerr << "rv_batch: shard attempt log:\n" << report.table();
   }
-  rv::engine::RunnerOptions run_options;
-  run_options.threads = options.threads;
-  if (!report.complete()) {
-    std::cerr << report.to_json(work.size());
-    const std::vector<std::size_t> failed = report.failed_shards();
-    std::string failed_list;
-    for (const std::size_t s : failed) {
-      if (!failed_list.empty()) failed_list += ", ";
-      failed_list += std::to_string(s);
-    }
-    if (!options.partial) {
-      throw ShardFailure(std::to_string(failed.size()) + " of " +
-                         std::to_string(procs) +
-                         " shard(s) failed after retries: {" + failed_list +
-                         "} (rerun with --partial for the surviving subset)");
-    }
-    // Graceful degradation: replay only the items owned by surviving
-    // shards, in ascending global-index order, so the emitted subset is
-    // byte-identical to the corresponding rows of the full document.
-    std::vector<WorkItem> subset;
-    subset.reserve(work.size());
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (std::find(failed.begin(), failed.end(), i % procs) == failed.end()) {
-        subset.push_back(work[i]);
-      }
-    }
-    std::cerr << "rv_batch: --partial: emitting " << subset.size() << " of "
-              << work.size() << " items (shards {" << failed_list
-              << "} missing)\n";
-    ScenarioCache cache;
-    print_load_stats("merged", rv::engine::load_cache_dir(cache_dir, &cache));
-    run_options.cache = &cache;
-    return rv::engine::run_scenarios(subset, run_options);
+  const rv::engine::RunnerOptions replay{fork.threads, &warm};
+  if (report.complete()) return rv::engine::run_scenarios(work, replay);
+  std::cerr << report.to_json(work.size());
+  const std::vector<std::size_t> failed = report.failed_shards();
+  std::string failed_list;
+  for (const std::size_t s : failed) {
+    if (!failed_list.empty()) failed_list += ", ";
+    failed_list += std::to_string(s);
   }
-  // Merge: replay every persisted outcome into the full set.  All
-  // cacheable items hit, so this recomputes nothing and reproduces the
-  // single-process bytes.
-  ScenarioCache cache;
-  print_load_stats("merged", rv::engine::load_cache_dir(cache_dir, &cache));
-  run_options.cache = &cache;
-  return rv::engine::run_scenarios(work, run_options);
+  if (!partial) {
+    throw ShardFailure(std::to_string(failed.size()) + " of " +
+                       std::to_string(fork.procs) +
+                       " shard(s) failed after retries: {" + failed_list +
+                       "} (rerun with --partial for the surviving subset)");
+  }
+  // Graceful degradation: replay only the items owned by surviving
+  // shards, in ascending global-index order, so the emitted subset is
+  // byte-identical to the corresponding rows of the full document.
+  const std::vector<std::size_t> missing = report.missing_indices(work.size());
+  std::vector<WorkItem> subset;
+  subset.reserve(work.size() - missing.size());
+  for (std::size_t i = 0, m = 0; i < work.size(); ++i) {
+    if (m < missing.size() && missing[m] == i) {
+      ++m;
+    } else {
+      subset.push_back(work[i]);
+    }
+  }
+  std::cerr << "rv_batch: --partial: emitting " << subset.size() << " of "
+            << work.size() << " items (shards {" << failed_list
+            << "} missing)\n";
+  return rv::engine::run_scenarios(subset, replay);
 }
 
 /// The set a run/merge operates on: a compiled-in declaration named by
@@ -401,7 +338,6 @@ int cmd_run(rv::io::Args& args) {
   }
 
   ResultSet results;
-  rv::engine::CacheStats stats;
   if (procs > 1) {
     if (!shard_text.empty()) {
       throw std::invalid_argument("--procs and --shard are exclusive");
@@ -411,26 +347,25 @@ int cmd_run(rv::io::Args& args) {
           "--procs needs --cache-dir (the shard hand-off point)");
     }
     fs::create_directories(cache_dir);
-    ForkOptions fork_options;
-    fork_options.threads = threads;
-    fork_options.supervisor.retries = static_cast<std::size_t>(retries);
-    fork_options.supervisor.timeout_sec = shard_timeout;
-    fork_options.supervisor.backoff_ms =
-        static_cast<std::uint64_t>(backoff_ms);
-    fork_options.partial = partial;
-    results = run_forked(work, set_name, static_cast<std::size_t>(procs),
-                         cache_dir, fork_options);
-    stats = results.cache_stats();
+    rv::engine::ForkOptions fork;
+    fork.dir = cache_dir;
+    fork.set_name = set_name;
+    fork.procs = static_cast<std::size_t>(procs);
+    fork.threads = threads;
+    fork.supervisor.retries = static_cast<std::size_t>(retries);
+    fork.supervisor.timeout_sec = shard_timeout;
+    fork.supervisor.backoff_ms = static_cast<std::uint64_t>(backoff_ms);
+    results = run_procs(work, fork, partial);
   } else {
     const ShardSpec spec =
         shard_text.empty() ? ShardSpec{} : parse_shard(shard_text);
     if (!cache_dir.empty()) fs::create_directories(cache_dir);
     results = run_one_shard(work, set_name, spec, threads, cache_dir);
-    stats = results.cache_stats();
   }
-  print_run_stats(set_name, results.size(), stats);
+  print_run_stats(set_name, results.size(), results.cache_stats());
   emit(rv::engine::render(results, args.get("format")), args.get("out"));
-  return check_all_hits(args.get_bool("require-all-hits"), stats);
+  return check_all_hits(args.get_bool("require-all-hits"),
+                        results.cache_stats());
 }
 
 int cmd_merge(rv::io::Args& args) {
@@ -637,7 +572,9 @@ int main(int argc, char** argv) {
                "declarative .rvset file to run instead of a built-in set");
   args.declare("shard", "", "run only shard I of N, as I/N");
   args.declare_int("procs", 1, "fork P local shard processes, then merge");
-  args.declare_int("threads", 0, "worker threads per process (0 = hardware)");
+  args.declare_int("threads", 0,
+                   "worker threads (0 = hardware); --procs splits them "
+                   "across the workers");
   args.declare("cache-dir", "", "directory of persistent *.rvcache files");
   args.declare("format", "csv", "output format: csv, json or table");
   args.declare("out", "", "write the document here instead of stdout");

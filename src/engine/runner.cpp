@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "engine/failpoint.hpp"
@@ -268,122 +269,132 @@ std::string render(const ResultSet& results, std::string_view format) {
                               std::string(format) + "'");
 }
 
+Classification classify(const std::vector<WorkItem>& work,
+                        const ScenarioCache* cache) {
+  Classification out;
+  if (cache == nullptr) return out;
+  out.keys.reserve(work.size());
+  for (const WorkItem& item : work) out.keys.push_back(cache_key(item));
+  std::unordered_set<std::string_view> computed;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const std::optional<std::string>& key = out.keys[i];
+    if (!key) {
+      out.stats.uncacheable += 1;
+    } else if (cache->contains(*key) || !computed.insert(*key).second) {
+      out.stats.hits += 1;
+    } else {
+      out.stats.misses += 1;
+      out.misses.push_back(i);
+    }
+  }
+  return out;
+}
+
 ResultSet run_scenarios(const std::vector<WorkItem>& work,
+                        const Classification& classification,
                         RunnerOptions options) {
   const std::size_t n = work.size();
   std::vector<RunRecord> records(n);
   std::vector<std::exception_ptr> errors(n);
 
-  unsigned threads =
-      options.threads ? options.threads : std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  if (threads > n) threads = static_cast<unsigned>(n);
+  const auto run_item = [&](std::size_t i) {
+    const WorkItem& item = work[i];
+    try {
+      // Chaos site: an `error` action lands in this catch and surfaces
+      // through ResultSet like any scenario failure.
+      RV_FAILPOINT_AT("runner.work.item", i);
+      RunRecord rec;
+      rec.family = item.family;
+      rec.label = item.label;
+      // Cells of other families are default-constructed on both sides.
+      rec.scenario = item.scenario;
+      rec.search = item.search;
+      rec.gather = item.gather;
+      rec.linear = item.linear;
+      rec.coverage = item.coverage;
 
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> hits{0}, misses{0}, uncacheable{0};
-  auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      const WorkItem& item = work[i];
-      try {
-        // Chaos site: an `error` action lands in this catch and
-        // surfaces through ResultSet like any scenario failure.
-        RV_FAILPOINT_AT("runner.work.item", i);
-        RunRecord rec;
-        rec.family = item.family;
-        rec.label = item.label;
+      // Memoization: replay an identical cell's outcome instead of
+      // recomputing it.  Outcomes are pure functions of the content
+      // key, so the replayed record is byte-identical to a computed
+      // one in every emitter.
+      const bool keyed = options.cache != nullptr &&
+                         !classification.keys.empty() && classification.keys[i];
+      ScenarioCache::Entry entry;
+      bool have_outcome =
+          keyed && options.cache->lookup(*classification.keys[i], &entry);
+      if (!have_outcome && !item.components_only) {
         switch (item.family) {
           case Family::kRendezvous:
-            rec.scenario = item.scenario;
+            entry = rendezvous::run_scenario(item.scenario);
             break;
           case Family::kSearch:
-            rec.search = item.search;
+            entry = run_search_cell(item.search);
             break;
           case Family::kGather:
-            rec.gather = item.gather;
+            entry = run_gather_cell(item.gather);
             break;
           case Family::kLinear:
-            rec.linear = item.linear;
+            entry = run_linear_cell(item.linear);
             break;
           case Family::kCoverage:
-            rec.coverage = item.coverage;
+            entry = run_coverage_cell(item.coverage);
             break;
         }
-
-        // Memoization: replay an identical cell's outcome instead of
-        // recomputing it.  Outcomes are pure functions of the content
-        // key, so the replayed record is byte-identical to a computed
-        // one in every emitter.
-        std::optional<std::string> key;
-        ScenarioCache::Entry entry;
-        bool have_outcome = false;
-        if (options.cache) {
-          key = cache_key(item);
-          if (!key) {
-            uncacheable.fetch_add(1, std::memory_order_relaxed);
-          } else if (options.cache->lookup(*key, &entry)) {
-            have_outcome = true;
-            hits.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            misses.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-
-        if (!have_outcome && !item.components_only) {
-          switch (item.family) {
-            case Family::kRendezvous:
-              entry = rendezvous::run_scenario(item.scenario);
-              break;
-            case Family::kSearch:
-              entry = run_search_cell(item.search);
-              break;
-            case Family::kGather:
-              entry = run_gather_cell(item.gather);
-              break;
-            case Family::kLinear:
-              entry = run_linear_cell(item.linear);
-              break;
-            case Family::kCoverage:
-              entry = run_coverage_cell(item.coverage);
-              break;
-          }
-          have_outcome = true;
-          if (key) options.cache->store(*key, entry);
-        }
-        if (have_outcome) {
-          rec.set_outcome(std::move(entry));
-        } else if (item.family == Family::kRendezvous) {
-          // A components-only rendezvous item runs no scenario, but its
-          // `feasible` column is still emitted: Theorem 4 decides it
-          // from the attributes alone.
-          rec.outcome.feasibility = rendezvous::classify(item.scenario.attrs);
-        }
-        // Component times are evaluated on every run — computed and
-        // replayed cells alike — so caching stays oblivious to the
-        // (identity-less) hook functions.
-        if (item.components) rec.components = item.components(rec);
-        records[i] = std::move(rec);
-      } catch (...) {
-        errors[i] = std::current_exception();
+        have_outcome = true;
+        if (keyed) options.cache->store(*classification.keys[i], entry);
       }
+      if (have_outcome) {
+        rec.set_outcome(std::move(entry));
+      } else if (item.family == Family::kRendezvous) {
+        // A components-only rendezvous item runs no scenario, but its
+        // `feasible` column is still emitted: Theorem 4 decides it
+        // from the attributes alone.
+        rec.outcome.feasibility = rendezvous::classify(item.scenario.attrs);
+      }
+      // Component times are evaluated on every run — computed and
+      // replayed cells alike — so caching stays oblivious to the
+      // (identity-less) hook functions.
+      if (item.components) rec.components = item.components(rec);
+      records[i] = std::move(rec);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
   };
 
-  if (threads <= 1) {
-    worker();
-  } else {
+  const unsigned threads =
+      options.threads ? options.threads : std::thread::hardware_concurrency();
+  // Runs body(k), k < count, on this thread and up to threads - 1 more.
+  const auto pass = [&](std::size_t count, const auto& body) {
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+      for (std::size_t k; (k = next.fetch_add(1)) < count;) body(k);
+    };
     std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) pool.emplace_back(worker);
+    for (std::size_t t = 1; t < std::min<std::size_t>(threads, count); ++t) {
+      pool.emplace_back(worker);
+    }
+    worker();
     for (std::thread& th : pool) th.join();
-  }
+  };
+  // The misses first, so the hits of the second pass, repeated cells
+  // included, all find their outcome stored.
+  const std::vector<std::size_t>& misses = classification.misses;
+  pass(misses.size(), [&](std::size_t k) { run_item(misses[k]); });
+  pass(n, [&](std::size_t i) {
+    if (!std::binary_search(misses.begin(), misses.end(), i)) run_item(i);
+  });
 
   for (const std::exception_ptr& err : errors) {
     if (err) std::rethrow_exception(err);
   }
   ResultSet result(std::move(records));
-  result.set_cache_stats(
-      {hits.load(), misses.load(), uncacheable.load()});
+  result.set_cache_stats(classification.stats);
   return result;
+}
+
+ResultSet run_scenarios(const std::vector<WorkItem>& work,
+                        RunnerOptions options) {
+  return run_scenarios(work, classify(work, options.cache), options);
 }
 
 ResultSet run_scenarios(const ScenarioSet& set, RunnerOptions options) {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -69,7 +70,7 @@ class ScenarioCache {
   /// Copies the entry stored under `key` into `*out`; false if absent.
   [[nodiscard]] bool lookup(const std::string& key, Entry* out) const;
   /// True iff an entry is stored under `key` (no copy — the membership
-  /// probe used by the serve layer to classify hits before dispatch).
+  /// probe `classify` decides hits with).
   [[nodiscard]] bool contains(const std::string& key) const;
   /// Stores the entry under `key` (first writer wins on a race — both
   /// writers computed identical outcomes).  Returns true when the key
@@ -91,13 +92,30 @@ class ScenarioCache {
   std::unordered_map<std::string, Entry> map_;
 };
 
-/// Hit/miss counters of one `run_scenarios` call (all zero when the
-/// run had no cache attached).
+/// Hit/miss counters of one run, decided by `classify` before any
+/// worker starts (all zero without a cache).  An item with no content
+/// key is uncacheable; an item is a hit when its key is cached as the
+/// run starts or an earlier item of the run has it; every other item
+/// is a miss, computed exactly once.
 struct CacheStats {
   std::uint64_t hits = 0;         ///< items replayed from the cache
   std::uint64_t misses = 0;       ///< cacheable items computed (and stored)
   std::uint64_t uncacheable = 0;  ///< items with no content key
 };
+
+/// One run's hit/miss decision over a work list.
+struct Classification {
+  /// Per-item content keys (nullopt: uncacheable); empty without a
+  /// cache, when nothing is keyed and every item computes.
+  std::vector<std::optional<std::string>> keys;
+  std::vector<std::size_t> misses;  ///< indices of the misses, ascending
+  CacheStats stats;
+};
+
+/// Keys each item of `work` once and classifies it against `cache`
+/// (null: nothing keyed, all counts zero).
+[[nodiscard]] Classification classify(const std::vector<WorkItem>& work,
+                                      const ScenarioCache* cache);
 
 /// Parallelism + memoization controls.
 struct RunnerOptions {
@@ -197,5 +215,14 @@ class ResultSet {
 /// Same, for an already-materialised multi-family work list.
 [[nodiscard]] ResultSet run_scenarios(const std::vector<WorkItem>& work,
                                       RunnerOptions options = {});
+
+/// Runs `work` as `classification` (from `classify` over the same
+/// list) decided: the misses first, then every other item replays by
+/// lookup.  A miss whose key reached the cache meanwhile (forked
+/// children, a concurrent run) replays too.  The result carries the
+/// classification's counts.
+[[nodiscard]] ResultSet run_scenarios(const std::vector<WorkItem>& work,
+                                      const Classification& classification,
+                                      RunnerOptions options);
 
 }  // namespace rv::engine

@@ -8,7 +8,6 @@
 #include <future>
 #include <istream>
 #include <limits>
-#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -562,6 +561,14 @@ void Service::worker_loop() {
 }
 
 std::string Service::execute(const Request& request) {
+  const auto fail = [&](const std::string& code, const char* message) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      counters_.errors += 1;
+      if (code == "deadline") counters_.expired += 1;
+    }
+    return error_frame(request.id, code, message);
+  };
   try {
     RV_FAILPOINT_AT("serve.dispatch", request.seq);
     Reply reply = execute_run(request);
@@ -576,13 +583,15 @@ std::string Service::execute(const Request& request) {
       counters_.latency_total_ms += latency;
       counters_.latency_max_ms = std::max(counters_.latency_max_ms, latency);
     }
-    std::string header = "{\"reply\":\"" + reply.kind + "\",\"id\":";
+    std::string header = reply.missing.empty()
+                             ? "{\"reply\":\"ok\",\"id\":"
+                             : "{\"reply\":\"partial\",\"id\":";
     io::append_json_string(header, request.id);
     header += ",\"bytes\":" + std::to_string(reply.payload.size()) +
               ",\"hits\":" + std::to_string(reply.stats.hits) +
               ",\"misses\":" + std::to_string(reply.stats.misses) +
               ",\"uncacheable\":" + std::to_string(reply.stats.uncacheable);
-    if (reply.kind == "partial") {
+    if (!reply.missing.empty()) {
       header += ",\"missing_indices\":[";
       for (std::size_t i = 0; i < reply.missing.size(); ++i) {
         if (i > 0) header += ',';
@@ -593,36 +602,13 @@ std::string Service::execute(const Request& request) {
     header += '}';
     return frame(header, reply.payload, true);
   } catch (const ServeError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-      if (error.code() == "deadline") counters_.expired += 1;
-    }
-    return error_frame(request.id, error.code(), error.what());
-  } catch (const failpoint::FailpointError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "failed", error.what());
+    return fail(error.code(), error.what());
   } catch (const SetDeclError& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "bad-set", error.what());
+    return fail("bad-set", error.what());
   } catch (const std::invalid_argument& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "bad-set", error.what());
+    return fail("bad-set", error.what());
   } catch (const std::exception& error) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      counters_.errors += 1;
-    }
-    return error_frame(request.id, "failed", error.what());
+    return fail("failed", error.what());
   }
 }
 
@@ -653,69 +639,29 @@ Service::Reply Service::execute_run(const Request& request) {
   }
   const std::vector<WorkItem> work = set.materialize_work();
 
-  // Classify every cell against the warm cache: hits are answered from
-  // memory, misses batched for dispatch.  These counts — not the warm
-  // replay's — are what the reply header reports.
-  std::vector<WorkItem> misses;
-  std::vector<std::size_t> miss_indices;
+  // One classification against the warm cache decides what is
+  // computed, and its counts are what the reply header reports.
+  const Classification plan = classify(work, &cache_);
   Reply reply;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const std::optional<std::string> key = cache_key(work[i]);
-    if (!key) {
-      reply.stats.uncacheable += 1;
-      continue;
-    }
-    if (cache_.contains(*key)) {
-      reply.stats.hits += 1;
-    } else {
-      reply.stats.misses += 1;
-      misses.push_back(work[i]);
-      miss_indices.push_back(i);
-    }
+  reply.stats = plan.stats;
+  if (options_.procs > 1 && !plan.misses.empty()) {
+    dispatch_forked(name, work, plan.misses, request, &reply.missing);
   }
-
-  if (!misses.empty()) {
-    if (options_.procs <= 1) {
-      RunnerOptions ropts;
-      ropts.threads = options_.threads;
-      ropts.cache = &cache_;
-      (void)run_scenarios(misses, ropts);
-    } else {
-      dispatch_forked(name, misses, miss_indices, request, &reply.missing);
-    }
-    persist(name, misses);
-  }
-
-  // Warm replay of the full (or surviving) set: every computed outcome
-  // replays from the cache, so the payload is byte-identical to a
+  // One run computes the misses in-process (procs <= 1) and replays
+  // everything else, so the payload is byte-identical to a
   // single-process `rv_batch run` of the same declaration.
-  RunnerOptions warm;
-  warm.threads = options_.threads;
-  warm.cache = &cache_;
-  if (reply.missing.empty()) {
-    reply.kind = "ok";
-    reply.payload = render(run_scenarios(work, warm), request.format);
-  } else {
-    std::sort(reply.missing.begin(), reply.missing.end());
-    std::vector<WorkItem> surviving;
-    surviving.reserve(work.size() - reply.missing.size());
-    std::size_t next_missing = 0;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      if (next_missing < reply.missing.size() &&
-          reply.missing[next_missing] == i) {
-        ++next_missing;
-        continue;
-      }
-      surviving.push_back(work[i]);
-    }
-    reply.kind = "partial";
-    reply.payload = render(run_scenarios(surviving, warm), request.format);
-  }
+  const RunnerOptions run{options_.threads, &cache_};
+  reply.payload = render(
+      reply.missing.empty()
+          ? run_scenarios(work, plan, run)
+          : run_scenarios(without_indices(work, reply.missing), run),
+      request.format);
+  persist(name, plan);
   return reply;
 }
 
 void Service::dispatch_forked(const std::string& set_name,
-                              const std::vector<WorkItem>& misses,
+                              const std::vector<WorkItem>& work,
                               const std::vector<std::size_t>& miss_indices,
                               const Request& request,
                               std::vector<std::size_t>* missing) {
@@ -740,15 +686,25 @@ void Service::dispatch_forked(const std::string& set_name,
             ? std::min(fork.supervisor.timeout_sec, remaining_sec)
             : remaining_sec;
   }
+  std::vector<WorkItem> misses;
+  misses.reserve(miss_indices.size());
+  for (const std::size_t i : miss_indices) misses.push_back(work[i]);
   // Children must not touch the shared cache: another worker may hold
   // its mutex at fork time, which would deadlock the child.  They get a
   // fresh, empty cache instead — they only compute misses, which are
   // absent from the shared cache by definition.
   ScenarioCache fresh;
   const SupervisorReport report = run_forked(misses, fresh, fork);
-  // Fold what the children computed into the resident cache.
+  // Fold what the children computed into the resident cache, then drop
+  // the hand-off files: `persist` saves these outcomes once, and a later
+  // request of the same name must not fold this one's leftovers.
   for (auto& [key, entry] : fresh.snapshot()) {
     (void)cache_.store(key, std::move(entry));
+  }
+  for (std::size_t p = 0; p < fork.procs; ++p) {
+    std::error_code ec;
+    std::filesystem::remove(
+        fork.dir / shard_file_name(fork.set_name, p, fork.procs), ec);
   }
   if (report.any_failures()) note("serve: supervisor report:\n" + report.table());
   if (report.complete()) return;
@@ -777,24 +733,20 @@ void Service::dispatch_forked(const std::string& set_name,
 }
 
 void Service::persist(const std::string& set_name,
-                      const std::vector<WorkItem>& misses) {
+                      const Classification& plan) {
   if (options_.cache_dir.empty()) return;
   ScenarioCache own;
   ScenarioCache::Entry entry;
-  std::vector<std::string> keys;
-  for (const WorkItem& item : misses) {
-    const std::optional<std::string> key = cache_key(item);
-    if (key && cache_.lookup(*key, &entry) && own.store(*key, entry)) {
-      keys.push_back(*key);
-    }
+  for (const std::size_t i : plan.misses) {
+    // A miss a failed shard lost has no outcome to save.
+    if (cache_.lookup(*plan.keys[i], &entry)) own.store(*plan.keys[i], entry);
   }
-  if (keys.empty()) return;
+  if (own.size() == 0) return;
   // The file is named by its content, so two requests sharing a set
   // name (every inline body without `name =` is "inline") write two
   // files instead of replacing each other's outcomes.
-  std::sort(keys.begin(), keys.end());
   std::uint64_t hash = fnv1a64({});
-  for (const std::string& key : keys) {
+  for (const auto& [key, outcome] : own.snapshot()) {
     const std::uint64_t size = key.size();
     hash = fnv1a64({reinterpret_cast<const char*>(&size), sizeof size}, hash);
     hash = fnv1a64(key, hash);

@@ -6,15 +6,15 @@
 /// `rv_batch` answers one sweep per process; every invocation re-loads
 /// the persistent cache, runs, and exits.  The serve layer keeps one
 /// process resident: a `Service` warm-loads the cache directory once,
-/// then answers request after request — hits straight from the
-/// in-memory `ScenarioCache` (O(lookup), never recomputed), misses
-/// batched per request and dispatched through the existing
-/// `Runner`/`shard` machinery (in-process pool by default, forked
-/// shard workers exchanging `*.rvcache` files behind the PR 8
-/// supervisor when `ServeOptions::procs > 1`).  Replies replay the
-/// full set warm, so the payload is **byte-identical to `rv_batch
-/// run`** on the same declaration — the conformance property
-/// tests/test_serve.cpp pins and CI re-diffs.
+/// then answers request after request.  Each request is classified
+/// once (`engine::classify`): hits replay straight from the in-memory
+/// `ScenarioCache`, never recomputed; misses are computed by one
+/// `run_scenarios` call (in-process pool by default) or first by
+/// forked shard workers that hand their outcomes back as `*.rvcache`
+/// files (`ServeOptions::procs > 1`).  That one run replays the full
+/// set, so the payload is **byte-identical to `rv_batch run`** on the
+/// same declaration — the conformance property tests/test_serve.cpp
+/// pins and CI re-diffs.
 ///
 /// ## Wire protocol (newline-delimited JSON, optional raw bodies)
 ///
@@ -286,7 +286,6 @@ class Service {
     Sink sink;
   };
   struct Reply {
-    std::string kind;  ///< "ok" | "partial"
     std::string payload;
     CacheStats stats;
     std::vector<std::size_t> missing;  ///< partial: global indices lost
@@ -296,19 +295,20 @@ class Service {
   void compactor_loop();
   [[nodiscard]] std::string execute(const Request& request);
   [[nodiscard]] Reply execute_run(const Request& request);
-  /// Fork dispatch of the request's misses through `run_forked`; fills
-  /// `missing` with lost global indices when shards fail.
-  /// \throws ServeError.
+  /// Fork dispatch of the items of `work` at `miss_indices` through
+  /// `run_forked`, folding their outcomes into the resident cache and
+  /// deleting the hand-off files; fills `missing` with the lost global
+  /// indices, ascending, when shards fail.  \throws ServeError.
   void dispatch_forked(const std::string& set_name,
-                       const std::vector<WorkItem>& misses,
+                       const std::vector<WorkItem>& work,
                        const std::vector<std::size_t>& miss_indices,
                        const Request& request,
                        std::vector<std::size_t>* missing);
-  /// Saves the outcomes of this request's misses to a content-named
-  /// `<set>-<hash>-serve.rvcache`.  Hits are not saved again: they were
-  /// loaded at boot or saved by the request that computed them.
-  void persist(const std::string& set_name,
-               const std::vector<WorkItem>& misses);
+  /// Saves the outcomes of the request's misses (`plan.misses`) to a
+  /// content-named `<set>-<hash>-serve.rvcache`.  Hits are not saved
+  /// again: they were loaded at boot or saved by the request that
+  /// computed them.
+  void persist(const std::string& set_name, const Classification& plan);
   [[nodiscard]] std::string status_header(const Request& request) const;
   void note(const std::string& message) const;
 

@@ -22,6 +22,7 @@
 /// and backoff pacing only — nothing it measures ever feeds emitted
 /// bytes, which stay a pure function of the scenario inputs.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -87,6 +88,21 @@ struct SupervisorReport {
   /// of `total_items` strided items), and every attempt.
   [[nodiscard]] std::string to_json(std::size_t total_items) const;
 };
+
+/// `items` without the entries at `missing` (ascending indices, e.g.
+/// `missing_indices`), the survivors kept in order — the subset a
+/// partial reply or `rv_batch --partial` emits.
+template <typename T>
+[[nodiscard]] std::vector<T> without_indices(
+    const std::vector<T>& items, const std::vector<std::size_t>& missing) {
+  std::vector<T> kept;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!std::binary_search(missing.begin(), missing.end(), i)) {
+      kept.push_back(items[i]);
+    }
+  }
+  return kept;
+}
 
 /// Runs `child_main(shard)` in a forked child for each shard in
 /// [0, num_shards), supervising per `options`.  `child_main`'s return

@@ -29,6 +29,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -40,7 +41,6 @@
 #include <istream>
 #include <memory>
 #include <optional>
-#include <regex>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -296,9 +296,20 @@ std::string read_file(const fs::path& path) {
 
 /// Masks the (timing-dependent) latency digits of a status reply so
 /// the rest of the schema can be pinned exactly.
-std::string mask_latency(const std::string& status_header) {
-  static const std::regex pattern("(\"(?:mean|max)_ms\":)[0-9]+\\.[0-9]+");
-  return std::regex_replace(status_header, pattern, "$1X");
+std::string mask_latency(std::string status_header) {
+  for (const std::string key : {"\"mean_ms\":", "\"max_ms\":"}) {
+    const std::size_t start = status_header.find(key);
+    if (start == std::string::npos) continue;
+    const std::size_t digits = start + key.size();
+    std::size_t end = digits;
+    while (end < status_header.size() &&
+           (std::isdigit(static_cast<unsigned char>(status_header[end])) ||
+            status_header[end] == '.')) {
+      ++end;
+    }
+    status_header.replace(digits, end - digits, "X");
+  }
+  return status_header;
 }
 
 class ServeDaemon : public ::testing::Test {
@@ -725,15 +736,26 @@ TEST_F(ServeForked, ForkedDispatchMatchesRvBatchBytes) {
   EXPECT_EQ(field(cold.header, "reply"), "ok");
   EXPECT_EQ(field(cold.header, "misses"), "4");
   EXPECT_EQ(cold.payload, *batch);
-  // The children exchanged set-qualified shard files.
-  EXPECT_TRUE(
-      fs::exists(fs::path(dir) / "linear-line-serve-shard-0-of-2.rvcache"));
-  EXPECT_TRUE(
-      fs::exists(fs::path(dir) / "linear-line-serve-shard-1-of-2.rvcache"));
+  // The children's hand-off files are folded and deleted: the dir
+  // holds each outcome once, in the request's persist file.
+  const std::vector<fs::path> files = rv::engine::list_cache_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  rv::engine::ScenarioCache loaded;
+  const rv::engine::CacheLoadStats stats =
+      rv::engine::load_cache_file(files[0], &loaded);
+  EXPECT_EQ(stats.loaded, 4u);
+  EXPECT_EQ(stats.duplicates, 0u);
   const Frame warm =
       roundtrip(daemon, R"({"op":"run","id":"w","set":"linear-line"})");
   EXPECT_EQ(field(warm.header, "hits"), "4");
   EXPECT_EQ(warm.payload, *batch);
+  daemon.close_stdin();
+  EXPECT_EQ(daemon.wait_exit(), 0);
+  Daemon revived({"--cache-dir", dir, "--procs", "2"});
+  const Frame again =
+      roundtrip(revived, R"({"op":"run","id":"r","set":"linear-line"})");
+  EXPECT_EQ(field(again.header, "misses"), "0");
+  EXPECT_EQ(again.payload, *batch);
 }
 
 TEST_F(ServeForked, FailedShardYieldsPinnedPartialReply) {
@@ -773,6 +795,73 @@ TEST_F(ServeForked, FailedShardWithoutPartialIsAFailedReply) {
             R"x({"reply":"error","id":"f","code":"failed",)x"
             R"x("message":"shards failed after retries: 0 (request 'partial' )x"
             R"x(to accept the surviving subset)"})x");
+}
+
+/// Eight copies of one zigzag-search cell plus one linear-rendezvous
+/// cell: nine items, two distinct keys.
+const std::string kRepeatedCells =
+    "[linear]\nmode = zigzag-search\nvisibility = 1e-3\n"
+    "distances = 1.0 1.0 1.0 1.0 1.0 1.0 1.0 1.0\n"
+    "horizon_rule = zigzag-reach+1\n"
+    "\n[linear.add]\nmode = linear-rendezvous\nspeed = 1.5\n"
+    "target = 1.0\nvisibility = 0.05\nmax_time = 1e4\n";
+
+/// "hits=H misses=M" as rv_batch's stderr summary line reports it.
+std::string batch_counts(const std::string& args) {
+  const auto err = run_and_capture(batch_cmd(args) + " 2>&1 >/dev/null");
+  if (!err) return "";
+  const std::size_t start = err->find("hits=");
+  const std::size_t end = err->find(" uncacheable=", start);
+  if (start == std::string::npos || end == std::string::npos) return *err;
+  return err->substr(start, end - start);
+}
+
+TEST_F(ServeForked, EveryPathReportsTheSameCounts) {
+  Scratch scratch;
+  const fs::path set_file = scratch.path / "repeated.rvset";
+  std::ofstream(set_file) << kRepeatedCells;
+  struct Case {
+    std::string batch_set;  ///< rv_batch's set arguments
+    std::string request;    ///< rv_serve's request header
+    std::string body;       ///< its body, if any
+    std::string cold;
+    std::string warm;
+  };
+  const std::vector<Case> cases = {
+      {"--set-file '" + set_file.string() + "'",
+       R"({"op":"run","id":"r","body_bytes":)" +
+           std::to_string(kRepeatedCells.size()) + "}",
+       kRepeatedCells, "hits=7 misses=2", "hits=9 misses=0"},
+      {"--set linear-line", R"({"op":"run","id":"r","set":"linear-line"})",
+       "", "hits=0 misses=4", "hits=4 misses=0"},
+  };
+  int dirs = 0;
+  const auto fresh_dir = [&] {
+    return (scratch.path / std::to_string(++dirs)).string();
+  };
+  for (const Case& c : cases) {
+    for (const std::string mode : {"--threads 1", "--threads 4", "--procs 2"}) {
+      const std::string args = "run " + c.batch_set + " " + mode +
+                               " --cache-dir '" + fresh_dir() + "'";
+      EXPECT_EQ(batch_counts(args), c.cold) << args;
+      EXPECT_EQ(batch_counts(args), c.warm) << args;
+    }
+    for (const std::string procs : {"1", "2"}) {
+      const std::string dir = fresh_dir();
+      for (const std::string& want : {c.cold, c.warm}) {
+        // The warm pass is a restarted daemon on the same directory.
+        Daemon daemon({"--cache-dir", dir, "--procs", procs});
+        const Frame reply =
+            roundtrip(daemon, c.request, c.body, !c.body.empty());
+        EXPECT_EQ("hits=" + field(reply.header, "hits") +
+                      " misses=" + field(reply.header, "misses"),
+                  want)
+            << c.request << " procs " << procs;
+        daemon.close_stdin();
+        EXPECT_EQ(daemon.wait_exit(), 0);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -210,27 +210,26 @@ ResultSet run_one_shard(const std::vector<WorkItem>& work,
   return results;
 }
 
-/// `run --procs P`: warm-loads the cache directory, runs the set
-/// across P supervised children (engine::run_forked), then replays the
-/// folded cache into the full set in this process.  Failed shards are
-/// retried per `fork.supervisor`; with every shard eventually
-/// succeeding the replay covers the full set (all hits).  When shards
-/// exhaust their budget, the attempt table and a JSON coverage report
-/// go to stderr, then either a ShardFailure escapes (default) or —
-/// with `partial` — the surviving subset is replayed and returned in
-/// global-index order.
+/// `run --procs P`: warm-loads and classifies against the cache
+/// directory (the counts reported, even for a partial run), runs the
+/// set across P supervised children (engine::run_forked), then replays
+/// the folded cache into the full set in this process.  When shards
+/// exhaust their retries, the attempt table and a JSON coverage report
+/// go to stderr, then either a ShardFailure escapes (default) or — with
+/// `partial` — the surviving subset is replayed in global-index order.
 ResultSet run_procs(const std::vector<WorkItem>& work,
                     const rv::engine::ForkOptions& fork, bool partial) {
   // Loaded once, before forking: the children inherit it copy-on-write
   // instead of each re-parsing every file.
   ScenarioCache warm;
   print_load_stats("loaded", rv::engine::load_cache_dir(fork.dir, &warm));
+  const rv::engine::Classification plan = rv::engine::classify(work, &warm);
   const SupervisorReport report = rv::engine::run_forked(work, warm, fork);
   if (report.any_failures()) {
     std::cerr << "rv_batch: shard attempt log:\n" << report.table();
   }
   const rv::engine::RunnerOptions replay{fork.threads, &warm};
-  if (report.complete()) return rv::engine::run_scenarios(work, replay);
+  if (report.complete()) return rv::engine::run_scenarios(work, plan, replay);
   std::cerr << report.to_json(work.size());
   const std::vector<std::size_t> failed = report.failed_shards();
   std::string failed_list;
@@ -247,20 +246,14 @@ ResultSet run_procs(const std::vector<WorkItem>& work,
   // Graceful degradation: replay only the items owned by surviving
   // shards, in ascending global-index order, so the emitted subset is
   // byte-identical to the corresponding rows of the full document.
-  const std::vector<std::size_t> missing = report.missing_indices(work.size());
-  std::vector<WorkItem> subset;
-  subset.reserve(work.size() - missing.size());
-  for (std::size_t i = 0, m = 0; i < work.size(); ++i) {
-    if (m < missing.size() && missing[m] == i) {
-      ++m;
-    } else {
-      subset.push_back(work[i]);
-    }
-  }
+  const std::vector<WorkItem> subset = rv::engine::without_indices(
+      work, report.missing_indices(work.size()));
   std::cerr << "rv_batch: --partial: emitting " << subset.size() << " of "
             << work.size() << " items (shards {" << failed_list
             << "} missing)\n";
-  return rv::engine::run_scenarios(subset, replay);
+  ResultSet results = rv::engine::run_scenarios(subset, replay);
+  results.set_cache_stats(plan.stats);
+  return results;
 }
 
 /// The set a run/merge operates on: a compiled-in declaration named by

@@ -1,7 +1,6 @@
 #include "engine/serve.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -41,130 +40,6 @@ std::string fmt_ms(double ms) {
   throw ServeError("parse", message);
 }
 
-// --------------------------------------------------------------------
-// Strict flat-JSON header scanner
-// --------------------------------------------------------------------
-
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool done() const { return pos >= text.size(); }
-  [[nodiscard]] char peek() const { return done() ? '\0' : text[pos]; }
-  char get() {
-    if (done()) parse_fail("unexpected end of request header");
-    return text[pos++];
-  }
-  void skip_ws() {
-    while (!done() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  }
-  void expect(char c) {
-    const char got = get();
-    if (got != c) {
-      parse_fail(std::string("expected '") + c + "', got '" + got + "'");
-    }
-  }
-};
-
-std::string parse_json_string(Cursor& c) {
-  c.expect('"');
-  std::string out;
-  for (;;) {
-    const char ch = c.get();
-    if (ch == '"') return out;
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      parse_fail("raw control byte inside string");
-    }
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    const char esc = c.get();
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        unsigned value = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = c.get();
-          value <<= 4;
-          if (h >= '0' && h <= '9') {
-            value |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            value |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            value |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            parse_fail("bad \\u escape");
-          }
-        }
-        if (value >= 0x80) {
-          parse_fail("\\u escapes above 0x7f are not supported");
-        }
-        out += static_cast<char>(value);
-        break;
-      }
-      default:
-        parse_fail(std::string("unknown escape '\\") + esc + "'");
-    }
-  }
-}
-
-/// Strict JSON number; returns the raw slice so callers can demand an
-/// unsigned integer (no sign/fraction/exponent).
-std::string_view parse_json_number(Cursor& c, double* value) {
-  const std::size_t start = c.pos;
-  if (c.peek() == '-') c.get();
-  if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-    parse_fail("malformed number");
-  }
-  if (c.peek() == '0') {
-    c.get();
-  } else {
-    while (std::isdigit(static_cast<unsigned char>(c.peek()))) c.get();
-  }
-  if (c.peek() == '.') {
-    c.get();
-    if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      parse_fail("malformed number (bare '.')");
-    }
-    while (std::isdigit(static_cast<unsigned char>(c.peek()))) c.get();
-  }
-  if (c.peek() == 'e' || c.peek() == 'E') {
-    c.get();
-    if (c.peek() == '+' || c.peek() == '-') c.get();
-    if (!std::isdigit(static_cast<unsigned char>(c.peek()))) {
-      parse_fail("malformed number (empty exponent)");
-    }
-    while (std::isdigit(static_cast<unsigned char>(c.peek()))) c.get();
-  }
-  const std::string_view raw = c.text.substr(start, c.pos - start);
-  // The grammar is checked above, so range is the only failure left.
-  if (std::from_chars(raw.data(), raw.data() + raw.size(), *value).ec !=
-      std::errc{}) {
-    parse_fail("number out of range");
-  }
-  return raw;
-}
-
-bool parse_json_bool(Cursor& c) {
-  if (c.text.substr(c.pos, 4) == "true") {
-    c.pos += 4;
-    return true;
-  }
-  if (c.text.substr(c.pos, 5) == "false") {
-    c.pos += 5;
-    return false;
-  }
-  parse_fail("expected true or false");
-}
-
 /// File-name-safe set name for per-set persistence files.
 std::string sanitize_name(const std::string& name) {
   std::string out = name.empty() ? "inline" : name;
@@ -187,77 +62,63 @@ Request parse_request(std::string_view header_line) {
     parse_fail("request header exceeds " + std::to_string(kMaxHeaderBytes) +
                " bytes");
   }
-  Cursor c{header_line, 0};
-  c.skip_ws();
-  c.expect('{');
   Request req;
   std::string op;
+  std::string key;
   std::set<std::string> seen;
   bool have_extras = false;  // any run-only key on a non-run op
-  c.skip_ws();
-  if (c.peek() == '}') {
-    c.get();
-  } else {
-    for (;;) {
-      c.skip_ws();
-      const std::string key = parse_json_string(c);
+  try {
+    io::JsonReader json(header_line);
+    json.begin_object();
+    while (json.next_member(&key)) {
       if (!seen.insert(key).second) parse_fail("duplicate key '" + key + "'");
-      c.skip_ws();
-      c.expect(':');
-      c.skip_ws();
+      have_extras = have_extras || (key != "op" && key != "id");
       if (key == "op") {
-        op = parse_json_string(c);
+        op = json.string();
       } else if (key == "id") {
-        req.id = parse_json_string(c);
+        req.id = json.string();
         if (req.id.empty()) parse_fail("'id' must be non-empty");
         if (req.id.size() > 256) parse_fail("'id' exceeds 256 bytes");
       } else if (key == "set") {
-        req.set = parse_json_string(c);
+        req.set = json.string();
         if (req.set.empty()) parse_fail("'set' must be non-empty");
-        have_extras = true;
       } else if (key == "body_bytes") {
-        double value = 0.0;
-        const std::string_view raw = parse_json_number(c, &value);
+        const std::string_view raw = json.number().raw;
         if (raw.find_first_not_of("0123456789") != std::string_view::npos) {
           parse_fail("'body_bytes' must be a non-negative integer");
         }
-        if (value > static_cast<double>(kMaxBodyBytes)) {
+        std::size_t value = 0;
+        if (std::from_chars(raw.data(), raw.data() + raw.size(), value).ec !=
+                std::errc{} ||
+            value > kMaxBodyBytes) {
           parse_fail("'body_bytes' exceeds " + std::to_string(kMaxBodyBytes) +
                      " bytes");
         }
         req.has_body = true;
-        req.body_bytes = static_cast<std::size_t>(value);
-        have_extras = true;
+        req.body_bytes = value;
       } else if (key == "format") {
-        req.format = parse_json_string(c);
+        req.format = json.string();
         if (req.format != "csv" && req.format != "json" &&
             req.format != "table") {
           parse_fail("'format' must be csv, json or table, got '" +
                      req.format + "'");
         }
-        have_extras = true;
       } else if (key == "deadline_ms") {
-        double value = 0.0;
-        const std::string_view raw = parse_json_number(c, &value);
-        if (raw.front() == '-') {
+        const io::JsonNumber value = json.number();
+        if (value.raw.front() == '-') {
           parse_fail("'deadline_ms' must be non-negative");
         }
-        req.deadline_ms = value;
-        have_extras = true;
+        req.deadline_ms = value.value;
       } else if (key == "partial") {
-        req.partial = parse_json_bool(c);
-        have_extras = true;
+        req.partial = json.boolean();
       } else {
         parse_fail("unknown key '" + key + "'");
       }
-      c.skip_ws();
-      const char next = c.get();
-      if (next == '}') break;
-      if (next != ',') parse_fail("expected ',' or '}' after value");
     }
+    json.end();
+  } catch (const io::JsonError& error) {
+    parse_fail(error.what());
   }
-  c.skip_ws();
-  if (!c.done()) parse_fail("trailing bytes after request object");
   if (op.empty()) parse_fail("missing required key 'op'");
   if (op == "run") {
     req.op = Op::kRun;
@@ -316,19 +177,31 @@ bool read_frame(std::istream& in, std::string* header, std::string* payload) {
     // missing its terminating LF.
     throw ServeError("parse", "torn reply header (EOF before LF)");
   }
-  const std::size_t at = header->find("\"bytes\":");
-  if (at == std::string::npos) return true;
-  std::size_t digits = at + std::string_view("\"bytes\":").size();
   std::size_t bytes = 0;
-  if (digits >= header->size() ||
-      !std::isdigit(static_cast<unsigned char>((*header)[digits]))) {
-    throw ServeError("parse", "malformed 'bytes' field in reply header");
+  bool has_payload = false;
+  try {
+    io::JsonReader json(*header);
+    json.begin_object();
+    std::string key;
+    while (json.next_member(&key)) {
+      if (key != "bytes") {
+        json.skip_value();
+        continue;
+      }
+      const std::string_view raw = json.number().raw;
+      const auto [end, ec] =
+          std::from_chars(raw.data(), raw.data() + raw.size(), bytes);
+      if (ec != std::errc{} || end != raw.data() + raw.size()) {
+        throw ServeError("parse", "malformed 'bytes' field in reply header");
+      }
+      has_payload = true;
+    }
+    json.end();
+  } catch (const io::JsonError& error) {
+    throw ServeError("parse",
+                     std::string("malformed reply header: ") + error.what());
   }
-  while (digits < header->size() &&
-         std::isdigit(static_cast<unsigned char>((*header)[digits]))) {
-    bytes = bytes * 10 + static_cast<std::size_t>((*header)[digits] - '0');
-    ++digits;
-  }
+  if (!has_payload) return true;
   payload->resize(bytes);
   if (bytes > 0) in.read(payload->data(), static_cast<std::streamsize>(bytes));
   if (bytes > 0 && static_cast<std::size_t>(in.gcount()) != bytes) {

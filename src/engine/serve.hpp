@@ -138,8 +138,9 @@ inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 /// Upper bound on a declared `.rvset` body.
 inline constexpr std::size_t kMaxBodyBytes = 8 * 1024 * 1024;
 
-/// Parses one request header line (strict flat JSON object; see the
-/// file comment for keys).  \throws ServeError("parse", ...) on any
+/// Parses one request header line (strict flat JSON object read with
+/// `io::JsonReader`, so RFC 8259 whitespace including a trailing CR is
+/// accepted; see the file comment for keys).  \throws ServeError("parse", ...) on any
 /// malformed input — unknown keys, duplicate keys, wrong types,
 /// missing `op`, `set` together with `body_bytes`, oversized bodies.
 [[nodiscard]] Request parse_request(std::string_view header_line);
@@ -215,10 +216,11 @@ struct Options {
                                       const std::string& message);
 
 /// Reads one reply frame from `in`: the header line into `*header`
-/// and, when the header declares `"bytes":N`, the N payload bytes
-/// (trailing LF consumed) into `*payload`.  Returns false on clean
-/// EOF before any byte of a frame.  \throws ServeError("parse", ...)
-/// on a torn or malformed frame.
+/// and, when the header object has a top-level `"bytes":N` member, the
+/// N payload bytes (trailing LF consumed) into `*payload`.  Returns
+/// false on clean EOF before any byte of a frame.
+/// \throws ServeError("parse", ...) on a torn frame or a header that
+/// is not strict JSON.
 bool read_frame(std::istream& in, std::string* header, std::string* payload);
 
 /// The resident engine: one warm cache, one admission queue, worker

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -22,6 +21,7 @@
 #include "engine/scenario_set.hpp"
 #include "gather/multi_simulator.hpp"
 #include "io/csv.hpp"
+#include "io/json.hpp"
 #include "io/table.hpp"
 #include "mathx/constants.hpp"
 #include "rendezvous/algorithm7.hpp"
@@ -53,221 +53,37 @@ std::shared_ptr<rv::traj::Program> straight_line(const Vec2& to) {
   return std::make_shared<PathProgram>(p, "line");
 }
 
-// ---------------------------------------------------------------------------
-// A strict (RFC 8259) JSON parser for an array of flat objects — just
-// enough to prove the emitters produce *parseable* JSON.  Throws
-// std::runtime_error on any violation: raw control characters inside
-// strings, bare inf/nan tokens, malformed numbers, trailing garbage.
-// Scalar values are returned as strings: string values unescaped,
-// numbers/booleans/null as their raw token text.
-// ---------------------------------------------------------------------------
+using JsonRow = std::map<std::string, std::string>;
 
-class StrictJson {
- public:
-  using Row = std::map<std::string, std::string>;
-
-  /// Parses an array of flat objects; with `keys`, also records each
-  /// object's keys in document order.
-  static std::vector<Row> parse_rows(
-      const std::string& text,
-      std::vector<std::vector<std::string>>* keys = nullptr) {
-    StrictJson p(text);
-    p.keys_ = keys;
-    p.skip_ws();
-    std::vector<Row> rows = p.parse_array();
-    p.skip_ws();
-    if (p.pos_ != p.s_.size()) p.fail("trailing content");
-    return rows;
-  }
-
- private:
-  explicit StrictJson(const std::string& s) : s_(s) {}
-
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("StrictJson: " + why + " at offset " +
-                             std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() const {
-    if (pos_ >= s_.size()) throw std::runtime_error("StrictJson: EOF");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  std::vector<Row> parse_array() {
-    expect('[');
-    std::vector<Row> rows;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return rows;
-    }
-    while (true) {
-      skip_ws();
-      rows.push_back(parse_object());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return rows;
-    }
-  }
-
-  Row parse_object() {
-    expect('{');
-    Row row;
-    if (keys_ != nullptr) keys_->emplace_back();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return row;
-    }
-    while (true) {
-      skip_ws();
-      const std::string key = parse_string();
-      if (keys_ != nullptr) keys_->back().push_back(key);
-      skip_ws();
-      expect(':');
-      skip_ws();
-      row[key] = parse_scalar();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return row;
-    }
-  }
-
-  std::string parse_scalar() {
-    const char c = peek();
-    if (c == '"') return parse_string();
-    if (c == 't') return parse_literal("true");
-    if (c == 'f') return parse_literal("false");
-    if (c == 'n') return parse_literal("null");
-    return parse_number();
-  }
-
-  std::string parse_literal(const std::string& lit) {
-    if (s_.compare(pos_, lit.size(), lit) != 0) fail("bad literal");
-    pos_ += lit.size();
-    return lit;
-  }
-
-  std::string parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    if (pos_ >= s_.size() || !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-      fail("bad number");  // catches bare inf / nan
-    }
-    if (s_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
+/// Reads emitted JSON back as an array of flat objects with the strict
+/// io::JsonReader, so a raw control byte, a bare inf/nan or trailing
+/// garbage throws.  Scalars come back as text: strings unescaped,
+/// numbers, booleans and null as their raw token.  With `keys`, also
+/// records each object's keys in document order.
+std::vector<JsonRow> parse_rows(
+    const std::string& text,
+    std::vector<std::vector<std::string>>* keys = nullptr) {
+  io::JsonReader json(text);
+  std::vector<JsonRow> rows;
+  std::string key;
+  json.begin_array();
+  while (json.next_element()) {
+    JsonRow& row = rows.emplace_back();
+    if (keys != nullptr) keys->emplace_back();
+    json.begin_object();
+    while (json.next_member(&key)) {
+      if (keys != nullptr) keys->back().push_back(key);
+      switch (json.peek()) {
+        case '"': row[key] = json.string(); break;
+        case 't': case 'f': row[key] = json.boolean() ? "true" : "false"; break;
+        case 'n': json.null(); row[key] = "null"; break;
+        default: row[key] = std::string(json.number().raw);
       }
     }
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        fail("bad fraction");
-      }
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= s_.size() ||
-          !std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        fail("bad exponent");
-      }
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-      }
-    }
-    return s_.substr(start, pos_ - start);
   }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return out;
-      }
-      if (c < 0x20) fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) fail("dangling escape");
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("short \\u escape");
-            unsigned value = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = s_[pos_++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("bad \\u digit");
-              }
-            }
-            if (value < 0x80) {
-              out += static_cast<char>(value);
-            } else {
-              fail("non-ASCII \\u escape (not needed by the emitters)");
-            }
-            break;
-          }
-          default: fail("unknown escape");
-        }
-        continue;
-      }
-      out += static_cast<char>(c);
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  std::vector<std::vector<std::string>>* keys_ = nullptr;
-};
+  json.end();
+  return rows;
+}
 
 // ---------------------------------------------------------------------------
 // ContactSweep core
@@ -422,9 +238,13 @@ engine::ScenarioSet small_grid() {
       .algorithm(rendezvous::AlgorithmChoice::kAlgorithm7)
       .max_time(500.0)
       .label([](const rendezvous::Scenario& s) {
-        return "v" + io::format_double(s.attrs.speed, 3) + "/t" +
-               io::format_double(s.attrs.time_unit, 3) + "/c" +
-               std::to_string(s.attrs.chirality);
+        std::string label = "v";
+        label += io::format_double(s.attrs.speed, 3);
+        label += "/t";
+        label += io::format_double(s.attrs.time_unit, 3);
+        label += "/c";
+        label += std::to_string(s.attrs.chirality);
+        return label;
       });
   return set;
 }
@@ -542,9 +362,9 @@ TEST(ResultSet, EveryFormatListsTheSameColumnsForEveryFamily) {
     EXPECT_EQ(csv[2].back(), "x,cell-1");
 
     std::vector<std::vector<std::string>> keys;
-    std::vector<StrictJson::Row> json;
+    std::vector<JsonRow> json;
     ASSERT_NO_THROW(
-        json = StrictJson::parse_rows(results.to_json(extras), &keys));
+        json = parse_rows(results.to_json(extras), &keys));
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], header);
     EXPECT_EQ(keys[1], header);
@@ -581,17 +401,9 @@ TEST(ResultSet, TableKeepsItsPerColumnFormats) {
   EXPECT_EQ(horizons, 2u) << ascii;
 }
 
-TEST(ResultSet, JsonIsWellFormedEnoughToRoundTripKeys) {
+TEST(ResultSet, JsonIsOneObjectPerRecord) {
   const auto results = engine::run_scenarios(small_grid());
-  const std::string json = results.to_json();
-  EXPECT_EQ(json.front(), '[');
-  // One object per record.
-  std::size_t count = 0;
-  for (std::size_t pos = json.find("\"met\""); pos != std::string::npos;
-       pos = json.find("\"met\"", pos + 1)) {
-    ++count;
-  }
-  EXPECT_EQ(count, results.size());
+  EXPECT_EQ(parse_rows(results.to_json()).size(), results.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -832,8 +644,8 @@ TEST(ResultSet, JsonEscapesControlCharactersAndNullsNonFinite) {
           return std::string("cell with \x7f and \x02 ctl");
         }}});
   // Must parse as strict JSON...
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(json)) << json;
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(json)) << json;
   ASSERT_EQ(rows.size(), 1u);
   // ...the hostile label round-trips exactly...
   EXPECT_EQ(rows[0].at("label"), results[0].label);
@@ -856,8 +668,8 @@ TEST(ResultSet, CsvRoundTripsHostileLabels) {
 
 TEST(ResultSet, RealSweepJsonIsStrictlyParseable) {
   const auto results = engine::run_scenarios(small_grid());
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(results.to_json()));
   ASSERT_EQ(rows.size(), results.size());
   EXPECT_EQ(rows[0].at("algorithm"), "algorithm7");
 }
@@ -894,8 +706,8 @@ TEST(Families, SearchGridMaterializesAndReduces) {
   const auto header = results.csv_header();
   EXPECT_EQ(header.front(), "d");
   EXPECT_EQ(header.back(), "segments");
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(results.to_json()));
   EXPECT_EQ(rows[0].at("found"), "4");
   EXPECT_EQ(rows[0].at("program"), "algorithm4");
 }
@@ -921,8 +733,8 @@ TEST(Families, GatherCellRunsBothSweeps) {
   ASSERT_TRUE(out.contact.achieved);
   ASSERT_TRUE(out.gathered.achieved);
   EXPECT_EQ(out.contact.time, out.gathered.time);
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(results.to_json()));
   EXPECT_EQ(rows[0].at("n"), "2");
   EXPECT_EQ(rows[0].at("contact"), "true");
 }
@@ -983,7 +795,7 @@ TEST(Families, MixedSetsRunTogetherAndEmitPerFamily) {
         engine::Family::kGather}) {
     const auto view = results.filtered(family);
     ASSERT_EQ(view.size(), 1u);
-    EXPECT_NO_THROW((void)StrictJson::parse_rows(view.to_json()));
+    EXPECT_NO_THROW((void)parse_rows(view.to_json()));
     EXPECT_EQ(io::parse_csv(view.to_csv()).size(), 2u);
   }
 }
@@ -1242,8 +1054,8 @@ TEST(Families, LinearCellsRunBothModes) {
   const auto header = results.csv_header();
   EXPECT_EQ(header.front(), "label");
   EXPECT_EQ(header[1], "mode");
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(results.to_json()));
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].at("mode"), "zigzag-search");
   EXPECT_EQ(rows[1].at("mode"), "linear-rendezvous");
@@ -1333,8 +1145,8 @@ TEST(Families, CoverageCellsMeasureSweptArea) {
   const auto header = results.csv_header();
   EXPECT_EQ(header.front(), "program");
   EXPECT_EQ(header.back(), "covered_area");
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(results.to_json()));
   EXPECT_EQ(rows[0].at("checkpoints"), "6");
 }
 
@@ -1398,8 +1210,8 @@ TEST(Components, HookColumnsEmitAcrossAllFormats) {
   const auto rows = io::parse_csv(results.to_csv(extras));
   EXPECT_EQ(rows[1][header.size() - 3], io::format_double(2.0));
   // JSON: components are numeric fields, strictly parseable.
-  std::vector<StrictJson::Row> json;
-  ASSERT_NO_THROW(json = StrictJson::parse_rows(results.to_json()));
+  std::vector<JsonRow> json;
+  ASSERT_NO_THROW(json = parse_rows(results.to_json()));
   EXPECT_EQ(json[0].at("twice_d"), "2");
   // Table: one column per component.
   EXPECT_NE(results.to_table().to_ascii().find("worst_sq"), std::string::npos);
@@ -1635,8 +1447,8 @@ TEST(ResultSet, EmptySetIsWellBehaved) {
   }
   // Emission: header-only CSV, empty-but-valid JSON array, empty table.
   EXPECT_EQ(io::parse_csv(empty.to_csv()).size(), 1u);
-  std::vector<StrictJson::Row> rows;
-  ASSERT_NO_THROW(rows = StrictJson::parse_rows(empty.to_json()));
+  std::vector<JsonRow> rows;
+  ASSERT_NO_THROW(rows = parse_rows(empty.to_json()));
   EXPECT_TRUE(rows.empty());
   EXPECT_NO_THROW((void)empty.to_table().to_ascii());
 

@@ -21,6 +21,7 @@
 #include "engine/families.hpp"
 #include "engine/serve.hpp"
 #include "engine/set_decl.hpp"
+#include "io/json.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
 #include "mathx/roots.hpp"
@@ -707,6 +708,41 @@ TEST(FuzzServeRequest, RandomMutationsParseOrFailWithParseError) {
   }
   EXPECT_GT(parsed, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// The strict JSON reader: every mutated document parses or throws
+// io::JsonError, nothing else; nesting depth is bounded, not the stack.
+TEST(FuzzJsonReader, RandomMutationsParseOrThrowJsonError) {
+  Xoshiro256 rng(20261019);
+  const std::string seeds[] = {
+      R"({"reply":"ok","id":"aA","bytes":12,"hits":0,"misses":3,)"
+      R"("missing_indices":[1,3],"latency":{"mean_ms":0.125,"ok":true}})",
+      "[\n  {\"name\": \"BM_A/10\", \"real_time\": -1.5e+3, \"x\": null},\n"
+      "  {\"caches\": [[], {}, [1, [2, [3]]]], \"s\": \"\\n\\\"\"}\n]\n",
+      R"("plain \/ string \\ with escapes \t")",
+      "-0.0e-0",
+  };
+  static const std::string pool =
+      std::string("\0\x01\x7f\xc3\xa9{}[]:,\"\\ \t\r\n-+.eE0159tfnu", 30);
+  int parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string text = mutate(seeds[trial % 4], rng, pool);
+    try {
+      rv::io::JsonReader json(text);
+      json.skip_value();
+      json.end();
+      ++parsed;
+    } catch (const rv::io::JsonError& error) {
+      ASSERT_LE(error.offset(), text.size()) << text;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+
+  const std::string deep(100000, '[');
+  rv::io::JsonReader json(deep);
+  EXPECT_THROW(json.skip_value(), rv::io::JsonError);
 }
 
 TEST(FuzzPaths, RandomPathsAreAlwaysContinuousAndClamped) {

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -83,7 +84,11 @@ struct Scratch {
 };
 
 std::string batch_cmd(const std::string& args) {
-  return "'" + rv_batch_binary().string() + "' " + args;
+  std::string cmd = "'";
+  cmd += rv_batch_binary().string();
+  cmd += "' ";
+  cmd += args;
+  return cmd;
 }
 
 class GoldenBatchSet : public ::testing::TestWithParam<const char*> {
@@ -218,9 +223,23 @@ TEST(GoldenBatch, ForkedProcsModeMatchesSingleProcessBytes) {
   const RunStatus cold = run_status(forked);
   EXPECT_EQ(cold.code, 3);
   EXPECT_EQ(cold.stdout_text, *single);
-  const RunStatus warm = run_status(forked);
+  const auto shard_files = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : fs::directory_iterator(scratch.path / "cache")) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().string()].assign(std::istreambuf_iterator<char>(in),
+                                          {});
+    }
+    return files;
+  };
+  const auto cold_files = shard_files();
+  // Nothing misses, so the warm run must not fork: a shard worker armed
+  // to crash never starts, and no shard file is rewritten.
+  const RunStatus warm = run_status(
+      "RV_FAILPOINTS='shard.worker.start=crash(87),index=1' " + forked);
   EXPECT_EQ(warm.code, 0);
   EXPECT_EQ(warm.stdout_text, *single);
+  EXPECT_EQ(shard_files(), cold_files);
 }
 
 TEST(GoldenBatch, RunsThatComputeNothingWriteNoShardFile) {

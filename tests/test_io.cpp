@@ -1,4 +1,5 @@
-// Tests for CSV writing/parsing, table rendering, and the argv parser.
+// Tests for CSV writing/parsing, the JSON reader, table rendering, and
+// the argv parser.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,12 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "io/args.hpp"
 #include "io/csv.hpp"
+#include "io/json.hpp"
 #include "io/table.hpp"
 #include "mathx/rng.hpp"
 
@@ -198,6 +201,80 @@ TEST(NumberFormat, NegativePrecisionMeansSix) {
     EXPECT_EQ(format_fixed(v, -3), oracle_fixed(v, -3));
     EXPECT_EQ(format_sci(v, -1), oracle_sci(v, -1));
   }
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader
+// ---------------------------------------------------------------------------
+
+/// The offset of the JsonError that reading `text` as one value throws,
+/// or npos when it parses.
+std::size_t json_error_at(const std::string& text) {
+  try {
+    JsonReader json(text);
+    json.skip_value();
+    json.end();
+  } catch (const JsonError& error) {
+    return error.offset();
+  }
+  return std::string::npos;
+}
+
+TEST(JsonReader, GrammarTable) {
+  const std::string valid[] = {
+      "0", "-0", "12", "-1.5e+3", "1E2", "0.25", "2e-3", R"("")",
+      R"("a\"\\\/\b\f\n\r\t")", R"("A\u007f")", "\"\xc3\xa9\"", "true",
+      "false", "null", "[]", "{}", " \t\r\n[1, {\"a\": [true, null]}] \r\n",
+      R"({"a":{"b":{"c":[{},[],"x"]}},"d":-1})"};
+  for (const std::string& text : valid) {
+    EXPECT_EQ(json_error_at(text), std::string::npos) << text;
+  }
+  const std::string invalid[] = {
+      "inf", "nan", "-inf", "0x1p4", "01", "1.", "1e", "1e+", "-", ".5",
+      "+1", "1e999", "1e-999", "1,5", "\"a\x01" "b\"", "\"a\nb\"",
+      R"("\u0080")", R"("\u00g0")", R"("\u+0a0")", R"("\u-001")",
+      R"("\u0x7f")", R"("\u00")", R"("\x")", R"("abc)", "\"\\", "tru",
+      "nul", "True", "truex", "[1,]", R"({"a":1,})", R"({"a" 1})", "[1}",
+      R"({"a":1])", "[1 2]", "{1:2}", "[", R"({"a":)", "[,1]", "{} x",
+      "1 2", "", "   ", "\f1", "1\v"};
+  for (const std::string& text : invalid) {
+    EXPECT_NE(json_error_at(text), std::string::npos) << text;
+  }
+  const std::string deep = std::string(JsonReader::kMaxSkipDepth, '[') +
+                           std::string(JsonReader::kMaxSkipDepth, ']');
+  EXPECT_EQ(json_error_at(deep), std::string::npos);
+  EXPECT_NE(json_error_at("[" + deep + "]"), std::string::npos);
+  // The offset names the offending byte.
+  EXPECT_EQ(json_error_at(R"({"a":1,"b":inf})"), 11u);
+  EXPECT_EQ(json_error_at("[1,2] x"), 6u);
+  EXPECT_EQ(json_error_at("\"ab\x01\""), 3u);
+  EXPECT_EQ(json_error_at("1e999"), 0u);
+}
+
+TEST(JsonReader, WalksTypedValues) {
+  JsonReader json(R"( {"s":"a\tbA","n":-12.5e1,"b":false,"z":null,)"
+                  R"("skip":{"x":[1,{"y":"}"}]},"arr":["two"]} )");
+  std::string key;
+  json.begin_object();
+  ASSERT_TRUE(json.next_member(&key) && key == "s");
+  EXPECT_EQ(json.string(), "a\tbA");
+  ASSERT_TRUE(json.next_member(&key));
+  const JsonNumber n = json.number();
+  EXPECT_EQ(n.raw, "-12.5e1");
+  EXPECT_DOUBLE_EQ(n.value, -125.0);
+  ASSERT_TRUE(json.next_member(&key));
+  EXPECT_FALSE(json.boolean());
+  ASSERT_TRUE(json.next_member(&key) && json.peek() == 'n');
+  json.null();
+  ASSERT_TRUE(json.next_member(&key));
+  json.skip_value();
+  ASSERT_TRUE(json.next_member(&key) && key == "arr");
+  json.begin_array();
+  ASSERT_TRUE(json.next_element());
+  EXPECT_EQ(json.string(), "two");
+  EXPECT_FALSE(json.next_element());
+  EXPECT_FALSE(json.next_member(&key));
+  json.end();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 // Unit and property tests for the mathx substrate: Lambert W, root
-// finding, RNG, statistics, intervals, dyadic helpers, compensated
-// summation.
+// finding, RNG, statistics, intervals, dyadic helpers.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/interval.hpp"
-#include "mathx/kahan.hpp"
 #include "mathx/lambert_w.hpp"
 #include "mathx/rng.hpp"
 #include "mathx/roots.hpp"
@@ -412,38 +410,6 @@ TEST_P(DyadicRoundTrip, RecomposeIsExactAndCanonical) {
 INSTANTIATE_TEST_SUITE_P(Sweep, DyadicRoundTrip,
                          ::testing::Values(0.5, 0.25, 0.125, 0.3, 0.6, 0.66,
                                            0.75, 0.9, 0.99, 0.013, 1.0 / 3.0));
-
-// ---------------------------------------------------------------------------
-// Kahan summation
-// ---------------------------------------------------------------------------
-
-TEST(Kahan, CompensatesSmallTerms) {
-  KahanSum ks;
-  double naive = 0.0;
-  ks.add(1e16);
-  naive += 1e16;
-  for (int i = 0; i < 10000; ++i) {
-    ks.add(1.0);
-    naive += 1.0;
-  }
-  EXPECT_DOUBLE_EQ(ks.value(), 1e16 + 10000.0);
-  // The naive sum loses the small terms entirely (1.0 < ulp of 1e16).
-  EXPECT_NE(naive, 1e16 + 10000.0);
-}
-
-TEST(Kahan, HandlesLargeTermAddedLate) {
-  KahanSum ks;
-  for (int i = 0; i < 1000; ++i) ks.add(1e-3);
-  ks.add(1e12);
-  EXPECT_NEAR(ks.value(), 1e12 + 1.0, 1e-3);
-}
-
-TEST(Kahan, Reset) {
-  KahanSum ks;
-  ks.add(5.0);
-  ks.reset();
-  EXPECT_DOUBLE_EQ(ks.value(), 0.0);
-}
 
 // Constants sanity: the specific factors of the paper's algebra.
 TEST(Constants, PaperFactors) {

@@ -50,6 +50,7 @@
 
 #include "engine/cache_store.hpp"
 #include "engine/serve.hpp"
+#include "io/json.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define RV_UNDER_TSAN 1
@@ -269,22 +270,24 @@ Frame roundtrip(Daemon& daemon, const std::string& header_line,
   return frame;
 }
 
-/// Field extraction from a reply header (flat JSON, fixed key order).
+/// A top-level scalar of a reply header, read with the strict reader: a
+/// string unescaped, a number as its raw token, "" when absent.  A
+/// header that is not strict JSON throws and fails the test.
 std::string field(const std::string& header, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = header.find(needle);
-  if (at == std::string::npos) return "";
-  std::size_t start = at + needle.size();
-  std::size_t end = start;
-  if (end < header.size() && header[end] == '"') {
-    ++start;
-    end = header.find('"', start);
-  } else {
-    while (end < header.size() && header[end] != ',' && header[end] != '}') {
-      ++end;
+  rv::io::JsonReader json(header);
+  std::string name;
+  std::string value;
+  json.begin_object();
+  while (json.next_member(&name)) {
+    if (name != key) {
+      json.skip_value();
+    } else {
+      value = json.peek() == '"' ? json.string()
+                                 : std::string(json.number().raw);
     }
   }
-  return header.substr(start, end - start);
+  json.end();
+  return value;
 }
 
 std::string read_file(const fs::path& path) {
@@ -1001,6 +1004,8 @@ TEST(ServeRequestParse, StrictHeaderGrammar) {
   EXPECT_EQ(code(R"({"op":"run","set":"s","deadline_ms":1e-999})"), "parse");
   EXPECT_EQ(code(R"({"op":"run","body_bytes":)" + std::string(400, '9') + "}"),
             "parse");
+  // RFC 8259 whitespace, so a CRLF-terminated header line parses.
+  EXPECT_EQ(code("{\"op\":\"status\",\r\n\"id\":\"c\"}\r"), "no-error");
 }
 
 TEST(ServeFrame, RoundTripsThroughReadFrame) {

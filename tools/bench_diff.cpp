@@ -22,21 +22,23 @@
 //
 // Exit codes: 0 pass, 1 regression/gate failure, 2 usage or parse error.
 //
-// The parser is deliberately minimal: it understands exactly the JSON
-// google-benchmark emits (a "context" object followed by a
-// "benchmarks" array whose entries carry "name" and the time fields) —
-// no third-party JSON dependency, nothing outside the toolchain the
-// image bakes in.
+// The files are read with the project's strict JSON reader
+// (`rv::io::JsonReader`, src/io/json.hpp), so the tool links rv_core.
+// It walks the "context" object and the "benchmarks" array and skips
+// every other member; a non-JSON token anywhere (a bare inf/nan, a hex
+// float, a leading zero) fails the parse instead of entering the gate.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "io/json.hpp"
 
 namespace {
 
@@ -52,110 +54,79 @@ struct BenchFile {
   std::vector<Series> series;
 };
 
-// Finds `"key":` at top level of the text from `from`; returns the
-// position just past the colon, or npos.  The leading quote in the
-// needle keeps suffix keys ("run_name" vs "name") from matching.
-std::size_t find_key(const std::string& text, const char* key,
-                     std::size_t from) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return std::string::npos;
-  std::size_t p = at + needle.size();
-  while (p < text.size() && (text[p] == ' ' || text[p] == ':')) ++p;
-  return p;
+const Series* find_series(const BenchFile& file, const std::string& name) {
+  for (const Series& s : file.series) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
 }
 
-std::optional<std::string> parse_string_at(const std::string& text,
-                                           std::size_t p) {
-  if (p >= text.size() || text[p] != '"') return std::nullopt;
-  const std::size_t end = text.find('"', p + 1);
-  if (end == std::string::npos) return std::nullopt;
-  return text.substr(p + 1, end - p - 1);
-}
-
-// Parses the JSON number starting exactly at `p`.  `strtod` alone
-// accepts tokens strict google-benchmark JSON never emits — "inf",
-// "nan", hex floats like "0x1p4", leading whitespace — so a corrupt
-// BENCH file could sail through the gate as a huge (or tiny)
-// "baseline".  Validate the JSON number grammar
-// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` first and convert
-// only the validated span.
-std::optional<double> parse_number_at(const std::string& text, std::size_t p) {
-  const auto digit = [&](std::size_t i) {
-    return i < text.size() && text[i] >= '0' && text[i] <= '9';
-  };
-  std::size_t q = p;
-  if (q < text.size() && text[q] == '-') ++q;
-  if (!digit(q)) return std::nullopt;
-  if (text[q] == '0') {
-    ++q;
-    if (digit(q)) return std::nullopt;  // JSON forbids leading zeros ("01")
-  } else {
-    while (digit(q)) ++q;
-  }
-  if (q < text.size() && text[q] == '.') {
-    ++q;
-    if (!digit(q)) return std::nullopt;
-    while (digit(q)) ++q;
-  }
-  if (q < text.size() && (text[q] == 'e' || text[q] == 'E')) {
-    ++q;
-    if (q < text.size() && (text[q] == '+' || text[q] == '-')) ++q;
-    if (!digit(q)) return std::nullopt;
-    while (digit(q)) ++q;
-  }
-  // The token must end at a JSON delimiter — "0x1p4" must not sneak
-  // through as "0" plus ignored junk.
-  if (q < text.size()) {
-    const char next = text[q];
-    if (next != ',' && next != '}' && next != ']' && next != ' ' &&
-        next != '\t' && next != '\n' && next != '\r') {
-      return std::nullopt;
+// Reads one "benchmarks" entry; false when it lacks the name or a time
+// field (big-O and RMS aggregates carry no time).
+bool read_series(rv::io::JsonReader& json, Series* s) {
+  std::string key;
+  int fields = 0;
+  json.begin_object();
+  while (json.next_member(&key)) {
+    if (key == "name") {
+      s->name = json.string();
+    } else if (key == "real_time") {
+      s->real_time = json.number().value;
+    } else if (key == "cpu_time") {
+      s->cpu_time = json.number().value;
+    } else {
+      json.skip_value();
+      continue;
     }
+    ++fields;
   }
-  const std::string token = text.substr(p, q - p);
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) return std::nullopt;
-  return v;
+  return fields == 3;
 }
 
-std::optional<BenchFile> parse_bench_json(const std::string& text) {
+// Reads the context flags and the "benchmarks" array and skips every
+// other member.  Says why on stderr and returns nullopt when the text
+// is not strict JSON or has no "benchmarks" array.
+std::optional<BenchFile> parse_bench_json(std::string_view text) {
   BenchFile out;
-  const std::size_t benchmarks = text.find("\"benchmarks\"");
-  if (benchmarks == std::string::npos) return std::nullopt;
-
-  // Context flags live before the benchmarks array.
-  const std::string context = text.substr(0, benchmarks);
-  if (const auto p = find_key(context, "rv_optimized_build", 0);
-      p != std::string::npos) {
-    out.optimized = parse_string_at(context, p).value_or("");
-  }
-  if (const auto p = find_key(context, "library_build_type", 0);
-      p != std::string::npos) {
-    out.build_type = parse_string_at(context, p).value_or("");
-  }
-
-  std::size_t cursor = benchmarks;
-  while (true) {
-    const std::size_t name_at = find_key(text, "name", cursor);
-    if (name_at == std::string::npos) break;
-    const auto name = parse_string_at(text, name_at);
-    const std::size_t real_at = find_key(text, "real_time", name_at);
-    const std::size_t cpu_at = find_key(text, "cpu_time", name_at);
-    if (!name || real_at == std::string::npos ||
-        cpu_at == std::string::npos) {
-      break;
+  bool have_benchmarks = false;
+  try {
+    rv::io::JsonReader json(text);
+    std::string key;
+    json.begin_object();
+    while (json.next_member(&key)) {
+      if (key == "context") {
+        json.begin_object();
+        while (json.next_member(&key)) {
+          if (key == "rv_optimized_build") {
+            out.optimized = json.string();
+          } else if (key == "library_build_type") {
+            out.build_type = json.string();
+          } else {
+            json.skip_value();
+          }
+        }
+      } else if (key == "benchmarks") {
+        have_benchmarks = true;
+        json.begin_array();
+        while (json.next_element()) {
+          Series s;
+          // First occurrence wins (repetition aggregates repeat the name).
+          if (read_series(json, &s) && find_series(out, s.name) == nullptr) {
+            out.series.push_back(std::move(s));
+          }
+        }
+      } else {
+        json.skip_value();
+      }
     }
-    const auto real = parse_number_at(text, real_at);
-    const auto cpu = parse_number_at(text, cpu_at);
-    if (!real || !cpu) return std::nullopt;
-    // First occurrence wins (repetition aggregates repeat the name).
-    const bool seen =
-        std::any_of(out.series.begin(), out.series.end(),
-                    [&](const Series& s) { return s.name == *name; });
-    if (!seen) out.series.push_back({*name, *real, *cpu});
-    cursor = std::max(real_at, cpu_at);
+    json.end();
+  } catch (const rv::io::JsonError& error) {
+    std::fprintf(stderr, "bench_diff: %s\n", error.what());
+    return std::nullopt;
+  }
+  if (!have_benchmarks) {
+    std::fprintf(stderr, "bench_diff: no \"benchmarks\" array\n");
+    return std::nullopt;
   }
   return out;
 }
@@ -191,13 +162,6 @@ bool name_selected(const Options& opts, const std::string& name) {
                      [&](const std::string& f) {
                        return name.find(f) != std::string::npos;
                      });
-}
-
-const Series* find_series(const BenchFile& file, const std::string& name) {
-  for (const Series& s : file.series) {
-    if (s.name == name) return &s;
-  }
-  return nullptr;
 }
 
 // Core comparison; returns the number of gate failures and prints the

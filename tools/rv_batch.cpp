@@ -212,8 +212,9 @@ ResultSet run_one_shard(const std::vector<WorkItem>& work,
 
 /// `run --procs P`: warm-loads and classifies against the cache
 /// directory (the counts reported, even for a partial run), runs the
-/// set across P supervised children (engine::run_forked), then replays
-/// the folded cache into the full set in this process.  When shards
+/// set across P supervised children (engine::run_forked) unless every
+/// item is a hit, then replays the folded cache into the full set in
+/// this process.  When shards
 /// exhaust their retries, the attempt table and a JSON coverage report
 /// go to stderr, then either a ShardFailure escapes (default) or — with
 /// `partial` — the surviving subset is replayed in global-index order.
@@ -224,11 +225,13 @@ ResultSet run_procs(const std::vector<WorkItem>& work,
   ScenarioCache warm;
   print_load_stats("loaded", rv::engine::load_cache_dir(fork.dir, &warm));
   const rv::engine::Classification plan = rv::engine::classify(work, &warm);
+  const rv::engine::RunnerOptions replay{fork.threads, &warm};
+  // A fully warm set has nothing to compute: replay it without forking.
+  if (plan.misses.empty()) return rv::engine::run_scenarios(work, plan, replay);
   const SupervisorReport report = rv::engine::run_forked(work, warm, fork);
   if (report.any_failures()) {
     std::cerr << "rv_batch: shard attempt log:\n" << report.table();
   }
-  const rv::engine::RunnerOptions replay{fork.threads, &warm};
   if (report.complete()) return rv::engine::run_scenarios(work, plan, replay);
   std::cerr << report.to_json(work.size());
   const std::vector<std::size_t> failed = report.failed_shards();

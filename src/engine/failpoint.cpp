@@ -248,16 +248,6 @@ Hit hit_slow(std::string_view site, std::size_t index) {
 
 }  // namespace detail
 
-const char* action_name(Action action) {
-  switch (action) {
-    case Action::kCrash: return "crash";
-    case Action::kError: return "error";
-    case Action::kDelay: return "delay";
-    case Action::kTornWrite: return "torn_write";
-  }
-  return "?";
-}
-
 void arm(const std::string& spec) {
   if (spec.empty()) bad_spec("empty spec");
   // Parse everything first — a malformed spec must arm nothing.

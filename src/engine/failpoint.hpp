@@ -62,8 +62,6 @@ class FailpointError : public std::runtime_error {
 
 enum class Action : std::uint8_t { kCrash, kError, kDelay, kTornWrite };
 
-[[nodiscard]] const char* action_name(Action action);
-
 /// What a site observes when it evaluates.  `crash` and `error` never
 /// return; `delay` returns after sleeping; `torn_write` returns its
 /// byte budget for the site to apply (only sites that write files

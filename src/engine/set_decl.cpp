@@ -18,7 +18,7 @@ namespace rv::engine {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Hook registries (named stand-ins for the built-in sets' C++ lambdas)
+// Hook registries (named stand-ins for C++ hook lambdas)
 // ---------------------------------------------------------------------------
 
 enum class HookKind { kHorizon, kComponents };

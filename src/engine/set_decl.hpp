@@ -3,16 +3,14 @@
 /// \file set_decl.hpp
 /// Data-driven scenario declarations: the `*.rvset` text format.
 ///
-/// A `ScenarioSet` is a C++ declaration, so until now every sweep was
-/// locked behind a recompile of `rv_batch`'s built-in registry.  This
-/// layer makes the declaration *data*: a small line-oriented text
-/// format that covers all five workload families — grid axes, base-cell
-/// fields, program/algorithm names from the existing enums, and named
-/// horizon-rule / component-hook selections replicating the built-in
-/// sets' C++ lambdas — parsed into a `ScenarioSet` that materialises
-/// and runs exactly like a compiled-in one.  Every built-in `rv_batch`
-/// set has an `.rvset` twin under `examples/sets/` whose output is
-/// byte-identical (pinned in tests/test_golden_shard.cpp).
+/// A `ScenarioSet` is a C++ declaration; this layer makes the
+/// declaration *data*: a small line-oriented text format that covers
+/// all five workload families — grid axes, base-cell fields,
+/// program/algorithm names from the existing enums, and named
+/// horizon-rule / component-hook selections — parsed into a
+/// `ScenarioSet` that materialises and runs exactly like a C++ one.
+/// The built-in `rv_batch` / `rv_serve` sets are such texts
+/// (tools/rv_batch_sets.hpp, mirrored under `examples/sets/`).
 ///
 /// Format (LF line endings; `#` starts a full-line comment):
 ///
@@ -48,8 +46,8 @@
 ///
 /// Hooks cannot be arbitrary code in a text file, so the format selects
 /// them from named registries (`horizon_rule = NAME`,
-/// `components = NAME`) that replicate the built-in sets' lambdas:
-/// see `horizon_rule_names()` / `components_hook_names()`.
+/// `components = NAME`): see `horizon_rule_names()` /
+/// `components_hook_names()`.
 
 #include <filesystem>
 #include <stdexcept>
@@ -106,8 +104,7 @@ struct SetDecl {
 [[nodiscard]] SetDecl parse_set_decl_file(const std::filesystem::path& path);
 
 /// Registered `horizon_rule` names for the family (empty when the
-/// family has none).  The registered rules replicate the built-in
-/// sets' horizon lambdas exactly:
+/// family has none):
 ///  * search `guaranteed-rounds+1` — Lemma 2 time of the guaranteed
 ///    round of (d, r), plus 1;
 ///  * linear `zigzag-reach+1` — zigzag reach bound of the target plus 1

@@ -25,8 +25,6 @@ double RunningStats::variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 void RunningStats::merge(const RunningStats& other) {
   if (other.n_ == 0) return;
   if (n_ == 0) {

@@ -22,8 +22,6 @@ class RunningStats {
   [[nodiscard]] double mean() const { return mean_; }
   /// Unbiased sample variance (0 if fewer than two observations).
   [[nodiscard]] double variance() const;
-  /// Sample standard deviation.
-  [[nodiscard]] double stddev() const;
   /// Smallest observation (+inf if empty).
   [[nodiscard]] double min() const { return min_; }
   /// Largest observation (−inf if empty).

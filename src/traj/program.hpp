@@ -134,12 +134,9 @@ class BufferedTrajectory {
   /// Ensures at least `t` time units are buffered.
   void ensure(double t);
 
-  /// Buffered segments with their start times.
+  /// Buffered segments, in order.
   [[nodiscard]] const std::vector<Segment>& segments() const {
     return segments_;
-  }
-  [[nodiscard]] const std::vector<double>& start_times() const {
-    return starts_;
   }
 
  private:

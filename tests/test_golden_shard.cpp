@@ -12,11 +12,13 @@
 //  * the fork-based `--procs P` local mode must match too.
 //
 // Regenerate intentionally changed pins with RV_UPDATE_GOLDEN=1 (see
-// golden.hpp); the built-in set declarations live in
-// tools/rv_batch_sets.hpp and are part of the pinned surface.
+// golden.hpp).  The built-in sets' texts in tools/rv_batch_sets.hpp are
+// part of the pinned surface: their files under examples/sets/ and
+// their cache keys are pinned here too.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,13 +26,17 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <sys/wait.h>
 #include <vector>
 
+#include "engine/cache_store.hpp"
+#include "engine/families.hpp"
 #include "golden.hpp"
+#include "rv_batch_sets.hpp"
 
 namespace {
 
@@ -47,6 +53,15 @@ fs::path build_dir() {
 }
 
 fs::path rv_batch_binary() { return build_dir() / "rv_batch"; }
+
+/// Directory holding the built-in sets' `.rvset` files.
+fs::path sets_dir() {
+#ifdef RV_SETS_DIR
+  return fs::path(RV_SETS_DIR);
+#else
+  return fs::path("examples/sets");
+#endif
+}
 
 /// Runs `cmd` through the shell, returning captured stdout; fails the
 /// test (and returns nullopt) on spawn failure or non-zero exit.
@@ -91,7 +106,7 @@ std::string batch_cmd(const std::string& args) {
   return cmd;
 }
 
-class GoldenBatchSet : public ::testing::TestWithParam<const char*> {
+class GoldenBatchSet : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     if (!fs::exists(rv_batch_binary())) {
@@ -172,9 +187,14 @@ TEST_P(GoldenBatchSet, ColdThenWarmCacheRunsAreAllHitsAndIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     BuiltinSets, GoldenBatchSet,
-    ::testing::Values("rendezvous-grid", "search-ring", "gather-fleet",
-                      "linear-line", "coverage-disk"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
+    ::testing::ValuesIn([] {
+      std::vector<std::string> names;
+      for (const rv::engine::SetDecl& decl : rv::batch::builtin_sets()) {
+        names.push_back(decl.name);
+      }
+      return names;
+    }()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
         if (c == '-') c = '_';
@@ -365,47 +385,74 @@ TEST_F(GoldenBatchChaos, PartialEmitsSurvivingSubsetAndCoverageReport) {
 }
 
 // ---------------------------------------------------------------------------
-// `.rvset` twins and cache-dir hygiene: every built-in set ships an
-// equivalent examples/sets/<name>.rvset; running the twin must emit the
-// built-in's exact bytes, and a shard → compact → warm-merge pipeline
-// over the twin must replay everything from the single compacted file.
+// The built-in set table and cache-dir hygiene: each text in
+// tools/rv_batch_sets.hpp equals its examples/sets/<name>.rvset file
+// byte for byte, its cache keys are pinned, and a shard → compact →
+// warm-merge pipeline over the file replays everything from the single
+// compacted file.
 // ---------------------------------------------------------------------------
 
-/// The shipped `.rvset` twin of a built-in set.
-fs::path twin_file(const std::string& set) {
-#ifdef RV_SETS_DIR
-  return fs::path(RV_SETS_DIR) / (set + ".rvset");
-#else
-  return fs::path("examples/sets") / (set + ".rvset");
-#endif
+TEST(BuiltinSetTable, EveryTextEqualsItsRvsetFileByteForByte) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < rv::batch::builtin_sets().size(); ++i) {
+    const std::string& name = rv::batch::builtin_sets()[i].name;
+    names.insert(name);
+    std::ifstream in(sets_dir() / (name + ".rvset"), std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)), {});
+    EXPECT_EQ(file, rv::batch::kBuiltinSetTexts[i])
+        << "built-in set '" << name << "': examples/sets/" << name
+        << ".rvset differs from its text in tools/rv_batch_sets.hpp; copy "
+           "the text from one to the other";
+  }
+  for (const auto& entry : fs::directory_iterator(sets_dir())) {
+    if (entry.path().extension() != ".rvset") continue;
+    EXPECT_EQ(names.count(entry.path().stem().string()), 1u)
+        << entry.path() << " has no text in tools/rv_batch_sets.hpp; copy "
+                           "the file's text into kBuiltinSetTexts";
+  }
 }
 
-TEST_P(GoldenBatchSet, RvsetTwinEmitsTheExactBuiltinBytes) {
-  const std::string set = GetParam();
-  const fs::path twin = twin_file(set);
-  ASSERT_TRUE(fs::exists(twin)) << twin;
-  const auto builtin = run_and_capture(batch_cmd("run --set " + set));
-  const auto from_file =
-      run_and_capture(batch_cmd("run --set-file '" + twin.string() + "'"));
-  ASSERT_TRUE(builtin.has_value());
-  ASSERT_TRUE(from_file.has_value());
-  EXPECT_EQ(*from_file, *builtin)
-      << twin << " drifted from the compiled-in declaration";
+// A cache dir persisted by an earlier build keeps hitting only while
+// each built-in set materialises the same cache keys, so an edit to a
+// text that changes a key must fail here, not show up later as a cold
+// cache.  The pin is FNV-1a64 of the keys concatenated in materialise
+// order.
+TEST(BuiltinSetTable, CacheKeysArePinned) {
+  const std::map<std::string, std::uint64_t> pinned{
+      {"rendezvous-grid", 0xe1009a3e9f772555ull},
+      {"search-ring", 0xc2b420d8065e378dull},
+      {"gather-fleet", 0xc9353d942de8210eull},
+      {"linear-line", 0xc3dbdbc9cfcc5fc5ull},
+      {"coverage-disk", 0x1e242acf9190f8beull},
+  };
+  std::map<std::string, std::uint64_t> actual;
+  for (const rv::engine::SetDecl& decl : rv::batch::builtin_sets()) {
+    std::string keys;
+    for (const rv::engine::WorkItem& item : decl.set.materialize_work()) {
+      const auto key = rv::engine::cache_key(item);
+      ASSERT_TRUE(key.has_value()) << decl.name << ": uncacheable item";
+      keys += *key;
+    }
+    actual[decl.name] = rv::engine::fnv1a64(keys);
+  }
+  EXPECT_EQ(actual, pinned)
+      << "a built-in set's cache keys changed: cache dirs written before "
+         "the change no longer hit";
 }
 
 TEST_P(GoldenBatchSet, ShardCompactWarmMergePipelineReplaysFromOneFile) {
   const std::string set = GetParam();
-  const fs::path twin = twin_file(set);
-  ASSERT_TRUE(fs::exists(twin)) << twin;
+  const fs::path file = sets_dir() / (set + ".rvset");
+  ASSERT_TRUE(fs::exists(file)) << file;
   const auto single = run_and_capture(batch_cmd("run --set " + set));
   ASSERT_TRUE(single.has_value());
 
   Scratch scratch;
   const std::string dir = (scratch.path / "cache").string();
-  // Two shard processes populate the cache dir from the *twin* file.
+  // Two shard processes populate the cache dir from the file.
   for (int s = 0; s < 2; ++s) {
     const auto shard_out = run_and_capture(
-        batch_cmd("run --set-file '" + twin.string() + "' --shard " +
+        batch_cmd("run --set-file '" + file.string() + "' --shard " +
                   std::to_string(s) + "/2 --cache-dir '" + dir +
                   "' >/dev/null && echo ok"));
     ASSERT_TRUE(shard_out.has_value()) << "shard " << s;
@@ -425,7 +472,7 @@ TEST_P(GoldenBatchSet, ShardCompactWarmMergePipelineReplaysFromOneFile) {
   // The warm merge replays every outcome from compact.rvcache alone
   // and reproduces the single-process bytes.
   const auto merged = run_and_capture(
-      batch_cmd("merge --set-file '" + twin.string() + "' --cache-dir '" +
+      batch_cmd("merge --set-file '" + file.string() + "' --cache-dir '" +
                 dir + "' --require-all-hits"));
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(*merged, *single);

@@ -4,8 +4,8 @@
 //  * a real forked `rv_serve` driven over pipes answers every built-in
 //    set with payload bytes identical to `rv_batch run`, cold runs pin
 //    exact miss counters and warm replays pin 100% hits;
-//  * raw `.rvset` bodies (the PR 9 twins under examples/sets/) get the
-//    same byte-identity against `rv_batch run --set-file`;
+//  * raw `.rvset` bodies (the files under examples/sets/) get the same
+//    byte-identity against `rv_batch run --set-file`;
 //  * malformed requests always produce structured error replies —
 //    never a crash, never a torn stream;
 //  * the status schema, queue-full backpressure reply, and
@@ -51,6 +51,7 @@
 #include "engine/cache_store.hpp"
 #include "engine/serve.hpp"
 #include "io/json.hpp"
+#include "rv_batch_sets.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define RV_UNDER_TSAN 1
@@ -324,7 +325,7 @@ class ServeDaemon : public ::testing::Test {
   }
 };
 
-class ServeConformance : public ::testing::TestWithParam<const char*> {
+class ServeConformance : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     if (!fs::exists(rv_serve_binary()) || !fs::exists(rv_batch_binary())) {
@@ -410,9 +411,14 @@ TEST_P(ServeConformance, WarmRestartFromPersistedCacheIsAllHits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BuiltinSets, ServeConformance,
-                         ::testing::Values("rendezvous-grid", "search-ring",
-                                           "gather-fleet", "linear-line",
-                                           "coverage-disk"),
+                         ::testing::ValuesIn([] {
+                           std::vector<std::string> names;
+                           for (const rv::engine::SetDecl& decl :
+                                rv::batch::builtin_sets()) {
+                             names.push_back(decl.name);
+                           }
+                           return names;
+                         }()),
                          [](const auto& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -431,7 +437,7 @@ TEST_F(ServeDaemon, RvsetBodyRequestsMatchRvBatchSetFile) {
     if (entry.path().extension() == ".rvset") decls.push_back(entry.path());
   }
   std::sort(decls.begin(), decls.end());
-  ASSERT_FALSE(decls.empty()) << "no .rvset twins under " << sets_dir();
+  ASSERT_FALSE(decls.empty()) << "no .rvset files under " << sets_dir();
 #if RV_UNDER_TSAN
   decls.resize(1);
 #endif

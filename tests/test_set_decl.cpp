@@ -1,6 +1,5 @@
-// Tests for the `.rvset` declaration parser (engine/set_decl):
-// twin-equivalence against the compiled-in rv_batch sets (same work
-// items, same content keys, same labels), precise error reporting
+// Tests for the `.rvset` declaration parser (engine/set_decl): grid
+// and explicit-cell materialisation order, precise error reporting
 // (line + key on every failure mode), the named hook registries, and
 // file-level behaviours (stem-default names, path-prefixed errors).
 
@@ -9,14 +8,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/families.hpp"
 #include "engine/scenario_set.hpp"
 #include "engine/set_decl.hpp"
-#include "rv_batch_sets.hpp"
 
 namespace {
 
@@ -25,15 +22,6 @@ using rv::engine::Family;
 using rv::engine::SetDecl;
 using rv::engine::SetDeclError;
 using rv::engine::WorkItem;
-
-/// Directory holding the shipped example declarations.
-fs::path sets_dir() {
-#ifdef RV_SETS_DIR
-  return fs::path(RV_SETS_DIR);
-#else
-  return fs::path("examples/sets");
-#endif
-}
 
 /// Fresh scratch directory per test, removed on destruction.
 struct Scratch {
@@ -50,27 +38,6 @@ struct Scratch {
   }
 };
 
-/// Two materialised work lists are "the same sweep" when they pair up
-/// item by item on family, label, and content key — the key covers
-/// every cacheable input, so equal keys mean equal outcomes (and equal
-/// horizon-rule results, which feed the keyed fields).
-void expect_same_work(const std::vector<WorkItem>& want,
-                      const std::vector<WorkItem>& got,
-                      const std::string& context) {
-  ASSERT_EQ(want.size(), got.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].family, got[i].family) << context << " item " << i;
-    EXPECT_EQ(want[i].label, got[i].label) << context << " item " << i;
-    const auto want_key = rv::engine::cache_key(want[i]);
-    const auto got_key = rv::engine::cache_key(got[i]);
-    ASSERT_EQ(want_key.has_value(), got_key.has_value())
-        << context << " item " << i;
-    if (want_key.has_value()) {
-      EXPECT_EQ(*want_key, *got_key) << context << " item " << i;
-    }
-  }
-}
-
 /// Parses `text` and returns the error, failing the test when it
 /// unexpectedly parses.
 SetDeclError parse_error(const std::string& text) {
@@ -81,19 +48,6 @@ SetDeclError parse_error(const std::string& text) {
   }
   ADD_FAILURE() << "expected SetDeclError for:\n" << text;
   return SetDeclError(0, "", "did not throw");
-}
-
-TEST(SetDeclTwins, EveryBuiltinSetHasAnEquivalentRvsetFile) {
-  for (const rv::batch::BuiltinSet& builtin : rv::batch::builtin_sets()) {
-    const fs::path file =
-        sets_dir() / (std::string(builtin.name) + ".rvset");
-    ASSERT_TRUE(fs::exists(file)) << file;
-    const SetDecl decl = rv::engine::parse_set_decl_file(file);
-    EXPECT_EQ(decl.name, builtin.name);
-    EXPECT_EQ(decl.description, builtin.description);
-    expect_same_work(builtin.build().materialize_work(),
-                     decl.set.materialize_work(), builtin.name);
-  }
 }
 
 TEST(SetDeclParse, GridAndAddSectionsMaterializeInDeclarationOrder) {

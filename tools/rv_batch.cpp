@@ -24,14 +24,14 @@
 //   rv_batch compact --cache-dir DIR [--max-age-days D] [--max-bytes N]
 //
 // `--set-file` runs a data-driven `*.rvset` declaration (see
-// engine/set_decl.hpp and examples/sets/) instead of a compiled-in set;
-// the twins under examples/sets/ reproduce the built-in sets
-// byte-identically.  `compact` is the cache-dir lifecycle tool: it
-// merges every cache file into one deduplicated `compact.rvcache`
-// (first writer wins, wrong-epoch files dropped), optionally evicting
-// by age (--max-age-days) and to a byte budget (--max-bytes, oldest
-// first), then deletes the originals — a warm `--require-all-hits`
-// rerun stays at 100% hits (see docs/OPERATIONS.md).
+// engine/set_decl.hpp and examples/sets/) instead of a built-in set;
+// the built-in sets are `.rvset` texts too (rv_batch_sets.hpp).
+// `compact` is the cache-dir lifecycle tool: it merges every cache file
+// into one deduplicated `compact.rvcache` (first writer wins,
+// wrong-epoch files dropped), optionally evicting by age
+// (--max-age-days) and to a byte budget (--max-bytes, oldest first),
+// then deletes the originals — a warm `--require-all-hits` rerun stays
+// at 100% hits (see docs/OPERATIONS.md).
 //
 // Fork mode (--procs P) is engine::run_forked (engine/shard.hpp), the
 // forked dispatch rv_serve uses too: --threads T is the whole budget,
@@ -259,8 +259,8 @@ ResultSet run_procs(const std::vector<WorkItem>& work,
   return results;
 }
 
-/// The set a run/merge operates on: a compiled-in declaration named by
-/// --set, or a data-driven `*.rvset` file named by --set-file.
+/// The set a run/merge operates on: a built-in set named by --set, or
+/// a `*.rvset` file named by --set-file.
 struct NamedSet {
   std::string name;
   rv::engine::ScenarioSet set;
@@ -284,18 +284,18 @@ NamedSet resolve_set(const rv::io::Args& args) {
 }
 
 int cmd_list(const rv::io::Args& args) {
-  const std::string set_file = args.get("set-file");
-  if (!set_file.empty()) {
-    const rv::engine::SetDecl decl = rv::engine::parse_set_decl_file(set_file);
+  const auto print = [](const rv::engine::SetDecl& decl) {
     const std::size_t items = decl.set.materialize_work().size();
     std::cout << decl.name << "  (" << items << " items)  "
               << decl.description << "\n";
+  };
+  const std::string set_file = args.get("set-file");
+  if (!set_file.empty()) {
+    print(rv::engine::parse_set_decl_file(set_file));
     return 0;
   }
-  for (const rv::batch::BuiltinSet& set : rv::batch::builtin_sets()) {
-    const std::size_t items = set.build().materialize_work().size();
-    std::cout << set.name << "  (" << items << " items)  " << set.description
-              << "\n";
+  for (const rv::engine::SetDecl& decl : rv::batch::builtin_sets()) {
+    print(decl);
   }
   return 0;
 }

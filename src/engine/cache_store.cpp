@@ -75,7 +75,7 @@ bool deserialize_entry(const std::string& key, std::string_view payload,
 }
 
 void save_cache_file(const std::filesystem::path& path,
-                     const ScenarioCache& cache) {
+                     const ScenarioCache& cache, bool durable) {
   std::string out(kHeader, 8);
   put<std::uint32_t>(out, kEngineCacheEpoch);
   for (const auto& [key, entry] : cache.snapshot()) {
@@ -126,7 +126,7 @@ void save_cache_file(const std::filesystem::path& path,
   }
   // fsync before the rename: the rename must never become durable
   // ahead of the data it publishes.
-  ok = ok && ::fsync(fd) == 0;
+  ok = ok && (!durable || ::fsync(fd) == 0);
   ok = (::close(fd) == 0) && ok;
   if (!ok) {
     std::error_code rm_ec;
@@ -143,6 +143,7 @@ void save_cache_file(const std::filesystem::path& path,
   // ...and fsync the directory after, so the rename itself survives a
   // power cut.  Best effort: some filesystems refuse O_RDONLY opens of
   // directories, and the data above is already safe.
+  if (!durable) return;
   const std::filesystem::path parent =
       path.parent_path().empty() ? std::filesystem::path(".")
                                  : path.parent_path();
@@ -385,17 +386,20 @@ CompactResult compact_cache_dir(const std::filesystem::path& dir,
         input.path, CompactResult::Disposition::kEvictedBudget, {}});
   }
 
+  std::error_code ec;
+  result.output_bytes = fs::file_size(result.output, ec);
+  if (ec) result.output_bytes = 0;
+  return result;
+}
+
+void remove_compacted_inputs(const CompactResult& result) {
   // The output is safely on disk (atomic rename): delete every
   // original input, evicted or merged, except the output itself.
   for (const CompactResult::FileReport& report : result.files) {
     if (report.path == result.output) continue;
     std::error_code ec;
-    fs::remove(report.path, ec);  // a vanished input is already gone
+    std::filesystem::remove(report.path, ec);  // a vanished input is gone
   }
-  std::error_code ec;
-  result.output_bytes = fs::file_size(result.output, ec);
-  if (ec) result.output_bytes = 0;
-  return result;
 }
 
 }  // namespace rv::engine

@@ -93,9 +93,12 @@ struct CacheLoadStats {
 /// entry, sorted by key bytes — byte-identical output for equal
 /// contents).  The write is atomic-by-rename: concurrent readers see
 /// either the old file or the complete new one, never a torn write.
+/// `durable = false` skips the fsyncs of the file and the directory,
+/// for hand-offs whose loss costs only a recomputation (freeing a
+/// just-fsynced file can take tens of ms on a `discard` mount).
 /// \throws std::runtime_error when the file cannot be written.
 void save_cache_file(const std::filesystem::path& path,
-                     const ScenarioCache& cache);
+                     const ScenarioCache& cache, bool durable = true);
 
 /// The `*.rvcache` files directly inside `dir`, sorted by path — the
 /// exact list (and order) `load_cache_dir` loads.  A missing directory
@@ -180,13 +183,19 @@ struct CompactResult {
 /// merges every surviving `*.rvcache` file in sorted-file-name order
 /// (first writer wins per key — the same order and dedupe rule as
 /// `load_cache_dir`, so a warm run loads identical entries before and
-/// after), writes the union to `options.output_name`, and deletes
-/// every original input.  Files with a bad header or a wrong engine
-/// epoch are dropped (deleted, never merged).  The previous output
-/// file, when present, is just another input — re-compacting is
-/// idempotent.  \throws std::runtime_error when `dir` is not a
-/// directory or the output cannot be written.
+/// after) and publishes the union as `options.output_name`.  Files with
+/// a bad header or a wrong engine epoch are dropped (never merged).
+/// The previous output file, when present, is just another input —
+/// re-compacting is idempotent.  The inputs stay on disk until
+/// `remove_compacted_inputs(result)`: loaders tolerate the duplicates
+/// meanwhile, and `rv_serve` deletes them after releasing the lock its
+/// persistence shares with compaction.  \throws std::runtime_error
+/// when `dir` is not a directory or the output cannot be written.
 CompactResult compact_cache_dir(const std::filesystem::path& dir,
                                 const CompactOptions& options = {});
+
+/// Deletes every input `result` reports — merged, dropped or evicted —
+/// except the output itself.  An input already gone is skipped.
+void remove_compacted_inputs(const CompactResult& result);
 
 }  // namespace rv::engine

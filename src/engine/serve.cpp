@@ -40,17 +40,6 @@ std::string fmt_ms(double ms) {
   throw ServeError("parse", message);
 }
 
-/// File-name-safe set name for per-set persistence files.
-std::string sanitize_name(const std::string& name) {
-  std::string out = name.empty() ? "inline" : name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
 }  // namespace
 
 // --------------------------------------------------------------------
@@ -231,7 +220,7 @@ Service::Service(Options options) : options_(std::move(options)) {
   if (options_.procs > 1 && options_.cache_dir.empty()) {
     throw std::invalid_argument(
         "serve: procs > 1 requires a cache_dir (forked shard workers "
-        "exchange *.rvcache files)");
+        "hand their outcomes back inside it)");
   }
   if (options_.compact_interval_sec > 0.0 && options_.cache_dir.empty()) {
     throw std::invalid_argument(
@@ -515,37 +504,9 @@ Service::Reply Service::execute_run(const Request& request) {
   // One classification against the warm cache decides what is
   // computed, and its counts are what the reply header reports.
   const Classification plan = classify(work, &cache_);
-  Reply reply;
-  reply.stats = plan.stats;
-  if (options_.procs > 1 && !plan.misses.empty()) {
-    dispatch_forked(name, work, plan.misses, request, &reply.missing);
-  }
-  // One run computes the misses in-process (procs <= 1) and replays
-  // everything else, so the payload is byte-identical to a
-  // single-process `rv_batch run` of the same declaration.
-  const RunnerOptions run{options_.threads, &cache_};
-  reply.payload = render(
-      reply.missing.empty()
-          ? run_scenarios(work, plan, run)
-          : run_scenarios(without_indices(work, reply.missing), run),
-      request.format);
-  persist(name, plan);
-  return reply;
-}
-
-void Service::dispatch_forked(const std::string& set_name,
-                              const std::vector<WorkItem>& work,
-                              const std::vector<std::size_t>& miss_indices,
-                              const Request& request,
-                              std::vector<std::size_t>* missing) {
-  const std::lock_guard<std::mutex> disk(disk_mutex_);
-  ForkOptions fork;
-  fork.dir = options_.cache_dir;
-  fork.set_name = sanitize_name(set_name) + "-serve";
-  fork.procs = options_.procs;
-  fork.threads = options_.threads;
-  fork.supervisor = options_.supervisor;
-  if (request.deadline_ms > 0.0) {
+  ExecOptions exec{options_.cache_dir, options_.procs, options_.threads,
+                   options_.supervisor};
+  if (options_.procs > 1 && !plan.misses.empty() && request.deadline_ms > 0.0) {
     const double remaining_ms =
         request.admitted_ms + request.deadline_ms - now_ms();
     if (remaining_ms <= 0.0) {
@@ -554,45 +515,30 @@ void Service::dispatch_forked(const std::string& set_name,
                                        " ms expired before forked dispatch");
     }
     const double remaining_sec = remaining_ms / 1000.0;
-    fork.supervisor.timeout_sec =
-        fork.supervisor.timeout_sec > 0.0
-            ? std::min(fork.supervisor.timeout_sec, remaining_sec)
+    exec.supervisor.timeout_sec =
+        exec.supervisor.timeout_sec > 0.0
+            ? std::min(exec.supervisor.timeout_sec, remaining_sec)
             : remaining_sec;
   }
-  std::vector<WorkItem> misses;
-  misses.reserve(miss_indices.size());
-  for (const std::size_t i : miss_indices) misses.push_back(work[i]);
-  // Children must not touch the shared cache: another worker may hold
-  // its mutex at fork time, which would deadlock the child.  They get a
-  // fresh, empty cache instead — they only compute misses, which are
-  // absent from the shared cache by definition.
-  ScenarioCache fresh;
-  const SupervisorReport report = run_forked(misses, fresh, fork);
-  // Fold what the children computed into the resident cache, then drop
-  // the hand-off files: `persist` saves these outcomes once, and a later
-  // request of the same name must not fold this one's leftovers.
-  for (auto& [key, entry] : fresh.snapshot()) {
-    (void)cache_.store(key, std::move(entry));
+  // The payload is byte-identical to a single-process `rv_batch run` of
+  // the same declaration, whether the misses were forked or not.
+  Execution ran = engine::execute(work, plan, cache_, exec);
+  if (!plan.misses.empty() && !options_.cache_dir.empty()) {
+    const std::lock_guard<std::mutex> disk(disk_mutex_);
+    persist_misses(options_.cache_dir, name, plan, cache_);
   }
-  for (std::size_t p = 0; p < fork.procs; ++p) {
-    std::error_code ec;
-    std::filesystem::remove(
-        fork.dir / shard_file_name(fork.set_name, p, fork.procs), ec);
-  }
+  const SupervisorReport& report = ran.report;
   if (report.any_failures()) note("serve: supervisor report:\n" + report.table());
-  if (report.complete()) return;
-  bool timed_out = false;
-  for (const ShardStatus& status : report.shards) {
-    if (status.succeeded) continue;
-    for (const ShardAttempt& attempt : status.attempts) {
-      if (attempt.outcome == AttemptOutcome::kTimeout) timed_out = true;
-    }
-  }
-  if (!request.partial) {
+  if (!report.complete() && !request.partial) {
+    bool timed_out = false;
     std::string list;
-    for (const std::size_t shard : report.failed_shards()) {
+    for (const ShardStatus& status : report.shards) {
+      if (status.succeeded) continue;
+      for (const ShardAttempt& attempt : status.attempts) {
+        if (attempt.outcome == AttemptOutcome::kTimeout) timed_out = true;
+      }
       if (!list.empty()) list += ", ";
-      list += std::to_string(shard);
+      list += std::to_string(status.shard);
     }
     const bool deadline_blame = timed_out && request.deadline_ms > 0.0;
     throw ServeError(deadline_blame ? "deadline" : "failed",
@@ -600,38 +546,11 @@ void Service::dispatch_forked(const std::string& set_name,
                          " (request 'partial' to accept the surviving "
                          "subset)");
   }
-  for (const std::size_t j : report.missing_indices(misses.size())) {
-    missing->push_back(miss_indices[j]);
-  }
-}
-
-void Service::persist(const std::string& set_name,
-                      const Classification& plan) {
-  if (options_.cache_dir.empty()) return;
-  ScenarioCache own;
-  ScenarioCache::Entry entry;
-  for (const std::size_t i : plan.misses) {
-    // A miss a failed shard lost has no outcome to save.
-    if (cache_.lookup(*plan.keys[i], &entry)) own.store(*plan.keys[i], entry);
-  }
-  if (own.size() == 0) return;
-  // The file is named by its content, so two requests sharing a set
-  // name (every inline body without `name =` is "inline") write two
-  // files instead of replacing each other's outcomes.
-  std::uint64_t hash = fnv1a64({});
-  for (const auto& [key, outcome] : own.snapshot()) {
-    const std::uint64_t size = key.size();
-    hash = fnv1a64({reinterpret_cast<const char*>(&size), sizeof size}, hash);
-    hash = fnv1a64(key, hash);
-  }
-  std::string hex(16, '0');
-  for (std::size_t i = hex.size(); i-- > 0; hash >>= 4) {
-    hex[i] = "0123456789abcdef"[hash & 0xf];
-  }
-  const std::lock_guard<std::mutex> disk(disk_mutex_);
-  save_cache_file(options_.cache_dir /
-                      (sanitize_name(set_name) + "-" + hex + "-serve.rvcache"),
-                  own);
+  Reply reply;
+  reply.stats = plan.stats;
+  reply.missing = std::move(ran.missing);
+  reply.payload = render(ran.results, request.format);
+  return reply;
 }
 
 void Service::compactor_loop() {
@@ -643,9 +562,14 @@ void Service::compactor_loop() {
     if (stopping_) return;
     lock.unlock();
     try {
-      const std::lock_guard<std::mutex> disk(disk_mutex_);
-      const CompactResult result =
-          compact_cache_dir(options_.cache_dir, options_.compact);
+      // Publish under the lock persistence shares; delete the inputs
+      // after releasing it, so no request waits on the unlinks.
+      CompactResult result;
+      {
+        const std::lock_guard<std::mutex> disk(disk_mutex_);
+        result = compact_cache_dir(options_.cache_dir, options_.compact);
+      }
+      remove_compacted_inputs(result);
       {
         const std::lock_guard<std::mutex> counters_lock(mutex_);
         counters_.compactions += 1;

@@ -7,14 +7,13 @@
 /// the persistent cache, runs, and exits.  The serve layer keeps one
 /// process resident: a `Service` warm-loads the cache directory once,
 /// then answers request after request.  Each request is classified
-/// once (`engine::classify`): hits replay straight from the in-memory
-/// `ScenarioCache`, never recomputed; misses are computed by one
-/// `run_scenarios` call (in-process pool by default) or first by
-/// forked shard workers that hand their outcomes back as `*.rvcache`
-/// files (`ServeOptions::procs > 1`).  That one run replays the full
-/// set, so the payload is **byte-identical to `rv_batch run`** on the
-/// same declaration — the conformance property tests/test_serve.cpp
-/// pins and CI re-diffs.
+/// once (`engine::classify`) and run by `engine::execute`, the path
+/// `rv_batch run` takes too: hits replay straight from the in-memory
+/// `ScenarioCache`, never recomputed; misses are computed in-process
+/// or first by forked shard workers (`Options::procs > 1`), and the
+/// misses alone are persisted (`engine::persist_misses`).  The payload
+/// is **byte-identical to `rv_batch run`** on the same declaration —
+/// the conformance property tests/test_serve.cpp pins and CI re-diffs.
 ///
 /// ## Wire protocol (newline-delimited JSON, optional raw bodies)
 ///
@@ -72,7 +71,7 @@
 /// `serve.accept` (admission, index = request seq), `serve.dispatch`
 /// (worker dequeue, index = request seq), `serve.reply` (the framed
 /// writer — the only site honouring `torn_write`).  Forked dispatch
-/// goes through `engine::run_forked`, so its children fire
+/// goes through `engine::execute`, so its children fire
 /// `shard.worker.start` (index = shard id) like `rv_batch --procs`.
 ///
 /// Determinism: computed payload bytes stay a pure function of the
@@ -181,7 +180,7 @@ struct Options {
   unsigned threads = 0;
   /// Forked shard workers per dispatch; 1 (the default) computes
   /// misses in-process.  > 1 requires `cache_dir` (children hand their
-  /// outcomes back as `*.rvcache` shard files).
+  /// outcomes back through a private directory inside it).
   std::size_t procs = 1;
   /// Persistent cache directory: warm-loaded at construction, misses
   /// persisted back after each run.  Empty disables persistence.
@@ -297,20 +296,6 @@ class Service {
   void compactor_loop();
   [[nodiscard]] std::string execute(const Request& request);
   [[nodiscard]] Reply execute_run(const Request& request);
-  /// Fork dispatch of the items of `work` at `miss_indices` through
-  /// `run_forked`, folding their outcomes into the resident cache and
-  /// deleting the hand-off files; fills `missing` with the lost global
-  /// indices, ascending, when shards fail.  \throws ServeError.
-  void dispatch_forked(const std::string& set_name,
-                       const std::vector<WorkItem>& work,
-                       const std::vector<std::size_t>& miss_indices,
-                       const Request& request,
-                       std::vector<std::size_t>* missing);
-  /// Saves the outcomes of the request's misses (`plan.misses`) to a
-  /// content-named `<set>-<hash>-serve.rvcache`.  Hits are not saved
-  /// again: they were loaded at boot or saved by the request that
-  /// computed them.
-  void persist(const std::string& set_name, const Classification& plan);
   [[nodiscard]] std::string status_header(const Request& request) const;
   void note(const std::string& message) const;
 

@@ -87,8 +87,9 @@ class SetDeclError : public std::runtime_error {
 
 /// One parsed declaration: the set plus its display metadata.
 struct SetDecl {
-  /// From the `name` key ([A-Za-z0-9._-]+, it becomes cache-shard file
-  /// names); `parse_set_decl_file` defaults it to the file stem.
+  /// From the `name` key ([A-Za-z0-9._-]+, it becomes the stem of
+  /// persisted cache file names); `parse_set_decl_file` defaults it to
+  /// the file stem.
   std::string name;
   std::string description;  ///< from the `description` key (may be empty)
   ScenarioSet set;

@@ -1,7 +1,9 @@
 #include "engine/shard.hpp"
 
+#include <stdlib.h>
+
 #include <algorithm>
-#include <optional>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -60,25 +62,54 @@ std::string shard_file_name(const std::string& set_name, std::size_t shard,
          kCacheFileExtension;
 }
 
-std::size_t save_shard_file(const std::filesystem::path& path,
-                            const std::vector<WorkItem>& work,
-                            const ShardPlan& plan, const ResultSet& ran,
-                            const ScenarioCache& cache) {
-  if (ran.cache_stats().misses == 0) return 0;
-  ScenarioCache own;
-  ScenarioCache::Entry entry;
-  for (const std::size_t i : plan.indices) {
-    const std::optional<std::string> key = cache_key(work[i]);
-    if (key && cache.lookup(*key, &entry)) own.store(*key, std::move(entry));
+namespace {
+
+/// File-name-safe set name for persistence files.
+std::string sanitize_name(const std::string& name) {
+  std::string out = name.empty() ? "inline" : name;
+  for (char& c : out) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) c = '_';
   }
-  save_cache_file(path, own);
-  return own.size();
+  return out;
 }
 
-SupervisorReport run_forked(const std::vector<WorkItem>& work,
-                            ScenarioCache& cache, const ForkOptions& options) {
+/// A private hand-off directory, removed when the parent leaves
+/// `fork_misses` (children `_exit` without running destructors).  Its
+/// name does not end in `.rvcache`, so `list_cache_files` skips it.
+class HandoffDir {
+ public:
+  explicit HandoffDir(const std::filesystem::path& dir)
+      : path_((dir / ".handoff-XXXXXX").string()) {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error("execute: cannot create a hand-off directory "
+                               "in '" + dir.string() + "'");
+    }
+  }
+  ~HandoffDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  HandoffDir(const HandoffDir&) = delete;
+  HandoffDir& operator=(const HandoffDir&) = delete;
+
+  [[nodiscard]] std::filesystem::path file(std::size_t p) const {
+    return std::filesystem::path(path_) /
+           (std::to_string(p) + kCacheFileExtension);
+  }
+
+ private:
+  std::string path_;
+};
+
+/// Forks the misses of `work` strided over `options.procs` children and
+/// folds what they computed into `cache`.
+SupervisorReport fork_misses(const std::vector<WorkItem>& work,
+                             const std::vector<std::size_t>& misses,
+                             ScenarioCache& cache,
+                             const ExecOptions& options) {
   const std::size_t procs = options.procs;
-  if (procs == 0) throw std::invalid_argument("run_forked: procs must be >= 1");
   // Split the budget: P children each taking all of it would
   // oversubscribe the box P-fold.
   const std::size_t budget = options.threads != 0
@@ -86,24 +117,89 @@ SupervisorReport run_forked(const std::vector<WorkItem>& work,
                                  : std::thread::hardware_concurrency();
   const auto child_threads =
       static_cast<unsigned>(std::max<std::size_t>(1, budget / procs));
-  const auto shard_path = [&](std::size_t p) {
-    return options.dir / shard_file_name(options.set_name, p, procs);
-  };
+  std::vector<WorkItem> miss_work;
+  miss_work.reserve(misses.size());
+  for (const std::size_t i : misses) miss_work.push_back(work[i]);
+  const HandoffDir handoff(options.dir);
   const auto child_main = [&](std::size_t p) -> int {
     // Chaos site: crash/delay/error a worker at its very first
     // instruction — the supervisor must detect and retry it.
     RV_FAILPOINT_AT("shard.worker.start", p);
-    const ShardPlan plan = shard_plan(work.size(), p, procs);
-    const ResultSet ran = run_shard(work, plan, {child_threads, &cache});
-    (void)save_shard_file(shard_path(p), work, plan, ran, cache);
+    ScenarioCache own;
+    (void)run_shard(miss_work, shard_plan(miss_work.size(), p, procs),
+                    {child_threads, &own});
+    // The parent's persist_misses is the durable record; a hand-off
+    // lost to a crash is recomputed, so it skips the fsyncs.
+    if (own.size() > 0) {
+      save_cache_file(handoff.file(p), own, /*durable=*/false);
+    }
     return 0;
   };
   SupervisorReport report =
       supervise_shards(procs, child_main, options.supervisor);
   for (std::size_t p = 0; p < procs; ++p) {
-    (void)load_cache_file(shard_path(p), &cache);
+    (void)load_cache_file(handoff.file(p), &cache);
   }
   return report;
+}
+
+}  // namespace
+
+Execution execute(const std::vector<WorkItem>& work,
+                  const Classification& classification, ScenarioCache& cache,
+                  const ExecOptions& options) {
+  if (options.procs == 0) {
+    throw std::invalid_argument("execute: procs must be >= 1");
+  }
+  Execution out;
+  const std::vector<std::size_t>& misses = classification.misses;
+  if (options.procs > 1 && !misses.empty()) {
+    out.report = fork_misses(work, misses, cache, options);
+    for (const std::size_t j : out.report.missing_indices(misses.size())) {
+      out.missing.push_back(misses[j]);
+    }
+  }
+  const RunnerOptions run{options.threads, &cache};
+  if (out.missing.empty()) {
+    out.results = run_scenarios(work, classification, run);
+  } else {
+    // Only the survivors, in global-index order, so the emitted subset
+    // is byte-identical to the corresponding rows of the full document.
+    out.results = run_scenarios(without_indices(work, out.missing), run);
+    out.results.set_cache_stats(classification.stats);
+  }
+  return out;
+}
+
+std::filesystem::path persist_misses(const std::filesystem::path& dir,
+                                     const std::string& set_name,
+                                     const Classification& classification,
+                                     const ScenarioCache& cache) {
+  if (classification.misses.empty()) return {};
+  ScenarioCache own;
+  ScenarioCache::Entry entry;
+  for (const std::size_t i : classification.misses) {
+    const std::string& key = *classification.keys[i];
+    if (cache.lookup(key, &entry)) own.store(key, std::move(entry));
+  }
+  if (own.size() == 0) return {};
+  // The file is named by its content, so two runs sharing a set name
+  // (every inline body without `name =` is "inline") write two files
+  // instead of replacing each other's outcomes.
+  std::uint64_t hash = fnv1a64({});
+  for (const auto& [key, outcome] : own.snapshot()) {
+    const std::uint64_t size = key.size();
+    hash = fnv1a64({reinterpret_cast<const char*>(&size), sizeof size}, hash);
+    hash = fnv1a64(key, hash);
+  }
+  std::string hex(16, '0');
+  for (std::size_t i = hex.size(); i-- > 0; hash >>= 4) {
+    hex[i] = "0123456789abcdef"[hash & 0xf];
+  }
+  const std::filesystem::path path =
+      dir / (sanitize_name(set_name) + "-" + hex + kCacheFileExtension);
+  save_cache_file(path, own);
+  return path;
 }
 
 }  // namespace rv::engine

@@ -2,7 +2,8 @@
 
 /// \file shard.hpp
 /// Deterministic partitioning of a `ScenarioSet`'s work across
-/// processes.
+/// processes, and the one execute function and persistence rule every
+/// front-end (`rv_batch run`, `rv_serve`) goes through.
 ///
 /// A `ScenarioSet` materialises into a fixed, documented work-item
 /// order (engine/scenario_set.hpp), and `ResultSet` emission is a pure
@@ -13,16 +14,14 @@
 /// threads, other processes, other machines) and reassembled by global
 /// index into the **byte-identical** single-process table/CSV/JSON.
 ///
-/// Reassembly is always a cache replay: each shard persists the
-/// outcomes it owns to a cache file (engine/cache_store.hpp), the
-/// files are loaded into one `ScenarioCache`, and the *full* set runs
-/// warm, replaying every outcome (all hits, no recomputation) into the
-/// single-process emission.  Cached outcomes replay bit-for-bit, so
-/// any partition produces the same bytes.  The shard processes are
-/// either separate `rv_batch run --shard s/N` invocations (merged by
-/// `rv_batch merge`) or the children `run_forked` supervises — the one
-/// forked-dispatch path behind `rv_batch run --procs` and `rv_serve
-/// --procs`.
+/// Reassembly is always a cache replay: a run persists the outcomes it
+/// computed (`persist_misses`), the files are loaded into one
+/// `ScenarioCache`, and the *full* set runs warm, replaying every
+/// outcome (all hits, no recomputation) into the single-process
+/// emission.  Cached outcomes replay bit-for-bit, so any partition
+/// produces the same bytes.  The shard processes are either separate
+/// `rv_batch run --shard s/N` invocations (merged by `rv_batch merge`)
+/// or the children `execute` forks over a run's misses.
 
 #include <cstddef>
 #include <filesystem>
@@ -66,50 +65,60 @@ struct ShardPlan {
                                   const ShardPlan& plan,
                                   RunnerOptions options = {});
 
-/// The canonical cache file name of one shard of a set:
 /// `<set>-shard-<I>-of-<N>.rvcache` (a "<set>" placeholder stands in
-/// when `set_name` is empty).  This is the file `rv_batch run --shard
-/// I/N --cache-dir` writes and the one merge diagnostics point
-/// operators at.
+/// when `set_name` is empty): the positional shard-file name of earlier
+/// releases.  The engine no longer writes it; directories holding such
+/// files still load like any other.
 [[nodiscard]] std::string shard_file_name(const std::string& set_name,
                                           std::size_t shard,
                                           std::size_t num_shards);
 
-/// Persists the outcomes `plan` owns from `cache` to `path`, but only
-/// when `ran` (the plan's `run_shard` result) computed at least one
-/// outcome.  A run that computed nothing replayed every item from
-/// entries loaded from files still on disk, so skipping its write
-/// loses nothing.  A run that did compute writes every owned outcome,
-/// warm-loaded ones included, so rewriting a file never drops an
-/// outcome whose only copy was in it.  Returns the number of outcomes
-/// written (0: no file written).
-std::size_t save_shard_file(const std::filesystem::path& path,
-                            const std::vector<WorkItem>& work,
-                            const ShardPlan& plan, const ResultSet& ran,
-                            const ScenarioCache& cache);
-
-/// Knobs of `run_forked`.
-struct ForkOptions {
-  std::filesystem::path dir;  ///< where the children leave shard files
-  std::string set_name;       ///< shard-file stem (see shard_file_name)
-  std::size_t procs = 1;      ///< child processes, one shard each
+/// Knobs of `execute`.
+struct ExecOptions {
+  /// The cache directory; forked children hand off inside it, in a
+  /// private `.handoff-XXXXXX/` directory no loader lists.
+  std::filesystem::path dir;
+  std::size_t procs = 1;  ///< child processes over the misses; 1 = none
   /// The whole thread budget (0 = hardware concurrency); each child
   /// runs with max(1, budget / procs) threads.
   unsigned threads = 0;
   SupervisorOptions supervisor;  ///< retries / deadline / backoff
 };
 
-/// Runs `work` across `options.procs` forked children under
-/// `supervise_shards`.  Child p fires the `shard.worker.start`
-/// failpoint (index p), runs shard p/procs on its copy-on-write view
-/// of `cache`, and saves what it owns to `dir / shard_file_name(
-/// set_name, p, procs)` via `save_shard_file`.  The parent then folds
-/// every shard file back into `cache` (first writer wins; a missing
-/// file loads nothing) and returns the supervisor's report — the
-/// caller replays `cache` and decides what a failed shard means.
+/// What `execute` produced.
+struct Execution {
+  /// Every item, or the survivors when shards failed, carrying the
+  /// classification's counts.
+  ResultSet results;
+  /// Global indices of the misses failed shards lost, ascending.
+  std::vector<std::size_t> missing;
+  SupervisorReport report;  ///< the children's attempts, if any forked
+};
+
+/// Runs `work` as `classification` (from `classify(work, &cache)`)
+/// decided.  With procs > 1, only the misses fork, strided over the
+/// children under `supervise_shards`; child p fires the
+/// `shard.worker.start` failpoint (index p), computes into a fresh cache
+/// (another thread may hold `cache`'s mutex at fork time) and hands off
+/// without fsync, and the parent folds the hand-offs into `cache`.  One
+/// `run_scenarios` pass then computes what is still missing and replays
+/// the rest, byte-identical to a single-process run.  Persists nothing.
 /// \throws std::invalid_argument when procs == 0.
-[[nodiscard]] SupervisorReport run_forked(const std::vector<WorkItem>& work,
-                                          ScenarioCache& cache,
-                                          const ForkOptions& options);
+[[nodiscard]] Execution execute(const std::vector<WorkItem>& work,
+                                const Classification& classification,
+                                ScenarioCache& cache,
+                                const ExecOptions& options);
+
+/// The one persistence rule: saves the outcomes of the misses found in
+/// `cache` (a lost miss has none) to one fsynced, content-named
+/// `dir / <set>-<hash>.rvcache` (`<hash>`: 16 hex digits of FNV-1a over
+/// the saved keys).  Hits came from disk and are not saved again.
+/// Returns the file, or an empty path when none was written; with no
+/// misses it touches nothing.  Callers in one process must serialise
+/// it (the temp file name is per-pid).
+std::filesystem::path persist_misses(const std::filesystem::path& dir,
+                                     const std::string& set_name,
+                                     const Classification& classification,
+                                     const ScenarioCache& cache);
 
 }  // namespace rv::engine

@@ -99,7 +99,8 @@ std::string SupervisorReport::table() const {
   return out;
 }
 
-std::string SupervisorReport::to_json(std::size_t total_items) const {
+std::string SupervisorReport::to_json(
+    std::size_t total_items, const std::vector<std::size_t>& missing) const {
   const auto join = [](const std::vector<std::size_t>& values) {
     std::string list;
     for (const std::size_t v : values) {
@@ -113,8 +114,7 @@ std::string SupervisorReport::to_json(std::size_t total_items) const {
   out += ",\n  \"num_shards\": " + std::to_string(shards.size());
   out += ",\n  \"total_items\": " + std::to_string(total_items);
   out += ",\n  \"failed_shards\": [" + join(failed_shards()) + "]";
-  out += ",\n  \"missing_indices\": [" + join(missing_indices(total_items)) +
-         "]";
+  out += ",\n  \"missing_indices\": [" + join(missing) + "]";
   out += ",\n  \"shards\": [\n";
   for (std::size_t s = 0; s < shards.size(); ++s) {
     const ShardStatus& shard = shards[s];

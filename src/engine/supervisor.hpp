@@ -9,11 +9,12 @@
 /// overruns its deadline, and retries failed shards — only the failed
 /// ones — up to a bounded attempt budget with exponential backoff and
 /// deterministic jitter.  Retrying a shard is safe by construction:
-/// shard cache files are set-qualified, writes publish by atomic
-/// rename, and merges are first-writer-wins, so a half-done attempt
-/// leaves nothing a retry cannot overwrite.
+/// each shard hands its outcomes back in its own file of a private
+/// per-run directory, writes publish by atomic rename, and folding is
+/// first-writer-wins, so a half-done attempt leaves nothing a retry
+/// cannot overwrite, and nothing any other run can see.
 ///
-/// Its one caller is `engine::run_forked` (engine/shard.hpp), the
+/// Its one caller is `engine::execute` (engine/shard.hpp), the
 /// forked dispatch behind both `rv_batch run --procs` and `rv_serve
 /// --procs`, so both report the same attempt taxonomy (success /
 /// nonzero exit / signal / timeout / spawn failure).
@@ -84,9 +85,12 @@ struct SupervisorReport {
   /// Human-readable per-shard attempt/latency/exit-status table.
   [[nodiscard]] std::string table() const;
   /// Machine-readable coverage report: completeness, failed shards,
-  /// the global item indices they cover (missing from a partial merge
-  /// of `total_items` strided items), and every attempt.
-  [[nodiscard]] std::string to_json(std::size_t total_items) const;
+  /// `missing` — the global item indices of the `total_items` set they
+  /// lost (`missing_indices(total_items)` when the shards split the
+  /// whole set; `engine::execute`'s `missing` when they split only its
+  /// misses) — and every attempt.
+  [[nodiscard]] std::string to_json(
+      std::size_t total_items, const std::vector<std::size_t>& missing) const;
 };
 
 /// `items` without the entries at `missing` (ascending indices, e.g.

@@ -557,7 +557,8 @@ TEST(CacheStoreFile, MergeOutputMayAliasAnInput) {
 // ---------------------------------------------------------------------------
 // compact_cache_dir: merge + dedupe + wrong-epoch drop, age and byte
 // budget eviction with a deterministic oldest-first victim order, and
-// idempotent re-compaction (the previous output is just another input).
+// idempotent re-compaction (the previous output is just another input);
+// remove_compacted_inputs then deletes the inputs.
 // ---------------------------------------------------------------------------
 
 namespace compact_helpers {
@@ -612,6 +613,9 @@ TEST(CacheStoreCompact, MergesDedupesAndDropsWrongEpochFiles) {
   std::ofstream(scratch.path / "notes.txt") << "ignored";
 
   const auto result = rv::engine::compact_cache_dir(scratch.path);
+  // Published, but every input is still on disk until the removal.
+  EXPECT_EQ(rv::engine::list_cache_files(scratch.path).size(), 4u);
+  rv::engine::remove_compacted_inputs(result);
   EXPECT_EQ(result.entries, 5u);
   EXPECT_EQ(result.stats.loaded, 5u);
   EXPECT_EQ(result.stats.duplicates, 5u);
@@ -659,6 +663,7 @@ TEST(CacheStoreCompact, EvictsByAgeWithoutOpeningTheFile) {
   rv::engine::CompactOptions options;
   options.max_age_days = 5.0;
   const auto result = rv::engine::compact_cache_dir(scratch.path, options);
+  rv::engine::remove_compacted_inputs(result);
   ASSERT_NE(report_for(result, "stale.rvcache"), nullptr);
   EXPECT_EQ(report_for(result, "stale.rvcache")->disposition,
             Disposition::kEvictedAge);
@@ -689,6 +694,7 @@ TEST(CacheStoreCompact, ByteBudgetEvictsOldestFirstDeterministically) {
   rv::engine::CompactOptions options;
   options.max_bytes = one_size;
   const auto result = rv::engine::compact_cache_dir(scratch.path, options);
+  rv::engine::remove_compacted_inputs(result);
   ASSERT_EQ(result.files.size(), 3u);
   EXPECT_EQ(report_for(result, "b-newest.rvcache")->disposition,
             Disposition::kMerged);
@@ -715,6 +721,7 @@ TEST(CacheStoreCompact, RecompactionIsIdempotent) {
   save_as(scratch.path, "shard-1.rvcache", cache);
 
   const auto first = rv::engine::compact_cache_dir(scratch.path);
+  rv::engine::remove_compacted_inputs(first);
   std::ifstream first_stream(first.output, std::ios::binary);
   const std::string first_bytes(
       (std::istreambuf_iterator<char>(first_stream)),
@@ -723,6 +730,7 @@ TEST(CacheStoreCompact, RecompactionIsIdempotent) {
   // Second compaction: the previous output is the only input, merged
   // into itself (the alias-safety contract) — same entries, same bytes.
   const auto second = rv::engine::compact_cache_dir(scratch.path);
+  rv::engine::remove_compacted_inputs(second);
   EXPECT_EQ(second.entries, first.entries);
   ASSERT_EQ(second.files.size(), 1u);
   EXPECT_EQ(second.files[0].path, first.output);

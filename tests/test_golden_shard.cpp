@@ -254,7 +254,7 @@ TEST(GoldenBatch, ForkedProcsModeMatchesSingleProcessBytes) {
   };
   const auto cold_files = shard_files();
   // Nothing misses, so the warm run must not fork: a shard worker armed
-  // to crash never starts, and no shard file is rewritten.
+  // to crash never starts, and no cache file is written or rewritten.
   const RunStatus warm = run_status(
       "RV_FAILPOINTS='shard.worker.start=crash(87),index=1' " + forked);
   EXPECT_EQ(warm.code, 0);
@@ -262,13 +262,13 @@ TEST(GoldenBatch, ForkedProcsModeMatchesSingleProcessBytes) {
   EXPECT_EQ(shard_files(), cold_files);
 }
 
-TEST(GoldenBatch, RunsThatComputeNothingWriteNoShardFile) {
+TEST(GoldenBatch, RunsThatComputeNothingWriteNoCacheFile) {
   if (!fs::exists(rv_batch_binary())) {
     GTEST_SKIP() << rv_batch_binary() << " not built";
   }
   Scratch scratch;
   const std::string dir = (scratch.path / "cache").string();
-  // The plain run computes everything and writes its one shard file;
+  // The plain run computes everything and writes its one cache file;
   // the forked and the single-shard reruns replay it and write nothing.
   const std::string run = "run --set search-ring --cache-dir '" + dir + "'";
   ASSERT_TRUE(run_and_capture(batch_cmd(run)).has_value());
@@ -278,11 +278,12 @@ TEST(GoldenBatch, RunsThatComputeNothingWriteNoShardFile) {
             .has_value())
         << mode;
   }
-  std::size_t cache_files = 0;
+  std::size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".rvcache") ++cache_files;
+    EXPECT_EQ(entry.path().extension(), ".rvcache") << entry.path();
+    ++entries;
   }
-  EXPECT_EQ(cache_files, 1u);
+  EXPECT_EQ(entries, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,6 +383,33 @@ TEST_F(GoldenBatchChaos, PartialEmitsSurvivingSubsetAndCoverageReport) {
       << err_text;
   EXPECT_NE(err_text.find("shard  attempt  outcome"), std::string::npos)
       << err_text;
+
+  // Partly warm: shard 1/3 computed item 1 beforehand, so only the
+  // misses 0, 2, 3 fork, and the crashed shard 1 of 3 loses the second
+  // of them, item 2.  The hit on item 1 is emitted.
+  Scratch warm;
+  const std::string warm_dir = (warm.path / "cache").string();
+  ASSERT_TRUE(run_and_capture(batch_cmd("run --set linear-line --shard 1/3"
+                                        " --cache-dir '" + warm_dir +
+                                        "' >/dev/null && echo ok"))
+                  .has_value());
+  const fs::path warm_err = warm.path / "stderr.txt";
+  const RunStatus partly = run_status(
+      "RV_FAILPOINTS='shard.worker.start=crash(87),index=1' " +
+      batch_cmd("run --set linear-line --procs 3 --retries 1 --backoff-ms 10"
+                " --partial --cache-dir '" + warm_dir + "' 2>'" +
+                warm_err.string() + "'"));
+  EXPECT_EQ(partly.code, 0);
+  EXPECT_EQ(partly.stdout_text,
+            lines[0] + "\n" + lines[1] + "\n" + lines[2] + "\n" + lines[4] +
+                "\n");
+  std::ifstream warm_in(warm_err);
+  const std::string warm_text((std::istreambuf_iterator<char>(warm_in)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_NE(warm_text.find("\"missing_indices\": [2]"), std::string::npos)
+      << warm_text;
+  EXPECT_NE(warm_text.find("hits=1 misses=3"), std::string::npos)
+      << warm_text;
 }
 
 // ---------------------------------------------------------------------------

@@ -745,8 +745,8 @@ TEST_F(ServeForked, ForkedDispatchMatchesRvBatchBytes) {
   EXPECT_EQ(field(cold.header, "reply"), "ok");
   EXPECT_EQ(field(cold.header, "misses"), "4");
   EXPECT_EQ(cold.payload, *batch);
-  // The children's hand-off files are folded and deleted: the dir
-  // holds each outcome once, in the request's persist file.
+  // The children's hand-offs never reach the cache dir: it holds each
+  // outcome once, in the request's persist file.
   const std::vector<fs::path> files = rv::engine::list_cache_files(dir);
   ASSERT_EQ(files.size(), 1u);
   rv::engine::ScenarioCache loaded;
@@ -825,52 +825,137 @@ std::string batch_counts(const std::string& args) {
   return err->substr(start, end - start);
 }
 
+/// What a cache directory holds: its cache files, the distinct keys
+/// and duplicate records across them, and whether a hand-off entry
+/// (`.handoff*`) was left behind.
+struct DirState {
+  std::vector<fs::path> files;
+  std::size_t distinct = 0;
+  std::size_t duplicates = 0;
+  bool handoff = false;
+};
+
+DirState dir_state(const fs::path& dir) {
+  DirState state;
+  rv::engine::ScenarioCache cache;
+  state.files = rv::engine::list_cache_files(dir);
+  for (const fs::path& file : state.files) {
+    state.duplicates += rv::engine::load_cache_file(file, &cache).duplicates;
+  }
+  state.distinct = cache.size();
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().rfind(".handoff", 0) == 0) {
+      state.handoff = true;
+    }
+  }
+  return state;
+}
+
 TEST_F(ServeForked, EveryPathReportsTheSameCounts) {
   Scratch scratch;
   const fs::path set_file = scratch.path / "repeated.rvset";
   std::ofstream(set_file) << kRepeatedCells;
+  /// One rv_batch mode and the counts it reports cold, then warm.
+  struct Mode {
+    std::string flags;
+    std::string cold;
+    std::string warm;
+  };
   struct Case {
     std::string batch_set;  ///< rv_batch's set arguments
     std::string request;    ///< rv_serve's request header
     std::string body;       ///< its body, if any
-    std::string cold;
-    std::string warm;
+    std::vector<Mode> modes;  ///< whole-set modes first, then the shards
   };
+  // kRepeatedCells: items 0-7 are one cell, item 8 another; shard 0/2
+  // owns 0, 2, 4, 6, 8 and shard 1/2 owns 1, 3, 5, 7.
   const std::vector<Case> cases = {
       {"--set-file '" + set_file.string() + "'",
        R"({"op":"run","id":"r","body_bytes":)" +
            std::to_string(kRepeatedCells.size()) + "}",
-       kRepeatedCells, "hits=7 misses=2", "hits=9 misses=0"},
+       kRepeatedCells,
+       {{"--threads 1", "hits=7 misses=2", "hits=9 misses=0"},
+        {"--threads 4", "hits=7 misses=2", "hits=9 misses=0"},
+        {"--procs 2", "hits=7 misses=2", "hits=9 misses=0"},
+        {"--shard 0/2", "hits=3 misses=2", "hits=5 misses=0"},
+        {"--shard 1/2", "hits=3 misses=1", "hits=4 misses=0"}}},
       {"--set linear-line", R"({"op":"run","id":"r","set":"linear-line"})",
-       "", "hits=0 misses=4", "hits=4 misses=0"},
+       "",
+       {{"--threads 1", "hits=0 misses=4", "hits=4 misses=0"},
+        {"--threads 4", "hits=0 misses=4", "hits=4 misses=0"},
+        {"--procs 2", "hits=0 misses=4", "hits=4 misses=0"},
+        {"--shard 0/2", "hits=0 misses=2", "hits=2 misses=0"},
+        {"--shard 1/2", "hits=0 misses=2", "hits=2 misses=0"}}},
   };
   int dirs = 0;
-  const auto fresh_dir = [&] {
-    return (scratch.path / std::to_string(++dirs)).string();
+  const auto fresh_dir = [&] { return scratch.path / std::to_string(++dirs); };
+  // A cold pass leaves one new file holding each computed key once; a
+  // warm pass adds nothing; neither leaves a hand-off behind.
+  const auto check_cold = [](const fs::path& dir, const std::string& counts,
+                             const std::string& what) {
+    const DirState state = dir_state(dir);
+    const std::size_t misses = std::stoul(
+        counts.substr(counts.find("misses=") + std::string("misses=").size()));
+    EXPECT_EQ(state.files.size(), 1u) << what;
+    EXPECT_EQ(state.distinct, misses) << what;
+    EXPECT_EQ(state.duplicates, 0u) << what;
+    EXPECT_FALSE(state.handoff) << what;
+    return state;
+  };
+  const auto check_warm = [](const fs::path& dir, const DirState& cold,
+                             const std::string& what) {
+    const DirState state = dir_state(dir);
+    EXPECT_EQ(state.files, cold.files) << what;
+    EXPECT_FALSE(state.handoff) << what;
   };
   for (const Case& c : cases) {
-    for (const std::string mode : {"--threads 1", "--threads 4", "--procs 2"}) {
-      const std::string args = "run " + c.batch_set + " " + mode +
-                               " --cache-dir '" + fresh_dir() + "'";
-      EXPECT_EQ(batch_counts(args), c.cold) << args;
-      EXPECT_EQ(batch_counts(args), c.warm) << args;
+    for (const Mode& mode : c.modes) {
+      const fs::path dir = fresh_dir();
+      const std::string args = "run " + c.batch_set + " " + mode.flags +
+                               " --cache-dir '" + dir.string() + "'";
+      EXPECT_EQ(batch_counts(args), mode.cold) << args;
+      const DirState cold = check_cold(dir, mode.cold, args);
+      EXPECT_EQ(batch_counts(args), mode.warm) << args;
+      check_warm(dir, cold, args);
     }
     for (const std::string procs : {"1", "2"}) {
-      const std::string dir = fresh_dir();
-      for (const std::string& want : {c.cold, c.warm}) {
+      const fs::path dir = fresh_dir();
+      const std::string what = c.request + " procs " + procs;
+      DirState cold;
+      for (const bool warm : {false, true}) {
         // The warm pass is a restarted daemon on the same directory.
-        Daemon daemon({"--cache-dir", dir, "--procs", procs});
+        const std::string& want =
+            warm ? c.modes.front().warm : c.modes.front().cold;
+        Daemon daemon({"--cache-dir", dir.string(), "--procs", procs});
         const Frame reply =
             roundtrip(daemon, c.request, c.body, !c.body.empty());
         EXPECT_EQ("hits=" + field(reply.header, "hits") +
                       " misses=" + field(reply.header, "misses"),
                   want)
-            << c.request << " procs " << procs;
+            << what;
         daemon.close_stdin();
         EXPECT_EQ(daemon.wait_exit(), 0);
+        if (warm) {
+          check_warm(dir, cold, what);
+        } else {
+          cold = check_cold(dir, want, what);
+        }
       }
     }
   }
+  // Partly warm: a forked run computes only what the shard left out,
+  // and stores nothing twice.
+  const fs::path dir = fresh_dir();
+  const std::string run =
+      "run --set linear-line --cache-dir '" + dir.string() + "'";
+  EXPECT_EQ(batch_counts(run + " --shard 0/3"), "hits=0 misses=2");
+  EXPECT_EQ(batch_counts(run + " --procs 2"), "hits=2 misses=2");
+  const DirState state = dir_state(dir);
+  EXPECT_EQ(state.files.size(), 2u);
+  EXPECT_EQ(state.distinct, 4u);
+  EXPECT_EQ(state.duplicates, 0u);
+  EXPECT_FALSE(state.handoff);
 }
 
 // ---------------------------------------------------------------------

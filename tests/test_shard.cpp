@@ -1,8 +1,9 @@
-// Tests for deterministic process sharding (engine/shard): plan
-// properties and the load-bearing invariant — a set run across forked
-// shard processes (`run_forked`) and replayed from the folded cache
-// emits table/CSV/JSON byte-identical to the single-process run, for
-// every family and any shard count.
+// Tests for deterministic process sharding and execution
+// (engine/shard): plan properties; the load-bearing invariant — a set
+// whose misses `execute` forks across shard processes emits
+// table/CSV/JSON byte-identical to the single-process run, for every
+// family and any shard count; and the one persistence rule,
+// `persist_misses`.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,8 @@ namespace {
 
 namespace fs = std::filesystem;
 using rv::engine::Family;
-using rv::engine::ForkOptions;
+using rv::engine::ExecOptions;
+using rv::engine::Execution;
 using rv::engine::ResultSet;
 using rv::engine::RunnerOptions;
 using rv::engine::ScenarioCache;
@@ -48,15 +50,30 @@ struct Scratch {
   }
 };
 
-/// Fork options over `dir` with one runner thread per child (the
+/// Execute options over `dir` with one runner thread per child (the
 /// children then never start threads of their own).
-ForkOptions fork_options(const fs::path& dir, std::size_t procs) {
-  ForkOptions fork;
-  fork.dir = dir;
-  fork.set_name = "set";
-  fork.procs = procs;
-  fork.threads = static_cast<unsigned>(procs);
-  return fork;
+ExecOptions exec_options(const fs::path& dir, std::size_t procs) {
+  ExecOptions exec;
+  exec.dir = dir;
+  exec.procs = procs;
+  exec.threads = static_cast<unsigned>(procs);
+  return exec;
+}
+
+/// Classifies `work` against `cache`, then executes it.
+Execution classify_and_execute(const std::vector<WorkItem>& work,
+                               ScenarioCache& cache, const ExecOptions& exec) {
+  return rv::engine::execute(work, rv::engine::classify(work, &cache), cache,
+                             exec);
+}
+
+/// Every entry directly inside `dir` (cache files, hand-offs, anything).
+std::vector<fs::path> dir_entries(const fs::path& dir) {
+  std::vector<fs::path> entries;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    entries.push_back(entry.path());
+  }
+  return entries;
 }
 
 TEST(ShardPlanTest, PartitionsIndicesByStride) {
@@ -182,9 +199,14 @@ TEST_P(ShardedRunPerFamily, MergedOutputMatchesSingleProcessByteForByte) {
   for (const std::size_t procs : {1u, 2u, 3u, 5u}) {
     Scratch scratch;
     ScenarioCache cache;
-    const SupervisorReport report =
-        rv::engine::run_forked(work, cache, fork_options(scratch.path, procs));
-    EXPECT_TRUE(report.complete()) << procs << " procs\n" << report.table();
+    const Execution ran =
+        classify_and_execute(work, cache, exec_options(scratch.path, procs));
+    EXPECT_TRUE(ran.report.complete()) << procs << " procs\n"
+                                       << ran.report.table();
+    EXPECT_EQ(ran.results.to_csv(), csv) << procs << " procs";
+    // The forked outcomes were folded into the cache: a rerun replays
+    // every item, and no hand-off is left behind.
+    EXPECT_TRUE(dir_entries(scratch.path).empty()) << procs << " procs";
     options.cache = &cache;
     const ResultSet replay = rv::engine::run_scenarios(work, options);
     EXPECT_EQ(replay.cache_stats().misses, 0u) << procs << " procs";
@@ -212,59 +234,74 @@ TEST(ShardFileNameTest, FormatsSetShardAndPlaceholder) {
             "<set>-shard-0-of-2.rvcache");
 }
 
-TEST(RunForkedTest, CrashedShardLosesItsStridedIndices) {
+TEST(ExecuteTest, CrashedShardLosesOnlyItsStridedMisses) {
   const std::vector<WorkItem> work =
       family_set(Family::kLinear).materialize_work();
   ASSERT_EQ(work.size(), 4u);
-  Scratch scratch;
-  ScenarioCache cache;
-  rv::engine::failpoint::arm("shard.worker.start=crash(87),index=1");
-  const SupervisorReport report =
-      rv::engine::run_forked(work, cache, fork_options(scratch.path, 2));
-  rv::engine::failpoint::disarm_all();
-  EXPECT_FALSE(report.complete());
-  EXPECT_EQ(report.failed_shards(), (std::vector<std::size_t>{1}));
-  EXPECT_EQ(report.missing_indices(4), (std::vector<std::size_t>{1, 3}));
-  // Only the surviving shard's file exists, and only its two outcomes
-  // were folded back.
-  EXPECT_TRUE(fs::exists(scratch.path /
-                         rv::engine::shard_file_name("set", 0, 2)));
-  EXPECT_FALSE(fs::exists(scratch.path /
-                          rv::engine::shard_file_name("set", 1, 2)));
-  EXPECT_EQ(cache.size(), 2u);
+  RunnerOptions options;
+  options.threads = 1;
+  const ResultSet single = rv::engine::run_scenarios(work, options);
+  // Cold, the four misses split over two shards; shard 1 owns misses 1
+  // and 3.  Warm on item 1, the misses are {0, 2, 3}, and shard 1 owns
+  // only the second of them, item 2: the hit never forks, so it is
+  // never lost.
+  struct Case {
+    std::vector<std::size_t> warm;     ///< items computed beforehand
+    std::vector<std::size_t> missing;  ///< global indices lost
+  };
+  for (const Case& c : {Case{{}, {1, 3}}, Case{{1}, {2}}}) {
+    Scratch scratch;
+    ScenarioCache cache;
+    for (const std::size_t i : c.warm) {
+      (void)rv::engine::run_scenarios({work[i]}, {1, &cache});
+    }
+    rv::engine::failpoint::arm("shard.worker.start=crash(87),index=1");
+    const Execution ran =
+        classify_and_execute(work, cache, exec_options(scratch.path, 2));
+    rv::engine::failpoint::disarm_all();
+    EXPECT_FALSE(ran.report.complete());
+    EXPECT_EQ(ran.report.failed_shards(), (std::vector<std::size_t>{1}));
+    EXPECT_EQ(ran.missing, c.missing);
+    // The survivors are the single-process rows, hits included, and
+    // only the lost misses are absent from the cache.
+    ASSERT_EQ(ran.results.size(), work.size() - c.missing.size());
+    EXPECT_EQ(ran.results.to_csv(),
+              ResultSet(rv::engine::without_indices(single.records(),
+                                                    c.missing))
+                  .to_csv());
+    EXPECT_EQ(cache.size(), work.size() - c.missing.size());
+    EXPECT_TRUE(dir_entries(scratch.path).empty());
+  }
 }
 
-TEST(RunForkedTest, WarmRerunWritesNoShardFileAndReplaysEverything) {
+TEST(ExecuteTest, FullyWarmRunForksNothing) {
   const std::vector<WorkItem> work =
       family_set(Family::kSearch).materialize_work();
   ScenarioCache warm;
-  RunnerOptions options;
-  options.threads = 1;
-  options.cache = &warm;
-  (void)rv::engine::run_scenarios(work, options);
+  (void)rv::engine::run_scenarios(work, {1, &warm});
   Scratch scratch;
-  const SupervisorReport report =
-      rv::engine::run_forked(work, warm, fork_options(scratch.path, 2));
-  EXPECT_TRUE(report.complete());
-  // Every child replayed what it owns: nothing was computed, so no
-  // child wrote a shard file.
-  EXPECT_TRUE(rv::engine::list_cache_files(scratch.path).empty());
-  const ResultSet replay = rv::engine::run_scenarios(work, options);
-  EXPECT_EQ(replay.cache_stats().hits, work.size());
-  EXPECT_EQ(replay.cache_stats().misses, 0u);
+  // A forked child would crash; with no misses none is started.
+  rv::engine::failpoint::arm("shard.worker.start=crash(87)");
+  const Execution ran =
+      classify_and_execute(work, warm, exec_options(scratch.path, 2));
+  rv::engine::failpoint::disarm_all();
+  EXPECT_TRUE(ran.report.shards.empty());
+  EXPECT_TRUE(ran.missing.empty());
+  EXPECT_EQ(ran.results.cache_stats().hits, work.size());
+  EXPECT_EQ(ran.results.cache_stats().misses, 0u);
+  EXPECT_TRUE(dir_entries(scratch.path).empty());
 }
 
-TEST(RunForkedTest, RejectsZeroProcs) {
+TEST(ExecuteTest, RejectsZeroProcs) {
   ScenarioCache cache;
-  EXPECT_THROW((void)rv::engine::run_forked({}, cache, fork_options("", 0)),
+  EXPECT_THROW((void)classify_and_execute({}, cache, exec_options("", 0)),
                std::invalid_argument);
 }
 
 TEST(ShardCacheTest, ForkedShardsReplayDuplicateCells) {
-  // Two forked shards over a set whose cells repeat: the strided plan
-  // gives each shard both copies of one cell, so each child computes
-  // it once and replays it once, writes one outcome, and the replay of
-  // the folded cache is unchanged.
+  // A set whose cells repeat: the repeats classify as hits, so only
+  // the two distinct cells fork — one per child — and the parent
+  // replays every copy from the folded cache, unchanged.
   ScenarioSet set;
   rv::engine::LinearCell cell;
   cell.mode = rv::engine::LinearMode::kZigZagSearch;
@@ -284,21 +321,51 @@ TEST(ShardCacheTest, ForkedShardsReplayDuplicateCells) {
   const std::vector<WorkItem> work = set.materialize_work();
   Scratch scratch;
   ScenarioCache cache;
-  const SupervisorReport report =
-      rv::engine::run_forked(work, cache, fork_options(scratch.path, 2));
-  EXPECT_TRUE(report.complete());
-  for (std::size_t p = 0; p < 2; ++p) {
-    ScenarioCache file;
-    const rv::engine::CacheLoadStats stats = rv::engine::load_cache_file(
-        scratch.path / rv::engine::shard_file_name("set", p, 2), &file);
-    EXPECT_EQ(stats.loaded, 1u) << "shard " << p;
-  }
+  const rv::engine::Classification plan = rv::engine::classify(work, &cache);
+  EXPECT_EQ(plan.misses, (std::vector<std::size_t>{0, 1}));
+  const Execution ran = rv::engine::execute(work, plan, cache,
+                                            exec_options(scratch.path, 2));
+  EXPECT_TRUE(ran.report.complete());
+  EXPECT_EQ(ran.report.shards.size(), 2u);
   EXPECT_EQ(cache.size(), 2u);  // two distinct cells
-  options.cache = &cache;
-  const ResultSet replay = rv::engine::run_scenarios(work, options);
-  EXPECT_EQ(replay.to_csv(), want);
-  EXPECT_EQ(replay.cache_stats().hits, 4u);
-  EXPECT_EQ(replay.cache_stats().misses, 0u);
+  EXPECT_EQ(ran.results.to_csv(), want);
+  EXPECT_EQ(ran.results.cache_stats().hits, 2u);
+  EXPECT_EQ(ran.results.cache_stats().misses, 2u);
+}
+
+TEST(PersistMissesTest, WritesExactlyTheMissesToOneContentNamedFile) {
+  const std::vector<WorkItem> work =
+      family_set(Family::kLinear).materialize_work();
+  Scratch scratch;
+  ScenarioCache cache;
+  (void)rv::engine::run_scenarios({work[0]}, {1, &cache});
+  const rv::engine::Classification plan = rv::engine::classify(work, &cache);
+  ASSERT_EQ(plan.misses.size(), 3u);
+  (void)rv::engine::execute(work, plan, cache, exec_options(scratch.path, 1));
+  const fs::path file =
+      rv::engine::persist_misses(scratch.path, "a set/name", plan, cache);
+  // `<sanitized set>-<16 hex digits>.rvcache`, holding the three misses
+  // and not the hit.
+  const std::string name = file.filename().string();
+  EXPECT_EQ(name.rfind("a_set_name-", 0), 0u) << name;
+  EXPECT_EQ(name.size(), std::string("a_set_name-").size() + 16 +
+                             std::string(".rvcache").size())
+      << name;
+  EXPECT_EQ(rv::engine::list_cache_files(scratch.path),
+            std::vector<fs::path>{file});
+  ScenarioCache loaded;
+  EXPECT_EQ(rv::engine::load_cache_file(file, &loaded).loaded, 3u);
+  EXPECT_FALSE(loaded.contains(*plan.keys[0]));
+  // The same misses name the same file; a run without misses writes
+  // nothing.
+  EXPECT_EQ(rv::engine::persist_misses(scratch.path, "a set/name", plan,
+                                       cache),
+            file);
+  EXPECT_TRUE(rv::engine::persist_misses(scratch.path, "a set/name",
+                                         rv::engine::classify(work, &cache),
+                                         cache)
+                  .empty());
+  EXPECT_EQ(dir_entries(scratch.path).size(), 1u);
 }
 
 }  // namespace

@@ -152,7 +152,7 @@ TEST(SupervisorTest, CoverageReportNamesMissingIndices) {
       3, [](std::size_t s) { return s == 1 ? 9 : 0; }, fast(0));
   EXPECT_FALSE(report.complete());
   // 10 strided items over 3 shards: shard 1 owns {1, 4, 7}.
-  const std::string json = report.to_json(10);
+  const std::string json = report.to_json(10, report.missing_indices(10));
   EXPECT_NE(json.find("\"complete\": false"), std::string::npos);
   EXPECT_NE(json.find("\"num_shards\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"total_items\": 10"), std::string::npos);
@@ -165,7 +165,7 @@ TEST(SupervisorTest, CoverageReportNamesMissingIndices) {
 TEST(SupervisorTest, CompleteRunEmitsEmptyFailureLists) {
   const SupervisorReport report =
       supervise_shards(2, [](std::size_t) { return 0; }, fast(0));
-  const std::string json = report.to_json(5);
+  const std::string json = report.to_json(5, report.missing_indices(5));
   EXPECT_NE(json.find("\"complete\": true"), std::string::npos);
   EXPECT_NE(json.find("\"failed_shards\": []"), std::string::npos);
   EXPECT_NE(json.find("\"missing_indices\": []"), std::string::npos);

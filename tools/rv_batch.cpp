@@ -1,15 +1,15 @@
 // rv_batch — the batch/sharded front-end of the scenario engine.
 //
-// The first step toward the ROADMAP's "millions of scenario requests"
-// service: run a named scenario set whole, as one deterministic shard
-// of an N-way partition, or forked across P local worker processes;
-// persist every computed outcome to an on-disk ScenarioCache
-// (engine/cache_store.hpp); and merge shard cache files back into the
-// byte-identical single-process CSV/JSON.  The contract throughout is
-// the engine's: results are placed by stable work-item index and cached
-// outcomes replay bit-for-bit, so ANY partition of the grid — threads,
-// processes, machines — reproduces the same output bytes (pinned in
-// tests/test_golden_shard.cpp and diffed for real in CI).
+// Runs a named scenario set whole, as one deterministic shard of an
+// N-way partition, or with its cache misses forked across P local
+// worker processes; persists the outcomes each run computed to an
+// on-disk ScenarioCache directory (engine/cache_store.hpp); and merges
+// those files back into the byte-identical single-process CSV/JSON.
+// The contract throughout is the engine's: results are placed by
+// stable work-item index and cached outcomes replay bit-for-bit, so ANY
+// partition of the grid — threads, processes, machines — reproduces
+// the same output bytes (pinned in tests/test_golden_shard.cpp and
+// diffed for real in CI).
 //
 //   rv_batch list  [--set-file FILE]
 //   rv_batch run   (--set NAME | --set-file FILE) [--shard I/N]
@@ -33,8 +33,11 @@
 // then deletes the originals — a warm `--require-all-hits` rerun stays
 // at 100% hits (see docs/OPERATIONS.md).
 //
-// Fork mode (--procs P) is engine::run_forked (engine/shard.hpp), the
-// forked dispatch rv_serve uses too: --threads T is the whole budget,
+// Every run goes through engine::execute and engine::persist_misses
+// (engine/shard.hpp), as rv_serve's requests do: the run classifies
+// its items against the loaded cache directory, computes the misses,
+// and writes exactly those to one `<set>-<hash>.rvcache`.  Fork mode
+// (--procs P) forks only the misses: --threads T is the whole budget,
 // each child runs T/P threads (at least 1), and a shard supervisor
 // (engine/supervisor.hpp) gives each shard a per-attempt deadline
 // (--shard-timeout), failed/killed/timed-out shards are retried —
@@ -43,8 +46,9 @@
 // table plus a JSON coverage report land on stderr when anything
 // failed.  By default an exhausted shard makes the whole run fail
 // loudly (exit 4, no document); --partial instead emits the surviving
-// subset in global-index order and exits 0, leaving the coverage
-// report (failed shards, missing global item indices) on stderr.
+// subset in global-index order (every hit survives) and exits 0,
+// leaving the coverage report (failed shards, the global indices of
+// the lost misses) on stderr.
 //
 // The result document goes to stdout (or --out); diagnostics go to
 // stderr.  Exit codes: 0 success, 1 usage error, 2 execution failure,
@@ -78,7 +82,6 @@ namespace fs = std::filesystem;
 using rv::engine::CacheLoadStats;
 using rv::engine::ResultSet;
 using rv::engine::ScenarioCache;
-using rv::engine::ShardPlan;
 using rv::engine::SupervisorReport;
 using rv::engine::WorkItem;
 
@@ -179,86 +182,6 @@ int check_all_hits(bool required, const rv::engine::CacheStats& stats) {
   return kExitMissedHits;
 }
 
-/// Runs one shard (or, with num_shards == 1, the whole set): warm-loads
-/// the cache directory if given, executes the plan, persists what the
-/// shard owns to its set-qualified shard file (so different sets share
-/// one cache directory without clobbering each other's files), and
-/// returns the executed slice.
-ResultSet run_one_shard(const std::vector<WorkItem>& work,
-                        const std::string& set_name, const ShardSpec& spec,
-                        unsigned threads, const fs::path& cache_dir) {
-  ScenarioCache cache;
-  if (!cache_dir.empty()) {
-    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &cache));
-  }
-  const ShardPlan plan =
-      rv::engine::shard_plan(work.size(), spec.shard, spec.num_shards);
-  ResultSet results = rv::engine::run_shard(work, plan, {threads, &cache});
-  if (!cache_dir.empty()) {
-    const fs::path shard_file =
-        cache_dir /
-        rv::engine::shard_file_name(set_name, spec.shard, spec.num_shards);
-    const std::size_t written = rv::engine::save_shard_file(
-        shard_file, work, plan, results, cache);
-    if (written == 0) {
-      std::cerr << "rv_batch: all hits, " << shard_file << " not written\n";
-    } else {
-      std::cerr << "rv_batch: wrote " << written << " outcomes to "
-                << shard_file << "\n";
-    }
-  }
-  return results;
-}
-
-/// `run --procs P`: warm-loads and classifies against the cache
-/// directory (the counts reported, even for a partial run), runs the
-/// set across P supervised children (engine::run_forked) unless every
-/// item is a hit, then replays the folded cache into the full set in
-/// this process.  When shards
-/// exhaust their retries, the attempt table and a JSON coverage report
-/// go to stderr, then either a ShardFailure escapes (default) or — with
-/// `partial` — the surviving subset is replayed in global-index order.
-ResultSet run_procs(const std::vector<WorkItem>& work,
-                    const rv::engine::ForkOptions& fork, bool partial) {
-  // Loaded once, before forking: the children inherit it copy-on-write
-  // instead of each re-parsing every file.
-  ScenarioCache warm;
-  print_load_stats("loaded", rv::engine::load_cache_dir(fork.dir, &warm));
-  const rv::engine::Classification plan = rv::engine::classify(work, &warm);
-  const rv::engine::RunnerOptions replay{fork.threads, &warm};
-  // A fully warm set has nothing to compute: replay it without forking.
-  if (plan.misses.empty()) return rv::engine::run_scenarios(work, plan, replay);
-  const SupervisorReport report = rv::engine::run_forked(work, warm, fork);
-  if (report.any_failures()) {
-    std::cerr << "rv_batch: shard attempt log:\n" << report.table();
-  }
-  if (report.complete()) return rv::engine::run_scenarios(work, plan, replay);
-  std::cerr << report.to_json(work.size());
-  const std::vector<std::size_t> failed = report.failed_shards();
-  std::string failed_list;
-  for (const std::size_t s : failed) {
-    if (!failed_list.empty()) failed_list += ", ";
-    failed_list += std::to_string(s);
-  }
-  if (!partial) {
-    throw ShardFailure(std::to_string(failed.size()) + " of " +
-                       std::to_string(fork.procs) +
-                       " shard(s) failed after retries: {" + failed_list +
-                       "} (rerun with --partial for the surviving subset)");
-  }
-  // Graceful degradation: replay only the items owned by surviving
-  // shards, in ascending global-index order, so the emitted subset is
-  // byte-identical to the corresponding rows of the full document.
-  const std::vector<WorkItem> subset = rv::engine::without_indices(
-      work, report.missing_indices(work.size()));
-  std::cerr << "rv_batch: --partial: emitting " << subset.size() << " of "
-            << work.size() << " items (shards {" << failed_list
-            << "} missing)\n";
-  ResultSet results = rv::engine::run_scenarios(subset, replay);
-  results.set_cache_stats(plan.stats);
-  return results;
-}
-
 /// The set a run/merge operates on: a built-in set named by --set, or
 /// a `*.rvset` file named by --set-file.
 struct NamedSet {
@@ -303,7 +226,8 @@ int cmd_list(const rv::io::Args& args) {
 int cmd_run(rv::io::Args& args) {
   const NamedSet named = resolve_set(args);
   const std::string& set_name = named.name;
-  const std::vector<WorkItem> work = named.set.materialize_work();
+  std::vector<WorkItem> work = named.set.materialize_work();
+  const std::size_t total = work.size();
   const unsigned threads = static_cast<unsigned>(args.get_int("threads"));
   const fs::path cache_dir = args.get("cache-dir");
   const std::string shard_text = args.get("shard");
@@ -332,36 +256,73 @@ int cmd_run(rv::io::Args& args) {
         "--retries/--shard-timeout/--partial apply to fork mode only "
         "(need --procs > 1)");
   }
-
-  ResultSet results;
   if (procs > 1) {
     if (!shard_text.empty()) {
       throw std::invalid_argument("--procs and --shard are exclusive");
     }
     if (cache_dir.empty()) {
       throw std::invalid_argument(
-          "--procs needs --cache-dir (the shard hand-off point)");
+          "--procs needs --cache-dir (the children hand their outcomes "
+          "back inside it)");
     }
-    fs::create_directories(cache_dir);
-    rv::engine::ForkOptions fork;
-    fork.dir = cache_dir;
-    fork.set_name = set_name;
-    fork.procs = static_cast<std::size_t>(procs);
-    fork.threads = threads;
-    fork.supervisor.retries = static_cast<std::size_t>(retries);
-    fork.supervisor.timeout_sec = shard_timeout;
-    fork.supervisor.backoff_ms = static_cast<std::uint64_t>(backoff_ms);
-    results = run_procs(work, fork, partial);
-  } else {
-    const ShardSpec spec =
-        shard_text.empty() ? ShardSpec{} : parse_shard(shard_text);
-    if (!cache_dir.empty()) fs::create_directories(cache_dir);
-    results = run_one_shard(work, set_name, spec, threads, cache_dir);
   }
-  print_run_stats(set_name, results.size(), results.cache_stats());
-  emit(rv::engine::render(results, args.get("format")), args.get("out"));
+  if (!shard_text.empty()) {
+    const ShardSpec spec = parse_shard(shard_text);
+    work = rv::engine::shard_work(
+        work, rv::engine::shard_plan(total, spec.shard, spec.num_shards));
+  }
+
+  // Loaded once, before any fork: children never read it, and the
+  // classification decides what they compute.
+  ScenarioCache cache;
+  if (!cache_dir.empty()) {
+    fs::create_directories(cache_dir);
+    print_load_stats("loaded", rv::engine::load_cache_dir(cache_dir, &cache));
+  }
+  const rv::engine::Classification plan = rv::engine::classify(work, &cache);
+  const rv::engine::ExecOptions exec{
+      cache_dir, static_cast<std::size_t>(procs), threads,
+      {static_cast<std::size_t>(retries), shard_timeout,
+       static_cast<std::uint64_t>(backoff_ms)}};
+  const rv::engine::Execution ran =
+      rv::engine::execute(work, plan, cache, exec);
+  const SupervisorReport& report = ran.report;
+  if (report.any_failures()) {
+    std::cerr << "rv_batch: shard attempt log:\n" << report.table();
+  }
+  if (!cache_dir.empty()) {
+    const fs::path file =
+        rv::engine::persist_misses(cache_dir, set_name, plan, cache);
+    if (file.empty()) {
+      std::cerr << "rv_batch: nothing computed, no cache file written\n";
+    } else {
+      std::cerr << "rv_batch: wrote "
+                << plan.misses.size() - ran.missing.size()
+                << " outcomes to " << file << "\n";
+    }
+  }
+  if (!report.complete()) {
+    std::cerr << report.to_json(total, ran.missing);
+    const std::vector<std::size_t> failed = report.failed_shards();
+    std::string failed_list;
+    for (const std::size_t s : failed) {
+      if (!failed_list.empty()) failed_list += ", ";
+      failed_list += std::to_string(s);
+    }
+    if (!partial) {
+      throw ShardFailure(std::to_string(failed.size()) + " of " +
+                         std::to_string(procs) +
+                         " shard(s) failed after retries: {" + failed_list +
+                         "} (rerun with --partial for the surviving subset)");
+    }
+    std::cerr << "rv_batch: --partial: emitting " << ran.results.size()
+              << " of " << total << " items (shards {" << failed_list
+              << "} missing)\n";
+  }
+  print_run_stats(set_name, ran.results.size(), ran.results.cache_stats());
+  emit(rv::engine::render(ran.results, args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"),
-                        results.cache_stats());
+                        ran.results.cache_stats());
 }
 
 int cmd_merge(rv::io::Args& args) {
@@ -447,6 +408,7 @@ int cmd_compact(rv::io::Args& args) {
   options.max_bytes = parse_max_bytes(args.get("max-bytes"));
   const rv::engine::CompactResult result =
       rv::engine::compact_cache_dir(cache_dir, options);
+  rv::engine::remove_compacted_inputs(result);
   // Same per-file counter shape as cache-stats, plus the disposition.
   std::size_t evicted = 0, dropped = 0, merged = 0;
   for (const rv::engine::CompactResult::FileReport& report : result.files) {
@@ -567,7 +529,8 @@ int main(int argc, char** argv) {
   args.declare("set-file", "",
                "declarative .rvset file to run instead of a built-in set");
   args.declare("shard", "", "run only shard I of N, as I/N");
-  args.declare_int("procs", 1, "fork P local shard processes, then merge");
+  args.declare_int("procs", 1,
+                   "fork the misses across P local worker processes");
   args.declare_int("threads", 0,
                    "worker threads (0 = hardware); --procs splits them "
                    "across the workers");

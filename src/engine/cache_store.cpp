@@ -386,7 +386,21 @@ CompactResult compact_cache_dir(const std::filesystem::path& dir,
         input.path, CompactResult::Disposition::kEvictedBudget, {}});
   }
 
+  // Hand-off directories a killed parent left behind.
   std::error_code ec;
+  const fs::file_time_type stale_before =
+      fs::file_time_type::clock::now() - kStaleHandoffAge;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::error_code entry_ec;
+    if (entry.is_directory(entry_ec) &&
+        entry.path().filename().string().rfind(kHandoffPrefix, 0) == 0 &&
+        fs::last_write_time(entry.path(), entry_ec) < stale_before &&
+        !entry_ec) {
+      result.stale_handoffs.push_back(entry.path());
+    }
+  }
+  std::sort(result.stale_handoffs.begin(), result.stale_handoffs.end());
+
   result.output_bytes = fs::file_size(result.output, ec);
   if (ec) result.output_bytes = 0;
   return result;
@@ -399,6 +413,10 @@ void remove_compacted_inputs(const CompactResult& result) {
     if (report.path == result.output) continue;
     std::error_code ec;
     std::filesystem::remove(report.path, ec);  // a vanished input is gone
+  }
+  for (const std::filesystem::path& handoff : result.stale_handoffs) {
+    std::error_code ec;
+    std::filesystem::remove_all(handoff, ec);
   }
 }
 

@@ -34,6 +34,7 @@
 /// of the key's family (its leading byte, 'R'/'S'/'G'/'L'/'C' — see
 /// `engine::cache_key` and `FamilyDescriptor`).
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -47,6 +48,16 @@ namespace rv::engine {
 
 /// Conventional extension of cache files inside a cache directory.
 inline constexpr const char* kCacheFileExtension = ".rvcache";
+
+/// Name prefix of the private hand-off directories (`.handoff-XXXXXX/`)
+/// that `execute` makes inside a cache dir for its forked children.
+inline constexpr const char* kHandoffPrefix = ".handoff-";
+
+/// A hand-off directory older than this (by mtime, which each child's
+/// hand-off refreshes) was left by a parent killed mid-run: a parent
+/// removes its own once the children are folded, far sooner than this.
+/// `compact_cache_dir` reclaims it.
+inline constexpr std::chrono::hours kStaleHandoffAge{24};
 
 /// Engine generation stamped into every cache file header.  Cache keys
 /// encode scenario *inputs*, not engine behaviour — so when an engine
@@ -176,6 +187,9 @@ struct CompactResult {
   std::size_t entries = 0;         ///< distinct keys written to the output
   std::uintmax_t output_bytes = 0; ///< size of the written output file
   std::filesystem::path output;    ///< `dir / options.output_name`
+  /// Hand-off directories older than `kStaleHandoffAge`, sorted; never
+  /// loaded, removed by `remove_compacted_inputs`.
+  std::vector<std::filesystem::path> stale_handoffs;
 };
 
 /// Compacts a cache directory in place: evicts inputs per
@@ -189,13 +203,16 @@ struct CompactResult {
 /// re-compacting is idempotent.  The inputs stay on disk until
 /// `remove_compacted_inputs(result)`: loaders tolerate the duplicates
 /// meanwhile, and `rv_serve` deletes them after releasing the lock its
-/// persistence shares with compaction.  \throws std::runtime_error
-/// when `dir` is not a directory or the output cannot be written.
+/// persistence shares with compaction.  It also lists the stale
+/// hand-off directories (`stale_handoffs`) for that removal.
+/// \throws std::runtime_error when `dir` is not a directory or the
+/// output cannot be written.
 CompactResult compact_cache_dir(const std::filesystem::path& dir,
                                 const CompactOptions& options = {});
 
 /// Deletes every input `result` reports — merged, dropped or evicted —
-/// except the output itself.  An input already gone is skipped.
+/// except the output itself, and every stale hand-off directory.  An
+/// input already gone is skipped.
 void remove_compacted_inputs(const CompactResult& result);
 
 }  // namespace rv::engine

@@ -14,6 +14,9 @@ using geom::Vec2;
 using traj::TimedSegment;
 
 namespace {
+/// Relative rounding slack of the certified bound in `run` (see there).
+constexpr double kRounding = 1e-12;
+
 void validate_options(const SweepOptions& o) {
   // std::isfinite guards alongside the sign checks: a NaN fails a
   // `> 0` comparison (and is caught), but +inf passes it, and an
@@ -55,12 +58,15 @@ void ContactSweep::start(SweepResult& res) {
   const std::size_t n = streams_.size();
   current_.clear();
   current_.reserve(n);
-  speeds_.clear();
-  speeds_.reserve(n);
-  for (auto& stream : streams_) {
-    current_.push_back(stream.next());
-    speeds_.push_back(current_.back().speed());
+  speeds_.assign(n, 0.0);
+  durs_.assign(n, 0.0);
+  stale_.assign(n, 0);
+  any_stale_ = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    current_.push_back(streams_[i].next());
     ++res.segments;
+    durs_[i] = traj::duration(current_[i].geometry);
+    speeds_[i] = current_[i].speed(durs_[i]);
   }
   batch_.assemble(current_);
   pos_.resize(n);
@@ -77,10 +83,22 @@ void ContactSweep::pull(double t, SweepResult& res) {
       current_[i] = streams_[i].next();
       ++res.segments;
     } while (current_[i].t1 <= t);
-    batch_.assemble_one(i, current_[i]);
-    speeds_[i] = current_[i].speed();
+    durs_[i] = traj::duration(current_[i].geometry);
+    speeds_[i] = current_[i].speed(durs_[i]);
+    stale_[i] = 1;
   }
+  any_stale_ = true;
   refresh_window();
+}
+
+void ContactSweep::flush() {
+  if (!any_stale_) return;
+  for (std::size_t i = 0; i < stale_.size(); ++i) {
+    if (!stale_[i]) continue;
+    batch_.assemble_one(i, current_[i], durs_[i]);
+    stale_[i] = 0;
+  }
+  any_stale_ = false;
 }
 
 void ContactSweep::refresh_window() {
@@ -108,6 +126,7 @@ double ContactSweep::metric_of(const std::vector<Vec2>& pos, int* out_i,
 double ContactSweep::evaluate(double at, SweepResult& res) {
   // The batched SoA evaluator replays the scalar per-robot arithmetic
   // bitwise (see traj/batch.hpp), so the metric stream is unchanged.
+  flush();
   batch_.positions(at, pos_.data());
   ++res.evals;
   return metric_of(pos_, nullptr, nullptr);
@@ -119,6 +138,7 @@ void ContactSweep::finalize(double at, SweepResult& res) {
   // are mutually consistent: the detection evaluation happens at a
   // sweep point strictly after the bisected event time, where a
   // different pair may be extremal.
+  flush();
   res.positions.resize(streams_.size());
   batch_.positions(at, res.positions.data());
   res.metric = metric_of(res.positions, &res.pair_i, &res.pair_j);
@@ -132,13 +152,66 @@ SweepResult ContactSweep::run() {
   double t = 0.0;
   double prev_t = 0.0;  // last evaluated time with metric > r
   bool have_prev = false;
+  // A certified lower bound on the metric the sweep would compute at t:
+  // `bound`, the last computed metric less L·Δt for every window crossed
+  // since (scaled by 1 + kRounding, which covers the few-ulp gap between
+  // a computed speed and the slope of the computed positions, and the
+  // rounding of L·Δt), less allowance(t) for every step point and every
+  // segment hand-off since that evaluation (allowance grows with t, so
+  // charging each at the current t covers it).
+  //
+  // allowance(t) is kRounding·(1 + M(t)), where M(t) = max ‖origin‖₁ +
+  // 2·v_max·t bounds every coordinate at t: local programs start at
+  // their origin and move at unit speed, and the frame map scales space
+  // by v·τ and time by τ.  Each error it must cover is below
+  // 1e-13·M(t): a computed position (line lerp: a few roundings; arc:
+  // about 60 ulps of angle error over |θ| ≤ 4π, as every program here
+  // emits arcs from angle 0 with |sweep| ≤ 2π, plus libm's ulp), the
+  // metric's roundings, the gap between a segment's computed end point
+  // and its successor's computed start point, and the bound's own
+  // subtractions.
+  double reach = 0.0;
+  double v_max = 0.0;
+  for (const traj::GlobalSegmentStream& stream : streams_) {
+    reach = std::max(reach, std::abs(stream.origin().x) +
+                                std::abs(stream.origin().y));
+    v_max = std::max(v_max, stream.attributes().speed);
+  }
+  const auto allowance = [&](double at) {
+    return kRounding * (1.0 + reach + 2.0 * v_max * at);
+  };
+  double bound = -std::numeric_limits<double>::infinity();
+  std::uint64_t charged = 0;  // res.evals + res.segments at that evaluation
 
   while (t < opts_.max_time && res.evals < opts_.max_evals) {
     // Pull segments forward so every robot covers time t.
     pull(t, res);
     const double window_end = std::min(opts_.max_time, next_end_);
 
-    const double m = evaluate(t, res);
+    // The bound decides t when the computed metric m ≥ lb could not be
+    // a new best or an event, and would step to the window end
+    // ((m − r)/L ≥ window_end − t, with 1e-9 of slack for the step's
+    // roundings; with L ≤ 0 the step ignores m).  Then m = +∞ takes the
+    // very same branches below, without computing positions or m.
+    bool decided = false;
+    if (bound > res.best_metric) {  // lb ≤ bound: the cheap test first
+      const double lb =
+          bound - allowance(t) * static_cast<double>(
+                                     1 + res.evals + res.segments - charged);
+      decided = lb > res.best_metric && lb > r + opts_.contact_tol &&
+                (lipschitz_ <= 0.0 ||
+                 lb - r >= lipschitz_ * (window_end - t) * (1.0 + 1e-9));
+    }
+    double m;
+    if (decided) {
+      ++res.evals;
+      ++res.bounded;
+      m = std::numeric_limits<double>::infinity();
+    } else {
+      m = evaluate(t, res);
+      bound = m;
+      charged = res.evals + res.segments;
+    }
     if (m < res.best_metric) {
       res.best_metric = m;
       res.best_metric_time = t;
@@ -185,7 +258,10 @@ SweepResult ContactSweep::run() {
     step = std::max(step, opts_.min_step);
     const double next_t = std::min(t + step, window_end);
     // Always make progress even at window boundaries.
-    t = (next_t > t) ? next_t : t + opts_.min_step;
+    const double advanced = (next_t > t) ? next_t : t + opts_.min_step;
+    // The window just crossed is this one: L is still its constant.
+    bound -= lipschitz_ * (advanced - t) * (1.0 + kRounding);
+    t = advanced;
   }
 
   // Horizon or eval budget reached without the event.

@@ -577,7 +577,9 @@ void Service::compactor_loop() {
       note("serve: compacted " + std::to_string(result.files.size()) +
            " cache files into " + result.output.filename().string() + " (" +
            std::to_string(result.entries) + " entries, " +
-           std::to_string(result.output_bytes) + " bytes)");
+           std::to_string(result.output_bytes) + " bytes, " +
+           std::to_string(result.stale_handoffs.size()) +
+           " stale hand-off dirs removed)");
     } catch (const std::exception& error) {
       note(std::string("serve: compaction failed: ") + error.what());
     }

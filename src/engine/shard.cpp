@@ -77,11 +77,12 @@ std::string sanitize_name(const std::string& name) {
 
 /// A private hand-off directory, removed when the parent leaves
 /// `fork_misses` (children `_exit` without running destructors).  Its
-/// name does not end in `.rvcache`, so `list_cache_files` skips it.
+/// name does not end in `.rvcache`, so `list_cache_files` skips it; one
+/// left by a killed parent is reclaimed by `compact_cache_dir`.
 class HandoffDir {
  public:
   explicit HandoffDir(const std::filesystem::path& dir)
-      : path_((dir / ".handoff-XXXXXX").string()) {
+      : path_((dir / (std::string(kHandoffPrefix) + "XXXXXX")).string()) {
     if (::mkdtemp(path_.data()) == nullptr) {
       throw std::runtime_error("execute: cannot create a hand-off directory "
                                "in '" + dir.string() + "'");

@@ -12,14 +12,17 @@ RendezvousProgram::RendezvousProgram(traj::MarkRecorder* recorder)
   begin_round();
 }
 
-void RendezvousProgram::mark(const std::string& label) {
-  if (recorder_) recorder_->record(local_clock_, label);
+void RendezvousProgram::mark(const char* phase) {
+  if (recorder_) {
+    recorder_->record(local_clock_,
+                      std::string(phase) + " " + std::to_string(n_));
+  }
 }
 
 void RendezvousProgram::begin_round() {
   ++n_;
   stage_ = Stage::kWait;
-  mark("inactive " + std::to_string(n_));
+  mark("inactive");
 }
 
 Segment RendezvousProgram::next() {
@@ -30,15 +33,17 @@ Segment RendezvousProgram::next() {
         stage_ = Stage::kSearchAll;
         k_ = 1;
         emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
-        local_clock_ += wait_time;
+        // Only marks read the local clock, so it advances only when a
+        // recorder is attached.
+        if (recorder_) local_clock_ += wait_time;
         // The active phase begins when this wait ends.
-        mark("searchall " + std::to_string(n_));
+        mark("searchall");
         return WaitSeg{{0.0, 0.0}, wait_time};
       }
       case Stage::kSearchAll: {
         if (!emitter_->done()) {
           Segment seg = emitter_->next();
-          local_clock_ += traj::duration(seg);
+          if (recorder_) local_clock_ += traj::duration(seg);
           return seg;
         }
         if (k_ < n_) {
@@ -48,13 +53,13 @@ Segment RendezvousProgram::next() {
         stage_ = Stage::kSearchAllRev;
         k_ = n_;
         emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
-        mark("searchallrev " + std::to_string(n_));
+        mark("searchallrev");
         continue;
       }
       case Stage::kSearchAllRev: {
         if (!emitter_->done()) {
           Segment seg = emitter_->next();
-          local_clock_ += traj::duration(seg);
+          if (recorder_) local_clock_ += traj::duration(seg);
           return seg;
         }
         if (k_ > 1) {

@@ -36,14 +36,15 @@ class RendezvousProgram final : public traj::Program {
   enum class Stage { kWait, kSearchAll, kSearchAllRev };
 
   void begin_round();
-  void mark(const std::string& label);
+  /// Records "<phase> n" at the local clock (no-op without a recorder).
+  void mark(const char* phase);
 
   int n_ = 0;
   Stage stage_ = Stage::kWait;
   int k_ = 1;  ///< inner Search(k) index within SearchAll/SearchAllRev
   std::unique_ptr<search::SearchRoundEmitter> emitter_;
   traj::MarkRecorder* recorder_;
-  double local_clock_ = 0.0;
+  double local_clock_ = 0.0;  ///< maintained only with a recorder
 };
 
 /// Factory helper matching the simulator's program-factory interface.

@@ -24,7 +24,8 @@ traj::Segment SearchProgram::next() {
     }
   }
   traj::Segment seg = emitter_.next();
-  local_clock_ += traj::duration(seg);
+  // Only marks read the local clock.
+  if (recorder_) local_clock_ += traj::duration(seg);
   return seg;
 }
 

@@ -34,7 +34,7 @@ class SearchProgram final : public traj::Program {
   int round_;
   SearchRoundEmitter emitter_;
   traj::MarkRecorder* recorder_;
-  double local_clock_ = 0.0;
+  double local_clock_ = 0.0;  ///< maintained only with a recorder
 };
 
 /// Factory helper matching the simulator's program-factory interface.

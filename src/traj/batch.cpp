@@ -19,12 +19,14 @@ void BatchedPositions::assemble(const std::vector<TimedSegment>& segments) {
   bx_.resize(n);
   by_.resize(n);
   radius_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) assemble_one(i, segments[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    assemble_one(i, segments[i], duration(segments[i].geometry));
+  }
 }
 
-void BatchedPositions::assemble_one(std::size_t i, const TimedSegment& seg) {
+void BatchedPositions::assemble_one(std::size_t i, const TimedSegment& seg,
+                                    double dur) {
   const double span = seg.t1 - seg.t0;
-  const double dur = duration(seg.geometry);
   // TimedSegment::position collapses zero-span and zero-duration
   // segments to their start point before any interpolation.
   if (span <= 0.0 || dur == 0.0) {

@@ -38,10 +38,11 @@ class BatchedPositions {
   /// current timed segment (`assemble_one` over all i).
   void assemble(const std::vector<TimedSegment>& segments);
 
-  /// Rewrites slot i alone from `seg`; every other slot is untouched.
-  /// `i` must be below `size()`.  Call when robot i's current segment
-  /// changes, not per evaluation.
-  void assemble_one(std::size_t i, const TimedSegment& seg);
+  /// Rewrites slot i alone from `seg`, whose duration `dur ==
+  /// duration(seg.geometry)` the caller already holds; every other slot
+  /// is untouched.  `i` must be below `size()`.  Call when robot i's
+  /// current segment changes, not per evaluation.
+  void assemble_one(std::size_t i, const TimedSegment& seg, double dur);
 
   /// Writes position i of every assembled segment at global time t into
   /// `out[i]`.  `out` must hold at least `size()` elements.  Bitwise

@@ -20,11 +20,11 @@ Vec2 TimedSegment::position(double t) const {
   return position_at(geometry, frac * dur);
 }
 
-double TimedSegment::speed() const {
+double TimedSegment::speed(double dur) const {
   if (std::holds_alternative<WaitSeg>(geometry)) return 0.0;
   const double span = t1 - t0;
   if (span <= 0.0) return 0.0;
-  return duration(geometry) / span;
+  return dur / span;
 }
 
 namespace {

@@ -37,7 +37,11 @@ struct TimedSegment {
   [[nodiscard]] geom::Vec2 position(double t) const;
 
   /// Constant traversal speed on this segment (0 for waits).
-  [[nodiscard]] double speed() const;
+  [[nodiscard]] double speed() const { return speed(duration(geometry)); }
+
+  /// `speed()` for a caller that already holds `dur ==
+  /// duration(geometry)`, so a segment's duration is computed once.
+  [[nodiscard]] double speed(double dur) const;
 };
 
 /// Maps one local segment to global geometry for a robot with the given

@@ -743,6 +743,45 @@ TEST(CacheStoreCompact, RecompactionIsIdempotent) {
   EXPECT_FALSE(first_bytes.empty());
 }
 
+TEST(CacheStoreCompact, ReclaimsOnlyStaleHandoffDirectories) {
+  // A --procs parent killed mid-run leaves its hand-off directory; no
+  // loader lists it, so compaction reclaims it once it is older than
+  // kStaleHandoffAge.  A fresh one may belong to a running parent and
+  // survives, as does an old directory that is not a hand-off.
+  using namespace compact_helpers;
+  Scratch scratch;
+  ScenarioCache cache;
+  populate(small_all_family_set(), &cache);
+  const auto make_dir = [&](const std::string& name) {
+    const fs::path dir = scratch.path / name;
+    fs::create_directory(dir);
+    save_as(dir, "0.rvcache", cache);
+    return dir;
+  };
+  const auto backdate_dir = [](const fs::path& dir) {
+    fs::last_write_time(dir, fs::file_time_type::clock::now() -
+                                 rv::engine::kStaleHandoffAge -
+                                 std::chrono::hours(1));
+  };
+  const fs::path stale = make_dir(".handoff-Stale1");
+  backdate_dir(stale);
+  const fs::path fresh = make_dir(".handoff-Fresh1");
+  const fs::path other = make_dir("notes");
+  backdate_dir(other);
+  save_as(scratch.path, "a.rvcache", cache);
+
+  const auto result = rv::engine::compact_cache_dir(scratch.path);
+  ASSERT_EQ(result.stale_handoffs.size(), 1u);
+  EXPECT_EQ(result.stale_handoffs[0], stale);
+  // Nothing inside a hand-off directory is merged.
+  EXPECT_EQ(result.files.size(), 1u);
+  EXPECT_TRUE(fs::exists(stale));  // removal waits, as for inputs
+  rv::engine::remove_compacted_inputs(result);
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_TRUE(fs::exists(fresh / "0.rvcache"));
+  EXPECT_TRUE(fs::exists(other / "0.rvcache"));
+}
+
 TEST(CacheStoreCompact, MissingDirectoryThrows) {
   Scratch scratch;
   EXPECT_THROW(

@@ -639,7 +639,7 @@ TEST(BatchTest, AssembleOneIsABitwiseDropIn) {
       const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
       segs[i] =
           random_timed_segment(rng, static_cast<int>(rng.uniform_int(0, 5)));
-      batch.assemble_one(i, segs[i]);
+      batch.assemble_one(i, segs[i], duration(segs[i].geometry));
       ASSERT_EQ(batch.size(), segs.size());
       for (int q = 0; q < 4; ++q) {
         expect_batch_bitwise(batch, segs, rng.uniform(-4.0, 7.0));
@@ -656,7 +656,7 @@ TEST(BatchTest, AssembleOneIsABitwiseDropIn) {
   batch.assemble(segs);
   for (const int kind : {1, 2, 1, 3, 1, 4, 1, 5, 0, 1, 0}) {
     segs[1] = random_timed_segment(rng, kind);
-    batch.assemble_one(1, segs[1]);
+    batch.assemble_one(1, segs[1], duration(segs[1].geometry));
     for (int q = 0; q < 8; ++q) {
       expect_batch_bitwise(batch, segs, rng.uniform(-4.0, 7.0));
     }

@@ -441,6 +441,8 @@ int cmd_compact(rv::io::Args& args) {
   std::cout << result.output.filename().string()
             << ": entries=" << result.entries
             << " bytes=" << result.output_bytes << "\n";
+  std::cerr << "rv_batch: compact removed " << result.stale_handoffs.size()
+            << " stale hand-off dir(s)\n";
   return 0;
 }
 

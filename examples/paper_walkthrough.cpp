@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "analysis/bounds.hpp"
-#include "analysis/reduction.hpp"
 #include "geom/difference_map.hpp"
 #include "mathx/constants.hpp"
 #include "rendezvous/core.hpp"

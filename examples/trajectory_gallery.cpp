@@ -13,7 +13,6 @@
 #include <iostream>
 #include <string>
 
-#include "analysis/reduction.hpp"
 #include "geom/difference_map.hpp"
 #include "io/args.hpp"
 #include "mathx/constants.hpp"

@@ -15,10 +15,6 @@ namespace rv::analysis {
 
 using geom::RobotAttributes;
 
-double theorem1_search_bound(double d, double r) {
-  return search::theorem1_bound(d, r);
-}
-
 double theorem2_bound_common_chirality(double d, double r, double v,
                                        double phi) {
   const double m = geom::mu(v, phi);
@@ -27,16 +23,6 @@ double theorem2_bound_common_chirality(double d, double r, double v,
         "theorem2_bound_common_chirality: mu = 0 (infeasible tuple)");
   }
   return search::theorem1_bound(d / m, r / m);
-}
-
-double theorem2_bound_opposite_chirality(double d, double r, double v) {
-  if (!(v > 0.0) || v >= 1.0) {
-    throw std::invalid_argument(
-        "theorem2_bound_opposite_chirality: need 0 < v < 1 (normalise the "
-        "viewpoint so the slower robot is R')");
-  }
-  const double gain = 1.0 - v;
-  return search::theorem1_bound(d / gain, r / gain);
 }
 
 double theorem2_bound(const RobotAttributes& attrs, double d, double r) {

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file bounds.hpp
-/// The paper's headline time bounds, as evaluatable functions:
-/// Theorem 1 (search), Theorem 2 (symmetric-clock rendezvous) and the
-/// Theorem 3 / Lemma 14 construction (asymmetric clocks).  The bench
+/// The paper's headline rendezvous time bounds, as evaluatable
+/// functions: Theorem 2 (symmetric clocks) and the Theorem 3 / Lemma 14
+/// construction (asymmetric clocks).  Theorem 1, the search bound, is
+/// `search::theorem1_bound` (search/times.hpp).  The bench
 /// harness prints measured times against these bounds; the test suite
 /// asserts the measured values stay below them.
 
@@ -11,23 +12,15 @@
 
 namespace rv::analysis {
 
-/// Theorem 1: search time < 6(π+1)·log₂(d²/r)·d²/r.
-[[nodiscard]] double theorem1_search_bound(double d, double r);
-
 /// Theorem 2, χ = +1: rendezvous time < 6(π+1)·log₂(d²/(µr))·d²/(µr)
 /// with µ = √(v² − 2v·cosφ + 1).
 /// \throws std::invalid_argument if µ = 0 (infeasible: v = 1, φ = 0).
 [[nodiscard]] double theorem2_bound_common_chirality(double d, double r,
                                                      double v, double phi);
 
-/// Theorem 2, χ = −1: rendezvous time
-/// < 6(π+1)·log₂(d²/((1−v)r))·d²/((1−v)r).
-/// \throws std::invalid_argument if v ≥ 1 (the bound degenerates; for
-/// v = 1 rendezvous is infeasible, for v > 1 swap robot roles first).
-[[nodiscard]] double theorem2_bound_opposite_chirality(double d, double r,
-                                                       double v);
-
-/// Theorem 2 dispatcher for validated attributes with τ = 1.
+/// Theorem 2 dispatcher for validated attributes with τ = 1.  For
+/// χ = −1 the bound is 6(π+1)·log₂(d²/(g·r))·d²/(g·r) with the
+/// worst-case direction gain g = |1 − v|.
 /// \throws std::invalid_argument for infeasible tuples or τ ≠ 1.
 [[nodiscard]] double theorem2_bound(const geom::RobotAttributes& attrs,
                                     double d, double r);

@@ -563,22 +563,16 @@ constexpr SchemaColumn kCoverageColumns[] = {
 
 /// Indexed by `Family`, like the alternatives of `CellOutcome`.
 constexpr FamilyDescriptor kFamilies[] = {
-    {"rendezvous", 'R', kRendezvousColumns,
-     [](R r) { return r.outcome.sim.met; }, encode<rendezvous::Outcome>,
+    {"rendezvous", 'R', kRendezvousColumns, encode<rendezvous::Outcome>,
      decode<rendezvous::Outcome>},
-    {"search", 'S', kSearchColumns,
-     [](R r) { return r.search_outcome.complete; }, encode<SearchOutcome>,
+    {"search", 'S', kSearchColumns, encode<SearchOutcome>,
      decode<SearchOutcome>},
-    {"gather", 'G', kGatherColumns,
-     [](R r) { return r.gather_outcome.gathered.achieved; },
-     encode<GatherOutcome>, decode<GatherOutcome>},
-    {"linear", 'L', kLinearColumns,
-     [](R r) { return r.linear_outcome.sim.met; }, encode<LinearOutcome>,
+    {"gather", 'G', kGatherColumns, encode<GatherOutcome>,
+     decode<GatherOutcome>},
+    {"linear", 'L', kLinearColumns, encode<LinearOutcome>,
      decode<LinearOutcome>},
-    {"coverage", 'C', kCoverageColumns,
-     // A coverage cell succeeds once it covers 99% of its disk.
-     [](R r) { return !(r.coverage_outcome.t99 < 0.0); },
-     encode<CoverageOutcome>, decode<CoverageOutcome>},
+    {"coverage", 'C', kCoverageColumns, encode<CoverageOutcome>,
+     decode<CoverageOutcome>},
 };
 static_assert(std::size(kFamilies) == std::variant_size_v<CellOutcome>);
 

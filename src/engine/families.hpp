@@ -401,8 +401,6 @@ struct FamilyDescriptor {
   /// Standard output columns in emission order (after the label, before
   /// component columns and caller extras).
   std::span<const SchemaColumn> columns;
-  /// Whether a record succeeded, for `ResultSet::all_met`.
-  bool (*met)(const RunRecord&) = nullptr;
   /// Appends the cache-store payload of `outcome`, which holds this
   /// family's alternative.
   void (*encode)(std::string& out, const CellOutcome& outcome) = nullptr;

@@ -111,12 +111,6 @@ ResultSet::ResultSet(std::vector<RunRecord> records)
   }
 }
 
-bool ResultSet::all_met() const {
-  return std::all_of(records_.begin(), records_.end(), [](const RunRecord& r) {
-    return describe(r.family).met(r);
-  });
-}
-
 ResultSet ResultSet::filtered(Family family) const {
   std::vector<RunRecord> subset;
   for (const RunRecord& rec : records_) {

@@ -153,11 +153,6 @@ class ResultSet {
     return records_[i];
   }
 
-  /// True iff every record succeeded: rendezvous met, search ring
-  /// complete, fleet gathered, linear cell met, coverage cell reached
-  /// 99% (per the record's family).
-  [[nodiscard]] bool all_met() const;
-
   /// Cache hit/miss counters of the run that produced this set (all
   /// zero without a cache; copied through by `filtered`).
   [[nodiscard]] const CacheStats& cache_stats() const {

@@ -141,12 +141,6 @@ ScenarioSet& ScenarioSet::filter(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::label(
-    std::function<std::string(const rendezvous::Scenario&)> label_fn) {
-  rendezvous_.label = std::move(label_fn);
-  return *this;
-}
-
 ScenarioSet& ScenarioSet::components(RendezvousComponentsFn fn) {
   rendezvous_.components = std::move(fn);
   return *this;
@@ -213,12 +207,6 @@ ScenarioSet& ScenarioSet::gather_sizes(std::vector<int> values) {
   return *this;
 }
 
-ScenarioSet& ScenarioSet::gather_label(
-    std::function<std::string(const GatherCell&)> fn) {
-  gather_.label = std::move(fn);
-  return *this;
-}
-
 ScenarioSet& ScenarioSet::add_linear(LinearCell cell, std::string label,
                                      LinearComponentsFn components) {
   linear_.added.push_back(
@@ -244,18 +232,6 @@ ScenarioSet& ScenarioSet::linear_radii(std::vector<double> values) {
 ScenarioSet& ScenarioSet::linear_horizon(
     std::function<double(const LinearCell&)> fn) {
   linear_.horizon = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::linear_filter(
-    std::function<bool(const LinearCell&)> fn) {
-  linear_.keep = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::linear_label(
-    std::function<std::string(const LinearCell&)> fn) {
-  linear_.label = std::move(fn);
   return *this;
 }
 

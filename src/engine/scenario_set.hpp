@@ -63,8 +63,8 @@ class ScenarioSet {
   ScenarioSet() = default;
 
   /// Appends one explicit rendezvous scenario (kept before the grid
-  /// cells, in insertion order).  The horizon/filter/label hooks apply
-  /// to these too.  A non-null `components` overrides the set-level
+  /// cells, in insertion order).  The horizon/filter hooks apply to
+  /// these too.  A non-null `components` overrides the set-level
   /// `components()` hook for this cell.
   ScenarioSet& add(rendezvous::Scenario scenario, std::string label = "",
                    RendezvousComponentsFn components = nullptr);
@@ -93,9 +93,6 @@ class ScenarioSet {
   /// infeasible corner of an attribute grid).
   ScenarioSet& filter(
       std::function<bool(const rendezvous::Scenario&)> keep_fn);
-  /// Label generator applied when no explicit label was given.
-  ScenarioSet& label(
-      std::function<std::string(const rendezvous::Scenario&)> label_fn);
   /// Component-times hook for rendezvous cells without their own.
   ScenarioSet& components(RendezvousComponentsFn fn);
 
@@ -130,8 +127,6 @@ class ScenarioSet {
   /// Grid axis over fleet sizes; each size n becomes a fleet of n
   /// reference robots.
   ScenarioSet& gather_sizes(std::vector<int> values);
-  /// Label generator for gather cells without an explicit label.
-  ScenarioSet& gather_label(std::function<std::string(const GatherCell&)> fn);
 
   // --- linear family (1-D, [11]) ----------------------------------------
   /// Appends one explicit linear cell (kept before the linear grid, in
@@ -147,10 +142,6 @@ class ScenarioSet {
   ScenarioSet& linear_radii(std::vector<double> values);
   /// Per-cell horizon rule (e.g. the zigzag reach bound + slack).
   ScenarioSet& linear_horizon(std::function<double(const LinearCell&)> fn);
-  /// Keep-predicate over linear cells.
-  ScenarioSet& linear_filter(std::function<bool(const LinearCell&)> fn);
-  /// Label generator for linear cells without an explicit label.
-  ScenarioSet& linear_label(std::function<std::string(const LinearCell&)> fn);
   /// Component-times hook for linear cells without their own.
   ScenarioSet& linear_components(LinearComponentsFn fn);
 

@@ -152,57 +152,6 @@ std::string error_frame(const std::string& id, const std::string& code,
                io::json_string(message) + "}");
 }
 
-bool read_frame(std::istream& in, std::string* header, std::string* payload) {
-  header->clear();
-  payload->clear();
-  if (!std::getline(in, *header)) {
-    if (!header->empty()) {
-      throw ServeError("parse", "torn reply header (EOF before LF)");
-    }
-    return false;
-  }
-  if (in.eof()) {
-    // getline stopped at EOF, not at a delimiter — the header line is
-    // missing its terminating LF.
-    throw ServeError("parse", "torn reply header (EOF before LF)");
-  }
-  std::size_t bytes = 0;
-  bool has_payload = false;
-  try {
-    io::JsonReader json(*header);
-    json.begin_object();
-    std::string key;
-    while (json.next_member(&key)) {
-      if (key != "bytes") {
-        json.skip_value();
-        continue;
-      }
-      const std::string_view raw = json.number().raw;
-      const auto [end, ec] =
-          std::from_chars(raw.data(), raw.data() + raw.size(), bytes);
-      if (ec != std::errc{} || end != raw.data() + raw.size()) {
-        throw ServeError("parse", "malformed 'bytes' field in reply header");
-      }
-      has_payload = true;
-    }
-    json.end();
-  } catch (const io::JsonError& error) {
-    throw ServeError("parse",
-                     std::string("malformed reply header: ") + error.what());
-  }
-  if (!has_payload) return true;
-  payload->resize(bytes);
-  if (bytes > 0) in.read(payload->data(), static_cast<std::streamsize>(bytes));
-  if (bytes > 0 && static_cast<std::size_t>(in.gcount()) != bytes) {
-    throw ServeError("parse", "torn reply payload (EOF mid-payload)");
-  }
-  const int terminator = in.get();
-  if (terminator != '\n') {
-    throw ServeError("parse", "torn reply payload (missing trailing LF)");
-  }
-  return true;
-}
-
 // --------------------------------------------------------------------
 // Service
 // --------------------------------------------------------------------

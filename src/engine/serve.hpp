@@ -214,13 +214,6 @@ struct Options {
                                       const std::string& code,
                                       const std::string& message);
 
-/// Reads one reply frame from `in`: the header line into `*header`
-/// and, when the header object has a top-level `"bytes":N` member, the
-/// N payload bytes (trailing LF consumed) into `*payload`.  Returns
-/// false on clean EOF before any byte of a frame.
-/// \throws ServeError("parse", ...) on a torn frame or a header that
-/// is not strict JSON.
-bool read_frame(std::istream& in, std::string* header, std::string* payload);
 
 /// The resident engine: one warm cache, one admission queue, worker
 /// threads, an optional compaction timer.  Thread-safe: `submit` may

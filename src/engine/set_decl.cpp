@@ -906,12 +906,4 @@ SetDecl parse_set_decl_file(const std::filesystem::path& path) {
   }
 }
 
-std::vector<std::string> horizon_rule_names(Family family) {
-  return hook_names(family, HookKind::kHorizon);
-}
-
-std::vector<std::string> components_hook_names(Family family) {
-  return hook_names(family, HookKind::kComponents);
-}
-
 }  // namespace rv::engine

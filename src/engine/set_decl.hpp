@@ -45,9 +45,18 @@
 /// grid.
 ///
 /// Hooks cannot be arbitrary code in a text file, so the format selects
-/// them from named registries (`horizon_rule = NAME`,
-/// `components = NAME`): see `horizon_rule_names()` /
-/// `components_hook_names()`.
+/// them from named registries.  `horizon_rule = NAME`:
+///  * search `guaranteed-rounds+1` — Lemma 2 time of the guaranteed
+///    round of (d, r), plus 1;
+///  * linear `zigzag-reach+1` — zigzag reach bound of the target plus 1
+///    for zigzag-search cells, the cell's own max_time otherwise;
+///  * coverage `2x-guaranteed-rounds` — twice the Lemma 2 time of the
+///    guaranteed round of (R, r).
+/// `components = NAME` (named closed-form sub-metric columns):
+///  * search `guaranteed-rounds` — the guaranteed round index and its
+///    Lemma 2 time bound;
+///  * linear `zigzag-reach` — the zigzag reach bound of the target.
+/// An unknown name fails with the family's valid names.
 
 #include <filesystem>
 #include <stdexcept>
@@ -103,22 +112,5 @@ struct SetDecl {
 /// the file stem.  \throws SetDeclError (with the path prepended to the
 /// message) on read failure or malformed content.
 [[nodiscard]] SetDecl parse_set_decl_file(const std::filesystem::path& path);
-
-/// Registered `horizon_rule` names for the family (empty when the
-/// family has none):
-///  * search `guaranteed-rounds+1` — Lemma 2 time of the guaranteed
-///    round of (d, r), plus 1;
-///  * linear `zigzag-reach+1` — zigzag reach bound of the target plus 1
-///    for zigzag-search cells, the cell's own max_time otherwise;
-///  * coverage `2x-guaranteed-rounds` — twice the Lemma 2 time of the
-///    guaranteed round of (R, r).
-[[nodiscard]] std::vector<std::string> horizon_rule_names(Family family);
-
-/// Registered `components` hook names for the family (empty when the
-/// family has none): named closed-form sub-metric columns —
-///  * search `guaranteed-rounds` — the guaranteed round index and its
-///    Lemma 2 time bound;
-///  * linear `zigzag-reach` — the zigzag reach bound of the target.
-[[nodiscard]] std::vector<std::string> components_hook_names(Family family);
 
 }  // namespace rv::engine

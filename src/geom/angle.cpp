@@ -15,17 +15,4 @@ double normalize_angle(double theta) {
   return t;
 }
 
-double normalize_angle_signed(double theta) {
-  const double t = normalize_angle(theta);
-  return t > rv::mathx::kPi ? t - rv::mathx::kTwoPi : t;
-}
-
-double angular_distance(double a, double b) {
-  return std::abs(normalize_angle_signed(a - b));
-}
-
-double deg_to_rad(double deg) { return deg * rv::mathx::kPi / 180.0; }
-
-double rad_to_deg(double rad) { return rad * 180.0 / rv::mathx::kPi; }
-
 }  // namespace rv::geom

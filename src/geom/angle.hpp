@@ -1,24 +1,12 @@
 #pragma once
 
 /// \file angle.hpp
-/// Angle normalisation helpers.  The robot orientation φ lives in
+/// Angle normalisation.  The robot orientation φ lives in
 /// [0, 2π); arc segments carry start angles and signed sweeps.
 
 namespace rv::geom {
 
 /// Normalises an angle to [0, 2π).
 [[nodiscard]] double normalize_angle(double theta);
-
-/// Normalises an angle to (−π, π].
-[[nodiscard]] double normalize_angle_signed(double theta);
-
-/// Smallest absolute angular difference between two angles, in [0, π].
-[[nodiscard]] double angular_distance(double a, double b);
-
-/// Degrees → radians.
-[[nodiscard]] double deg_to_rad(double deg);
-
-/// Radians → degrees.
-[[nodiscard]] double rad_to_deg(double rad);
 
 }  // namespace rv::geom

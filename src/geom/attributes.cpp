@@ -35,18 +35,6 @@ Mat2 frame_rotation_reflection(const RobotAttributes& attrs) {
   return rotation(attrs.orientation) * chirality(attrs.chirality);
 }
 
-Vec2 local_to_global(const RobotAttributes& attrs, const Vec2& local) {
-  return frame_matrix(attrs) * local;
-}
-
-double global_to_local_time(const RobotAttributes& attrs, double global_t) {
-  return global_t / attrs.time_unit;
-}
-
-double local_to_global_time(const RobotAttributes& attrs, double local_t) {
-  return local_t * attrs.time_unit;
-}
-
 std::ostream& operator<<(std::ostream& os, const RobotAttributes& a) {
   return os << "{v=" << a.speed << ", tau=" << a.time_unit
             << ", phi=" << a.orientation << ", chi=" << a.chirality << '}';

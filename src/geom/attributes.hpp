@@ -52,19 +52,6 @@ struct RobotAttributes {
 /// The orientation/chirality part only: R(φ)·diag(1, χ).
 [[nodiscard]] Mat2 frame_rotation_reflection(const RobotAttributes& attrs);
 
-/// Maps a local algorithm position (robot's own units/axes) to a global
-/// displacement from the robot's origin.
-[[nodiscard]] Vec2 local_to_global(const RobotAttributes& attrs,
-                                   const Vec2& local);
-
-/// Converts a global time to the robot's local clock reading t/τ.
-[[nodiscard]] double global_to_local_time(const RobotAttributes& attrs,
-                                          double global_t);
-
-/// Converts a local clock reading to global time t·τ.
-[[nodiscard]] double local_to_global_time(const RobotAttributes& attrs,
-                                          double local_t);
-
 std::ostream& operator<<(std::ostream& os, const RobotAttributes& a);
 
 }  // namespace rv::geom

@@ -1,18 +1,9 @@
 #include "geom/mat2.hpp"
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace rv::geom {
-
-Mat2 inverse(const Mat2& m, double tol) {
-  const double dt = det(m);
-  if (std::abs(dt) < tol) {
-    throw std::invalid_argument("Mat2 inverse: matrix is singular");
-  }
-  return {m.d / dt, -m.b / dt, -m.c / dt, m.a / dt};
-}
 
 Mat2 rotation(double theta) {
   const double c = std::cos(theta);
@@ -25,49 +16,6 @@ Mat2 chirality(int chi) {
     throw std::invalid_argument("chirality: chi must be +1 or -1");
   }
   return {1.0, 0.0, 0.0, static_cast<double>(chi)};
-}
-
-double frobenius_norm(const Mat2& m) {
-  return std::sqrt(m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d);
-}
-
-namespace {
-/// Singular values of a 2×2 matrix via the closed form
-/// σ± = sqrt((f ± sqrt(f² − 4·det²)) / 2) with f = ‖M‖_F².
-void singular_values(const Mat2& m, double& s_max, double& s_min) {
-  const double f = m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d;
-  const double dt = det(m);
-  const double disc = std::sqrt(std::max(0.0, f * f - 4.0 * dt * dt));
-  s_max = std::sqrt(std::max(0.0, (f + disc) / 2.0));
-  s_min = std::sqrt(std::max(0.0, (f - disc) / 2.0));
-}
-}  // namespace
-
-double operator_norm(const Mat2& m) {
-  double hi = 0.0, lo = 0.0;
-  singular_values(m, hi, lo);
-  return hi;
-}
-
-double min_singular_value(const Mat2& m) {
-  double hi = 0.0, lo = 0.0;
-  singular_values(m, hi, lo);
-  return lo;
-}
-
-bool is_orthogonal(const Mat2& m, double tol) {
-  const Mat2 mtm = transpose(m) * m;
-  return frobenius_norm(mtm - identity()) <= tol;
-}
-
-bool approx_equal(const Mat2& m, const Mat2& n, double abs_tol) {
-  return std::abs(m.a - n.a) <= abs_tol && std::abs(m.b - n.b) <= abs_tol &&
-         std::abs(m.c - n.c) <= abs_tol && std::abs(m.d - n.d) <= abs_tol;
-}
-
-std::ostream& operator<<(std::ostream& os, const Mat2& m) {
-  return os << "[[" << m.a << ", " << m.b << "], [" << m.c << ", " << m.d
-            << "]]";
 }
 
 }  // namespace rv::geom

@@ -57,9 +57,6 @@ struct Mat2 {
   return {m.a, m.c, m.b, m.d};
 }
 
-/// Inverse.  \throws std::invalid_argument if |det| is below `tol`.
-[[nodiscard]] Mat2 inverse(const Mat2& m, double tol = 1e-14);
-
 /// CCW rotation by angle θ.
 [[nodiscard]] Mat2 rotation(double theta);
 
@@ -71,23 +68,5 @@ struct Mat2 {
 
 /// diag(1, χ) for χ ∈ {+1, −1}.
 [[nodiscard]] Mat2 chirality(int chi);
-
-/// Frobenius norm.
-[[nodiscard]] double frobenius_norm(const Mat2& m);
-
-/// Operator (spectral) norm: largest singular value.
-[[nodiscard]] double operator_norm(const Mat2& m);
-
-/// Smallest singular value.
-[[nodiscard]] double min_singular_value(const Mat2& m);
-
-/// True if MᵀM ≈ I within `tol` (Frobenius).
-[[nodiscard]] bool is_orthogonal(const Mat2& m, double tol = 1e-9);
-
-/// Entry-wise approximate equality.
-[[nodiscard]] bool approx_equal(const Mat2& m, const Mat2& n,
-                                double abs_tol = 1e-9);
-
-std::ostream& operator<<(std::ostream& os, const Mat2& m);
 
 }  // namespace rv::geom

@@ -27,63 +27,6 @@ void append_csv_row(std::string& out, const CsvRow& fields) {
   out.push_back('\n');
 }
 
-std::vector<CsvRow> parse_csv(const std::string& text) {
-  std::vector<CsvRow> rows;
-  CsvRow current;
-  std::string field;
-  bool in_quotes = false;
-  bool row_has_content = false;
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field.push_back(c);
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        row_has_content = true;
-        break;
-      case ',':
-        current.push_back(std::move(field));
-        field.clear();
-        row_has_content = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        if (row_has_content || !field.empty() || !current.empty()) {
-          current.push_back(std::move(field));
-          field.clear();
-          rows.push_back(std::move(current));
-          current.clear();
-          row_has_content = false;
-        }
-        break;
-      default:
-        field.push_back(c);
-        row_has_content = true;
-        break;
-    }
-  }
-  if (in_quotes) throw std::invalid_argument("parse_csv: unterminated quote");
-  if (row_has_content || !field.empty() || !current.empty()) {
-    current.push_back(std::move(field));
-    rows.push_back(std::move(current));
-  }
-  return rows;
-}
-
 void append_number(std::string& out, double v, std::chars_format fmt,
                    int precision) {
   if (precision < 0) precision = 6;

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file csv.hpp
-/// Minimal RFC-4180-style CSV writing/parsing for experiment outputs.
+/// Minimal RFC-4180-style CSV writing for experiment outputs.
 /// Benches dump their sweeps as CSV next to the printed tables so that
 /// plots can be regenerated offline.
 ///
@@ -27,10 +27,6 @@ void append_csv_field(std::string& out, std::string_view field);
 
 /// Appends one CSV record (escaped fields, comma-separated, '\n').
 void append_csv_row(std::string& out, const CsvRow& fields);
-
-/// Parses CSV text into rows (supports quoted fields with embedded
-/// commas/newlines/doubled quotes).  Intended for test round-trips.
-[[nodiscard]] std::vector<CsvRow> parse_csv(const std::string& text);
 
 /// Appends `v` as `std::to_chars(v, fmt, precision)` writes it — the
 /// bytes of printf("%.*g" / "%.*f" / "%.*e", precision, v) in the C

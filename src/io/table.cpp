@@ -22,13 +22,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::vector<double>& values, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size());
-  for (const double v : values) cells.push_back(format_fixed(v, precision));
-  add_row(std::move(cells));
-}
-
 void Table::set_align(std::size_t column, Align align) {
   if (column >= aligns_.size()) {
     throw std::out_of_range("Table::set_align: column out of range");
@@ -85,31 +78,6 @@ std::string Table::to_ascii() const {
   rule();
   for (const auto& row : rows_) cells(row, false);
   rule();
-  return out;
-}
-
-std::string Table::to_markdown() const {
-  std::string out;
-  out += '|';
-  for (const auto& c : columns_) {
-    out += ' ';
-    out += c;
-    out += " |";
-  }
-  out += "\n|";
-  for (std::size_t i = 0; i < columns_.size(); ++i) {
-    out += aligns_[i] == Align::kRight ? " ---: |" : " :--- |";
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    out += '|';
-    for (const auto& cell : row) {
-      out += ' ';
-      out += cell;
-      out += " |";
-    }
-    out += '\n';
-  }
   return out;
 }
 

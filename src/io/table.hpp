@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file table.hpp
-/// Console/markdown table rendering.  Every bench binary prints the
+/// Console table rendering.  Every bench binary prints the
 /// rows the corresponding paper artifact would contain; this class
 /// keeps the formatting consistent across all experiments.
 
@@ -14,7 +14,7 @@ namespace rv::io {
 /// Column alignment.
 enum class Align { kLeft, kRight };
 
-/// Accumulates rows, then renders as aligned ASCII or GitHub markdown.
+/// Accumulates rows, then renders them as an aligned ASCII table.
 class Table {
  public:
   /// Creates a table with the given column names.
@@ -23,9 +23,6 @@ class Table {
   /// Appends a row; must have exactly as many cells as columns.
   /// \throws std::invalid_argument on arity mismatch.
   void add_row(std::vector<std::string> cells);
-
-  /// Convenience: formats doubles with fixed precision.
-  void add_numeric_row(const std::vector<double>& values, int precision = 4);
 
   /// Sets alignment for a column (default: right).
   void set_align(std::size_t column, Align align);
@@ -37,9 +34,6 @@ class Table {
 
   /// Renders as an aligned, box-drawn ASCII table.
   [[nodiscard]] std::string to_ascii() const;
-
-  /// Renders as a GitHub-flavoured markdown table.
-  [[nodiscard]] std::string to_markdown() const;
 
   /// Prints the ASCII rendering to `os` with an optional title line.
   void print(std::ostream& os, const std::string& title = "") const;

@@ -32,17 +32,6 @@ bool linear_rendezvous_feasible(const LinearAttributes& attrs) {
 
 double linear_search_all_time(int n) { return zigzag_prefix_time(n); }
 
-double linear_inactive_start(int n) {
-  if (n < 1) throw std::invalid_argument("linear_inactive_start: n >= 1");
-  // 4·Σ_{j<n} Z(j) = 4·Σ 8(2ʲ−1) = 32(2ⁿ − 2 − (n−1)) = 32(2ⁿ − n − 1).
-  return 32.0 * (pow2(n) - n - 1.0);
-}
-
-double linear_active_start(int n) {
-  if (n < 1) throw std::invalid_argument("linear_active_start: n >= 1");
-  return linear_inactive_start(n) + 2.0 * linear_search_all_time(n);
-}
-
 Segment LinearRendezvousProgram::zigzag_leg() {
   const double amp = pow2(k_);
   switch (phase_) {

@@ -44,12 +44,6 @@ struct LinearAttributes {
 /// The duration Z(n) of zigzag rounds 1..n (= zigzag_prefix_time(n)).
 [[nodiscard]] double linear_search_all_time(int n);
 
-/// Local start of the nth inactive phase: I_lin(n) = 32(2ⁿ − n − 1).
-[[nodiscard]] double linear_inactive_start(int n);
-
-/// Local start of the nth active phase: A_lin(n) = 48·2ⁿ − 32n − 48.
-[[nodiscard]] double linear_active_start(int n);
-
 /// The universal linear rendezvous program (phase-scheduled zigzag).
 class LinearRendezvousProgram final : public traj::Program {
  public:

@@ -35,11 +35,6 @@ Segment ZigZagProgram::next() {
   return seg;
 }
 
-double zigzag_round_time(int k) {
-  if (k < 1) throw std::invalid_argument("zigzag_round_time: k must be >= 1");
-  return 4.0 * pow2(k);
-}
-
 double zigzag_prefix_time(int k) {
   if (k < 0) throw std::invalid_argument("zigzag_prefix_time: k must be >= 0");
   return 8.0 * (pow2(k) - 1.0);

@@ -38,9 +38,6 @@ class ZigZagProgram final : public traj::Program {
   int phase_ = 0;  ///< 0: to +2^k, 1: back, 2: to −2^k, 3: back
 };
 
-/// Duration of zigzag round k: 4·2ᵏ.
-[[nodiscard]] double zigzag_round_time(int k);
-
 /// Duration of rounds 1..k: 8(2ᵏ − 1).
 [[nodiscard]] double zigzag_prefix_time(int k);
 

@@ -43,8 +43,4 @@ DyadicDecomposition dyadic_decompose(double tau) {
   return {tau * pow2(a), a};
 }
 
-double dyadic_recompose(const DyadicDecomposition& d) {
-  return d.t * pow2(-d.a);
-}
-
 }  // namespace rv::mathx

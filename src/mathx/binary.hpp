@@ -24,9 +24,6 @@ struct DyadicDecomposition {
 /// \throws std::invalid_argument unless 0 < τ < 1.
 [[nodiscard]] DyadicDecomposition dyadic_decompose(double tau);
 
-/// Recomposes t·2⁻ᵃ.
-[[nodiscard]] double dyadic_recompose(const DyadicDecomposition& d);
-
 /// True iff x is an exact (positive) power of two, including negative
 /// exponents: 0.25, 0.5, 1, 2, ...
 [[nodiscard]] bool is_power_of_two(double x);

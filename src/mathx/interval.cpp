@@ -5,30 +5,11 @@
 
 namespace rv::mathx {
 
-bool Interval::overlaps(const Interval& o) const {
-  return overlap_length(*this, o) > 0.0;
-}
-
-Interval make_interval(double lo, double hi) {
-  if (hi < lo) throw std::invalid_argument("make_interval: hi < lo");
-  return {lo, hi};
-}
-
 std::optional<Interval> intersect(const Interval& a, const Interval& b) {
   const double lo = std::max(a.lo, b.lo);
   const double hi = std::min(a.hi, b.hi);
   if (hi < lo) return std::nullopt;
   return Interval{lo, hi};
-}
-
-double overlap_length(const Interval& a, const Interval& b) {
-  const double lo = std::max(a.lo, b.lo);
-  const double hi = std::min(a.hi, b.hi);
-  return hi > lo ? hi - lo : 0.0;
-}
-
-Interval hull(const Interval& a, const Interval& b) {
-  return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
 }
 
 Interval scale(const Interval& a, double s) {

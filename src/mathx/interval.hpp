@@ -9,8 +9,7 @@
 
 namespace rv::mathx {
 
-/// A closed interval [lo, hi].  An interval with hi < lo is "empty";
-/// use the factory functions to construct valid ones.
+/// A closed interval [lo, hi].  An interval with hi < lo is "empty".
 struct Interval {
   double lo = 0.0;
   double hi = 0.0;
@@ -21,26 +20,15 @@ struct Interval {
   [[nodiscard]] bool empty() const { return hi < lo; }
   /// True iff x ∈ [lo, hi].
   [[nodiscard]] bool contains(double x) const { return lo <= x && x <= hi; }
-  /// True iff the intersection with `o` is non-degenerate (positive length).
-  [[nodiscard]] bool overlaps(const Interval& o) const;
   /// Midpoint of the interval.
   [[nodiscard]] double midpoint() const { return 0.5 * (lo + hi); }
 
   bool operator==(const Interval&) const = default;
 };
 
-/// Constructs [lo, hi]; throws std::invalid_argument if hi < lo.
-[[nodiscard]] Interval make_interval(double lo, double hi);
-
 /// Intersection of two intervals, or nullopt if they are disjoint.
 [[nodiscard]] std::optional<Interval> intersect(const Interval& a,
                                                 const Interval& b);
-
-/// Length of the intersection (0 when disjoint).
-[[nodiscard]] double overlap_length(const Interval& a, const Interval& b);
-
-/// Smallest interval containing both inputs.
-[[nodiscard]] Interval hull(const Interval& a, const Interval& b);
 
 /// Scales an interval by s ≥ 0 about the origin: [s·lo, s·hi].
 [[nodiscard]] Interval scale(const Interval& a, double s);

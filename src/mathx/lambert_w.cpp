@@ -56,28 +56,4 @@ double lambert_w0(double x) {
   return refine(w, x);
 }
 
-double lambert_w_minus1(double x) {
-  constexpr double kMinusInvE = -0.36787944117144233;
-  if (x < kMinusInvE || x >= 0.0) {
-    throw std::domain_error("lambert_w_minus1: argument outside [-1/e, 0)");
-  }
-  // Seed (de Bruijn-style): W₋₁(x) ≈ ln(−x) − ln(−ln(−x)).
-  double w;
-  if (x > -0.1) {
-    const double l1 = std::log(-x);
-    const double l2 = std::log(-l1);
-    w = l1 - l2;
-  } else {
-    // Branch-point expansion with negative p.
-    const double p = -std::sqrt(2.0 * (std::exp(1.0) * x + 1.0));
-    w = -1.0 + p - p * p / 3.0;
-  }
-  return refine(w, x);
-}
-
-double lambert_w0_asymptotic(double x) {
-  const double l = std::log(x);
-  return l - std::log(l);
-}
-
 }  // namespace rv::mathx

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file lambert_w.hpp
-/// The Lambert W function (principal branch W₀ and lower branch W₋₁).
+/// The Lambert W function (principal branch W₀).
 ///
 /// Lemma 12 of the paper bounds the asymmetric-clock rendezvous round via
 /// the solution of z·eᶻ = y, i.e. z = W(y).  We provide a full
@@ -16,16 +16,5 @@ namespace rv::mathx {
 /// Accuracy: better than 1e-14 relative over the tested range.
 /// \throws std::domain_error if x < −1/e (no real solution).
 [[nodiscard]] double lambert_w0(double x);
-
-/// Lower branch W₋₁(x) for −1/e ≤ x < 0.
-///
-/// Satisfies W₋₁(x)·e^{W₋₁(x)} = x with W₋₁(x) ≤ −1.
-/// \throws std::domain_error if x outside [−1/e, 0).
-[[nodiscard]] double lambert_w_minus1(double x);
-
-/// Asymptotic upper estimate ln(x) − ln(ln(x)) used by the paper
-/// ("W(x) behaves asymptotically as ln(x) − ln(ln(x))", citing
-/// Hoorfar & Hassani).  Valid for x > e.
-[[nodiscard]] double lambert_w0_asymptotic(double x);
 
 }  // namespace rv::mathx

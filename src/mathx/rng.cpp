@@ -1,6 +1,5 @@
 #include "mathx/rng.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace rv::mathx {
@@ -58,21 +57,6 @@ std::int64_t Xoshiro256::uniform_int(std::int64_t lo, std::int64_t hi) {
     v = (*this)();
   } while (v >= limit);
   return lo + static_cast<std::int64_t>(v % range);
-}
-
-double Xoshiro256::angle() {
-  return uniform01() * 2.0 * 3.14159265358979323846;
-}
-
-int Xoshiro256::sign() {
-  return ((*this)() & 1ULL) ? 1 : -1;
-}
-
-double Xoshiro256::log_uniform(double lo, double hi) {
-  if (!(lo > 0.0) || !(hi > lo)) {
-    throw std::invalid_argument("log_uniform: need 0 < lo < hi");
-  }
-  return std::exp(uniform(std::log(lo), std::log(hi)));
 }
 
 }  // namespace rv::mathx

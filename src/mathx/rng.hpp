@@ -37,16 +37,6 @@ class Xoshiro256 {
   /// Uniform integer in [lo, hi] (inclusive), unbiased via rejection.
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform angle in [0, 2π).
-  [[nodiscard]] double angle();
-
-  /// Random sign: +1 or −1 with probability 1/2 each.
-  [[nodiscard]] int sign();
-
-  /// Log-uniform double in [lo, hi); lo, hi > 0.  Natural for sweeping
-  /// scale-free quantities such as d²/r.
-  [[nodiscard]] double log_uniform(double lo, double hi);
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

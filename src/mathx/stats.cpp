@@ -1,9 +1,6 @@
 #include "mathx/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
 
 namespace rv::mathx {
 
@@ -15,52 +12,7 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double quantile(std::vector<double> values, double q) {
-  if (values.empty()) throw std::invalid_argument("quantile: empty input");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("quantile: q not in [0,1]");
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  if (values.empty()) throw std::invalid_argument("geometric_mean: empty input");
-  double log_sum = 0.0;
-  for (const double v : values) {
-    if (!(v > 0.0)) throw std::invalid_argument("geometric_mean: non-positive value");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 }  // namespace rv::mathx

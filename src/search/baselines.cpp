@@ -33,16 +33,6 @@ double ConcentricSweepProgram::radius() const {
   return (2.0 * static_cast<double>(i_) + 1.0) * rho;
 }
 
-double ConcentricSweepProgram::round_time(int m) {
-  if (m < 1 || m > 20) {
-    throw std::invalid_argument("ConcentricSweepProgram::round_time: bad m");
-  }
-  // Σ_{i=0}^{count−1} 2(π+1)(2i+1)ρ = 2(π+1)·ρ·count².
-  const double rho = pow2(-m);
-  const double count = pow2(2 * m - 1);
-  return rv::mathx::kSearchCircleFactor * rho * count * count;
-}
-
 Segment ConcentricSweepProgram::next() {
   const double r = radius();
   Segment seg;
@@ -88,22 +78,6 @@ void SquareSpiralProgram::load_round() {
   rows_ = static_cast<std::int64_t>(std::floor(2.0 * h / s)) + 1;
   row_ = 0;
   phase_ = 0;
-}
-
-double SquareSpiralProgram::round_time(int m) {
-  if (m < 1 || m > 16) {
-    throw std::invalid_argument("SquareSpiralProgram::round_time: bad m");
-  }
-  const double h = pow2(m);
-  const double s = pow2(-m) * std::sqrt(2.0);
-  const auto rows = static_cast<std::int64_t>(std::floor(2.0 * h / s)) + 1;
-  // First approach: origin → (−h, −h); then per row one scan of 2h and
-  // (rows−1) inter-row moves of length s; finally home from the last
-  // scan endpoint.
-  const double y_last = -h + static_cast<double>(rows - 1) * s;
-  const double x_last = (rows % 2 == 1) ? h : -h;
-  return std::sqrt(2.0) * h + static_cast<double>(rows) * 2.0 * h +
-         static_cast<double>(rows - 1) * s + std::hypot(x_last, y_last);
 }
 
 Segment SquareSpiralProgram::next() {

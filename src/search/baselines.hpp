@@ -40,9 +40,6 @@ class ConcentricSweepProgram final : public traj::Program {
     return "baseline-concentric";
   }
 
-  /// Closed-form duration of round m (for analysis/tests).
-  [[nodiscard]] static double round_time(int m);
-
  private:
   int m_ = 1;               ///< round (doubling) index
   std::uint64_t i_ = 0;     ///< circle index within the round
@@ -61,9 +58,6 @@ class SquareSpiralProgram final : public traj::Program {
   [[nodiscard]] std::string name() const override {
     return "baseline-square-spiral";
   }
-
-  /// Closed-form duration of round m (for analysis/tests).
-  [[nodiscard]] static double round_time(int m);
 
  private:
   int m_ = 1;

@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "traj/sampler.hpp"
@@ -23,19 +22,6 @@ GlobalTrace::GlobalTrace(std::shared_ptr<traj::Program> program,
   }
 }
 
-Vec2 GlobalTrace::position_at(double t) const {
-  if (segments_.empty()) return {};
-  if (t <= segments_.front().t0) return segments_.front().position(t);
-  if (t >= segments_.back().t1) return segments_.back().position(t);
-  // Binary search for the segment with t0 <= t.
-  const auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), t,
-      [](double value, const TimedSegment& seg) { return value < seg.t0; });
-  const auto idx = static_cast<std::size_t>(
-      std::distance(segments_.begin(), it)) - 1;
-  return segments_[idx].position(t);
-}
-
 std::vector<Vec2> GlobalTrace::polyline(double max_error) const {
   std::vector<Vec2> pts;
   for (const TimedSegment& seg : segments_) {
@@ -47,18 +33,6 @@ std::vector<Vec2> GlobalTrace::polyline(double max_error) const {
     }
   }
   return pts;
-}
-
-std::vector<Vec2> GlobalTrace::sample_positions(int n) const {
-  if (n < 2) throw std::invalid_argument("GlobalTrace::sample_positions: n < 2");
-  std::vector<Vec2> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double t =
-        horizon_ * static_cast<double>(i) / static_cast<double>(n - 1);
-    out.push_back(position_at(t));
-  }
-  return out;
 }
 
 }  // namespace rv::sim

@@ -24,9 +24,6 @@ class GlobalTrace {
               const geom::RobotAttributes& attrs, const geom::Vec2& origin,
               double horizon);
 
-  /// Global position at time t ∈ [0, horizon] (clamped).
-  [[nodiscard]] geom::Vec2 position_at(double t) const;
-
   /// The buffered horizon.
   [[nodiscard]] double horizon() const { return horizon_; }
 
@@ -38,9 +35,6 @@ class GlobalTrace {
   /// Flattens the whole trace into a polyline with the given chordal
   /// tolerance (world units); consecutive duplicate points removed.
   [[nodiscard]] std::vector<geom::Vec2> polyline(double max_error) const;
-
-  /// Uniform time samples of the position, n ≥ 2.
-  [[nodiscard]] std::vector<geom::Vec2> sample_positions(int n) const;
 
  private:
   std::vector<traj::TimedSegment> segments_;

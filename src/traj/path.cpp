@@ -1,10 +1,6 @@
 #include "traj/path.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "geom/angle.hpp"
 
 namespace rv::traj {
 
@@ -18,16 +14,7 @@ Path& Path::append(Segment seg, double tol) {
   if (!geom::approx_equal(sp, end_, tol)) {
     throw std::invalid_argument("Path::append: segment does not start at path end");
   }
-  cumulative_.push_back(total_);
-  // Kahan-compensated accumulation of the total duration.
-  const double x = traj::duration(seg);
-  const double t = total_ + x;
-  if (std::abs(total_) >= std::abs(x)) {
-    comp_ += (total_ - t) + x;
-  } else {
-    comp_ += (x - t) + total_;
-  }
-  total_ = t;
+  total_ += traj::duration(seg);
   end_ = traj::end_point(seg);
   segments_.push_back(std::move(seg));
   return *this;
@@ -53,64 +40,6 @@ Path& Path::wait(double dur) { return append(WaitSeg{end_, dur}); }
 Path& Path::extend(const Path& other, double tol) {
   for (const Segment& seg : other.segments_) append(seg, tol);
   return *this;
-}
-
-Vec2 Path::position_at(double t) const {
-  if (segments_.empty()) return start_;
-  if (t <= 0.0) return start_;
-  if (t >= total_) return end_;
-  // Find the segment containing t: last i with cumulative_[i] <= t.
-  const auto it =
-      std::upper_bound(cumulative_.begin(), cumulative_.end(), t);
-  const std::size_t idx = static_cast<std::size_t>(
-      std::distance(cumulative_.begin(), it)) - 1;
-  return traj::position_at(segments_[idx], t - cumulative_[idx]);
-}
-
-double Path::segment_start_time(std::size_t i) const {
-  if (i >= cumulative_.size()) {
-    throw std::out_of_range("Path::segment_start_time: index out of range");
-  }
-  return cumulative_[i];
-}
-
-Box Path::bounding_box() const {
-  Box box{start_, start_};
-  auto include = [&box](const Vec2& p) {
-    box.lo.x = std::min(box.lo.x, p.x);
-    box.lo.y = std::min(box.lo.y, p.y);
-    box.hi.x = std::max(box.hi.x, p.x);
-    box.hi.y = std::max(box.hi.y, p.y);
-  };
-  for (const Segment& seg : segments_) {
-    if (const auto* line = std::get_if<LineSeg>(&seg)) {
-      include(line->from);
-      include(line->to);
-    } else if (const auto* arc = std::get_if<ArcSeg>(&seg)) {
-      include(arc->center + Vec2{arc->radius, arc->radius});
-      include(arc->center - Vec2{arc->radius, arc->radius});
-    } else {
-      include(std::get<WaitSeg>(seg).at);
-    }
-  }
-  return box;
-}
-
-double Path::max_radius() const {
-  double r = geom::norm(start_);
-  for (const Segment& seg : segments_) {
-    r = std::max(r, traj::max_radius(seg));
-  }
-  return r;
-}
-
-bool Path::is_continuous(double tol) const {
-  Vec2 cur = start_;
-  for (const Segment& seg : segments_) {
-    if (!geom::approx_equal(traj::start_point(seg), cur, tol)) return false;
-    cur = traj::end_point(seg);
-  }
-  return geom::approx_equal(cur, end_, tol);
 }
 
 }  // namespace rv::traj

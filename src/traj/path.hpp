@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file path.hpp
-/// A `Path` is a finite, position-continuous sequence of segments with
-/// precomputed cumulative start times (compensated summation).  Paths
-/// are the building blocks the search/rendezvous programs emit round by
-/// round; the simulator consumes them through the `Program` interface.
+/// A `Path` is a finite, position-continuous sequence of segments.
+/// Paths are the building blocks the search/rendezvous programs emit
+/// round by round; the simulator consumes them through the `Program`
+/// interface.
 
 #include <cstddef>
 #include <vector>
@@ -50,9 +50,6 @@ class Path {
   [[nodiscard]] std::size_t size() const { return segments_.size(); }
   [[nodiscard]] bool empty() const { return segments_.empty(); }
 
-  /// Position at local time t ∈ [0, duration()]; clamped outside.
-  [[nodiscard]] geom::Vec2 position_at(double t) const;
-
   /// First point of the path.
   [[nodiscard]] geom::Vec2 start() const { return start_; }
   /// Last point of the path.
@@ -63,26 +60,11 @@ class Path {
     return segments_;
   }
 
-  /// Start time (cumulative duration before) of segment i.
-  [[nodiscard]] double segment_start_time(std::size_t i) const;
-
-  /// Smallest axis-aligned box containing the whole path (arcs bounded
-  /// conservatively by their full circle).
-  [[nodiscard]] Box bounding_box() const;
-
-  /// Largest distance from the origin attained (conservative for arcs).
-  [[nodiscard]] double max_radius() const;
-
-  /// Checks every junction is continuous within tol.
-  [[nodiscard]] bool is_continuous(double tol = 1e-9) const;
-
  private:
   geom::Vec2 start_;
   geom::Vec2 end_;
   std::vector<Segment> segments_;
-  std::vector<double> cumulative_;  ///< start time of each segment
   double total_ = 0.0;
-  double comp_ = 0.0;  ///< Kahan compensation for total_
 };
 
 }  // namespace rv::traj

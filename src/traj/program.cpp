@@ -27,48 +27,6 @@ StationaryProgram::StationaryProgram(double chunk) : chunk_(chunk) {
 
 Segment StationaryProgram::next() { return WaitSeg{{0.0, 0.0}, chunk_}; }
 
-PathProgram::PathProgram(Path path, std::string name, double tail_chunk)
-    : path_(std::move(path)), name_(std::move(name)), tail_chunk_(tail_chunk) {
-  if (!(tail_chunk > 0.0)) {
-    throw std::invalid_argument("PathProgram: tail_chunk must be > 0");
-  }
-  if (!path_.empty() && !geom::approx_equal(path_.start(), Vec2{})) {
-    throw std::invalid_argument("PathProgram: path must start at the origin");
-  }
-}
-
-Segment PathProgram::next() {
-  if (index_ < path_.size()) {
-    return path_.segments()[index_++];
-  }
-  return WaitSeg{path_.end(), tail_chunk_};
-}
-
-RoundProgram::RoundProgram(RoundFn fn, std::string name)
-    : fn_(std::move(fn)), name_(std::move(name)) {
-  if (!fn_) throw std::invalid_argument("RoundProgram: null round function");
-}
-
-void RoundProgram::refill() {
-  while (index_ >= buffer_.size()) {
-    ++round_;
-    Path path = fn_(round_, cursor_);
-    if (!geom::approx_equal(path.start(), cursor_, 1e-6)) {
-      throw std::logic_error("RoundProgram: round path does not start at cursor");
-    }
-    buffer_.assign(path.segments().begin(), path.segments().end());
-    index_ = 0;
-    cursor_ = path.end();
-    // A round may legitimately be empty only if the next one is not;
-    // loop guards against zero-segment rounds.
-  }
-}
-
-Segment RoundProgram::next() {
-  refill();
-  return buffer_[index_++];
-}
-
 BufferedTrajectory::BufferedTrajectory(std::shared_ptr<Program> program)
     : program_(std::move(program)) {
   if (!program_) {

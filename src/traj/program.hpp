@@ -15,7 +15,6 @@
 ///  * all geometry is in the robot's own frame and units (the frame
 ///    map of `traj/frame.hpp` converts to global coordinates).
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,49 +72,6 @@ class StationaryProgram final : public Program {
 
  private:
   double chunk_;
-};
-
-/// Replays a finite path, then waits at its end point forever.
-class PathProgram final : public Program {
- public:
-  explicit PathProgram(Path path, std::string name = "path",
-                       double tail_chunk = 1e12);
-  [[nodiscard]] Segment next() override;
-  [[nodiscard]] std::string name() const override { return name_; }
-
- private:
-  Path path_;
-  std::string name_;
-  std::size_t index_ = 0;
-  double tail_chunk_;
-};
-
-/// Adapts a round-generating function into a Program.  The callback is
-/// invoked with the round number (1, 2, 3, ...) and the current end
-/// position, and returns the finite path for that round (which must
-/// start at the given position).  This matches the structure of the
-/// paper's algorithms: both Algorithm 4 and Algorithm 7 are unbounded
-/// repetitions of finite, parameterised rounds.
-class RoundProgram final : public Program {
- public:
-  using RoundFn = std::function<Path(int round, geom::Vec2 start)>;
-
-  RoundProgram(RoundFn fn, std::string name);
-  [[nodiscard]] Segment next() override;
-  [[nodiscard]] std::string name() const override { return name_; }
-
-  /// Rounds fully generated so far.
-  [[nodiscard]] int rounds_generated() const { return round_; }
-
- private:
-  void refill();
-
-  RoundFn fn_;
-  std::string name_;
-  int round_ = 0;
-  geom::Vec2 cursor_{};
-  std::vector<Segment> buffer_;
-  std::size_t index_ = 0;
 };
 
 /// Evaluates any program as a function of local time by buffering the

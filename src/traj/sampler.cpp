@@ -9,21 +9,6 @@ namespace rv::traj {
 
 using geom::Vec2;
 
-std::vector<Sample> sample_uniform(
-    const std::function<Vec2(double)>& position, double t0, double t1,
-    int n) {
-  if (n < 2) throw std::invalid_argument("sample_uniform: need n >= 2");
-  if (!(t1 >= t0)) throw std::invalid_argument("sample_uniform: t1 < t0");
-  std::vector<Sample> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const double t = t0 + (t1 - t0) * static_cast<double>(i) /
-                              static_cast<double>(n - 1);
-    out.push_back(Sample{t, position(t)});
-  }
-  return out;
-}
-
 std::vector<Vec2> flatten_segment(const Segment& seg, double max_error) {
   if (!(max_error > 0.0)) {
     throw std::invalid_argument("flatten_segment: max_error must be > 0");

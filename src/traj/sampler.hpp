@@ -1,28 +1,14 @@
 #pragma once
 
 /// \file sampler.hpp
-/// Discretisation of trajectories into polylines for visualisation and
-/// for sampling-based test oracles.
+/// Discretisation of trajectories into polylines for visualisation.
 
-#include <functional>
 #include <vector>
 
 #include "traj/path.hpp"
 #include "traj/segment.hpp"
 
 namespace rv::traj {
-
-/// A time-stamped sample of a trajectory.
-struct Sample {
-  double t = 0.0;
-  geom::Vec2 position;
-};
-
-/// Uniformly samples a position function on [t0, t1] (inclusive of both
-/// endpoints) with `n` ≥ 2 samples.
-[[nodiscard]] std::vector<Sample> sample_uniform(
-    const std::function<geom::Vec2(double)>& position, double t0, double t1,
-    int n);
 
 /// Flattens one segment into a polyline whose chordal deviation from
 /// the true curve is at most `max_error` (arcs are subdivided; lines and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 namespace rv::traj {
@@ -64,22 +63,6 @@ geom::Vec2 position_at(const Segment& seg, double s) {
   return std::get<WaitSeg>(seg).at;
 }
 
-double traversal_speed(const Segment& seg) {
-  if (std::holds_alternative<WaitSeg>(seg)) return 0.0;
-  return duration(seg) > 0.0 ? 1.0 : 0.0;
-}
-
-double max_radius(const Segment& seg) {
-  if (const auto* line = std::get_if<LineSeg>(&seg)) {
-    return std::max(geom::norm(line->from), geom::norm(line->to));
-  }
-  if (const auto* arc = std::get_if<ArcSeg>(&seg)) {
-    // Conservative: centre distance plus radius.
-    return geom::norm(arc->center) + arc->radius;
-  }
-  return geom::norm(std::get<WaitSeg>(seg).at);
-}
-
 void validate(const Segment& seg) {
   if (const auto* line = std::get_if<LineSeg>(&seg)) {
     if (!geom::is_finite(line->from) || !geom::is_finite(line->to)) {
@@ -104,21 +87,6 @@ void validate(const Segment& seg) {
   if (wait.duration < 0.0) {
     throw std::invalid_argument("WaitSeg: negative duration");
   }
-}
-
-bool is_degenerate(const Segment& seg) { return duration(seg) == 0.0; }
-
-std::ostream& operator<<(std::ostream& os, const Segment& seg) {
-  if (const auto* line = std::get_if<LineSeg>(&seg)) {
-    return os << "Line" << line->from << "->" << line->to;
-  }
-  if (const auto* arc = std::get_if<ArcSeg>(&seg)) {
-    return os << "Arc{c=" << arc->center << ", r=" << arc->radius
-              << ", a0=" << arc->start_angle << ", sweep=" << arc->sweep
-              << '}';
-  }
-  const auto& wait = std::get<WaitSeg>(seg);
-  return os << "Wait{at=" << wait.at << ", dur=" << wait.duration << '}';
 }
 
 }  // namespace rv::traj

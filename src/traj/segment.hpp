@@ -10,7 +10,6 @@
 /// *local duration* of a segment equals its arc length (unit speed), or
 /// the explicit duration for waits.
 
-#include <iosfwd>
 #include <variant>
 
 #include "geom/vec2.hpp"
@@ -63,20 +62,8 @@ using Segment = std::variant<LineSeg, ArcSeg, WaitSeg>;
 /// Values outside the range are clamped.
 [[nodiscard]] geom::Vec2 position_at(const Segment& seg, double s);
 
-/// Instantaneous speed while traversing (1 for moves of positive
-/// length, 0 for waits and degenerate moves).
-[[nodiscard]] double traversal_speed(const Segment& seg);
-
-/// Maximum distance from the origin reached anywhere on the segment.
-[[nodiscard]] double max_radius(const Segment& seg);
-
 /// Validates geometric sanity (finite coordinates, radius ≥ 0,
 /// duration ≥ 0).  \throws std::invalid_argument on violation.
 void validate(const Segment& seg);
-
-/// True when the segment consumes zero time (e.g. zero-length line).
-[[nodiscard]] bool is_degenerate(const Segment& seg);
-
-std::ostream& operator<<(std::ostream& os, const Segment& seg);
 
 }  // namespace rv::traj

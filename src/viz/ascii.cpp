@@ -7,29 +7,6 @@
 
 namespace rv::viz {
 
-std::string ascii_bar_chart(const std::vector<AsciiBar>& bars, int width) {
-  if (width < 1) throw std::invalid_argument("ascii_bar_chart: width < 1");
-  double max_val = 0.0;
-  std::size_t max_label = 0;
-  for (const AsciiBar& b : bars) {
-    if (b.value < 0.0) {
-      throw std::invalid_argument("ascii_bar_chart: negative value");
-    }
-    max_val = std::max(max_val, b.value);
-    max_label = std::max(max_label, b.label.size());
-  }
-  std::ostringstream os;
-  for (const AsciiBar& b : bars) {
-    const int len = max_val > 0.0
-                        ? static_cast<int>(std::round(b.value / max_val * width))
-                        : 0;
-    os << b.label << std::string(max_label - b.label.size(), ' ') << " |"
-       << std::string(static_cast<std::size_t>(len), '#') << ' ' << b.value
-       << '\n';
-  }
-  return os.str();
-}
-
 std::string ascii_scatter(const std::vector<AsciiSeries>& series, int rows,
                           int cols, bool log_x, bool log_y) {
   if (rows < 2 || cols < 2) {

@@ -1,25 +1,14 @@
 #pragma once
 
 /// \file ascii.hpp
-/// Console-friendly charts: horizontal bar charts and scatter plots on
-/// a character grid.  Used by bench binaries so results are readable in
-/// the terminal without opening the SVG artifacts.
+/// Console-friendly charts: scatter plots on a character grid.  Used by
+/// bench binaries so results are readable in the terminal without
+/// opening the SVG artifacts.
 
 #include <string>
 #include <vector>
 
 namespace rv::viz {
-
-/// One labelled bar.
-struct AsciiBar {
-  std::string label;
-  double value = 0.0;
-};
-
-/// Renders a horizontal bar chart; values must be ≥ 0.  `width` is the
-/// maximum bar length in characters.
-[[nodiscard]] std::string ascii_bar_chart(const std::vector<AsciiBar>& bars,
-                                          int width = 60);
 
 /// Renders an (x, y) scatter on a rows×cols grid with log-log option.
 /// Multiple series are drawn with distinct glyphs ('*', '+', 'o', ...).

@@ -77,26 +77,6 @@ void SvgCanvas::circle(const Vec2& center, double r, const Style& style) {
   elements_.push_back(os.str());
 }
 
-void SvgCanvas::annulus(const Vec2& center, double r_inner, double r_outer,
-                        const Style& style) {
-  const Vec2 c = to_px(center);
-  std::ostringstream os;
-  os << "<path fill-rule=\"evenodd\" d=\""
-     << "M " << c.x + r_outer * scale_ << ' ' << c.y << ' '
-     << "A " << r_outer * scale_ << ' ' << r_outer * scale_
-     << " 0 1 0 " << c.x - r_outer * scale_ << ' ' << c.y << ' '
-     << "A " << r_outer * scale_ << ' ' << r_outer * scale_
-     << " 0 1 0 " << c.x + r_outer * scale_ << ' ' << c.y << ' '
-     << "M " << c.x + r_inner * scale_ << ' ' << c.y << ' '
-     << "A " << r_inner * scale_ << ' ' << r_inner * scale_
-     << " 0 1 0 " << c.x - r_inner * scale_ << ' ' << c.y << ' '
-     << "A " << r_inner * scale_ << ' ' << r_inner * scale_
-     << " 0 1 0 " << c.x + r_inner * scale_ << ' ' << c.y << ' '
-     << "Z\" stroke=\"" << style.stroke << "\" fill=\"" << style.fill
-     << "\" opacity=\"" << style.opacity << "\"/>";
-  elements_.push_back(os.str());
-}
-
 void SvgCanvas::marker(const Vec2& at, const std::string& color,
                        double size_px) {
   const Vec2 p = to_px(at);

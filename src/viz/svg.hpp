@@ -38,9 +38,6 @@ class SvgCanvas {
   void line(const geom::Vec2& a, const geom::Vec2& b, const Style& style);
   /// Circle of world radius r.
   void circle(const geom::Vec2& center, double r, const Style& style);
-  /// Filled annulus (even-odd fill of two circles).
-  void annulus(const geom::Vec2& center, double r_inner, double r_outer,
-               const Style& style);
   /// Small position marker (viewport-size cross).
   void marker(const geom::Vec2& at, const std::string& color,
               double size_px = 5.0);

@@ -1,4 +1,4 @@
-#include "mathx/roots.hpp"
+#include "support/roots.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,10 +1,8 @@
 #pragma once
 
 /// \file roots.hpp
-/// Scalar root bracketing and refinement.
-///
-/// The simulator needs to pinpoint the first time at which a continuous
-/// distance function crosses the visibility threshold.  `brent` provides
+/// Scalar root bracketing and refinement, the independent oracle tests
+/// hold the certified sweep's event times against.  `brent` provides
 /// high-accuracy refinement inside a bracketing interval; `bisect` is the
 /// slow-but-certain fallback.
 
@@ -41,8 +39,7 @@ struct RootOptions {
 /// Scan [a, b] in `steps` uniform increments and return the first
 /// sub-interval on which f changes sign (or touches zero), refined with
 /// Brent.  Returns nullopt if no sign change is observed at the scan
-/// resolution.  Used by tests as an oracle; the simulator itself uses
-/// the certified Lipschitz stepper in `sim/`.
+/// resolution.
 [[nodiscard]] std::optional<RootResult> first_crossing(
     const std::function<double(double)>& f, double a, double b, int steps,
     const RootOptions& opts = {});

@@ -17,6 +17,7 @@
 #include "rendezvous/schedule.hpp"
 #include "search/paths.hpp"
 #include "search/times.hpp"
+#include "support/traj.hpp"
 #include "traj/program.hpp"
 
 namespace {
@@ -40,30 +41,27 @@ RobotAttributes attrs(double v, double tau, double phi, int chi) {
 // Bounds
 // ---------------------------------------------------------------------------
 
-TEST(Bounds, Theorem1Delegation) {
-  EXPECT_DOUBLE_EQ(theorem1_search_bound(1.0, 0.25),
-                   rv::search::theorem1_bound(1.0, 0.25));
-}
-
 TEST(Bounds, Theorem2CommonChiralityScalesByMu) {
   // For v = 2, φ = 0: µ = 1, so the bound equals the plain Theorem 1
   // bound.
   EXPECT_NEAR(theorem2_bound_common_chirality(1.0, 0.25, 2.0, 0.0),
-              theorem1_search_bound(1.0, 0.25), 1e-9);
+              rv::search::theorem1_bound(1.0, 0.25), 1e-9);
   // For φ = π, v = 1: µ = 2 — the bound improves (robots diverge fast).
   EXPECT_NEAR(theorem2_bound_common_chirality(1.0, 0.25, 1.0, kPi),
-              theorem1_search_bound(0.5, 0.125), 1e-9);
+              rv::search::theorem1_bound(0.5, 0.125), 1e-9);
   EXPECT_THROW((void)theorem2_bound_common_chirality(1.0, 0.25, 1.0, 0.0),
                std::invalid_argument);
 }
 
 TEST(Bounds, Theorem2OppositeChirality) {
-  // Gain 1 − v.
-  EXPECT_NEAR(theorem2_bound_opposite_chirality(1.0, 0.25, 0.5),
-              theorem1_search_bound(2.0, 0.5), 1e-9);
-  EXPECT_THROW((void)theorem2_bound_opposite_chirality(1.0, 0.25, 1.0),
-               std::invalid_argument);
-  EXPECT_THROW((void)theorem2_bound_opposite_chirality(1.0, 0.25, 1.5),
+  // Gain 1 − v, whatever the orientation.
+  for (const double phi : {0.0, 0.5, kPi}) {
+    EXPECT_NEAR(theorem2_bound(attrs(0.5, 1.0, phi, -1), 1.0, 0.25),
+                rv::search::theorem1_bound(2.0, 0.5), 1e-9)
+        << "phi=" << phi;
+  }
+  // v = 1 with χ = −1 is the infeasible mirror pair.
+  EXPECT_THROW((void)theorem2_bound(attrs(1.0, 1.0, 0.5, -1), 1.0, 0.25),
                std::invalid_argument);
 }
 
@@ -71,11 +69,11 @@ TEST(Bounds, Theorem2DispatcherMatchesBranches) {
   EXPECT_DOUBLE_EQ(theorem2_bound(attrs(2.0, 1.0, 0.5, 1), 1.0, 0.1),
                    theorem2_bound_common_chirality(1.0, 0.1, 2.0, 0.5));
   EXPECT_DOUBLE_EQ(theorem2_bound(attrs(0.5, 1.0, 0.5, -1), 1.0, 0.1),
-                   theorem2_bound_opposite_chirality(1.0, 0.1, 0.5));
+                   rv::search::theorem1_bound(1.0 / 0.5, 0.1 / 0.5));
   // v > 1 with χ = −1: gain |1 − v| = 1, so the bound equals the plain
   // Theorem 1 bound on (d, r).
   EXPECT_DOUBLE_EQ(theorem2_bound(attrs(2.0, 1.0, 0.5, -1), 1.0, 0.1),
-                   theorem1_search_bound(1.0, 0.1));
+                   rv::search::theorem1_bound(1.0, 0.1));
   EXPECT_THROW((void)theorem2_bound(attrs(1.0, 0.5, 0.0, 1), 1.0, 0.1),
                std::invalid_argument);
   EXPECT_THROW((void)theorem2_bound(attrs(1.0, 1.0, 0.0, 1), 1.0, 0.1),
@@ -104,12 +102,16 @@ TEST(Bounds, NormalizedViewpointInvertsFrame) {
   rv::mathx::Xoshiro256 rng(17);
   for (int i = 0; i < 50; ++i) {
     const auto a = rv::geom::validated(
-        attrs(rng.uniform(0.2, 3.0), rng.uniform(1.01, 4.0), rng.angle(),
-              rng.sign()));
+        attrs(rng.uniform(0.2, 3.0), rng.uniform(1.01, 4.0),
+              rng.uniform(0.0, rv::mathx::kTwoPi),
+              rng.uniform_int(0, 1) ? 1 : -1));
     const auto b = normalized_viewpoint(a);
     EXPECT_LT(b.time_unit, 1.0);
     const Mat2 product = frame_matrix(a) * frame_matrix(b);
-    EXPECT_TRUE(rv::geom::approx_equal(product, rv::geom::identity(), 1e-9))
+    EXPECT_NEAR(product.a, 1.0, 1e-9);
+    EXPECT_NEAR(product.b, 0.0, 1e-9);
+    EXPECT_NEAR(product.c, 0.0, 1e-9);
+    EXPECT_NEAR(product.d, 1.0, 1e-9)
         << "v=" << a.speed << " tau=" << a.time_unit << " phi="
         << a.orientation << " chi=" << a.chirality;
   }
@@ -120,8 +122,9 @@ TEST(Bounds, NormalizedViewpointPreservesFeasibilityClass) {
   rv::mathx::Xoshiro256 rng(23);
   for (int i = 0; i < 50; ++i) {
     const auto a = rv::geom::validated(
-        attrs(rng.uniform(0.2, 3.0), rng.uniform(1.01, 4.0), rng.angle(),
-              rng.sign()));
+        attrs(rng.uniform(0.2, 3.0), rng.uniform(1.01, 4.0),
+              rng.uniform(0.0, rv::mathx::kTwoPi),
+              rng.uniform_int(0, 1) ? 1 : -1));
     // Any τ ≠ 1 tuple is clock-feasible from both viewpoints.
     EXPECT_EQ(classify(a), classify(normalized_viewpoint(a)));
   }
@@ -203,8 +206,8 @@ TEST(Reduction, OppositeChiralityPerDirectionNeverWorseThanWorstCase) {
   rv::mathx::Xoshiro256 rng(41);
   for (int i = 0; i < 100; ++i) {
     const double v = rng.uniform(0.1, 0.9);
-    const double phi = rng.angle();
-    const Vec2 d_hat = rv::geom::unit(rng.angle());
+    const double phi = rng.uniform(0.0, rv::mathx::kTwoPi);
+    const Vec2 d_hat = rv::geom::unit(rng.uniform(0.0, rv::mathx::kTwoPi));
     const auto per_dir =
         equivalent_search_opposite_chirality(1.0, d_hat, 0.5, v, phi);
     const auto worst = equivalent_search_opposite_chirality_worst(1.0, 0.5, v);
@@ -227,12 +230,13 @@ TEST(Reduction, SeparationVectorIdentity) {
   rv::mathx::Xoshiro256 rng(77);
   for (int trial = 0; trial < 20; ++trial) {
     const auto a = rv::geom::validated(
-        attrs(rng.uniform(0.3, 2.5), 1.0, rng.angle(), rng.sign()));
+        attrs(rng.uniform(0.3, 2.5), 1.0, rng.uniform(0.0, rv::mathx::kTwoPi),
+              rng.uniform_int(0, 1) ? 1 : -1));
     const Vec2 offset{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
     const Mat2 frame = frame_matrix(a);
     for (int i = 0; i < 20; ++i) {
       const double t = rng.uniform(0.0, path.duration());
-      const Vec2 s_t = path.position_at(t);
+      const Vec2 s_t = rv::traj::position_at(path, t);
       // Direct: R at S(t); R′ at offset + frame·S(t) (τ = 1).
       const Vec2 direct = s_t - (offset + frame * s_t);
       const Vec2 via_map = separation_vector(s_t, a, offset);
@@ -254,7 +258,7 @@ TEST(Reduction, EquivalentSearchNormPreservation) {
   const double m = rv::geom::mu(v, phi);
   const Mat2 t_circ = rv::geom::difference_matrix(v, phi, 1);
   for (double t = 0.0; t <= path.duration(); t += 0.37) {
-    const Vec2 s = path.position_at(t);
+    const Vec2 s = rv::traj::position_at(path, t);
     EXPECT_NEAR(rv::geom::norm(t_circ * s), m * rv::geom::norm(s), 1e-12);
   }
 }

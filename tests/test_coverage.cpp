@@ -22,6 +22,7 @@
 #include "search/baselines.hpp"
 #include "search/paths.hpp"
 #include "search/times.hpp"
+#include "support/traj.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
@@ -196,7 +197,8 @@ TEST(CoverageGrid, WordPackedGridMatchesPerCellGrid) {
       for (int k = 0; k < 24; ++k) {
         const Vec2 p{rng.uniform(-1.5 * extent, 1.5 * extent),
                      rng.uniform(-1.5 * extent, 1.5 * extent)};
-        const double radius = rng.log_uniform(0.3 * cell, 2.5 * extent);
+        const double radius = std::exp(
+            rng.uniform(std::log(0.3 * cell), std::log(2.5 * extent)));
         grid.mark_disk(p, radius);
         want.mark_disk(p, radius);
         const std::string what = "side " + std::to_string(side) +

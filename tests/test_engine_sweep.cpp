@@ -28,6 +28,7 @@
 #include "rv_batch_sets.hpp"
 #include "search/algorithm4.hpp"
 #include "search/baselines.hpp"
+#include "support/traj.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"

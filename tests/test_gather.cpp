@@ -11,6 +11,7 @@
 #include "mathx/constants.hpp"
 #include "rendezvous/algorithm7.hpp"
 #include "sim/simulator.hpp"
+#include "support/traj.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
 

@@ -100,7 +100,9 @@ TEST(GoldenEngine, E1SearchCells) {
         return search::theorem1_bound(c.distance, c.visibility) + 1.0;
       });
   const auto results = engine::run_scenarios(set);
-  ASSERT_TRUE(results.all_met());
+  for (const engine::RunRecord& rec : results) {
+    ASSERT_TRUE(rec.search_outcome.complete) << rec.label;
+  }
   golden::compare(results.to_csv(), "engine/e1_cells.csv");
 }
 
@@ -119,7 +121,9 @@ TEST(GoldenEngine, E9BaselineCells) {
     set.add_search(cell);
   }
   const auto results = engine::run_scenarios(set);
-  ASSERT_TRUE(results.all_met());
+  for (const engine::RunRecord& rec : results) {
+    ASSERT_TRUE(rec.search_outcome.complete) << rec.label;
+  }
   golden::compare(results.to_csv(), "engine/e9_cells.csv");
 }
 
@@ -161,7 +165,9 @@ TEST(GoldenEngine, A1VariantAndA3SpacingCells) {
     set.add(s);
   }
   const auto a1 = engine::run_scenarios(set);
-  ASSERT_TRUE(a1.all_met());
+  for (const engine::RunRecord& rec : a1) {
+    ASSERT_TRUE(rec.outcome.sim.met) << rec.label;
+  }
   golden::compare(a1.to_csv(), "engine/a1_variant_cells.csv");
 
   rv::search::VariantOptions vopts;
@@ -229,7 +235,9 @@ TEST(GoldenEngine, X2ZigzagSearchCells) {
         return linear::zigzag_reach_bound(c.target) + 1.0;
       });
   const auto results = engine::run_scenarios(set);
-  ASSERT_TRUE(results.all_met());
+  for (const engine::RunRecord& rec : results) {
+    ASSERT_TRUE(rec.linear_outcome.sim.met) << rec.label;
+  }
   golden::compare(results.to_csv(), "engine/zigzag_cells.csv");
 }
 

@@ -21,6 +21,7 @@
 #include "search/times.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "support/traj.hpp"
 
 namespace {
 
@@ -218,7 +219,8 @@ TEST(InfeasibleCases, MirrorSimulationMatchesAlgebraicInvariant) {
   rv::sim::GlobalTrace trace2(std::make_shared<RendezvousProgram>(), a, offset,
                               2000.0);
   for (double t = 0.0; t < 2000.0; t += 37.0) {
-    const Vec2 sep = trace1.position_at(t) - trace2.position_at(t);
+    const Vec2 sep =
+        rv::sim::position_at(trace1, t) - rv::sim::position_at(trace2, t);
     EXPECT_NEAR(std::abs(rv::geom::cross(u, sep)), invariant, 1e-6)
         << "t=" << t;
   }
@@ -232,7 +234,8 @@ TEST(ReductionIdentity, SeparationMatchesDifferenceMapOnAlgorithm4) {
   rv::mathx::Xoshiro256 rng(2718);
   for (int trial = 0; trial < 5; ++trial) {
     const auto a = rv::geom::validated(attrs(
-        rng.uniform(0.5, 2.0), 1.0, rng.angle(), rng.sign()));
+        rng.uniform(0.5, 2.0), 1.0, rng.uniform(0.0, rv::mathx::kTwoPi),
+        rng.uniform_int(0, 1) ? 1 : -1));
     const Vec2 offset{rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)};
     const double horizon = 500.0;
 
@@ -244,7 +247,8 @@ TEST(ReductionIdentity, SeparationMatchesDifferenceMapOnAlgorithm4) {
     rv::traj::BufferedTrajectory local(rv::search::make_search_program());
 
     for (double t = 1.0; t < horizon; t += 13.7) {
-      const Vec2 direct = trace1.position_at(t) - trace2.position_at(t);
+      const Vec2 direct =
+          rv::sim::position_at(trace1, t) - rv::sim::position_at(trace2, t);
       const Vec2 via_reduction = rv::analysis::separation_vector(
           local.position_at(t), a, offset);
       EXPECT_TRUE(rv::geom::approx_equal(direct, via_reduction, 1e-6))

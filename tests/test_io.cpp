@@ -18,6 +18,7 @@
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "mathx/rng.hpp"
+#include "support/io.hpp"
 
 namespace {
 
@@ -288,19 +289,10 @@ TEST(TableTest, AsciiRenderingAligns) {
   t.add_row({"b", "22.5"});
   const std::string ascii = t.to_ascii();
   EXPECT_NE(ascii.find("| alpha |"), std::string::npos);
+  EXPECT_NE(ascii.find("| b     |"), std::string::npos);
   EXPECT_NE(ascii.find("|  22.5 |"), std::string::npos);
   EXPECT_EQ(t.rows(), 2u);
   EXPECT_EQ(t.columns(), 2u);
-}
-
-TEST(TableTest, MarkdownRendering) {
-  Table t({"a", "b"});
-  t.set_align(0, Align::kLeft);
-  t.add_row({"x", "1"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("| :--- | ---: |"), std::string::npos);
-  EXPECT_NE(md.find("| x | 1 |"), std::string::npos);
 }
 
 TEST(TableTest, ArityMismatchThrows) {
@@ -310,9 +302,9 @@ TEST(TableTest, ArityMismatchThrows) {
   EXPECT_THROW(Table({}), std::invalid_argument);
 }
 
-TEST(TableTest, NumericRowsAndPrint) {
+TEST(TableTest, PrintWritesTitleAndRows) {
   Table t({"x", "y"});
-  t.add_numeric_row({1.23456, 2.0}, 3);
+  t.add_row({format_fixed(1.23456, 3), format_fixed(2.0, 3)});
   std::ostringstream os;
   t.print(os, "title");
   EXPECT_NE(os.str().find("title"), std::string::npos);

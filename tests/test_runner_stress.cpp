@@ -23,6 +23,7 @@
 #include "engine/serve.hpp"
 #include "io/csv.hpp"
 #include "rv_batch_sets.hpp"
+#include "support/io.hpp"
 
 namespace {
 

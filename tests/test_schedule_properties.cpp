@@ -122,7 +122,8 @@ TEST(AnalyticCoverage, EveryInRangePointIsWithinRhoOfATraversedCircle) {
   rv::mathx::Xoshiro256 rng(99991);
   for (int k = 1; k <= 10; ++k) {
     for (int trial = 0; trial < 100; ++trial) {
-      const double x = rng.log_uniform(pow2(-k), pow2(k) * 0.999);
+      const double x = std::exp(
+          rng.uniform(std::log(pow2(-k)), std::log(pow2(k) * 0.999)));
       const int j = rv::mathx::floor_log2(x) + k;
       ASSERT_GE(j, 0);
       ASSERT_LE(j, 2 * k - 1) << "x=" << x << " k=" << k;

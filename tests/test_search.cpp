@@ -45,7 +45,6 @@ TEST(SearchTimes, PathDurationMatchesSearchCircleFormula) {
     EXPECT_NEAR(path.duration(), time_search_circle(delta),
                 1e-12 * (1.0 + path.duration()))
         << "delta = " << delta;
-    EXPECT_TRUE(path.is_continuous());
     EXPECT_TRUE(rv::geom::approx_equal(path.end(), {0.0, 0.0}, 1e-12));
   }
 }
@@ -71,7 +70,6 @@ TEST_P(SearchRoundAlgebra, PathDurationMatchesLemma2) {
   // Lemma 2: Search(k) takes exactly 3(π+1)(k+1)·2^{k+1}.
   EXPECT_NEAR(path.duration(), time_search_round(k),
               1e-10 * path.duration());
-  EXPECT_TRUE(path.is_continuous(1e-9));
   EXPECT_TRUE(rv::geom::approx_equal(path.end(), {0.0, 0.0}, 1e-9));
 }
 
@@ -323,9 +321,9 @@ TEST(SearchEndToEndExtra, RandomisedInstancesStayUnderBound) {
   rv::mathx::Xoshiro256 rng(4242);
   int checked = 0;
   for (int i = 0; i < 12 && checked < 5; ++i) {
-    const double d = rng.log_uniform(1.0, 3.0);
-    const double r = rng.log_uniform(0.05, 0.25);
-    const double ang = rng.angle();
+    const double d = std::exp(rng.uniform(std::log(1.0), std::log(3.0)));
+    const double r = std::exp(rng.uniform(std::log(0.05), std::log(0.25)));
+    const double ang = rng.uniform(0.0, rv::mathx::kTwoPi);
     if (!theorem1_bound_applicable(d, r)) continue;
     ++checked;
     rv::sim::SimOptions opts;
@@ -343,36 +341,6 @@ TEST(SearchEndToEndExtra, RandomisedInstancesStayUnderBound) {
 // ---------------------------------------------------------------------------
 // Baselines
 // ---------------------------------------------------------------------------
-
-TEST(Baselines, ConcentricRoundTimeMatchesEmission) {
-  ConcentricSweepProgram prog;
-  // Sum emitted segment durations for rounds 1..3 and compare against
-  // the closed form.
-  for (int m = 1; m <= 3; ++m) {
-    double acc = 0.0;
-    const auto circles = std::uint64_t{1} << (2 * m - 1);
-    for (std::uint64_t i = 0; i < 3 * circles; ++i) {
-      acc += rv::traj::duration(prog.next());
-    }
-    EXPECT_NEAR(acc, ConcentricSweepProgram::round_time(m), 1e-9 * (1.0 + acc))
-        << "m = " << m;
-  }
-}
-
-TEST(Baselines, SquareSpiralRoundTimeMatchesEmission) {
-  SquareSpiralProgram prog;
-  for (int m = 1; m <= 3; ++m) {
-    const double h = pow2(m);
-    const double s = pow2(-m) * std::sqrt(2.0);
-    const auto rows = static_cast<std::int64_t>(std::floor(2.0 * h / s)) + 1;
-    double acc = 0.0;
-    for (std::int64_t i = 0; i < 2 * rows + 1; ++i) {
-      acc += rv::traj::duration(prog.next());
-    }
-    EXPECT_NEAR(acc, SquareSpiralProgram::round_time(m), 1e-9 * (1.0 + acc))
-        << "m = " << m;
-  }
-}
 
 TEST(Baselines, EmitContinuousTrajectories) {
   for (const auto& prog : {make_concentric_baseline(),

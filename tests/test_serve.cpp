@@ -52,6 +52,7 @@
 #include "engine/serve.hpp"
 #include "io/json.hpp"
 #include "rv_batch_sets.hpp"
+#include "support/io.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define RV_UNDER_TSAN 1

@@ -222,22 +222,30 @@ TEST(SetDeclErrors, UnknownKeyErrorListsTheValidKeys) {
   EXPECT_NE(what.find("sizes"), std::string::npos) << what;
 }
 
-TEST(SetDeclRegistries, HookNamesMatchTheBuiltinLambdas) {
-  using rv::engine::components_hook_names;
-  using rv::engine::horizon_rule_names;
-  EXPECT_EQ(horizon_rule_names(Family::kSearch),
-            std::vector<std::string>{"guaranteed-rounds+1"});
-  EXPECT_EQ(horizon_rule_names(Family::kLinear),
-            std::vector<std::string>{"zigzag-reach+1"});
-  EXPECT_EQ(horizon_rule_names(Family::kCoverage),
-            std::vector<std::string>{"2x-guaranteed-rounds"});
-  EXPECT_TRUE(horizon_rule_names(Family::kRendezvous).empty());
-  EXPECT_TRUE(horizon_rule_names(Family::kGather).empty());
-  EXPECT_EQ(components_hook_names(Family::kSearch),
-            std::vector<std::string>{"guaranteed-rounds"});
-  EXPECT_EQ(components_hook_names(Family::kLinear),
-            std::vector<std::string>{"zigzag-reach"});
-  EXPECT_TRUE(components_hook_names(Family::kCoverage).empty());
+TEST(SetDeclRegistries, UnknownHookErrorListsTheFamilysHooks) {
+  const auto valid = [](const std::string& text) {
+    const std::string what = parse_error(text).what();
+    const std::size_t at = what.find("(valid: ");
+    return at == std::string::npos ? what : what.substr(at);
+  };
+  EXPECT_EQ(valid("[search]\ndistances = 1\nhorizon_rule = x\n"),
+            "(valid: guaranteed-rounds+1)");
+  EXPECT_EQ(valid("[linear]\ndistances = 1\nhorizon_rule = x\n"),
+            "(valid: zigzag-reach+1)");
+  EXPECT_EQ(valid("[coverage]\ndisk_radii = 1\nhorizon_rule = x\n"),
+            "(valid: 2x-guaranteed-rounds)");
+  EXPECT_EQ(valid("[search]\ndistances = 1\ncomponents = x\n"),
+            "(valid: guaranteed-rounds)");
+  EXPECT_EQ(valid("[linear]\ndistances = 1\ncomponents = x\n"),
+            "(valid: zigzag-reach)");
+  // A family with no hook of a kind does not take that key at all.
+  for (const char* text : {"[rendezvous]\nspeeds = 1\nhorizon_rule = x\n",
+                           "[gather]\nsizes = 2\nhorizon_rule = x\n",
+                           "[coverage]\ndisk_radii = 1\ncomponents = x\n"}) {
+    EXPECT_NE(std::string(parse_error(text).what()).find("valid keys:"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(SetDeclFile, NameDefaultsToTheFileStem) {

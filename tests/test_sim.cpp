@@ -9,6 +9,7 @@
 #include "mathx/constants.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
+#include "support/traj.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
 
@@ -265,13 +266,16 @@ TEST(GlobalTrace, BuffersAndEvaluates) {
   p.line_to({4.0, 0.0});
   GlobalTrace trace(std::make_shared<PathProgram>(p, "t"), RobotAttributes{},
                     {1.0, 1.0}, 10.0);
-  EXPECT_TRUE(rv::geom::approx_equal(trace.position_at(0.0), {1.0, 1.0}));
-  EXPECT_TRUE(rv::geom::approx_equal(trace.position_at(2.0), {3.0, 1.0}));
-  EXPECT_TRUE(rv::geom::approx_equal(trace.position_at(9.0), {5.0, 1.0}));
+  EXPECT_TRUE(
+      rv::geom::approx_equal(rv::sim::position_at(trace, 0.0), {1.0, 1.0}));
+  EXPECT_TRUE(
+      rv::geom::approx_equal(rv::sim::position_at(trace, 2.0), {3.0, 1.0}));
+  EXPECT_TRUE(
+      rv::geom::approx_equal(rv::sim::position_at(trace, 9.0), {5.0, 1.0}));
   EXPECT_GE(trace.segments().size(), 2u);
 }
 
-TEST(GlobalTrace, PolylineAndSamples) {
+TEST(GlobalTrace, Polyline) {
   Path p;
   p.line_to({1.0, 0.0});
   p.arc_around({0.0, 0.0}, kPi);
@@ -279,9 +283,6 @@ TEST(GlobalTrace, PolylineAndSamples) {
                     {0.0, 0.0}, 1.0 + kPi);
   const auto poly = trace.polyline(1e-3);
   EXPECT_GE(poly.size(), 10u);
-  const auto samples = trace.sample_positions(11);
-  EXPECT_EQ(samples.size(), 11u);
-  EXPECT_THROW((void)trace.sample_positions(1), std::invalid_argument);
 }
 
 TEST(GlobalTrace, RejectsNonPositiveHorizon) {

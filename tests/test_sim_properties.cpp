@@ -10,6 +10,7 @@
 #include "search/algorithm4.hpp"
 #include "search/times.hpp"
 #include "sim/simulator.hpp"
+#include "support/traj.hpp"
 #include "traj/path.hpp"
 #include "traj/program.hpp"
 

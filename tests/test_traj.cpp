@@ -1,5 +1,5 @@
 // Tests for the trajectory substrate: segments, paths, programs, frame
-// mapping, sampling.
+// mapping, flattening.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
 #include "rendezvous/algorithm7.hpp"
+#include "support/traj.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
 #include "traj/path.hpp"
@@ -39,8 +40,6 @@ TEST(SegmentTest, LineBasics) {
   EXPECT_EQ(start_point(seg), (Vec2{0.0, 0.0}));
   EXPECT_EQ(end_point(seg), (Vec2{3.0, 4.0}));
   EXPECT_TRUE(rv::geom::approx_equal(position_at(seg, 2.5), {1.5, 2.0}));
-  EXPECT_DOUBLE_EQ(traversal_speed(seg), 1.0);
-  EXPECT_FALSE(is_degenerate(seg));
 }
 
 TEST(SegmentTest, PositionClamping) {
@@ -52,8 +51,7 @@ TEST(SegmentTest, PositionClamping) {
 TEST(SegmentTest, DegenerateLine) {
   const Segment seg = LineSeg{{1.0, 1.0}, {1.0, 1.0}};
   EXPECT_DOUBLE_EQ(duration(seg), 0.0);
-  EXPECT_TRUE(is_degenerate(seg));
-  EXPECT_DOUBLE_EQ(traversal_speed(seg), 0.0);
+  EXPECT_EQ(position_at(seg, 0.0), (Vec2{1.0, 1.0}));
 }
 
 TEST(SegmentTest, ArcBasics) {
@@ -90,13 +88,6 @@ TEST(SegmentTest, WaitBasics) {
   const Segment seg = WaitSeg{{2.0, 3.0}, 7.5};
   EXPECT_DOUBLE_EQ(duration(seg), 7.5);
   EXPECT_EQ(position_at(seg, 3.0), (Vec2{2.0, 3.0}));
-  EXPECT_DOUBLE_EQ(traversal_speed(seg), 0.0);
-}
-
-TEST(SegmentTest, MaxRadius) {
-  EXPECT_DOUBLE_EQ(max_radius(Segment{LineSeg{{0.0, 0.0}, {3.0, 4.0}}}), 5.0);
-  EXPECT_DOUBLE_EQ(max_radius(Segment{ArcSeg{{1.0, 0.0}, 2.0, 0.0, 1.0}}), 3.0);
-  EXPECT_DOUBLE_EQ(max_radius(Segment{WaitSeg{{0.0, 2.0}, 1.0}}), 2.0);
 }
 
 TEST(SegmentTest, ValidationRejectsBadParameters) {
@@ -121,10 +112,9 @@ TEST(PathTest, BuildAndEvaluate) {
   p.line_to({0.0, 0.0});
   EXPECT_EQ(p.size(), 3u);
   EXPECT_NEAR(p.duration(), 2.0 + kTwoPi, 1e-12);
-  EXPECT_TRUE(p.is_continuous());
-  EXPECT_TRUE(rv::geom::approx_equal(p.position_at(0.5), {0.5, 0.0}));
+  EXPECT_TRUE(rv::geom::approx_equal(position_at(p, 0.5), {0.5, 0.0}));
   EXPECT_TRUE(
-      rv::geom::approx_equal(p.position_at(1.0 + kPi), {-1.0, 0.0}, 1e-12));
+      rv::geom::approx_equal(position_at(p, 1.0 + kPi), {-1.0, 0.0}, 1e-12));
   EXPECT_TRUE(rv::geom::approx_equal(p.end(), {0.0, 0.0}, 1e-12));
 }
 
@@ -145,18 +135,7 @@ TEST(PathTest, WaitKeepsPosition) {
   p.line_to({2.0, 0.0});
   p.wait(5.0);
   EXPECT_DOUBLE_EQ(p.duration(), 7.0);
-  EXPECT_TRUE(rv::geom::approx_equal(p.position_at(4.0), {2.0, 0.0}));
-}
-
-TEST(PathTest, SegmentStartTimes) {
-  Path p;
-  p.line_to({1.0, 0.0});
-  p.wait(2.0);
-  p.line_to({1.0, 3.0});
-  EXPECT_DOUBLE_EQ(p.segment_start_time(0), 0.0);
-  EXPECT_DOUBLE_EQ(p.segment_start_time(1), 1.0);
-  EXPECT_DOUBLE_EQ(p.segment_start_time(2), 3.0);
-  EXPECT_THROW((void)p.segment_start_time(3), std::out_of_range);
+  EXPECT_TRUE(rv::geom::approx_equal(position_at(p, 4.0), {2.0, 0.0}));
 }
 
 TEST(PathTest, ExtendConcatenates) {
@@ -175,26 +154,15 @@ TEST(PathTest, ExtendConcatenates) {
 TEST(PathTest, PositionClampsOutsideDomain) {
   Path p;
   p.line_to({1.0, 0.0});
-  EXPECT_EQ(p.position_at(-5.0), (Vec2{0.0, 0.0}));
-  EXPECT_EQ(p.position_at(99.0), (Vec2{1.0, 0.0}));
-}
-
-TEST(PathTest, BoundingBoxAndMaxRadius) {
-  Path p;
-  p.line_to({1.0, 0.0});
-  p.arc_around({0.0, 0.0}, kTwoPi);
-  const Box box = p.bounding_box();
-  EXPECT_LE(box.lo.x, -1.0 + 1e-12);
-  EXPECT_GE(box.hi.y, 1.0 - 1e-12);
-  EXPECT_NEAR(p.max_radius(), 1.0, 1e-12);
+  EXPECT_EQ(position_at(p, -5.0), (Vec2{0.0, 0.0}));
+  EXPECT_EQ(position_at(p, 99.0), (Vec2{1.0, 0.0}));
 }
 
 TEST(PathTest, EmptyPath) {
   const Path p({2.0, 2.0});
   EXPECT_TRUE(p.empty());
   EXPECT_DOUBLE_EQ(p.duration(), 0.0);
-  EXPECT_EQ(p.position_at(1.0), (Vec2{2.0, 2.0}));
-  EXPECT_TRUE(p.is_continuous());
+  EXPECT_EQ(position_at(p, 1.0), (Vec2{2.0, 2.0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -230,38 +198,6 @@ TEST(ProgramTest, PathProgramRequiresOriginStart) {
   Path p({1.0, 0.0});
   p.line_to({2.0, 0.0});
   EXPECT_THROW(PathProgram(p, "bad"), std::invalid_argument);
-}
-
-TEST(ProgramTest, RoundProgramChainsRounds) {
-  RoundProgram prog(
-      [](int round, Vec2 start) {
-        Path p(start);
-        p.line_to(start + Vec2{static_cast<double>(round), 0.0});
-        return p;
-      },
-      "rounds");
-  // Round 1 moves +1, round 2 moves +2, ... and stays continuous.
-  Vec2 cur{0.0, 0.0};
-  for (int round = 1; round <= 4; ++round) {
-    const Segment seg = prog.next();
-    const auto* line = std::get_if<LineSeg>(&seg);
-    ASSERT_NE(line, nullptr);
-    EXPECT_TRUE(rv::geom::approx_equal(line->from, cur));
-    cur = line->to;
-  }
-  EXPECT_TRUE(rv::geom::approx_equal(cur, {10.0, 0.0}));
-  EXPECT_EQ(prog.rounds_generated(), 4);
-}
-
-TEST(ProgramTest, RoundProgramRejectsTeleportingRounds) {
-  RoundProgram prog(
-      [](int, Vec2) {
-        Path p({42.0, 0.0});  // ignores the cursor: discontinuous
-        p.line_to({43.0, 0.0});
-        return p;
-      },
-      "bad");
-  EXPECT_THROW((void)prog.next(), std::logic_error);
 }
 
 TEST(ProgramTest, MarkRecorder) {
@@ -378,7 +314,7 @@ TEST_P(FrameIdentity, GlobalPositionMatchesLemma4Formula) {
         break;
       }
     }
-    const Vec2 expected = origin + m * local.position_at(t / tau);
+    const Vec2 expected = origin + m * position_at(local, t / tau);
     EXPECT_TRUE(rv::geom::approx_equal(global_pos, expected, 1e-9))
         << "t=" << t << " got " << global_pos.x << ',' << global_pos.y
         << " expected " << expected.x << ',' << expected.y;
@@ -455,7 +391,8 @@ TEST(FrameTest, StreamMatchesPerSegmentMappingBitwise) {
   // (normalisation may wrap those, so the oracle maps with the
   // stream's own validated attributes).
   rv::mathx::Xoshiro256 rng(4242);
-  const double phis[] = {kPi - 1e-9, -kPi + 1e-9, kPi, rng.angle()};
+  const double phis[] = {kPi - 1e-9, -kPi + 1e-9, kPi,
+                         rng.uniform(0.0, kTwoPi)};
   for (const double phi : phis) {
     RobotAttributes attrs;
     attrs.speed = rng.uniform(0.3, 3.0);
@@ -483,16 +420,6 @@ TEST(FrameTest, StreamMatchesPerSegmentMappingBitwise) {
 // ---------------------------------------------------------------------------
 // Sampling / flattening
 // ---------------------------------------------------------------------------
-
-TEST(SamplerTest, UniformSampling) {
-  auto pos = [](double t) { return Vec2{t, 2.0 * t}; };
-  const auto samples = sample_uniform(pos, 0.0, 1.0, 5);
-  ASSERT_EQ(samples.size(), 5u);
-  EXPECT_DOUBLE_EQ(samples.front().t, 0.0);
-  EXPECT_DOUBLE_EQ(samples.back().t, 1.0);
-  EXPECT_TRUE(rv::geom::approx_equal(samples[2].position, {0.5, 1.0}));
-  EXPECT_THROW((void)sample_uniform(pos, 0.0, 1.0, 1), std::invalid_argument);
-}
 
 TEST(SamplerTest, FlattenArcRespectsChordError) {
   const Segment seg = ArcSeg{{0.0, 0.0}, 2.0, 0.0, kTwoPi};

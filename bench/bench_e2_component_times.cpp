@@ -3,23 +3,16 @@
 //
 // The paper's evaluation is its algebra; this bench mechanically
 // verifies every line of Lemma 2 on real trajectories and prints the
-// comparison table.
-//
-// Each sub-table is a *components-only* search-family
-// `engine::ScenarioSet`: the parameter grid (δ, the annulus triples, k)
-// is data, and the per-cell component-times hook computes the measured
-// duration next to the Lemma 2 closed form inside the engine's
-// deterministic `Runner`.  This file only declares the grids and
-// formats the records.
+// comparison table.  It runs no simulation: each row is the generated
+// path's duration next to its closed form.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "engine/runner.hpp"
-#include "engine/scenario_set.hpp"
 #include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
 #include "io/table.hpp"
@@ -33,22 +26,10 @@ int main() {
                 "Lemma 2 (times of Algorithms 1-4), Equation (1)");
 
   // --- SearchCircle(δ) -----------------------------------------------------
-  engine::ScenarioSet circle;
-  circle.components_only()
-      .search_distances({0.125, 0.5, 1.0, 2.0, 8.0})
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome&) {
-        const double delta = c.distance;
-        return engine::Components{
-            {"measured", search::search_circle_path(delta).duration()},
-            {"formula", search::time_search_circle(delta)}};
-      });
-
   io::Table t1({"delta", "path duration", "2(pi+1)*delta", "rel err"});
-  for (const engine::RunRecord& rec : engine::run_scenarios(circle)) {
-    const double delta = rec.search.distance;
-    const double measured = engine::component_value(rec.components, "measured");
-    const double formula = engine::component_value(rec.components, "formula");
+  for (const double delta : {0.125, 0.5, 1.0, 2.0, 8.0}) {
+    const double measured = search::search_circle_path(delta).duration();
+    const double formula = search::time_search_circle(delta);
     t1.add_row({io::format_fixed(delta, 3), io::format_fixed(measured, 6),
                 io::format_fixed(formula, 6),
                 io::format_sci(std::abs(measured - formula) /
@@ -58,71 +39,36 @@ int main() {
   t1.print(std::cout, "Algorithm 1 - SearchCircle:");
 
   // --- SearchAnnulus(δ1, δ2, ρ) -------------------------------------------
-  engine::ScenarioSet annulus;
-  annulus.components_only();
   const struct {
     double d1, d2, rho;
   } annuli[] = {{0.5, 1.0, 0.125}, {1.0, 2.0, 0.0625}, {0.25, 0.5, 0.03125},
                 {2.0, 4.0, 0.5}};
-  for (const auto& a : annuli) {
-    annulus.add_search(
-        engine::SearchCell{}, "",
-        [a](const engine::SearchCell&, const engine::SearchOutcome&) {
-          return engine::Components{
-              {"d1", a.d1},
-              {"d2", a.d2},
-              {"rho", a.rho},
-              {"measured",
-               search::search_annulus_path(a.d1, a.d2, a.rho).duration()},
-              {"formula", search::time_search_annulus(a.d1, a.d2, a.rho)}};
-        });
-  }
-
   io::Table t2({"d1", "d2", "rho", "path duration", "Lemma 2 formula",
                 "rel err"});
-  for (const engine::RunRecord& rec : engine::run_scenarios(annulus)) {
-    const double measured = engine::component_value(rec.components, "measured");
-    const double formula = engine::component_value(rec.components, "formula");
-    t2.add_row({io::format_fixed(engine::component_value(rec.components, "d1"),
-                                 3),
-                io::format_fixed(engine::component_value(rec.components, "d2"),
-                                 3),
-                io::format_fixed(engine::component_value(rec.components, "rho"),
-                                 5),
-                io::format_fixed(measured, 4), io::format_fixed(formula, 4),
+  for (const auto& a : annuli) {
+    const double measured =
+        search::search_annulus_path(a.d1, a.d2, a.rho).duration();
+    const double formula = search::time_search_annulus(a.d1, a.d2, a.rho);
+    t2.add_row({io::format_fixed(a.d1, 3), io::format_fixed(a.d2, 3),
+                io::format_fixed(a.rho, 5), io::format_fixed(measured, 4),
+                io::format_fixed(formula, 4),
                 io::format_sci(std::abs(measured - formula) / formula, 2)});
   }
   t2.print(std::cout, "\nAlgorithm 2 - SearchAnnulus:");
 
   // --- Search(k) and prefix sums -------------------------------------------
-  engine::ScenarioSet rounds;
-  rounds.components_only()
-      .search_distances({1, 2, 3, 4, 5, 6, 7, 8})
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome&) {
-        const int k = static_cast<int>(c.distance);
-        search::SearchRoundEmitter emitter(k);
-        double acc = 0.0;
-        std::uint64_t segments = 0;
-        while (!emitter.done()) {
-          acc += traj::duration(emitter.next());
-          ++segments;
-        }
-        return engine::Components{
-            {"measured", acc},
-            {"formula", search::time_search_round(k)},
-            {"segments", static_cast<double>(segments)}};
-      });
-
   io::Table t3({"k", "emitted duration", "3(pi+1)(k+1)2^{k+1}", "rel err",
                 "segments"});
   std::vector<io::CsvRow> csv;
-  for (const engine::RunRecord& rec : engine::run_scenarios(rounds)) {
-    const int k = static_cast<int>(rec.search.distance);
-    const double acc = engine::component_value(rec.components, "measured");
-    const double formula = engine::component_value(rec.components, "formula");
-    const auto segments = static_cast<std::uint64_t>(
-        engine::component_value(rec.components, "segments"));
+  for (int k = 1; k <= 8; ++k) {
+    search::SearchRoundEmitter emitter(k);
+    double acc = 0.0;
+    std::uint64_t segments = 0;
+    while (!emitter.done()) {
+      acc += traj::duration(emitter.next());
+      ++segments;
+    }
+    const double formula = search::time_search_round(k);
     t3.add_row({std::to_string(k), io::format_fixed(acc, 2),
                 io::format_fixed(formula, 2),
                 io::format_sci(std::abs(acc - formula) / formula, 2),
@@ -132,32 +78,14 @@ int main() {
   }
   t3.print(std::cout, "\nAlgorithm 3 - Search(k) (O(1)-memory emitter):");
 
-  engine::ScenarioSet prefixes;
-  prefixes.components_only()
-      .search_distances({1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome&) {
-        const int k = static_cast<int>(c.distance);
-        // Σ_{j≤k} in ascending j — the same accumulation order (and
-        // therefore the same doubles) as the incremental sum the
-        // pre-port loop carried across rows.
-        double prefix = 0.0;
-        for (int j = 1; j <= k; ++j) prefix += search::time_search_round(j);
-        return engine::Components{
-            {"prefix", prefix},
-            {"first_rounds", search::time_first_rounds(k)},
-            {"eq1", 12.0 * (mathx::kPi + 1.0) * k * mathx::pow2(k)}};
-      });
-
   io::Table t4({"k", "sum of rounds 1..k", "3(pi+1)k*2^{k+2}", "S(k) of Eq.(1)"});
-  for (const engine::RunRecord& rec : engine::run_scenarios(prefixes)) {
-    const int k = static_cast<int>(rec.search.distance);
+  double prefix = 0.0;  // Σ_{j≤k} in ascending j
+  for (int k = 1; k <= 10; ++k) {
+    prefix += search::time_search_round(k);
     t4.add_row(
-        {std::to_string(k),
-         io::format_fixed(engine::component_value(rec.components, "prefix"), 1),
-         io::format_fixed(
-             engine::component_value(rec.components, "first_rounds"), 1),
-         io::format_fixed(engine::component_value(rec.components, "eq1"), 1)});
+        {std::to_string(k), io::format_fixed(prefix, 1),
+         io::format_fixed(search::time_first_rounds(k), 1),
+         io::format_fixed(12.0 * (mathx::kPi + 1.0) * k * mathx::pow2(k), 1)});
   }
   t4.print(std::cout, "\nAlgorithm 4 prefix times (= S(k), Equation (1)):");
 

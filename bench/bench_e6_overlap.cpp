@@ -6,21 +6,14 @@
 // overlap between R's active phases and R′'s inactive phases (computed
 // from the exact schedule algebra), the lemma windows that predict
 // which (k, a) pairs overlap, and a Gantt SVG in the style of
-// Figure 3's two panels.
-//
-// Both tables are *components-only* rendezvous-family
-// `engine::ScenarioSet`s: the τ grid rides the engine's `time_units`
-// axis and the per-cell overlap algebra is a component-times hook run
-// by the deterministic `Runner`; the lemma-window rows are explicit
-// cells with per-cell hooks.  This file only declares and formats.
+// Figure 3's two panels.  No simulation runs: every row is schedule
+// algebra.
 
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "engine/runner.hpp"
-#include "engine/scenario_set.hpp"
 #include "io/table.hpp"
 #include "mathx/binary.hpp"
 #include "rendezvous/schedule.hpp"
@@ -44,59 +37,32 @@ int main() {
   const std::vector<double> taus{0.5, 0.6, 2.0 / 3.0, 0.75, 0.9};
 
   // --- per-round overlap over the τ grid -----------------------------------
-  engine::ScenarioSet grid;
-  grid.components_only().time_units(taus).components(
-      [](const rendezvous::Scenario& s, const rendezvous::Outcome&) {
-        const double tau = s.attrs.time_unit;
-        const auto dec = mathx::dyadic_decompose(tau);
-        // First round with a positive overlap against any peer
-        // inactive phase (k0 = 0 when none exists by round 40).
-        int k0 = 0;
-        for (int k = 1; k <= 40 && k0 == 0; ++k) {
-          if (rendezvous::best_overlap_with_inactive(k, tau)) k0 = k;
-        }
-        engine::Components out{
-            {"t", dec.t},
-            {"a", static_cast<double>(dec.a)},
-            {"k0", static_cast<double>(k0)},
-            {"S", k0 > 0 ? rendezvous::search_all_time(k0) : 0.0}};
-        for (int j = 0; j <= 6; ++j) {
-          out.push_back({"ov" + std::to_string(j),
-                         k0 > 0 ? overlap_at(k0 + j, tau) : 0.0});
-        }
-        return out;
-      });
-
-  const engine::ResultSet overlaps = engine::run_scenarios(grid);
-  for (const engine::RunRecord& rec : overlaps) {
-    if (engine::component_value(rec.components, "k0") == 0.0) {
-      std::cerr << "no overlap found for tau=" << rec.scenario.attrs.time_unit
-                << '\n';
-      return 1;
-    }
-  }
-
   io::Table table({"tau", "t", "a", "k", "overlap(k)", "overlap(k+2)",
                    "overlap(k+4)", "S(k)"});
   std::vector<io::CsvRow> csv;
-  for (const engine::RunRecord& rec : overlaps) {
-    const double tau = rec.scenario.attrs.time_unit;
-    const int k0 =
-        static_cast<int>(engine::component_value(rec.components, "k0"));
-    table.add_row(
-        {io::format_fixed(tau, 4),
-         io::format_fixed(engine::component_value(rec.components, "t"), 4),
-         std::to_string(
-             static_cast<int>(engine::component_value(rec.components, "a"))),
-         std::to_string(k0),
-         io::format_fixed(engine::component_value(rec.components, "ov0"), 1),
-         io::format_fixed(engine::component_value(rec.components, "ov2"), 1),
-         io::format_fixed(engine::component_value(rec.components, "ov4"), 1),
-         io::format_fixed(engine::component_value(rec.components, "S"), 1)});
+  for (const double tau : taus) {
+    const auto dec = mathx::dyadic_decompose(tau);
+    // First round with a positive overlap against any peer inactive
+    // phase.
+    int k0 = 0;
+    for (int k = 1; k <= 40 && k0 == 0; ++k) {
+      if (rendezvous::best_overlap_with_inactive(k, tau)) k0 = k;
+    }
+    if (k0 == 0) {
+      std::cerr << "no overlap found for tau=" << tau << '\n';
+      return 1;
+    }
+    double overlap[7];
+    for (int j = 0; j <= 6; ++j) overlap[j] = overlap_at(k0 + j, tau);
+    table.add_row({io::format_fixed(tau, 4), io::format_fixed(dec.t, 4),
+                   std::to_string(dec.a), std::to_string(k0),
+                   io::format_fixed(overlap[0], 1),
+                   io::format_fixed(overlap[2], 1),
+                   io::format_fixed(overlap[4], 1),
+                   io::format_fixed(rendezvous::search_all_time(k0), 1)});
     for (int j = 0; j <= 6; ++j) {
       csv.push_back({io::format_double(tau), std::to_string(k0 + j),
-                     io::format_double(engine::component_value(
-                         rec.components, "ov" + std::to_string(j)))});
+                     io::format_double(overlap[j])});
     }
   }
   table.print(std::cout,
@@ -105,51 +71,26 @@ int main() {
 
   // Lemma 9/10 window verification: sampled τ in each window must give
   // the predicted positive overlap.
-  engine::ScenarioSet windows;
-  windows.components_only();
+  io::Table t2({"lemma", "k", "a", "window lo", "window hi",
+                "overlap at midpoint", "predicted"});
   for (const int k : {8, 12, 16}) {
     for (const int a : {0, 1}) {
       if (k < 2 * (a + 1)) continue;
       for (const int lemma : {9, 10}) {
-        windows.add(
-            rendezvous::Scenario{}, "",
-            [lemma, k, a](const rendezvous::Scenario&,
-                          const rendezvous::Outcome&) {
-              const auto window = lemma == 9
-                                      ? rendezvous::lemma9_tau_window(k, a)
-                                      : rendezvous::lemma10_tau_window(k, a);
-              const double tau = window.midpoint();
-              const double predicted =
-                  lemma == 9 ? rendezvous::lemma9_overlap(tau, k, a)
-                             : rendezvous::lemma10_overlap(tau, k, a);
-              return engine::Components{
-                  {"lemma", static_cast<double>(lemma)},
-                  {"k", static_cast<double>(k)},
-                  {"a", static_cast<double>(a)},
-                  {"lo", window.lo},
-                  {"hi", window.hi},
-                  {"overlap_mid", overlap_at(lemma == 9 ? k : k - 1, tau)},
-                  {"predicted", predicted}};
-            });
+        const auto window = lemma == 9 ? rendezvous::lemma9_tau_window(k, a)
+                                       : rendezvous::lemma10_tau_window(k, a);
+        const double tau = window.midpoint();
+        const double predicted = lemma == 9
+                                     ? rendezvous::lemma9_overlap(tau, k, a)
+                                     : rendezvous::lemma10_overlap(tau, k, a);
+        t2.add_row({std::to_string(lemma), std::to_string(k),
+                    std::to_string(a), io::format_fixed(window.lo, 5),
+                    io::format_fixed(window.hi, 5),
+                    io::format_fixed(overlap_at(lemma == 9 ? k : k - 1, tau),
+                                     1),
+                    io::format_fixed(predicted, 1)});
       }
     }
-  }
-
-  io::Table t2({"lemma", "k", "a", "window lo", "window hi",
-                "overlap at midpoint", "predicted"});
-  for (const engine::RunRecord& rec : engine::run_scenarios(windows)) {
-    auto as_int = [&rec](const char* name) {
-      return std::to_string(
-          static_cast<int>(engine::component_value(rec.components, name)));
-    };
-    t2.add_row(
-        {as_int("lemma"), as_int("k"), as_int("a"),
-         io::format_fixed(engine::component_value(rec.components, "lo"), 5),
-         io::format_fixed(engine::component_value(rec.components, "hi"), 5),
-         io::format_fixed(
-             engine::component_value(rec.components, "overlap_mid"), 1),
-         io::format_fixed(engine::component_value(rec.components, "predicted"),
-                          1)});
   }
   t2.print(std::cout, "\nLemma 9/10 window checks (tau at window midpoint):");
 

@@ -18,15 +18,6 @@ namespace rv::engine {
 
 const char* family_name(Family family) { return describe(family).name; }
 
-double component_value(const Components& components,
-                       const std::string& name) {
-  for (const Component& c : components) {
-    if (c.name == name) return c.value;
-  }
-  throw std::out_of_range("component_value: no component named '" + name +
-                          "'");
-}
-
 const char* linear_mode_name(LinearMode mode) {
   switch (mode) {
     case LinearMode::kZigZagSearch: return "zigzag-search";
@@ -226,9 +217,6 @@ void append_vec2(std::string& out, const geom::Vec2& v) {
 }  // namespace
 
 std::optional<std::string> cache_key(const WorkItem& item) {
-  // Components-only items have no payload outcome to memoize, and the
-  // hook itself (an arbitrary function) has no stable identity.
-  if (item.components_only) return std::nullopt;
   std::string key(1, describe(item.family).key_tag);
   switch (item.family) {
     case Family::kRendezvous: {

@@ -25,11 +25,6 @@
 ///    coverage-vs-time series against a target disk (the area argument
 ///    of the Ω(d²/r) lower bound, [25]).
 ///
-/// In addition every work item may carry a **component-times hook**:
-/// a function producing named numeric sub-metrics (e.g. Lemma 2's
-/// closed forms next to measured path durations) that the runner
-/// evaluates per cell and `ResultSet` emits as extra standard columns.
-///
 /// All families are executed by the same deterministic `Runner`
 /// (results placed by cell index, never completion order) and reported
 /// through `ResultSet`, so table/CSV/JSON output stays byte-identical
@@ -71,36 +66,6 @@ enum class Family {
 /// Display name ("rendezvous", "search", "gather", "linear",
 /// "coverage"): `describe(family).name`.
 [[nodiscard]] const char* family_name(Family family);
-
-// ---------------------------------------------------------------------------
-// Component times (named sub-metric columns)
-// ---------------------------------------------------------------------------
-
-/// One named numeric sub-metric of a cell — e.g. a Lemma 2 closed form
-/// next to the measured duration of the generated trajectory.
-struct Component {
-  std::string name;
-  double value = 0.0;
-};
-
-/// The component times of one cell, in declaration order (the order
-/// becomes the column order in `ResultSet` emission).
-using Components = std::vector<Component>;
-
-/// The value of the named component.  \throws std::out_of_range when
-/// the name is absent.
-[[nodiscard]] double component_value(const Components& components,
-                                     const std::string& name);
-
-struct RunRecord;  // defined below, after the cells and outcomes
-
-/// The component-times hook of a work item: evaluated by the runner
-/// after the cell's payload run (the record carries both the cell and
-/// its outcome), inside the worker, so hooks parallelise with the
-/// sweep.  Must be a pure function of the record.  `ScenarioSet`
-/// installs per-family typed hooks and per-cell overrides; see
-/// engine/scenario_set.hpp.
-using ComponentsFn = std::function<Components(const RunRecord&)>;
 
 // ---------------------------------------------------------------------------
 // Search family
@@ -289,17 +254,6 @@ struct WorkItem {
   GatherCell gather;              ///< kGather payload
   LinearCell linear;              ///< kLinear payload
   CoverageCell coverage;          ///< kCoverage payload
-  /// Component-times hook; evaluated by the runner after the payload
-  /// run (or immediately, for `components_only` items) and emitted by
-  /// `ResultSet` as extra standard columns.
-  ComponentsFn components;
-  /// When true the payload run is skipped entirely: the outcome stays
-  /// default-constructed and only `components` is evaluated.  Used for
-  /// pure-algebra sweeps (e.g. Lemma 2 closed forms) that want the
-  /// declarative grid + deterministic parallel runner without a
-  /// simulation.  Components-only items have no content key (nothing
-  /// is memoized), so they count as uncacheable under a cache.
-  bool components_only = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -307,9 +261,7 @@ struct WorkItem {
 // ---------------------------------------------------------------------------
 
 /// One executed work item: what ran and what happened.  Only the
-/// payload pair matching `family` is meaningful.  (Defined here rather
-/// than in runner.hpp so component-times hooks can see both the cell
-/// and its outcome.)
+/// payload pair matching `family` is meaningful.
 struct RunRecord {
   Family family = Family::kRendezvous;
   std::string label;
@@ -328,8 +280,6 @@ struct RunRecord {
   // kCoverage payload
   CoverageCell coverage;
   CoverageOutcome coverage_outcome;
-  /// Evaluated component times (empty when the item had no hook).
-  Components components;
 
   /// Moves `outcome` into the payload field of its family.
   void set_outcome(CellOutcome outcome);
@@ -353,9 +303,7 @@ struct RunRecord {
 /// has no stable identity, so memoizing it could silently alias two
 /// different programs.  Give the cell a unique `program_name` to make
 /// it cacheable (the name must identify the program, and the factory
-/// must be deterministic).  Components-only items are also uncacheable:
-/// they produce no payload outcome to memoize (component hooks are
-/// always re-evaluated, never cached).
+/// must be deterministic).
 [[nodiscard]] std::optional<std::string> cache_key(const WorkItem& item);
 
 // ---------------------------------------------------------------------------
@@ -399,7 +347,7 @@ struct FamilyDescriptor {
   const char* name = "";  ///< `family_name`
   char key_tag = 0;       ///< first byte of the family's cache keys
   /// Standard output columns in emission order (after the label, before
-  /// component columns and caller extras).
+  /// caller extras).
   std::span<const SchemaColumn> columns;
   /// Appends the cache-store payload of `outcome`, which holds this
   /// family's alternative.

@@ -14,15 +14,14 @@
 
 #include "engine/failpoint.hpp"
 #include "io/json.hpp"
-#include "rendezvous/feasibility.hpp"
 
 namespace rv::engine {
 
 namespace {
 
 /// Calls `cell(name, value, format)` for each column of `rec` in
-/// emission order: label, the family's standard columns, components,
-/// extras (the order of `ResultSet::csv_header`).
+/// emission order: label, the family's standard columns, extras (the
+/// order of `ResultSet::csv_header`).
 template <typename Cell>
 void walk_row(const RunRecord& rec, bool label,
               std::span<const SchemaColumn> columns,
@@ -36,11 +35,6 @@ void walk_row(const RunRecord& rec, bool label,
   }
   for (const SchemaColumn& col : columns) {
     cell(col.name, col.get(rec), col.table);
-  }
-  value.kind = FieldValue::Kind::kNumber;
-  for (const Component& c : rec.components) {
-    value.number = c.value;
-    cell(c.name, value, plain);
   }
   value.kind = FieldValue::Kind::kText;
   for (const Column& col : extras) {
@@ -103,6 +97,7 @@ std::string table_cell(const FieldValue& v, const TableFormat& format,
 
 ResultSet::ResultSet(std::vector<RunRecord> records)
     : records_(std::move(records)) {
+  if (!records_.empty()) family_ = records_[0].family;
   for (const RunRecord& rec : records_) {
     if (!rec.label.empty()) {
       any_label_ = true;
@@ -117,6 +112,7 @@ ResultSet ResultSet::filtered(Family family) const {
     if (rec.family == family) subset.push_back(rec);
   }
   ResultSet out(std::move(subset));
+  out.set_family(family);
   out.set_cache_stats(cache_stats_);
   return out;
 }
@@ -164,36 +160,20 @@ void ScenarioCache::clear() {
 }
 
 std::span<const SchemaColumn> ResultSet::schema() const {
-  if (records_.empty()) return describe(Family::kRendezvous).columns;
-  const RunRecord& first = records_[0];
   for (const RunRecord& rec : records_) {
-    if (rec.family != first.family) {
+    if (rec.family != family_) {
       throw std::logic_error(
           "ResultSet: emission needs a homogeneous family; split mixed runs "
           "with filtered()");
     }
-    bool same = rec.components.size() == first.components.size();
-    for (std::size_t i = 0; same && i < rec.components.size(); ++i) {
-      same = rec.components[i].name == first.components[i].name;
-    }
-    if (!same) {
-      throw std::logic_error(
-          "ResultSet: emission needs one component-column schema; records "
-          "disagree on component names");
-    }
   }
-  return describe(first.family).columns;
+  return describe(family_).columns;
 }
 
 io::CsvRow ResultSet::csv_header(const std::vector<Column>& extras) const {
   io::CsvRow header;
   if (any_label_) header.push_back("label");
   for (const SchemaColumn& col : schema()) header.push_back(col.name);
-  if (!records_.empty()) {
-    for (const Component& c : records_[0].components) {
-      header.push_back(c.name);
-    }
-  }
   for (const Column& col : extras) header.push_back(col.name);
   return header;
 }
@@ -255,12 +235,18 @@ io::Table ResultSet::to_table(const std::vector<Column>& extras,
   return table;
 }
 
+void check_format(std::string_view format) {
+  if (format != "csv" && format != "json" && format != "table") {
+    throw std::invalid_argument("format must be csv, json or table, got '" +
+                                std::string(format) + "'");
+  }
+}
+
 std::string render(const ResultSet& results, std::string_view format) {
+  check_format(format);
   if (format == "csv") return results.to_csv();
   if (format == "json") return results.to_json();
-  if (format == "table") return results.to_table().to_ascii();
-  throw std::invalid_argument("format must be csv, json or table, got '" +
-                              std::string(format) + "'");
+  return results.to_table().to_ascii();
 }
 
 Classification classify(const std::vector<WorkItem>& work,
@@ -314,9 +300,7 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
       const bool keyed = options.cache != nullptr &&
                          !classification.keys.empty() && classification.keys[i];
       ScenarioCache::Entry entry;
-      bool have_outcome =
-          keyed && options.cache->lookup(*classification.keys[i], &entry);
-      if (!have_outcome && !item.components_only) {
+      if (!keyed || !options.cache->lookup(*classification.keys[i], &entry)) {
         switch (item.family) {
           case Family::kRendezvous:
             entry = rendezvous::run_scenario(item.scenario);
@@ -334,21 +318,9 @@ ResultSet run_scenarios(const std::vector<WorkItem>& work,
             entry = run_coverage_cell(item.coverage);
             break;
         }
-        have_outcome = true;
         if (keyed) options.cache->store(*classification.keys[i], entry);
       }
-      if (have_outcome) {
-        rec.set_outcome(std::move(entry));
-      } else if (item.family == Family::kRendezvous) {
-        // A components-only rendezvous item runs no scenario, but its
-        // `feasible` column is still emitted: Theorem 4 decides it
-        // from the attributes alone.
-        rec.outcome.feasibility = rendezvous::classify(item.scenario.attrs);
-      }
-      // Component times are evaluated on every run — computed and
-      // replayed cells alike — so caching stays oblivious to the
-      // (identity-less) hook functions.
-      if (item.components) rec.components = item.components(rec);
+      rec.set_outcome(std::move(entry));
       records[i] = std::move(rec);
     } catch (...) {
       errors[i] = std::current_exception();

@@ -18,11 +18,10 @@
 /// the same columns in the same order: the label (when any record has
 /// one), the family's standard columns (its `FamilyDescriptor` schema
 /// in engine/families.cpp, the one place their names and formats are
-/// defined), one column per component time (when the cells carry a
-/// component-times hook; names must agree across records), then
-/// caller-supplied derived columns (bounds, ratios, certificates)
-/// computed from each record.  Emission requires a homogeneous family;
-/// mixed runs are split per family with `filtered()`.
+/// defined), then caller-supplied derived columns (bounds, ratios,
+/// certificates) computed from each record.  Emission requires a
+/// homogeneous family; mixed runs are split per family with
+/// `filtered()`.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,9 +61,7 @@ namespace rv::engine {
 class ScenarioCache {
  public:
   /// One memoized outcome, of the family named by the key's leading
-  /// byte.  Component times are never stored: hooks are re-evaluated
-  /// on every run (they are pure functions of the record, and an
-  /// arbitrary function has no content identity to key).
+  /// byte.
   using Entry = CellOutcome;
 
   /// Copies the entry stored under `key` into `*out`; false if absent.
@@ -126,9 +123,8 @@ struct RunnerOptions {
   ScenarioCache* cache = nullptr;
 };
 
-// RunRecord — one executed work item — lives in engine/families.hpp
-// (next to the cells and outcomes it aggregates, where component-times
-// hooks can see it).
+// RunRecord — one executed work item — lives in engine/families.hpp,
+// next to the cells and outcomes it aggregates.
 
 /// A derived column: name plus a per-record formatter.
 struct Column {
@@ -161,14 +157,20 @@ class ResultSet {
   /// Attaches the producing run's counters (called by the runner).
   void set_cache_stats(const CacheStats& stats) { cache_stats_ = stats; }
 
+  /// Names the family whose columns emission uses (by default the
+  /// first record's, or rendezvous for an empty set), so that a set
+  /// that ran no item (an empty shard, a partial run that lost every
+  /// item) still emits its own family's header.
+  void set_family(Family family) { family_ = family; }
+
   /// The subset of records belonging to `family` (for emitting mixed
   /// runs one family at a time).
   [[nodiscard]] ResultSet filtered(Family family) const;
 
   /// The column names every format uses: "label" (only when any record
-  /// has one), the family's standard columns, the component names, the
-  /// extras.  \throws std::logic_error when records of different
-  /// families are mixed or disagree on component names.
+  /// has one), the family's standard columns, the extras.
+  /// \throws std::logic_error when a record is not of the set's
+  /// family.
   [[nodiscard]] io::CsvRow csv_header(
       const std::vector<Column>& extras = {}) const;
   /// Full CSV document (header + one row per record, in order).
@@ -185,15 +187,19 @@ class ResultSet {
                                    int precision = 4) const;
 
  private:
-  /// The standard columns of the records' single family, after
-  /// checking the set can be emitted.  \throws std::logic_error when
-  /// families are mixed or component names disagree.
+  /// The standard columns of `family_`, after checking every record
+  /// belongs to it.  \throws std::logic_error otherwise.
   [[nodiscard]] std::span<const SchemaColumn> schema() const;
 
   std::vector<RunRecord> records_;
+  Family family_ = Family::kRendezvous;
   bool any_label_ = false;
   CacheStats cache_stats_;
 };
+
+/// \throws std::invalid_argument unless `format` is "csv", "json" or
+/// "table" (front-ends call it before any work).
+void check_format(std::string_view format);
 
 /// The document a client asked for: `to_csv()`, `to_json()`, or the
 /// ASCII rendering of `to_table()`, for `format` = "csv" / "json" /

@@ -1,21 +1,20 @@
 #include "engine/scenario_set.hpp"
 
+#include <iterator>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace rv::engine {
 
 namespace {
 
-/// Where one family's cell, outcome and horizon live in the generic
-/// `WorkItem` and `RunRecord`.
-template <Family F, auto ItemCell, auto RecordCell, auto RecordOutcome,
-          auto Horizon>
+/// Where one family's cell and horizon live in the generic `WorkItem`.
+template <Family F, auto ItemCell, auto Horizon>
 struct SlotsOf {
   static constexpr Family kFamily = F;
   static constexpr auto kItemCell = ItemCell;
-  static constexpr auto kRecordCell = RecordCell;
-  static constexpr auto kRecordOutcome = RecordOutcome;
   static constexpr auto kHorizon = Horizon;
 };
 
@@ -23,37 +22,23 @@ template <class Cell>
 struct Slots;
 template <>
 struct Slots<rendezvous::Scenario>
-    : SlotsOf<Family::kRendezvous, &WorkItem::scenario, &RunRecord::scenario,
-              &RunRecord::outcome, &rendezvous::Scenario::max_time> {};
+    : SlotsOf<Family::kRendezvous, &WorkItem::scenario,
+              &rendezvous::Scenario::max_time> {};
 template <>
 struct Slots<SearchCell>
-    : SlotsOf<Family::kSearch, &WorkItem::search, &RunRecord::search,
-              &RunRecord::search_outcome, &SearchCell::max_time> {};
+    : SlotsOf<Family::kSearch, &WorkItem::search, &SearchCell::max_time> {};
 /// A gather cell has two horizons (contact and all-pairs) and no
 /// horizon hook.
 template <>
 struct Slots<GatherCell>
-    : SlotsOf<Family::kGather, &WorkItem::gather, &RunRecord::gather,
-              &RunRecord::gather_outcome, nullptr> {};
+    : SlotsOf<Family::kGather, &WorkItem::gather, nullptr> {};
 template <>
 struct Slots<LinearCell>
-    : SlotsOf<Family::kLinear, &WorkItem::linear, &RunRecord::linear,
-              &RunRecord::linear_outcome, &LinearCell::max_time> {};
+    : SlotsOf<Family::kLinear, &WorkItem::linear, &LinearCell::max_time> {};
 template <>
 struct Slots<CoverageCell>
-    : SlotsOf<Family::kCoverage, &WorkItem::coverage, &RunRecord::coverage,
-              &RunRecord::coverage_outcome, &CoverageCell::horizon> {};
-
-/// Lifts a typed per-family component hook onto the generic
-/// record-level hook the work items carry.
-template <class Cell, class Outcome>
-ComponentsFn wrap(FamilyComponentsFn<Cell, Outcome> fn) {
-  if (!fn) return nullptr;
-  return [fn = std::move(fn)](const RunRecord& rec) {
-    return fn(rec.*Slots<Cell>::kRecordCell,
-              rec.*Slots<Cell>::kRecordOutcome);
-  };
-}
+    : SlotsOf<Family::kCoverage, &WorkItem::coverage,
+              &CoverageCell::horizon> {};
 
 template <class T>
 void set_axis(std::vector<T>& axis, std::vector<T> values, bool& has_grid) {
@@ -70,10 +55,9 @@ std::vector<T> or_base(const std::vector<T>& axis, const T& base) {
 
 }  // namespace
 
-ScenarioSet& ScenarioSet::add(rendezvous::Scenario scenario, std::string label,
-                              RendezvousComponentsFn components) {
-  rendezvous_.added.push_back(
-      {std::move(scenario), std::move(label), wrap(std::move(components))});
+ScenarioSet& ScenarioSet::add(rendezvous::Scenario scenario,
+                              std::string label) {
+  rendezvous_.added.push_back({std::move(scenario), std::move(label)});
   return *this;
 }
 
@@ -141,15 +125,8 @@ ScenarioSet& ScenarioSet::filter(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::components(RendezvousComponentsFn fn) {
-  rendezvous_.components = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::add_search(SearchCell cell, std::string label,
-                                     SearchComponentsFn components) {
-  search_.added.push_back(
-      {std::move(cell), std::move(label), wrap(std::move(components))});
+ScenarioSet& ScenarioSet::add_search(SearchCell cell, std::string label) {
+  search_.added.push_back({std::move(cell), std::move(label)});
   return *this;
 }
 
@@ -185,15 +162,8 @@ ScenarioSet& ScenarioSet::search_filter(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::search_components(SearchComponentsFn fn) {
-  search_.components = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::add_gather(GatherCell cell, std::string label,
-                                     GatherComponentsFn components) {
-  gather_.added.push_back(
-      {std::move(cell), std::move(label), wrap(std::move(components))});
+ScenarioSet& ScenarioSet::add_gather(GatherCell cell, std::string label) {
+  gather_.added.push_back({std::move(cell), std::move(label)});
   return *this;
 }
 
@@ -207,10 +177,8 @@ ScenarioSet& ScenarioSet::gather_sizes(std::vector<int> values) {
   return *this;
 }
 
-ScenarioSet& ScenarioSet::add_linear(LinearCell cell, std::string label,
-                                     LinearComponentsFn components) {
-  linear_.added.push_back(
-      {std::move(cell), std::move(label), wrap(std::move(components))});
+ScenarioSet& ScenarioSet::add_linear(LinearCell cell, std::string label) {
+  linear_.added.push_back({std::move(cell), std::move(label)});
   return *this;
 }
 
@@ -235,15 +203,8 @@ ScenarioSet& ScenarioSet::linear_horizon(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::linear_components(LinearComponentsFn fn) {
-  linear_.components = std::move(fn);
-  return *this;
-}
-
-ScenarioSet& ScenarioSet::add_coverage(CoverageCell cell, std::string label,
-                                       CoverageComponentsFn components) {
-  coverage_.added.push_back(
-      {std::move(cell), std::move(label), wrap(std::move(components))});
+ScenarioSet& ScenarioSet::add_coverage(CoverageCell cell, std::string label) {
+  coverage_.added.push_back({std::move(cell), std::move(label)});
   return *this;
 }
 
@@ -280,19 +241,11 @@ ScenarioSet& ScenarioSet::coverage_label(
   return *this;
 }
 
-ScenarioSet& ScenarioSet::components_only(bool on) {
-  components_only_ = on;
-  return *this;
-}
-
-template <class Cell, class Outcome, class Grid>
-void ScenarioSet::emit(const Block<Cell, Outcome>& block, const Grid& grid,
-                       std::vector<WorkItem>& out) const {
+template <class Cell, class Grid>
+void ScenarioSet::emit(const Block<Cell>& block, const Grid& grid,
+                       std::vector<WorkItem>& out) {
   using S = Slots<Cell>;
-  // The set-level hook is lifted once per set; a per-cell hook wins.
-  const ComponentsFn set_components = wrap(block.components);
-  auto emit_cell = [&](Cell cell, std::string label,
-                       const ComponentsFn& components) {
+  auto emit_cell = [&](Cell cell, std::string label) {
     // Filter first: horizon rules (e.g. theorem bounds) need not be
     // well defined on dropped cells such as infeasible corners.
     if (block.keep && !block.keep(cell)) return;
@@ -304,16 +257,31 @@ void ScenarioSet::emit(const Block<Cell, Outcome>& block, const Grid& grid,
     item.family = S::kFamily;
     item.label = std::move(label);
     item.*S::kItemCell = std::move(cell);
-    item.components = components ? components : set_components;
-    item.components_only = components_only_;
     out.push_back(std::move(item));
   };
-  for (const auto& added : block.added) {
-    emit_cell(added.cell, added.label, added.components);
-  }
+  for (const auto& added : block.added) emit_cell(added.cell, added.label);
   if (block.has_grid) {
-    grid([&](Cell cell) { emit_cell(std::move(cell), "", nullptr); });
+    grid([&](Cell cell) { emit_cell(std::move(cell), ""); });
   }
+}
+
+Family ScenarioSet::single_family() const {
+  // Indexed by `Family`, in its declaration order.
+  const bool declares[] = {
+      rendezvous_.declares(), search_.declares(), gather_.declares(),
+      linear_.declares(), coverage_.declares()};
+  std::optional<Family> found;
+  for (std::size_t f = 0; f < std::size(declares); ++f) {
+    if (!declares[f]) continue;
+    if (found) {
+      throw std::invalid_argument(
+          std::string("set declares both ") + family_name(*found) + " and " +
+          family_name(static_cast<Family>(f)) +
+          " cells; emission needs a homogeneous family (one family per set)");
+    }
+    found = static_cast<Family>(f);
+  }
+  return found.value_or(Family::kRendezvous);
 }
 
 std::vector<WorkItem> ScenarioSet::materialize_work() const {

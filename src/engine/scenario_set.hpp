@@ -11,8 +11,8 @@
 /// a (program, R, r) grid of swept-area cells.  `ScenarioSet` captures
 /// all of them as *data*.  Each family is one block of the same shape:
 /// its explicitly added cells, a base cell, whether a grid is declared,
-/// and the per-cell hooks (horizon rule, filter, labeller, component
-/// times); only the grid axes differ between families.
+/// and the per-cell hooks (horizon rule, filter, labeller); only the
+/// grid axes differ between families.
 ///
 /// Materialisation order is fixed and documented so the output of every
 /// downstream table/CSV is deterministic.  Families come in the order
@@ -26,7 +26,7 @@
 ///   5. coverage: coverage_programs ⊃ coverage_disk_radii ⊃
 ///      coverage_radii.
 /// Every cell, explicit or grid, then passes through one emit step:
-/// filter, then horizon, then label, then component times.
+/// filter, then horizon, then label.
 ///
 /// Run a set with `engine::run_scenarios` (runner.hpp), which fans the
 /// work items out across a thread pool and aggregates the outcomes.
@@ -41,21 +41,6 @@
 
 namespace rv::engine {
 
-/// Typed component-times hook of one family: given the cell and its
-/// outcome, return the named sub-metric values (see `Components` in
-/// engine/families.hpp).  For components-only sets the outcome is
-/// default-constructed — hooks that only need the cell just ignore it.
-template <class Cell, class Outcome>
-using FamilyComponentsFn =
-    std::function<Components(const Cell&, const Outcome&)>;
-using RendezvousComponentsFn =
-    FamilyComponentsFn<rendezvous::Scenario, rendezvous::Outcome>;
-using SearchComponentsFn = FamilyComponentsFn<SearchCell, SearchOutcome>;
-using GatherComponentsFn = FamilyComponentsFn<GatherCell, GatherOutcome>;
-using LinearComponentsFn = FamilyComponentsFn<LinearCell, LinearOutcome>;
-using CoverageComponentsFn =
-    FamilyComponentsFn<CoverageCell, CoverageOutcome>;
-
 /// A declarative multi-family grid/list of engine work.  All setters
 /// return *this for fluent declaration-style use.
 class ScenarioSet {
@@ -64,10 +49,8 @@ class ScenarioSet {
 
   /// Appends one explicit rendezvous scenario (kept before the grid
   /// cells, in insertion order).  The horizon/filter hooks apply to
-  /// these too.  A non-null `components` overrides the set-level
-  /// `components()` hook for this cell.
-  ScenarioSet& add(rendezvous::Scenario scenario, std::string label = "",
-                   RendezvousComponentsFn components = nullptr);
+  /// these too.
+  ScenarioSet& add(rendezvous::Scenario scenario, std::string label = "");
 
   // --- rendezvous grid axes (an unset axis contributes the base value) --
   ScenarioSet& speeds(std::vector<double> values);
@@ -93,15 +76,11 @@ class ScenarioSet {
   /// infeasible corner of an attribute grid).
   ScenarioSet& filter(
       std::function<bool(const rendezvous::Scenario&)> keep_fn);
-  /// Component-times hook for rendezvous cells without their own.
-  ScenarioSet& components(RendezvousComponentsFn fn);
 
   // --- search family ----------------------------------------------------
   /// Appends one explicit search cell (kept before the search grid, in
-  /// insertion order).  The search hooks apply to these too.  A
-  /// non-null `components` overrides the set-level hook for this cell.
-  ScenarioSet& add_search(SearchCell cell, std::string label = "",
-                          SearchComponentsFn components = nullptr);
+  /// insertion order).  The search hooks apply to these too.
+  ScenarioSet& add_search(SearchCell cell, std::string label = "");
   /// Base cell for the search grid (angle ring, program, attrs, ...).
   ScenarioSet& search_base(SearchCell base_cell);
   /// Grid axes: target distances ⊃ visibility radii ⊃ programs
@@ -113,15 +92,11 @@ class ScenarioSet {
   ScenarioSet& search_horizon(std::function<double(const SearchCell&)> fn);
   /// Keep-predicate over search cells (e.g. "bound applicable").
   ScenarioSet& search_filter(std::function<bool(const SearchCell&)> fn);
-  /// Component-times hook for search cells without their own.
-  ScenarioSet& search_components(SearchComponentsFn fn);
 
   // --- gather family ----------------------------------------------------
   /// Appends one explicit gathering cell (kept before the gather size
-  /// grid, in insertion order).  A non-null `components` overrides the
-  /// set-level hook for this cell.
-  ScenarioSet& add_gather(GatherCell cell, std::string label = "",
-                          GatherComponentsFn components = nullptr);
+  /// grid, in insertion order).
+  ScenarioSet& add_gather(GatherCell cell, std::string label = "");
   /// Base cell for the gather size grid (ring, visibility, horizons).
   ScenarioSet& gather_base(GatherCell base_cell);
   /// Grid axis over fleet sizes; each size n becomes a fleet of n
@@ -130,10 +105,8 @@ class ScenarioSet {
 
   // --- linear family (1-D, [11]) ----------------------------------------
   /// Appends one explicit linear cell (kept before the linear grid, in
-  /// insertion order).  The linear hooks apply to these too.  A
-  /// non-null `components` overrides the set-level hook for this cell.
-  ScenarioSet& add_linear(LinearCell cell, std::string label = "",
-                          LinearComponentsFn components = nullptr);
+  /// insertion order).  The linear hooks apply to these too.
+  ScenarioSet& add_linear(LinearCell cell, std::string label = "");
   /// Base cell for the linear grid (mode, attributes, horizon, ...).
   ScenarioSet& linear_base(LinearCell base_cell);
   /// Grid axes: target coordinates / offsets ⊃ visibility radii
@@ -142,15 +115,11 @@ class ScenarioSet {
   ScenarioSet& linear_radii(std::vector<double> values);
   /// Per-cell horizon rule (e.g. the zigzag reach bound + slack).
   ScenarioSet& linear_horizon(std::function<double(const LinearCell&)> fn);
-  /// Component-times hook for linear cells without their own.
-  ScenarioSet& linear_components(LinearComponentsFn fn);
 
   // --- coverage family ([25] area accounting) ---------------------------
   /// Appends one explicit coverage cell (kept before the coverage grid,
-  /// in insertion order).  The coverage hooks apply to these too.  A
-  /// non-null `components` overrides the set-level hook for this cell.
-  ScenarioSet& add_coverage(CoverageCell cell, std::string label = "",
-                            CoverageComponentsFn components = nullptr);
+  /// in insertion order).  The coverage hooks apply to these too.
+  ScenarioSet& add_coverage(CoverageCell cell, std::string label = "");
   /// Base cell for the coverage grid (grid resolution, checkpoints,
   /// attributes, ...).
   ScenarioSet& coverage_base(CoverageCell base_cell);
@@ -165,28 +134,25 @@ class ScenarioSet {
   ScenarioSet& coverage_label(
       std::function<std::string(const CoverageCell&)> fn);
 
-  // --- set-wide knobs ---------------------------------------------------
-  /// Marks every materialised cell components-only: the runner skips
-  /// the payload run (outcomes stay default-constructed) and evaluates
-  /// only the component-times hooks.  For pure-algebra sweeps (Lemma 2
-  /// closed forms, schedule overlap algebra) that want the declarative
-  /// grid + deterministic parallel runner without a simulation.
-  ScenarioSet& components_only(bool on = true);
-
   /// Expands the declaration into the concrete multi-family work list
   /// (the fixed materialisation order documented in the file comment).
   [[nodiscard]] std::vector<WorkItem> materialize_work() const;
 
+  /// The one family whose block declares cells (explicit adds or a
+  /// grid); rendezvous when none does.  Front-ends call it before any
+  /// cell runs, so an empty result still emits its family's header.
+  /// \throws std::invalid_argument when two families declare cells:
+  /// emission needs a homogeneous family (run mixed sets in C++ and
+  /// split them with `ResultSet::filtered`).
+  [[nodiscard]] Family single_family() const;
+
  private:
-  /// Everything one family declares apart from its grid axes.  The
-  /// explicit cells carry their per-cell component hook already lifted
-  /// onto the record-level `ComponentsFn`.
-  template <class Cell, class Outcome>
+  /// Everything one family declares apart from its grid axes.
+  template <class Cell>
   struct Block {
     struct Added {
       Cell cell;
       std::string label;
-      ComponentsFn components;
     };
     std::vector<Added> added;
     Cell base;
@@ -194,37 +160,36 @@ class ScenarioSet {
     std::function<double(const Cell&)> horizon;
     std::function<bool(const Cell&)> keep;
     std::function<std::string(const Cell&)> label;
-    FamilyComponentsFn<Cell, Outcome> components;
+
+    [[nodiscard]] bool declares() const { return has_grid || !added.empty(); }
   };
 
   /// The emit step every family shares: appends the block's explicit
   /// cells, then (when declared) the cells `grid` passes to the callback
-  /// it is given, each filtered, horizoned, labelled and given its
-  /// component hook.
-  template <class Cell, class Outcome, class Grid>
-  void emit(const Block<Cell, Outcome>& block, const Grid& grid,
-            std::vector<WorkItem>& out) const;
+  /// it is given, each filtered, horizoned and labelled.
+  template <class Cell, class Grid>
+  static void emit(const Block<Cell>& block, const Grid& grid,
+                   std::vector<WorkItem>& out);
 
-  Block<rendezvous::Scenario, rendezvous::Outcome> rendezvous_;
+  Block<rendezvous::Scenario> rendezvous_;
   std::vector<double> speeds_;
   std::vector<double> time_units_;
   std::vector<double> orientations_;
   std::vector<int> chiralities_;
   std::vector<geom::Vec2> offsets_;
-  Block<SearchCell, SearchOutcome> search_;
+  Block<SearchCell> search_;
   std::vector<double> search_distances_;
   std::vector<double> search_radii_;
   std::vector<SearchProgram> search_programs_;
-  Block<GatherCell, GatherOutcome> gather_;
+  Block<GatherCell> gather_;
   std::vector<int> gather_sizes_;
-  Block<LinearCell, LinearOutcome> linear_;
+  Block<LinearCell> linear_;
   std::vector<double> linear_distances_;
   std::vector<double> linear_radii_;
-  Block<CoverageCell, CoverageOutcome> coverage_;
+  Block<CoverageCell> coverage_;
   std::vector<SearchProgram> coverage_programs_;
   std::vector<double> coverage_disk_radii_;
   std::vector<double> coverage_radii_;
-  bool components_only_ = false;
 };
 
 }  // namespace rv::engine

@@ -448,6 +448,9 @@ Service::Reply Service::execute_run(const Request& request) {
     set = std::move(decl.set);
     name = decl.name.empty() ? "inline" : decl.name;
   }
+  // A mixed set throws std::invalid_argument here, a bad-set reply,
+  // before any cell runs or any file is written.
+  const Family family = set.single_family();
   const std::vector<WorkItem> work = set.materialize_work();
 
   // One classification against the warm cache decides what is
@@ -472,6 +475,7 @@ Service::Reply Service::execute_run(const Request& request) {
   // The payload is byte-identical to a single-process `rv_batch run` of
   // the same declaration, whether the misses were forked or not.
   Execution ran = engine::execute(work, plan, cache_, exec);
+  ran.results.set_family(family);
   if (!plan.misses.empty() && !options_.cache_dir.empty()) {
     const std::lock_guard<std::mutex> disk(disk_mutex_);
     persist_misses(options_.cache_dir, name, plan, cache_);

@@ -1,11 +1,9 @@
 #include "engine/set_decl.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -18,33 +16,18 @@ namespace rv::engine {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Hook registries (named stand-ins for C++ hook lambdas)
+// Horizon-rule registry (named stand-ins for C++ horizon lambdas)
 // ---------------------------------------------------------------------------
 
-enum class HookKind { kHorizon, kComponents };
-
-/// The grid-section key that names a hook of each kind, and how error
-/// texts call it.
-struct HookKey {
-  HookKind kind;
-  const char* key;
-  const char* what;
-};
-constexpr HookKey kHookKeys[] = {
-    {HookKind::kHorizon, "horizon_rule", "horizon rule"},
-    {HookKind::kComponents, "components", "components hook"},
-};
-
-/// One named hook: `install` sets it on a set's `family` block.
-struct Hook {
+/// One named horizon rule: `install` sets it on a set's `family` block.
+struct HorizonRule {
   Family family;
-  HookKind kind;
   const char* name;
   void (*install)(ScenarioSet&);
 };
 
-constexpr Hook kHooks[] = {
-    {Family::kSearch, HookKind::kHorizon, "guaranteed-rounds+1",
+constexpr HorizonRule kHorizonRules[] = {
+    {Family::kSearch, "guaranteed-rounds+1",
      [](ScenarioSet& set) {
        set.search_horizon([](const SearchCell& c) {
          return search::time_first_rounds(
@@ -52,17 +35,7 @@ constexpr Hook kHooks[] = {
                 1.0;
        });
      }},
-    {Family::kSearch, HookKind::kComponents, "guaranteed-rounds",
-     [](ScenarioSet& set) {
-       set.search_components([](const SearchCell& c, const SearchOutcome&) {
-         const int round = search::guaranteed_round(c.distance, c.visibility);
-         return Components{
-             {"guaranteed_round", static_cast<double>(round)},
-             {"round_time_bound", search::time_first_rounds(round)},
-         };
-       });
-     }},
-    {Family::kLinear, HookKind::kHorizon, "zigzag-reach+1",
+    {Family::kLinear, "zigzag-reach+1",
      [](ScenarioSet& set) {
        set.linear_horizon([](const LinearCell& c) {
          return c.mode == LinearMode::kZigZagSearch
@@ -70,14 +43,7 @@ constexpr Hook kHooks[] = {
                     : c.max_time;
        });
      }},
-    {Family::kLinear, HookKind::kComponents, "zigzag-reach",
-     [](ScenarioSet& set) {
-       set.linear_components([](const LinearCell& c, const LinearOutcome&) {
-         return Components{
-             {"reach_bound", linear::zigzag_reach_bound(c.target)}};
-       });
-     }},
-    {Family::kCoverage, HookKind::kHorizon, "2x-guaranteed-rounds",
+    {Family::kCoverage, "2x-guaranteed-rounds",
      [](ScenarioSet& set) {
        set.coverage_horizon([](const CoverageCell& c) {
          return 2.0 * search::time_first_rounds(search::guaranteed_round(
@@ -85,17 +51,6 @@ constexpr Hook kHooks[] = {
        });
      }},
 };
-
-[[nodiscard]] std::vector<std::string> hook_names(Family family,
-                                                  HookKind kind) {
-  std::vector<std::string> names;
-  for (const Hook& hook : kHooks) {
-    if (hook.family == family && hook.kind == kind) {
-      names.push_back(hook.name);
-    }
-  }
-  return names;
-}
 
 // ---------------------------------------------------------------------------
 // Lexing helpers
@@ -283,13 +238,6 @@ struct Section {
   return static_cast<int>(value);
 }
 
-[[nodiscard]] bool to_bool(const KeyValue& kv, const std::string& key) {
-  if (kv.value == "true") return true;
-  if (kv.value == "false") return false;
-  throw SetDeclError(kv.line, key,
-                     "expected true or false, got '" + kv.value + "'");
-}
-
 [[nodiscard]] std::vector<double> to_double_list(const KeyValue& kv,
                                                  const std::string& key) {
   std::vector<double> out;
@@ -436,33 +384,24 @@ class Keys {
   return out;
 }
 
-/// Takes the `horizon_rule` and `components` keys of a grid section —
-/// each only for a family that has hooks of that kind — and installs
-/// the registry hooks they name.  True when any hook was given.
-bool take_hooks(Keys& keys, Family family, ScenarioSet& set) {
-  bool any_hook = false;
-  for (const HookKey& hook_key : kHookKeys) {
-    const auto of_kind = [&](const Hook& hook) {
-      return hook.family == family && hook.kind == hook_key.kind;
-    };
-    if (std::none_of(std::begin(kHooks), std::end(kHooks), of_kind)) continue;
-    const std::optional<KeyValue> kv = keys.take(hook_key.key);
-    if (!kv) continue;
-    const Hook* match = std::find_if(
-        std::begin(kHooks), std::end(kHooks), [&](const Hook& hook) {
-          return of_kind(hook) && kv->value == hook.name;
-        });
-    if (match == std::end(kHooks)) {
-      throw SetDeclError(
-          kv->line, hook_key.key,
-          std::string("unknown ") + family_name(family) + " " + hook_key.what +
-              " '" + kv->value + "' (valid: " +
-              join_names(hook_names(family, hook_key.kind)) + ")");
+/// Takes the `horizon_rule` key of a grid section and installs the
+/// registry rule it names.  True when one was given.
+bool take_horizon_rule(Keys& keys, Family family, ScenarioSet& set) {
+  const std::optional<KeyValue> kv = keys.take("horizon_rule");
+  if (!kv) return false;
+  std::vector<std::string> names;
+  for (const HorizonRule& rule : kHorizonRules) {
+    if (rule.family != family) continue;
+    if (kv->value == rule.name) {
+      rule.install(set);
+      return true;
     }
-    match->install(set);
-    any_hook = true;
+    names.push_back(rule.name);
   }
-  return any_hook;
+  throw SetDeclError(kv->line, "horizon_rule",
+                     std::string("unknown ") + family_name(family) +
+                         " horizon rule '" + kv->value + "' (valid: " +
+                         join_names(names) + ")");
 }
 
 /// The `label` key of a `[family.add]` section; grid sections have none.
@@ -582,7 +521,7 @@ void apply_search(Section& section, bool add, ScenarioSet& set) {
     set.search_programs(programs);
     any_axis = true;
   }
-  const bool any_hook = take_hooks(keys, Family::kSearch, set);
+  const bool any_hook = take_horizon_rule(keys, Family::kSearch, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -692,7 +631,7 @@ void apply_linear(Section& section, bool add, ScenarioSet& set) {
     set.linear_radii(values);
     any_axis = true;
   }
-  const bool any_hook = take_hooks(keys, Family::kLinear, set);
+  const bool any_hook = take_horizon_rule(keys, Family::kLinear, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -738,7 +677,7 @@ void apply_coverage(Section& section, bool add, ScenarioSet& set) {
     set.coverage_radii(values);
     any_axis = true;
   }
-  const bool any_hook = take_hooks(keys, Family::kCoverage, set);
+  const bool any_hook = take_horizon_rule(keys, Family::kCoverage, set);
   keys.finish();
   if (!any_axis && !any_hook) {
     throw SetDeclError(section.line, "",
@@ -797,10 +736,6 @@ SetDecl parse_set_decl(std::string_view text) {
                });
     keys.apply("description", decl.description,
                [](const KeyValue& kv, const std::string&) { return kv.value; });
-    bool components_only = false;
-    if (keys.apply("components_only", components_only, to_bool)) {
-      decl.set.components_only(components_only);
-    }
     keys.finish();
     if (!sections.front().robots.empty()) {
       throw SetDeclError(sections.front().robots.front().line, "robot",

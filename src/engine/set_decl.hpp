@@ -7,7 +7,7 @@
 /// declaration *data*: a small line-oriented text format that covers
 /// all five workload families — grid axes, base-cell fields,
 /// program/algorithm names from the existing enums, and named
-/// horizon-rule / component-hook selections — parsed into a
+/// horizon-rule selections — parsed into a
 /// `ScenarioSet` that materialises and runs exactly like a C++ one.
 /// The built-in `rv_batch` / `rv_serve` sets are such texts
 /// (tools/rv_batch_sets.hpp, mirrored under `examples/sets/`).
@@ -17,7 +17,6 @@
 ///     # top-level keys come before any section
 ///     name = search-ring
 ///     description = search (d x r x program) grid
-///     components_only = false
 ///
 ///     [search]              # grid section, at most one per family
 ///     angles = 8            # base-cell fields (singular keys)
@@ -44,18 +43,14 @@
 /// line (and key) — a malformed file never mis-parses into a different
 /// grid.
 ///
-/// Hooks cannot be arbitrary code in a text file, so the format selects
-/// them from named registries.  `horizon_rule = NAME`:
+/// Horizon rules cannot be arbitrary code in a text file, so the format
+/// selects them by name from a registry.  `horizon_rule = NAME`:
 ///  * search `guaranteed-rounds+1` — Lemma 2 time of the guaranteed
 ///    round of (d, r), plus 1;
 ///  * linear `zigzag-reach+1` — zigzag reach bound of the target plus 1
 ///    for zigzag-search cells, the cell's own max_time otherwise;
 ///  * coverage `2x-guaranteed-rounds` — twice the Lemma 2 time of the
 ///    guaranteed round of (R, r).
-/// `components = NAME` (named closed-form sub-metric columns):
-///  * search `guaranteed-rounds` — the guaranteed round index and its
-///    Lemma 2 time bound;
-///  * linear `zigzag-reach` — the zigzag reach bound of the target.
 /// An unknown name fails with the family's valid names.
 
 #include <filesystem>

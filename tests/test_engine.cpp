@@ -340,23 +340,21 @@ TEST(ResultSet, EveryFormatListsTheSameColumnsForEveryFamily) {
     for (std::size_t i = 0; i < records.size(); ++i) {
       records[i].family = family;
       records[i].label = "cell-" + std::to_string(i);
-      records[i].components = {{"lemma", 1.5}, {"bound", 2.5}};
     }
     const engine::ResultSet results(std::move(records));
     const std::vector<engine::Column> extras{
         {"note",
          [](const engine::RunRecord& rec) { return "x," + rec.label; }}};
 
-    // label, the family's schema, components, extras — in that order.
+    // label, the family's schema, extras — in that order.
     const io::CsvRow header = results.csv_header(extras);
     const auto columns = engine::describe(family).columns;
-    ASSERT_EQ(header.size(), columns.size() + 4);
+    ASSERT_EQ(header.size(), columns.size() + 2);
     EXPECT_EQ(header.front(), "label");
     for (std::size_t i = 0; i < columns.size(); ++i) {
       EXPECT_EQ(header[i + 1], columns[i].name);
     }
-    EXPECT_EQ(std::vector<std::string>(header.end() - 3, header.end()),
-              (std::vector<std::string>{"lemma", "bound", "note"}));
+    EXPECT_EQ(header.back(), "note");
 
     const auto csv = io::parse_csv(results.to_csv(extras));
     ASSERT_EQ(csv.size(), 3u);
@@ -371,7 +369,7 @@ TEST(ResultSet, EveryFormatListsTheSameColumnsForEveryFamily) {
     ASSERT_EQ(keys.size(), 2u);
     EXPECT_EQ(keys[0], header);
     EXPECT_EQ(keys[1], header);
-    EXPECT_EQ(json[1].at("lemma"), "1.5");
+    EXPECT_EQ(json[1].at("label"), "cell-1");
 
     EXPECT_EQ(table_header(results.to_table(extras).to_ascii()), header);
   }
@@ -787,7 +785,9 @@ TEST(Families, MixedSetsRunTogetherAndEmitPerFamily) {
   EXPECT_EQ(results[0].family, engine::Family::kRendezvous);
   EXPECT_EQ(results[1].family, engine::Family::kSearch);
   EXPECT_EQ(results[2].family, engine::Family::kGather);
-  // Mixed emission is rejected; per-family views emit fine.
+  // Mixed emission is rejected, and a front-end can tell before any
+  // cell runs; per-family views emit fine.
+  EXPECT_THROW((void)set.single_family(), std::invalid_argument);
   EXPECT_THROW((void)results.to_csv(), std::logic_error);
   EXPECT_THROW((void)results.to_json(), std::logic_error);
   for (const auto family :
@@ -1165,173 +1165,6 @@ TEST(Families, LinearAndCoverageThreadCountDoesNotChangeEmission) {
 }
 
 // ---------------------------------------------------------------------------
-// Component-times hook.
-// ---------------------------------------------------------------------------
-
-TEST(Components, HookColumnsEmitAcrossAllFormats) {
-  engine::SearchCell cell;
-  cell.distance = 1.0;
-  cell.visibility = 0.5;
-  cell.angles = 2;
-  cell.angle_offset = 0.03;
-  cell.max_time = 1e4;
-  engine::ScenarioSet set;
-  set.add_search(cell, "hooked")
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome& out) {
-        return engine::Components{{"twice_d", 2.0 * c.distance},
-                                  {"worst_sq", out.worst_time * out.worst_time}};
-      });
-  const auto results = engine::run_scenarios(set);
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_EQ(results[0].components.size(), 2u);
-  EXPECT_EQ(engine::component_value(results[0].components, "twice_d"), 2.0);
-  EXPECT_THROW(
-      (void)engine::component_value(results[0].components, "missing"),
-      std::out_of_range);
-
-  // CSV: component columns sit between the standard columns and extras.
-  const std::vector<engine::Column> extras{
-      {"extra", [](const engine::RunRecord&) { return std::string("x"); }}};
-  const auto header = results.csv_header(extras);
-  ASSERT_GE(header.size(), 3u);
-  EXPECT_EQ(header[header.size() - 3], "twice_d");
-  EXPECT_EQ(header[header.size() - 2], "worst_sq");
-  EXPECT_EQ(header.back(), "extra");
-  const auto rows = io::parse_csv(results.to_csv(extras));
-  EXPECT_EQ(rows[1][header.size() - 3], io::format_double(2.0));
-  // JSON: components are numeric fields, strictly parseable.
-  std::vector<JsonRow> json;
-  ASSERT_NO_THROW(json = parse_rows(results.to_json()));
-  EXPECT_EQ(json[0].at("twice_d"), "2");
-  // Table: one column per component.
-  EXPECT_NE(results.to_table().to_ascii().find("worst_sq"), std::string::npos);
-}
-
-TEST(Components, MismatchedSchemasRejectEmission) {
-  engine::SearchCell cell;
-  cell.visibility = 0.5;
-  cell.angles = 1;
-  cell.max_time = 1e4;
-  engine::ScenarioSet set;
-  set.add_search(cell, "a",
-                 [](const engine::SearchCell&, const engine::SearchOutcome&) {
-                   return engine::Components{{"one", 1.0}};
-                 });
-  set.add_search(cell, "b",
-                 [](const engine::SearchCell&, const engine::SearchOutcome&) {
-                   return engine::Components{{"two", 2.0}};
-                 });
-  const auto results = engine::run_scenarios(set);
-  EXPECT_THROW((void)results.to_csv(), std::logic_error);
-  EXPECT_THROW((void)results.to_json(), std::logic_error);
-  EXPECT_THROW((void)results.to_table(), std::logic_error);
-}
-
-TEST(Components, ComponentsOnlySkipsPayloadAndBypassesCache) {
-  engine::ScenarioSet set;
-  set.components_only()
-      .search_distances({1.0, 2.0})
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome&) {
-        return engine::Components{{"d3", 3.0 * c.distance}};
-      });
-  engine::ScenarioCache cache;
-  engine::RunnerOptions opts;
-  opts.cache = &cache;
-  const auto results = engine::run_scenarios(set, opts);
-  ASSERT_EQ(results.size(), 2u);
-  for (const engine::RunRecord& rec : results) {
-    // No payload ran: the outcome is untouched.
-    EXPECT_EQ(rec.search_outcome.evals, 0u);
-    EXPECT_EQ(rec.search_outcome.found, 0);
-    EXPECT_TRUE(rec.search_outcome.program_name.empty());
-  }
-  EXPECT_EQ(engine::component_value(results[1].components, "d3"), 6.0);
-  // Components-only items have no content key: never stored, counted
-  // as uncacheable.
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(results.cache_stats().uncacheable, 2u);
-  EXPECT_EQ(results.cache_stats().hits, 0u);
-  EXPECT_EQ(results.cache_stats().misses, 0u);
-}
-
-TEST(Components, ComponentsOnlyRendezvousEmitsTheorem4Feasibility) {
-  // No scenario runs, but the `feasible` column is still emitted: it is
-  // the Theorem 4 classification of the attributes, never an unset
-  // field.
-  rendezvous::Scenario feasible;
-  feasible.attrs.time_unit = 0.5;
-  const rendezvous::Scenario infeasible;  // identical robots
-  ASSERT_TRUE(rendezvous::is_feasible(rendezvous::classify(feasible.attrs)));
-  ASSERT_FALSE(
-      rendezvous::is_feasible(rendezvous::classify(infeasible.attrs)));
-  engine::ScenarioSet set;
-  set.components_only().add(feasible, "feasible").add(infeasible, "identical");
-  const auto results = engine::run_scenarios(set);
-  ASSERT_EQ(results.size(), 2u);
-  for (const engine::RunRecord& rec : results) {
-    EXPECT_EQ(rec.outcome.feasibility,
-              rendezvous::classify(rec.scenario.attrs));
-  }
-  const auto header = results.csv_header();
-  const auto column = static_cast<std::size_t>(
-      std::find(header.begin(), header.end(), "feasible") - header.begin());
-  ASSERT_LT(column, header.size());
-  const auto rows = io::parse_csv(results.to_csv());
-  EXPECT_EQ(rows[1][column], "1");
-  EXPECT_EQ(rows[2][column], "0");
-  const std::string json = results.to_json();
-  EXPECT_NE(json.find("\"label\": \"feasible\", "), std::string::npos);
-  EXPECT_NE(json.find("\"feasible\": true"), std::string::npos);
-  EXPECT_NE(json.find("\"feasible\": false"), std::string::npos);
-}
-
-TEST(Components, PerCellHookOverridesSetHookAndSurvivesCacheReplay) {
-  auto declare = [] {
-    engine::SearchCell cell;
-    cell.visibility = 0.5;
-    cell.angles = 1;
-    cell.angle_offset = 0.03;
-    cell.max_time = 1e4;
-    engine::ScenarioSet set;
-    set.search_components([](const engine::SearchCell&,
-                             const engine::SearchOutcome&) {
-      return engine::Components{{"which", 1.0}};
-    });
-    set.add_search(cell, "set-hook");
-    set.add_search(cell, "own-hook",
-                   [](const engine::SearchCell&,
-                      const engine::SearchOutcome& out) {
-                     return engine::Components{
-                         {"which", 2.0},
-                         {"t", out.worst_time}};
-                   });
-    return set;
-  };
-  engine::ScenarioCache cache;
-  engine::RunnerOptions opts;
-  opts.cache = &cache;
-  opts.threads = 1;
-  const auto first = engine::run_scenarios(declare(), opts);
-  // Identical cell content: one miss, one hit — but each record keeps
-  // its own hook's components (hooks are re-evaluated, never cached).
-  EXPECT_EQ(first.cache_stats().misses, 1u);
-  EXPECT_EQ(first.cache_stats().hits, 1u);
-  EXPECT_EQ(engine::component_value(first[0].components, "which"), 1.0);
-  EXPECT_EQ(engine::component_value(first[1].components, "which"), 2.0);
-  ASSERT_EQ(first[1].components.size(), 2u);
-  // The replayed outcome feeds the hook the same values as a computed
-  // one: worst_time of the hit matches the miss's.
-  EXPECT_EQ(engine::component_value(first[1].components, "t"),
-            first[0].search_outcome.worst_time);
-  const auto replay = engine::run_scenarios(declare(), opts);
-  EXPECT_EQ(replay.cache_stats().hits, 2u);
-  EXPECT_EQ(engine::component_value(replay[1].components, "t"),
-            engine::component_value(first[1].components, "t"));
-}
-
-// ---------------------------------------------------------------------------
 // Cache behaviour of the new families.
 // ---------------------------------------------------------------------------
 
@@ -1454,6 +1287,39 @@ TEST(ResultSet, EmptySetIsWellBehaved) {
   EXPECT_TRUE(none.empty());
   EXPECT_NO_THROW((void)none.to_csv());
   EXPECT_EQ(none.cache_stats().hits, results.cache_stats().hits);
+}
+
+TEST(ResultSet, EmptySetEmitsTheHeaderOfItsFamily) {
+  const auto header_of = [](engine::Family family) {
+    io::CsvRow names;
+    for (const engine::SchemaColumn& col : engine::describe(family).columns) {
+      names.push_back(col.name);
+    }
+    return names;
+  };
+  engine::ScenarioSet set;
+  set.linear_distances({1.0});
+  ASSERT_EQ(set.single_family(), engine::Family::kLinear);
+  // No item ran (an empty shard, a partial run that lost every item):
+  // the header is still the set's own family's.
+  engine::ResultSet empty;
+  empty.set_family(set.single_family());
+  EXPECT_EQ(empty.csv_header(), header_of(engine::Family::kLinear));
+  EXPECT_EQ(io::parse_csv(empty.to_csv()).front(),
+            header_of(engine::Family::kLinear));
+  EXPECT_EQ(table_header(empty.to_table().to_ascii()),
+            header_of(engine::Family::kLinear));
+  // An empty filtered() view keeps the family it was asked for.
+  const auto results = engine::run_scenarios(set);
+  EXPECT_EQ(results.filtered(engine::Family::kSearch).csv_header(),
+            header_of(engine::Family::kSearch));
+  // A set declaring nothing emits as rendezvous, as before.
+  EXPECT_EQ(engine::ScenarioSet{}.single_family(),
+            engine::Family::kRendezvous);
+  // Records of another family than the named one cannot be emitted.
+  engine::ResultSet wrong = results;
+  wrong.set_family(engine::Family::kCoverage);
+  EXPECT_THROW((void)wrong.to_csv(), std::logic_error);
 }
 
 }  // namespace

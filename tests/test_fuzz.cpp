@@ -466,10 +466,12 @@ TEST(FuzzCacheKey, DocumentedEquivalencesAndSeparations) {
   pos.search.angle_offset = 0.0;
   EXPECT_EQ(cache_key(neg), cache_key(pos));
 
-  // Components-only items have no key at all.
-  rv::engine::WorkItem algebra = base;
-  algebra.components_only = true;
-  EXPECT_FALSE(cache_key(algebra).has_value());
+  // A cell with an anonymous program factory has no key at all.
+  rv::engine::WorkItem anonymous = base;
+  anonymous.search.program_factory = [] {
+    return rv::search::make_search_program();
+  };
+  EXPECT_FALSE(cache_key(anonymous).has_value());
 
   // A ring cell and a targets cell with equal scalars must differ, as
   // must hostile program names that embed each other.

@@ -7,7 +7,7 @@
 // tests/test_engine.cpp (the run_universal seed capture and the
 // E1/E9/X1/A1 ported-bench values) onto the reusable golden harness
 // (tests/golden.hpp), and add pins for the linear and coverage
-// families plus the component-times hook.  Regenerate intentionally
+// families.  Regenerate intentionally
 // changed outputs with RV_UPDATE_GOLDEN=1 (see golden.hpp).
 
 #include <gtest/gtest.h>
@@ -23,9 +23,7 @@
 #include "linear/zigzag.hpp"
 #include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
-#include "rendezvous/schedule.hpp"
 #include "rendezvous/variants.hpp"
-#include "search/paths.hpp"
 #include "search/times.hpp"
 #include "search/variants.hpp"
 
@@ -262,47 +260,6 @@ TEST(GoldenEngine, CoverageCells) {
   const auto results = engine::run_scenarios(set);
   golden::compare(results.to_csv(), "engine/coverage_cells.csv");
   golden::compare(results.to_json(), "engine/coverage_cells.json");
-}
-
-// ---------------------------------------------------------------------------
-// Component-times hook: the E2 SearchCircle grid and the E6 lemma
-// windows, pinned with their component columns.
-// ---------------------------------------------------------------------------
-
-TEST(GoldenEngine, E2CircleComponents) {
-  engine::ScenarioSet set;
-  set.components_only()
-      .search_distances({0.125, 0.5, 1.0, 2.0, 8.0})
-      .search_components([](const engine::SearchCell& c,
-                            const engine::SearchOutcome&) {
-        return engine::Components{
-            {"measured", search::search_circle_path(c.distance).duration()},
-            {"formula", search::time_search_circle(c.distance)}};
-      });
-  const auto results = engine::run_scenarios(set);
-  golden::compare(results.to_csv(), "engine/e2_circle_components.csv");
-  golden::compare(results.to_json(), "engine/e2_circle_components.json");
-}
-
-TEST(GoldenEngine, E6OverlapComponents) {
-  engine::ScenarioSet set;
-  set.components_only()
-      .time_units({0.5, 0.6, 0.75})
-      .components([](const rendezvous::Scenario& s,
-                     const rendezvous::Outcome&) {
-        const double tau = s.attrs.time_unit;
-        int k0 = 0;
-        for (int k = 1; k <= 40 && k0 == 0; ++k) {
-          if (rendezvous::best_overlap_with_inactive(k, tau)) k0 = k;
-        }
-        const auto best = rendezvous::best_overlap_with_inactive(k0, tau);
-        return engine::Components{
-            {"k0", static_cast<double>(k0)},
-            {"overlap", best ? best->length() : 0.0},
-            {"S", rendezvous::search_all_time(k0)}};
-      });
-  const auto results = engine::run_scenarios(set);
-  golden::compare(results.to_csv(), "engine/e6_overlap_components.csv");
 }
 
 }  // namespace

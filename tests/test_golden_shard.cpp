@@ -563,7 +563,6 @@ TEST(GoldenBatch, FlagsOutsideTheSubcommandContractAreRejected) {
       {"merge --set linear-line --cache-dir 'DIR' --shard-timeout 1",
        "--shard-timeout", "merge"},
       {"list --format json", "--format", "list"},
-      {"run --set linear-line --write-merged", "--write-merged", "run"},
       {"run --set linear-line --max-age-days 1", "--max-age-days", "run"},
   };
   for (const auto& sample : hostile) {
@@ -593,6 +592,84 @@ TEST(GoldenBatch, FlagsOutsideTheSubcommandContractAreRejected) {
                 "' --require-all-hits"));
   ASSERT_TRUE(merged.has_value());
   EXPECT_EQ(*merged, *cold);
+}
+
+/// True when `dir` holds a `.rvcache` file (an absent dir holds none).
+bool holds_cache_file(const fs::path& dir) {
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == ".rvcache") return true;
+  }
+  return false;
+}
+
+TEST(GoldenBatch, BadFormatFailsBeforeAnyWork) {
+  if (!fs::exists(rv_batch_binary())) {
+    GTEST_SKIP() << rv_batch_binary() << " not built";
+  }
+  // Regression: run computed and persisted every cell, and only the
+  // emission rejected the format.
+  Scratch scratch;
+  const std::string dir = (scratch.path / "cache").string();
+  for (const std::string command : {"run", "merge"}) {
+    const RunStatus status = run_status(
+        batch_cmd(command + " --set gather-fleet --format bogus --cache-dir '" +
+                  dir + "' 2>&1"));
+    EXPECT_EQ(status.code, 1) << command;
+    EXPECT_NE(status.stdout_text.find("format must be csv, json or table"),
+              std::string::npos)
+        << command << ": " << status.stdout_text;
+    EXPECT_EQ(status.stdout_text.find("items="), std::string::npos)
+        << command << " ran the set: " << status.stdout_text;
+    EXPECT_FALSE(holds_cache_file(dir)) << command;
+  }
+}
+
+TEST(GoldenBatch, MixedFamilySetFileFailsBeforeAnyCellRuns) {
+  if (!fs::exists(rv_batch_binary())) {
+    GTEST_SKIP() << rv_batch_binary() << " not built";
+  }
+  // Regression: run computed and persisted every outcome, then failed
+  // emission with exit 2.
+  Scratch scratch;
+  const fs::path mixed = scratch.path / "mixed.rvset";
+  std::ofstream(mixed) << "[linear]\ndistances = 1.0 2.0\n\n"
+                          "[search]\ndistances = 1.0\nradii = 0.5\n";
+  const std::string dir = (scratch.path / "cache").string();
+  for (const std::string command : {"run", "merge"}) {
+    const RunStatus status =
+        run_status(batch_cmd(command + " --set-file '" + mixed.string() +
+                             "' --cache-dir '" + dir + "' 2>&1"));
+    EXPECT_EQ(status.code, 1) << command;
+    EXPECT_NE(status.stdout_text.find("homogeneous family"),
+              std::string::npos)
+        << command << ": " << status.stdout_text;
+    EXPECT_FALSE(holds_cache_file(dir)) << command;
+  }
+}
+
+TEST(GoldenBatch, EmptyResultsEmitTheHeaderOfTheSetsFamily) {
+  if (!fs::exists(rv_batch_binary())) {
+    GTEST_SKIP() << rv_batch_binary() << " not built";
+  }
+  const auto full = run_and_capture(batch_cmd("run --set linear-line"));
+  ASSERT_TRUE(full.has_value());
+  const std::string header = full->substr(0, full->find('\n') + 1);
+  ASSERT_EQ(header.rfind("mode,", 0), 0u) << header;
+  // An empty shard (4 items, shard 30 of 31 owns none).
+  const auto empty = run_and_capture(
+      batch_cmd("run --set linear-line --shard 30/31 2>/dev/null"));
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(*empty, header);
+  // A --partial run whose every shard crashed lost every item.
+  Scratch scratch;
+  const RunStatus lost = run_status(
+      "RV_FAILPOINTS='shard.worker.start=crash(87)' " +
+      batch_cmd("run --set linear-line --procs 2 --backoff-ms 0 --partial"
+                " --cache-dir '" + (scratch.path / "cache").string() +
+                "' 2>/dev/null"));
+  EXPECT_EQ(lost.code, 0);
+  EXPECT_EQ(lost.stdout_text, header);
 }
 
 TEST(GoldenBatch, MalformedRvsetFileFailsWithUsageExitAndNamedLine) {

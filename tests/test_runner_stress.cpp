@@ -22,6 +22,7 @@
 #include "engine/runner.hpp"
 #include "engine/serve.hpp"
 #include "io/csv.hpp"
+#include "search/algorithm4.hpp"
 #include "rv_batch_sets.hpp"
 #include "support/io.hpp"
 
@@ -31,7 +32,8 @@ using namespace rv;
 
 // A mixed work list: 12 cacheable rendezvous cells (4 distinct
 // scenarios x 3 repeats, so even a single run produces hits), 2
-// cacheable linear cells, and 2 uncacheable components-only items.
+// cacheable linear cells, and 2 uncacheable search cells (an anonymous
+// program factory has no content key).
 std::vector<engine::WorkItem> mixed_work() {
   std::vector<engine::WorkItem> work;
   const double speeds[] = {0.5, 1.0, 2.0, 3.0};
@@ -63,16 +65,12 @@ std::vector<engine::WorkItem> mixed_work() {
   }
   for (int i = 0; i < 2; ++i) {
     engine::WorkItem item;
-    // Own family: emission needs one component-column schema per
-    // family subset, and the plain rendezvous records above have no
-    // components.  components_only skips the payload run anyway.
     item.family = engine::Family::kSearch;
-    item.label = "algebra#";
+    item.label = "anonymous#";
     item.label += std::to_string(i);
-    item.components_only = true;
-    item.components = [](const engine::RunRecord&) {
-      return engine::Components{{"closed_form", 42.0}};
-    };
+    item.search.visibility = 0.25;
+    item.search.max_time = 500.0;
+    item.search.program_factory = [] { return search::make_search_program(); };
     work.push_back(std::move(item));
   }
   return work;
@@ -95,7 +93,7 @@ TEST(RunnerStress, ConcurrentRunnersSharedCacheAndPollingReader) {
       reference.filtered(engine::Family::kRendezvous).to_csv();
   const std::string ref_linear =
       reference.filtered(engine::Family::kLinear).to_csv();
-  const std::string ref_algebra =
+  const std::string ref_search =
       reference.filtered(engine::Family::kSearch).to_csv();
 
   engine::ScenarioCache cache;
@@ -145,7 +143,7 @@ TEST(RunnerStress, ConcurrentRunnersSharedCacheAndPollingReader) {
         if (result.filtered(engine::Family::kRendezvous).to_csv() !=
                 ref_rendezvous ||
             result.filtered(engine::Family::kLinear).to_csv() != ref_linear ||
-            result.filtered(engine::Family::kSearch).to_csv() != ref_algebra) {
+            result.filtered(engine::Family::kSearch).to_csv() != ref_search) {
           byte_mismatches.fetch_add(1);
         }
       }
@@ -162,7 +160,7 @@ TEST(RunnerStress, ConcurrentRunnersSharedCacheAndPollingReader) {
   EXPECT_EQ(reader_violations.load(), 0);
 
   // Accounting: every cacheable item was a hit or a miss, every
-  // components-only item counted uncacheable, and the cache holds
+  // anonymous-factory item counted uncacheable, and the cache holds
   // exactly the distinct cacheable cells (a racing double-compute
   // stores once — first writer wins).
   constexpr std::uint64_t kRuns = kDrivers * kIterations;
@@ -182,7 +180,7 @@ TEST(RunnerStress, ConcurrentRunnersSharedCacheAndPollingReader) {
   EXPECT_EQ(replay.filtered(engine::Family::kRendezvous).to_csv(),
             ref_rendezvous);
   EXPECT_EQ(replay.filtered(engine::Family::kLinear).to_csv(), ref_linear);
-  EXPECT_EQ(replay.filtered(engine::Family::kSearch).to_csv(), ref_algebra);
+  EXPECT_EQ(replay.filtered(engine::Family::kSearch).to_csv(), ref_search);
 }
 
 // ---------------------------------------------------------------------

@@ -507,6 +507,32 @@ TEST_F(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
   EXPECT_EQ(daemon.wait_exit(), 0);
 }
 
+TEST_F(ServeDaemon, MixedFamilyBodyIsABadSetAndWritesNoFile) {
+  // Regression: the body's cells ran and were persisted as an
+  // inline-<hash>.rvcache, then emission failed with code "failed".
+  Scratch scratch;
+  const fs::path dir = scratch.path / "cache";
+  Daemon daemon({"--cache-dir", dir.string()});
+  const std::string body =
+      "[linear]\ndistances = 1.0 2.0\n\n[search]\ndistances = 1.0\n"
+      "radii = 0.5\n";
+  const Frame reply = roundtrip(daemon,
+                                R"({"op":"run","id":"m","body_bytes":)" +
+                                    std::to_string(body.size()) + "}",
+                                body, /*has_body=*/true);
+  EXPECT_EQ(field(reply.header, "reply"), "error") << reply.header;
+  EXPECT_EQ(field(reply.header, "code"), "bad-set") << reply.header;
+  EXPECT_NE(field(reply.header, "message").find("homogeneous family"),
+            std::string::npos)
+      << reply.header;
+  daemon.close_stdin();
+  EXPECT_EQ(daemon.wait_exit(), 0);
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    ADD_FAILURE() << "wrote " << entry.path();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Status schema
 // ---------------------------------------------------------------------
@@ -792,6 +818,24 @@ TEST_F(ServeForked, FailedShardYieldsPinnedPartialReply) {
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(partial.payload, *batch)
       << "partial payload must equal the surviving shard's document";
+}
+
+TEST_F(ServeForked, PartialReplyThatLostEveryItemKeepsItsFamilysHeader) {
+  const auto batch = run_and_capture(batch_cmd("run --set linear-line"));
+  ASSERT_TRUE(batch.has_value());
+  Scratch scratch;
+  // Every shard crashes every attempt: nothing survives.
+  Daemon daemon({"--cache-dir", (scratch.path / "cache").string(), "--procs",
+                 "2"},
+                "shard.worker.start=crash(87)");
+  const Frame partial = roundtrip(
+      daemon, R"({"op":"run","id":"p","set":"linear-line","partial":true})");
+  EXPECT_EQ(field(partial.header, "reply"), "partial") << partial.header;
+  EXPECT_NE(partial.header.find("\"missing_indices\":[0,1,2,3]"),
+            std::string::npos)
+      << partial.header;
+  EXPECT_EQ(partial.payload, batch->substr(0, batch->find('\n') + 1))
+      << "an empty document still carries the linear header";
 }
 
 TEST_F(ServeForked, FailedShardWithoutPartialIsAFailedReply) {

@@ -109,28 +109,6 @@ TEST(SetDeclParse, CommentsBlankLinesAndPaddingAreIgnored) {
   EXPECT_EQ(decl.set.materialize_work()[0].search.angles, 2);
 }
 
-TEST(SetDeclParse, ComponentsHooksAttachToMaterializedItems) {
-  const SetDecl decl = rv::engine::parse_set_decl(
-      "[search]\n"
-      "distances = 1.0\n"
-      "components = guaranteed-rounds\n"
-      "[linear]\n"
-      "distances = 2.0\n"
-      "components = zigzag-reach\n");
-  const std::vector<WorkItem> items = decl.set.materialize_work();
-  ASSERT_EQ(items.size(), 2u);
-  for (const WorkItem& item : items) {
-    EXPECT_TRUE(static_cast<bool>(item.components))
-        << rv::engine::family_name(item.family);
-  }
-  // The search hook replicates the Lemma 2 closed forms.
-  const rv::engine::Components values =
-      items[0].components(rv::engine::RunRecord{});
-  ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0].name, "guaranteed_round");
-  EXPECT_EQ(values[1].name, "round_time_bound");
-}
-
 TEST(SetDeclErrors, NameLineAndKeyOnEveryFailureMode) {
   struct Case {
     const char* what;
@@ -154,8 +132,6 @@ TEST(SetDeclErrors, NameLineAndKeyOnEveryFailureMode) {
       {"hex rejected", "[search]\ndistances = 0x10\n", 2, "distances"},
       {"trailing junk", "[search]\ndistances = 1.0x\n", 2, "distances"},
       {"bad integer", "[search]\nangles = 2.5\ndistances = 1\n", 2, "angles"},
-      {"bad bool", "components_only = yes\n[search]\ndistances = 1\n", 1,
-       "components_only"},
       {"bad enum", "[search]\nprograms = warp-drive\n", 2, "programs"},
       {"bad algorithm", "[rendezvous]\nalgorithm = algorithm9\n"
                         "speeds = 1\n", 2, "algorithm"},
@@ -169,8 +145,6 @@ TEST(SetDeclErrors, NameLineAndKeyOnEveryFailureMode) {
       {"unknown horizon rule",
        "[search]\ndistances = 1\nhorizon_rule = forever\n", 3,
        "horizon_rule"},
-      {"unknown components hook",
-       "[search]\ndistances = 1\ncomponents = everything\n", 3, "components"},
       {"robot outside gather.add", "[search]\nrobot = 1 1\ndistances = 1\n",
        2, "robot"},
       {"robot at top level", "robot = 1 1\n[search]\ndistances = 1\n", 1,
@@ -222,7 +196,35 @@ TEST(SetDeclErrors, UnknownKeyErrorListsTheValidKeys) {
   EXPECT_NE(what.find("sizes"), std::string::npos) << what;
 }
 
-TEST(SetDeclRegistries, UnknownHookErrorListsTheFamilysHooks) {
+TEST(SetDeclErrors, ComponentKeysAreUnknownKeys) {
+  // The format selects no component columns: `components_only` and
+  // `components = NAME` fail like any other unknown key.
+  const struct {
+    const char* text;
+    int line;
+    const char* field;
+  } cases[] = {
+      {"components_only = true\n[search]\ndistances = 1\n", 1,
+       "components_only"},
+      {"[search]\ndistances = 1\ncomponents = guaranteed-rounds\n", 3,
+       "components"},
+      {"[linear]\ndistances = 2\n\ncomponents = zigzag-reach\n", 4,
+       "components"},
+  };
+  for (const auto& test : cases) {
+    const SetDeclError error = parse_error(test.text);
+    EXPECT_EQ(error.line(), test.line) << test.text;
+    EXPECT_EQ(error.field(), test.field) << test.text;
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind("line " + std::to_string(test.line) + ": key '" +
+                             test.field + "': unknown key",
+                         0),
+              0u)
+        << what;
+  }
+}
+
+TEST(SetDeclRegistries, UnknownHorizonRuleErrorListsTheFamilysRules) {
   const auto valid = [](const std::string& text) {
     const std::string what = parse_error(text).what();
     const std::size_t at = what.find("(valid: ");
@@ -234,14 +236,9 @@ TEST(SetDeclRegistries, UnknownHookErrorListsTheFamilysHooks) {
             "(valid: zigzag-reach+1)");
   EXPECT_EQ(valid("[coverage]\ndisk_radii = 1\nhorizon_rule = x\n"),
             "(valid: 2x-guaranteed-rounds)");
-  EXPECT_EQ(valid("[search]\ndistances = 1\ncomponents = x\n"),
-            "(valid: guaranteed-rounds)");
-  EXPECT_EQ(valid("[linear]\ndistances = 1\ncomponents = x\n"),
-            "(valid: zigzag-reach)");
-  // A family with no hook of a kind does not take that key at all.
+  // A family with no horizon rule does not take the key at all.
   for (const char* text : {"[rendezvous]\nspeeds = 1\nhorizon_rule = x\n",
-                           "[gather]\nsizes = 2\nhorizon_rule = x\n",
-                           "[coverage]\ndisk_radii = 1\ncomponents = x\n"}) {
+                           "[gather]\nsizes = 2\nhorizon_rule = x\n"}) {
     EXPECT_NE(std::string(parse_error(text).what()).find("valid keys:"),
               std::string::npos)
         << text;

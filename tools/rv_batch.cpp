@@ -19,7 +19,6 @@
 //                  [--backoff-ms MS] [--partial]
 //   rv_batch merge (--set NAME | --set-file FILE) --cache-dir DIR
 //                  [--format ...] [--out FILE] [--require-all-hits]
-//                  [--write-merged]
 //   rv_batch cache-stats --cache-dir DIR
 //   rv_batch compact --cache-dir DIR [--max-age-days D] [--max-bytes N]
 //
@@ -183,27 +182,36 @@ int check_all_hits(bool required, const rv::engine::CacheStats& stats) {
 }
 
 /// The set a run/merge operates on: a built-in set named by --set, or
-/// a `*.rvset` file named by --set-file.
+/// a `*.rvset` file named by --set-file, and the one family it emits.
 struct NamedSet {
   std::string name;
   rv::engine::ScenarioSet set;
+  rv::engine::Family family = rv::engine::Family::kRendezvous;
 };
 
+/// Resolves the set and checks, before any cell runs, that --format
+/// names a format and that the set declares a single family.
 NamedSet resolve_set(const rv::io::Args& args) {
+  rv::engine::check_format(args.get("format"));
   const std::string set_name = args.get("set");
   const std::string set_file = args.get("set-file");
+  NamedSet named;
   if (!set_file.empty()) {
     if (!set_name.empty()) {
       throw std::invalid_argument("--set and --set-file are exclusive");
     }
     rv::engine::SetDecl decl = rv::engine::parse_set_decl_file(set_file);
-    return NamedSet{std::move(decl.name), std::move(decl.set)};
-  }
-  if (set_name.empty()) {
+    named.name = std::move(decl.name);
+    named.set = std::move(decl.set);
+  } else if (set_name.empty()) {
     throw std::invalid_argument(
         "need --set NAME (see: rv_batch list) or --set-file FILE");
+  } else {
+    named.name = set_name;
+    named.set = rv::batch::build_builtin_set(set_name);
   }
-  return NamedSet{set_name, rv::batch::build_builtin_set(set_name)};
+  named.family = named.set.single_family();
+  return named;
 }
 
 int cmd_list(const rv::io::Args& args) {
@@ -284,8 +292,8 @@ int cmd_run(rv::io::Args& args) {
       cache_dir, static_cast<std::size_t>(procs), threads,
       {static_cast<std::size_t>(retries), shard_timeout,
        static_cast<std::uint64_t>(backoff_ms)}};
-  const rv::engine::Execution ran =
-      rv::engine::execute(work, plan, cache, exec);
+  rv::engine::Execution ran = rv::engine::execute(work, plan, cache, exec);
+  ran.results.set_family(named.family);
   const SupervisorReport& report = ran.report;
   if (report.any_failures()) {
     std::cerr << "rv_batch: shard attempt log:\n" << report.table();
@@ -337,16 +345,9 @@ int cmd_merge(rv::io::Args& args) {
   rv::engine::RunnerOptions options;
   options.threads = static_cast<unsigned>(args.get_int("threads"));
   options.cache = &cache;
-  const ResultSet results = rv::engine::run_scenarios(named.set, options);
+  ResultSet results = rv::engine::run_scenarios(named.set, options);
+  results.set_family(named.family);
   print_run_stats(set_name, results.size(), results.cache_stats());
-  if (args.get_bool("write-merged")) {
-    const fs::path merged =
-        cache_dir /
-        (set_name + "-merged" + rv::engine::kCacheFileExtension);
-    rv::engine::save_cache_file(merged, cache);
-    std::cerr << "rv_batch: wrote " << cache.size() << " outcomes to "
-              << merged << "\n";
-  }
   emit(rv::engine::render(results, args.get("format")), args.get("out"));
   return check_all_hits(args.get_bool("require-all-hits"),
                         results.cache_stats());
@@ -461,7 +462,7 @@ const std::map<std::string, std::vector<std::string>>& flag_contract() {
         "partial"}},
       {"merge",
        {"set", "set-file", "threads", "cache-dir", "format", "out",
-        "require-all-hits", "write-merged"}},
+        "require-all-hits"}},
       {"cache-stats", {"cache-dir"}},
       {"compact", {"cache-dir", "max-age-days", "max-bytes"}},
   };
@@ -505,7 +506,8 @@ void usage(std::ostream& os) {
      << "        [--partial]       (supervisor knobs; fork mode only)\n"
      << "  merge (--set NAME | --set-file FILE) --cache-dir DIR\n"
      << "        replay shard caches into the single-process document\n"
-     << "        [--write-merged] [...run flags]\n"
+     << "        [--threads T] [--format ...] [--out FILE]\n"
+     << "        [--require-all-hits]\n"
      << "  cache-stats --cache-dir DIR        describe the cache files\n"
      << "  compact --cache-dir DIR            merge + dedupe the cache files\n"
      << "        [--max-age-days D]           evict files older than D days\n"
@@ -541,8 +543,6 @@ int main(int argc, char** argv) {
   args.declare("out", "", "write the document here instead of stdout");
   args.declare_bool("require-all-hits",
                     "fail (exit 3) unless every item replayed from cache");
-  args.declare_bool("write-merged",
-                    "merge: also write the union as merged.rvcache");
   args.declare_int("retries", 0,
                    "fork mode: extra attempts per failed shard (0 = fail fast)");
   args.declare_double("shard-timeout", 0.0,
@@ -558,11 +558,11 @@ int main(int argc, char** argv) {
                "compact: byte budget, evicting oldest files first (empty = "
                "no budget)");
   const std::vector<std::string> declared = {
-      "set",          "set-file",  "shard",        "procs",
-      "threads",      "cache-dir", "format",       "out",
-      "require-all-hits",          "write-merged", "retries",
-      "shard-timeout",             "backoff-ms",   "partial",
-      "max-age-days",              "max-bytes"};
+      "set",          "set-file",  "shard",      "procs",
+      "threads",      "cache-dir", "format",     "out",
+      "require-all-hits",          "retries",    "shard-timeout",
+      "backoff-ms",   "partial",   "max-age-days",
+      "max-bytes"};
   try {
     args.parse(argc - 1, argv + 1);
     if (args.help_requested()) {

@@ -103,6 +103,29 @@ void BM_Algorithm7Emission(benchmark::State& state) {
 }
 BENCHMARK(BM_Algorithm7Emission);
 
+// 100,000 Algorithm 7 segments through the frame map into one reused
+// TimedSegment: the pull a sweep step pays when a segment ends
+// (emission, validation, the frame map and the Kahan clock).
+void BM_GlobalSegmentStream(benchmark::State& state) {
+  RobotAttributes attrs;
+  attrs.speed = 1.5;
+  attrs.time_unit = 0.75;
+  attrs.orientation = 1.2;
+  attrs.chirality = -1;
+  for (auto _ : state) {
+    rv::traj::GlobalSegmentStream stream(
+        std::make_shared<rv::rendezvous::RendezvousProgram>(), attrs,
+        {1.0, 0.0});
+    rv::traj::TimedSegment seg;
+    for (int i = 0; i < 100000; ++i) {
+      stream.next_into(seg);
+      benchmark::DoNotOptimize(seg);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_GlobalSegmentStream);
+
 void BM_ContactSweepSearch(benchmark::State& state) {
   for (auto _ : state) {
     rv::sim::SimOptions opts;

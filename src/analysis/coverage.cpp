@@ -203,14 +203,19 @@ std::vector<CoveragePoint> measure_coverage(
            grid.all_marked(segment_box(s.geometry), pad);
   };
 
+  // A stepped segment's duration is computed once, on arrival, for
+  // its speed and every mark position along it.
   double t = 0.0;
-  traj::TimedSegment seg = stream.next();
+  traj::TimedSegment seg;
+  stream.next_into(seg);
   bool skip = skippable(seg);
-  grid.mark_disk(seg.position(0.0), options.visibility);
+  double dur = traj::duration(seg.geometry);
+  grid.mark_disk(seg.position(0.0, dur), options.visibility);
   while (t < options.horizon) {
     while (seg.t1 <= t) {
-      seg = stream.next();
+      stream.next_into(seg);
       skip = skippable(seg);
+      if (!skip) dur = traj::duration(seg.geometry);
     }
     if (skip) {
       // Jump to the segment's end: the marks in between would not
@@ -219,7 +224,7 @@ std::vector<CoveragePoint> measure_coverage(
       t = std::min(seg.t1, options.horizon);
     } else {
       // Step so the robot moves at most cell/2 between marks.
-      const double speed = seg.speed();
+      const double speed = seg.speed(dur);
       double dt;
       if (speed <= 0.0) {
         dt = seg.t1 - t;  // waiting: nothing new to mark until the end
@@ -228,7 +233,7 @@ std::vector<CoveragePoint> measure_coverage(
         dt = 0.5 * options.cell / speed;
       }
       t = std::min({t + dt, seg.t1, options.horizon});
-      grid.mark_disk(seg.position(t), options.visibility);
+      grid.mark_disk(seg.position(t, dur), options.visibility);
     }
     while (t >= next_checkpoint - 1e-12 &&
            series.size() <

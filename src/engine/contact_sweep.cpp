@@ -56,14 +56,13 @@ ContactSweep::ContactSweep(std::vector<RobotSpec> robots, SweepMetric metric,
 void ContactSweep::start(SweepResult& res) {
   res.best_metric = std::numeric_limits<double>::infinity();
   const std::size_t n = streams_.size();
-  current_.clear();
-  current_.reserve(n);
+  current_.resize(n);
   speeds_.assign(n, 0.0);
   durs_.assign(n, 0.0);
   stale_.assign(n, 0);
   any_stale_ = false;
   for (std::size_t i = 0; i < n; ++i) {
-    current_.push_back(streams_[i].next());
+    streams_[i].next_into(current_[i]);
     ++res.segments;
     durs_[i] = traj::duration(current_[i].geometry);
     speeds_[i] = current_[i].speed(durs_[i]);
@@ -80,7 +79,7 @@ void ContactSweep::pull(double t, SweepResult& res) {
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     if (current_[i].t1 > t) continue;
     do {
-      current_[i] = streams_[i].next();
+      streams_[i].next_into(current_[i]);
       ++res.segments;
     } while (current_[i].t1 <= t);
     durs_[i] = traj::duration(current_[i].geometry);

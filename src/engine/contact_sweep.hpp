@@ -36,11 +36,14 @@
 ///
 /// Cost model per step: a step pays for what changed since the last
 /// step and, unless the bound below decides it, for one metric
-/// evaluation.  When no current segment ends by the step time the pull
-/// returns at once; otherwise it advances only the robots whose
-/// segments ended, computes each new segment's duration once (for its
-/// speed and its batch slot), and recomputes the window end and the
-/// Lipschitz constant L.  Batch slots are rewritten lazily
+/// evaluation; a decided step costs the pull and the bound check only.
+/// When no current segment ends by the step time the pull returns at
+/// once; otherwise it advances only the robots whose segments ended,
+/// streaming each new segment in place into the robot's current slot
+/// (`GlobalSegmentStream::next_into`, no `Segment` temporary; see
+/// traj/frame.hpp), computes its duration once (for its speed and its
+/// batch slot), and recomputes the window end and the Lipschitz
+/// constant L.  Batch slots are rewritten lazily
 /// (`BatchedPositions::assemble_one`), just before the next computed
 /// evaluation, so a step that computes nothing never touches them.
 ///

@@ -36,10 +36,6 @@ std::string fmt_ms(double ms) {
   return buf;
 }
 
-[[noreturn]] void parse_fail(const std::string& message) {
-  throw ServeError("parse", message);
-}
-
 }  // namespace
 
 // --------------------------------------------------------------------
@@ -48,83 +44,99 @@ std::string fmt_ms(double ms) {
 
 Request parse_request(std::string_view header_line) {
   if (header_line.size() > kMaxHeaderBytes) {
-    parse_fail("request header exceeds " + std::to_string(kMaxHeaderBytes) +
-               " bytes");
+    throw RequestError("request header exceeds " +
+                           std::to_string(kMaxHeaderBytes) + " bytes",
+                       {});
   }
   Request req;
   std::string op;
   std::string key;
   std::set<std::string> seen;
   bool have_extras = false;  // any run-only key on a non-run op
+  // The first semantic error, thrown once the whole object is read, so
+  // the reply can echo a valid `id` and the pump can skip the body.
+  std::string error;
+  const auto fail = [&error](std::string message) {
+    if (error.empty()) error = std::move(message);
+  };
   try {
     io::JsonReader json(header_line);
     json.begin_object();
     while (json.next_member(&key)) {
-      if (!seen.insert(key).second) parse_fail("duplicate key '" + key + "'");
+      if (!seen.insert(key).second) {
+        fail("duplicate key '" + key + "'");
+        json.skip_value();
+        continue;
+      }
       have_extras = have_extras || (key != "op" && key != "id");
       if (key == "op") {
         op = json.string();
       } else if (key == "id") {
-        req.id = json.string();
-        if (req.id.empty()) parse_fail("'id' must be non-empty");
-        if (req.id.size() > 256) parse_fail("'id' exceeds 256 bytes");
+        std::string id = json.string();
+        if (id.empty()) {
+          fail("'id' must be non-empty");
+        } else if (id.size() > 256) {
+          fail("'id' exceeds 256 bytes");
+        } else {
+          req.id = std::move(id);
+        }
       } else if (key == "set") {
         req.set = json.string();
-        if (req.set.empty()) parse_fail("'set' must be non-empty");
+        if (req.set.empty()) fail("'set' must be non-empty");
       } else if (key == "body_bytes") {
         const std::string_view raw = json.number().raw;
-        if (raw.find_first_not_of("0123456789") != std::string_view::npos) {
-          parse_fail("'body_bytes' must be a non-negative integer");
-        }
         std::size_t value = 0;
-        if (std::from_chars(raw.data(), raw.data() + raw.size(), value).ec !=
-                std::errc{} ||
-            value > kMaxBodyBytes) {
-          parse_fail("'body_bytes' exceeds " + std::to_string(kMaxBodyBytes) +
-                     " bytes");
+        if (raw.find_first_not_of("0123456789") != std::string_view::npos) {
+          fail("'body_bytes' must be a non-negative integer");
+        } else if (std::from_chars(raw.data(), raw.data() + raw.size(), value)
+                           .ec != std::errc{} ||
+                   value > kMaxBodyBytes) {
+          fail("'body_bytes' exceeds " + std::to_string(kMaxBodyBytes) +
+               " bytes");
+        } else {
+          req.has_body = true;
+          req.body_bytes = value;
         }
-        req.has_body = true;
-        req.body_bytes = value;
       } else if (key == "format") {
         req.format = json.string();
         if (req.format != "csv" && req.format != "json" &&
             req.format != "table") {
-          parse_fail("'format' must be csv, json or table, got '" +
-                     req.format + "'");
+          fail("'format' must be csv, json or table, got '" + req.format +
+               "'");
         }
       } else if (key == "deadline_ms") {
         const io::JsonNumber value = json.number();
         if (value.raw.front() == '-') {
-          parse_fail("'deadline_ms' must be non-negative");
+          fail("'deadline_ms' must be non-negative");
         }
         req.deadline_ms = value.value;
       } else if (key == "partial") {
         req.partial = json.boolean();
       } else {
-        parse_fail("unknown key '" + key + "'");
+        fail("unknown key '" + key + "'");
+        json.skip_value();
       }
     }
     json.end();
-  } catch (const io::JsonError& error) {
-    parse_fail(error.what());
+  } catch (const io::JsonError& json_error) {
+    throw RequestError(json_error.what(), {});  // nothing to echo or skip
   }
-  if (op.empty()) parse_fail("missing required key 'op'");
+  if (op.empty()) fail("missing required key 'op'");
   if (op == "run") {
     req.op = Op::kRun;
     if (!req.set.empty() && req.has_body) {
-      parse_fail("'set' and 'body_bytes' are exclusive");
+      fail("'set' and 'body_bytes' are exclusive");
     }
     if (req.set.empty() && !req.has_body) {
-      parse_fail("run requests need 'set' or 'body_bytes'");
+      fail("run requests need 'set' or 'body_bytes'");
     }
   } else if (op == "status" || op == "shutdown") {
     req.op = op == "status" ? Op::kStatus : Op::kShutdown;
-    if (have_extras) {
-      parse_fail("'" + op + "' requests accept only 'id'");
-    }
-  } else {
-    parse_fail("unknown op '" + op + "'");
+    if (have_extras) fail("'" + op + "' requests accept only 'id'");
+  } else if (!op.empty()) {
+    fail("unknown op '" + op + "'");
   }
+  if (!error.empty()) throw RequestError(error, std::move(req));
   return req;
 }
 
@@ -271,8 +283,8 @@ std::string Service::process(const std::string& header_line,
   Request request;
   try {
     request = parse_request(header_line);
-  } catch (const ServeError& error) {
-    return reject("", error.code(), error.what());
+  } catch (const RequestError& error) {
+    return reject(error.request().id, error.code(), error.what());
   }
   if (request.has_body) {
     if (body.size() != request.body_bytes) {
@@ -564,8 +576,18 @@ bool serve_stream(Service& service, std::istream& in, std::ostream& out) {
     Request request;
     try {
       request = parse_request(line);
-    } catch (const ServeError& error) {
-      write_reply(service.reject("", error.code(), error.what()));
+    } catch (const RequestError& error) {
+      write_reply(
+          service.reject(error.request().id, error.code(), error.what()));
+      // Skip the body the rejected header declared, and its LF, so its
+      // lines are not read as requests.
+      if (!error.request().has_body) continue;
+      const std::size_t n = error.request().body_bytes;
+      in.ignore(static_cast<std::streamsize>(n));
+      if (static_cast<std::size_t>(in.gcount()) != n) break;
+      if (in.get() != '\n') {
+        in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      }
       continue;
     }
     if (request.has_body) {

@@ -65,7 +65,8 @@
 /// request's deadline expired before or during dispatch), `failed`
 /// (dispatch failed for another reason).  A malformed request always
 /// gets a structured error reply — never a crash, never a torn
-/// stream: the reader resynchronises at the next LF.
+/// stream: the reader resynchronises at the next LF, past the body a
+/// rejected well-formed header declared (see `RequestError`).
 ///
 /// Failpoint sites (chaos hooks, see engine/failpoint.hpp):
 /// `serve.accept` (admission, index = request seq), `serve.dispatch`
@@ -91,6 +92,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/cache_store.hpp"
@@ -131,6 +133,22 @@ struct Request {
   double admitted_ms = 0.0; ///< service monotonic clock at admission
 };
 
+/// The `parse` error of a request header.  `parse_request` reads a
+/// well-formed JSON header whole before it throws, so `request()` holds
+/// the header's valid `id` (echoed in the error reply) and its valid
+/// `body_bytes` (which `serve_stream` skips, so the body's lines are not
+/// read as requests).  For a header that is not JSON, or not a flat
+/// object of the expected value types, `request()` is empty.
+class RequestError : public ServeError {
+ public:
+  RequestError(const std::string& message, Request request)
+      : ServeError("parse", message), request_(std::move(request)) {}
+  [[nodiscard]] const Request& request() const noexcept { return request_; }
+
+ private:
+  Request request_;
+};
+
 /// Upper bound on one request header line; longer lines are a `parse`
 /// error (the reader still resynchronises at the next LF).
 inline constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
@@ -139,9 +157,10 @@ inline constexpr std::size_t kMaxBodyBytes = 8 * 1024 * 1024;
 
 /// Parses one request header line (strict flat JSON object read with
 /// `io::JsonReader`, so RFC 8259 whitespace including a trailing CR is
-/// accepted; see the file comment for keys).  \throws ServeError("parse", ...) on any
+/// accepted; see the file comment for keys).  \throws RequestError on any
 /// malformed input — unknown keys, duplicate keys, wrong types,
 /// missing `op`, `set` together with `body_bytes`, oversized bodies.
+/// The message is the header's first error.
 [[nodiscard]] Request parse_request(std::string_view header_line);
 
 /// Counters returned by a `status` request (and `Service::counters`).

@@ -3,13 +3,10 @@
 #include <stdexcept>
 
 #include "linear/zigzag.hpp"
-#include "mathx/binary.hpp"
 #include "mathx/constants.hpp"
 
 namespace rv::linear {
 
-using rv::mathx::pow2;
-using traj::LineSeg;
 using traj::Segment;
 using traj::WaitSeg;
 
@@ -31,16 +28,6 @@ bool linear_rendezvous_feasible(const LinearAttributes& attrs) {
 }
 
 double linear_search_all_time(int n) { return zigzag_prefix_time(n); }
-
-Segment LinearRendezvousProgram::zigzag_leg() {
-  const double amp = pow2(k_);
-  switch (phase_) {
-    case 0: return LineSeg{{0.0, 0.0}, {amp, 0.0}};
-    case 1: return LineSeg{{amp, 0.0}, {0.0, 0.0}};
-    case 2: return LineSeg{{0.0, 0.0}, {-amp, 0.0}};
-    default: return LineSeg{{-amp, 0.0}, {0.0, 0.0}};
-  }
-}
 
 void LinearRendezvousProgram::advance_leg() {
   if (++phase_ < 4) return;
@@ -69,9 +56,10 @@ Segment LinearRendezvousProgram::next() {
     phase_ = 0;
     return WaitSeg{{0.0, 0.0}, 2.0 * linear_search_all_time(n_)};
   }
-  const Segment seg = zigzag_leg();
+  const int k = k_;
+  const int phase = phase_;
   advance_leg();
-  return seg;
+  return zigzag_leg(k, phase);
 }
 
 std::shared_ptr<traj::Program> make_linear_rendezvous_program() {

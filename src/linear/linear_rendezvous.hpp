@@ -60,9 +60,7 @@ class LinearRendezvousProgram final : public traj::Program {
   Stage stage_ = Stage::kWait;
   int k_ = 1;     ///< zigzag round within the pass
   int phase_ = 0; ///< leg within the zigzag round (0..3)
-  bool first_ = true;
 
-  [[nodiscard]] traj::Segment zigzag_leg();
   void advance_leg();
 };
 

@@ -11,28 +11,24 @@ using rv::mathx::pow2;
 using traj::LineSeg;
 using traj::Segment;
 
-Segment ZigZagProgram::next() {
-  const double amp = pow2(k_);
-  Segment seg;
-  switch (phase_) {
-    case 0:
-      seg = LineSeg{{0.0, 0.0}, {amp, 0.0}};
-      break;
-    case 1:
-      seg = LineSeg{{amp, 0.0}, {0.0, 0.0}};
-      break;
-    case 2:
-      seg = LineSeg{{0.0, 0.0}, {-amp, 0.0}};
-      break;
-    default:
-      seg = LineSeg{{-amp, 0.0}, {0.0, 0.0}};
-      break;
+Segment zigzag_leg(int k, int phase) {
+  const double amp = pow2(k);
+  switch (phase) {
+    case 0: return LineSeg{{0.0, 0.0}, {amp, 0.0}};
+    case 1: return LineSeg{{amp, 0.0}, {0.0, 0.0}};
+    case 2: return LineSeg{{0.0, 0.0}, {-amp, 0.0}};
+    default: return LineSeg{{-amp, 0.0}, {0.0, 0.0}};
   }
+}
+
+Segment ZigZagProgram::next() {
+  const int k = k_;
+  const int phase = phase_;
   if (++phase_ == 4) {
     phase_ = 0;
     if (++k_ > 60) throw std::logic_error("ZigZagProgram: round overflow");
   }
-  return seg;
+  return zigzag_leg(k, phase);
 }
 
 double zigzag_prefix_time(int k) {

@@ -24,6 +24,11 @@
 
 namespace rv::linear {
 
+/// Leg `phase` (0..3) of zigzag round k: 0 → +2ᵏ, back, 0 → −2ᵏ, back.
+/// Built as the returned alternative, with no `Segment` temporary (see
+/// traj/frame.hpp).
+[[nodiscard]] traj::Segment zigzag_leg(int k, int phase);
+
 /// Doubling zigzag on the x axis: for k = 1, 2, ...:
 /// 0 → +2ᵏ → 0 → −2ᵏ → 0.
 class ZigZagProgram final : public traj::Program {

@@ -25,6 +25,15 @@ void RendezvousProgram::begin_round() {
   mark("inactive");
 }
 
+Segment RendezvousProgram::emitted() {
+  // Without a recorder the emitter's segment is returned as is, with no
+  // named copy (see traj/frame.hpp).
+  if (!recorder_) return emitter_.next();
+  Segment seg = emitter_.next();
+  local_clock_ += traj::duration(seg);
+  return seg;
+}
+
 Segment RendezvousProgram::next() {
   for (;;) {
     switch (stage_) {
@@ -32,7 +41,7 @@ Segment RendezvousProgram::next() {
         const double wait_time = 2.0 * search_all_time(n_);
         stage_ = Stage::kSearchAll;
         k_ = 1;
-        emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
+        emitter_ = search::SearchRoundEmitter(k_);
         // Only marks read the local clock, so it advances only when a
         // recorder is attached.
         if (recorder_) local_clock_ += wait_time;
@@ -41,29 +50,21 @@ Segment RendezvousProgram::next() {
         return WaitSeg{{0.0, 0.0}, wait_time};
       }
       case Stage::kSearchAll: {
-        if (!emitter_->done()) {
-          Segment seg = emitter_->next();
-          if (recorder_) local_clock_ += traj::duration(seg);
-          return seg;
-        }
+        if (!emitter_.done()) return emitted();
         if (k_ < n_) {
-          emitter_ = std::make_unique<search::SearchRoundEmitter>(++k_);
+          emitter_ = search::SearchRoundEmitter(++k_);
           continue;
         }
         stage_ = Stage::kSearchAllRev;
         k_ = n_;
-        emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
+        emitter_ = search::SearchRoundEmitter(k_);
         mark("searchallrev");
         continue;
       }
       case Stage::kSearchAllRev: {
-        if (!emitter_->done()) {
-          Segment seg = emitter_->next();
-          if (recorder_) local_clock_ += traj::duration(seg);
-          return seg;
-        }
+        if (!emitter_.done()) return emitted();
         if (k_ > 1) {
-          emitter_ = std::make_unique<search::SearchRoundEmitter>(--k_);
+          emitter_ = search::SearchRoundEmitter(--k_);
           continue;
         }
         begin_round();

@@ -38,11 +38,14 @@ class RendezvousProgram final : public traj::Program {
   void begin_round();
   /// Records "<phase> n" at the local clock (no-op without a recorder).
   void mark(const char* phase);
+  /// The emitter's next segment, advancing the local clock when a
+  /// recorder is attached.
+  [[nodiscard]] traj::Segment emitted();
 
   int n_ = 0;
   Stage stage_ = Stage::kWait;
   int k_ = 1;  ///< inner Search(k) index within SearchAll/SearchAllRev
-  std::unique_ptr<search::SearchRoundEmitter> emitter_;
+  search::SearchRoundEmitter emitter_{1};
   traj::MarkRecorder* recorder_;
   double local_clock_ = 0.0;  ///< maintained only with a recorder
 };

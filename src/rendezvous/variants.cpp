@@ -28,27 +28,26 @@ Segment VariantRendezvousProgram::next() {
         const double wait_time = 2.0 * search_all_time(n_);
         stage_ = Stage::kFirstPass;
         k_ = 1;
-        emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
+        emitter_ = search::SearchRoundEmitter(k_);
         return WaitSeg{{0.0, 0.0}, wait_time};
       }
       case Stage::kFirstPass: {
-        if (!emitter_->done()) return emitter_->next();
+        if (!emitter_.done()) return emitter_.next();
         if (k_ < n_) {
-          emitter_ = std::make_unique<search::SearchRoundEmitter>(++k_);
+          emitter_ = search::SearchRoundEmitter(++k_);
           continue;
         }
         stage_ = Stage::kSecondPass;
         k_ = second_pass_first_k();
-        emitter_ = std::make_unique<search::SearchRoundEmitter>(k_);
+        emitter_ = search::SearchRoundEmitter(k_);
         continue;
       }
       case Stage::kSecondPass: {
-        if (!emitter_->done()) return emitter_->next();
+        if (!emitter_.done()) return emitter_.next();
         const bool reverse =
             order_ == ActivePhaseOrder::kForwardThenReverse;
         if (reverse ? (k_ > 1) : (k_ < n_)) {
-          emitter_ = std::make_unique<search::SearchRoundEmitter>(
-              reverse ? --k_ : ++k_);
+          emitter_ = search::SearchRoundEmitter(reverse ? --k_ : ++k_);
           continue;
         }
         begin_round();

@@ -46,7 +46,7 @@ class VariantRendezvousProgram final : public traj::Program {
   int n_ = 0;
   Stage stage_ = Stage::kWait;
   int k_ = 1;
-  std::unique_ptr<search::SearchRoundEmitter> emitter_;
+  search::SearchRoundEmitter emitter_{1};
 
   void begin_round();
   [[nodiscard]] int second_pass_first_k() const;

@@ -4,13 +4,12 @@
 #include <stdexcept>
 
 #include "mathx/binary.hpp"
-#include "mathx/constants.hpp"
+#include "search/emitter.hpp"
 
 namespace rv::search {
 
 using geom::Vec2;
 using rv::mathx::pow2;
-using traj::ArcSeg;
 using traj::LineSeg;
 using traj::Segment;
 
@@ -35,18 +34,7 @@ double ConcentricSweepProgram::radius() const {
 
 Segment ConcentricSweepProgram::next() {
   const double r = radius();
-  Segment seg;
-  switch (phase_) {
-    case 0:
-      seg = LineSeg{{0.0, 0.0}, {r, 0.0}};
-      break;
-    case 1:
-      seg = ArcSeg{{0.0, 0.0}, r, 0.0, rv::mathx::kTwoPi};
-      break;
-    default:
-      seg = LineSeg{{r, 0.0}, {0.0, 0.0}};
-      break;
-  }
+  const int phase = phase_;
   if (++phase_ == 3) {
     phase_ = 0;
     if (++i_ == count_) {
@@ -57,7 +45,7 @@ Segment ConcentricSweepProgram::next() {
       load_round();
     }
   }
-  return seg;
+  return circle_leg(r, phase);
 }
 
 // ---------------------------------------------------------------------------
@@ -85,22 +73,17 @@ Segment SquareSpiralProgram::next() {
   const double s = step();
   const double y = -h + static_cast<double>(row_) * s;
 
-  Segment seg;
+  const Vec2 from = cursor_;
   if (phase_ == 0) {
     // Move (diagonally for the first row, vertically otherwise) to the
     // start of the scan row.
-    const Vec2 target{(row_ % 2 == 0) ? -h : h, y};
-    seg = LineSeg{cursor_, target};
-    cursor_ = target;
+    cursor_ = {(row_ % 2 == 0) ? -h : h, y};
     phase_ = 1;
   } else if (phase_ == 1) {
-    const Vec2 target{(row_ % 2 == 0) ? h : -h, y};
-    seg = LineSeg{cursor_, target};
-    cursor_ = target;
+    cursor_ = {(row_ % 2 == 0) ? h : -h, y};
     ++row_;
     phase_ = (row_ < rows_) ? 0 : 2;
   } else {
-    seg = LineSeg{cursor_, {0.0, 0.0}};
     cursor_ = {0.0, 0.0};
     ++m_;
     if (m_ > 16) {
@@ -108,7 +91,7 @@ Segment SquareSpiralProgram::next() {
     }
     load_round();
   }
-  return seg;
+  return LineSeg{from, cursor_};
 }
 
 std::shared_ptr<traj::Program> make_concentric_baseline() {

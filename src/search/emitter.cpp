@@ -3,15 +3,11 @@
 #include <stdexcept>
 
 #include "mathx/binary.hpp"
-#include "mathx/constants.hpp"
 #include "search/times.hpp"
 
 namespace rv::search {
 
-using geom::Vec2;
 using rv::mathx::pow2;
-using traj::ArcSeg;
-using traj::LineSeg;
 using traj::Segment;
 using traj::WaitSeg;
 
@@ -65,20 +61,9 @@ Segment SearchRoundEmitter::next() {
     return WaitSeg{{0.0, 0.0}, search_round_wait(k_)};
   }
   const double radius = circle_radius();
-  Segment seg;
-  switch (phase_) {
-    case 0:
-      seg = LineSeg{{0.0, 0.0}, {radius, 0.0}};
-      break;
-    case 1:
-      seg = ArcSeg{{0.0, 0.0}, radius, 0.0, rv::mathx::kTwoPi};
-      break;
-    default:
-      seg = LineSeg{{radius, 0.0}, {0.0, 0.0}};
-      break;
-  }
+  const int phase = phase_;
   advance_counters();
-  return seg;
+  return circle_leg(radius, phase);
 }
 
 }  // namespace rv::search

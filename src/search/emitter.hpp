@@ -12,9 +12,22 @@
 
 #include <cstdint>
 
+#include "mathx/constants.hpp"
 #include "traj/segment.hpp"
 
 namespace rv::search {
+
+/// Leg `phase` of the search circle of the given radius about the local
+/// origin: 0 = line out along +x, 1 = the full counter-clockwise circle,
+/// 2 = line back.  Built as the returned alternative, with no `Segment`
+/// temporary (see traj/frame.hpp).
+[[nodiscard]] inline traj::Segment circle_leg(double radius, int phase) {
+  switch (phase) {
+    case 0: return traj::LineSeg{{0.0, 0.0}, {radius, 0.0}};
+    case 1: return traj::ArcSeg{{0.0, 0.0}, radius, 0.0, mathx::kTwoPi};
+    default: return traj::LineSeg{{radius, 0.0}, {0.0, 0.0}};
+  }
+}
 
 /// Emits the segments of one Search(k) round, in order, in O(1) space.
 class SearchRoundEmitter {

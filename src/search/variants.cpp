@@ -4,13 +4,12 @@
 #include <stdexcept>
 
 #include "mathx/binary.hpp"
-#include "mathx/constants.hpp"
+#include "search/emitter.hpp"
 #include "search/times.hpp"
 
 namespace rv::search {
 
 using rv::mathx::pow2;
-using traj::ArcSeg;
 using traj::LineSeg;
 using traj::Segment;
 using traj::WaitSeg;
@@ -59,18 +58,7 @@ Segment VariantRoundEmitter::next() {
     return LineSeg{{0.0, 0.0}, {0.0, 0.0}};
   }
   const double radius = circle_radius();
-  Segment seg;
-  switch (phase_) {
-    case 0:
-      seg = LineSeg{{0.0, 0.0}, {radius, 0.0}};
-      break;
-    case 1:
-      seg = ArcSeg{{0.0, 0.0}, radius, 0.0, rv::mathx::kTwoPi};
-      break;
-    default:
-      seg = LineSeg{{radius, 0.0}, {0.0, 0.0}};
-      break;
-  }
+  const int phase = phase_;
   if (++phase_ == 3) {
     phase_ = 0;
     if (++i_ >= count_) {
@@ -78,7 +66,7 @@ Segment VariantRoundEmitter::next() {
       if (j_ <= 2 * k_ - 1) load_sub_round();
     }
   }
-  return seg;
+  return circle_leg(radius, phase);
 }
 
 VariantSearchProgram::VariantSearchProgram(VariantOptions options)

@@ -18,7 +18,7 @@ GlobalTrace::GlobalTrace(std::shared_ptr<traj::Program> program,
   }
   traj::GlobalSegmentStream stream(std::move(program), attrs, origin);
   while (stream.clock() < horizon_) {
-    segments_.push_back(stream.next());
+    stream.next_into(segments_.emplace_back());
   }
 }
 

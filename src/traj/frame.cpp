@@ -11,13 +11,12 @@ using geom::Mat2;
 using geom::RobotAttributes;
 using geom::Vec2;
 
-Vec2 TimedSegment::position(double t) const {
+Vec2 TimedSegment::position(double t, double dur) const {
   const double span = t1 - t0;
-  const double dur = duration(geometry);
   if (span <= 0.0 || dur == 0.0) return start_point(geometry);
   double frac = (t - t0) / span;
   frac = std::clamp(frac, 0.0, 1.0);
-  return position_at(geometry, frac * dur);
+  return position_at(geometry, frac * dur, dur);
 }
 
 double TimedSegment::speed(double dur) const {
@@ -28,32 +27,36 @@ double TimedSegment::speed(double dur) const {
 }
 
 namespace {
-// The frame map with the matrix m = frame_matrix(attrs) supplied by the
-// caller, so a stream can build m once instead of once per segment.
-Segment map_to_global(const Segment& local, const RobotAttributes& attrs,
-                      const Mat2& m, const Vec2& origin) {
-  const double scale = attrs.speed * attrs.time_unit;
-  const double chi = static_cast<double>(attrs.chirality);
-
+// The frame map, written into `out`, with the matrix m =
+// frame_matrix(attrs) supplied by the caller, so a stream can build m
+// once instead of once per segment.
+void map_to_global(const Segment& local, const RobotAttributes& attrs,
+                   const Mat2& m, const Vec2& origin, Segment& out) {
   if (const auto* line = std::get_if<LineSeg>(&local)) {
-    return LineSeg{origin + m * line->from, origin + m * line->to};
-  }
-  if (const auto* arc = std::get_if<ArcSeg>(&local)) {
+    out.emplace<LineSeg>(
+        LineSeg{origin + m * line->from, origin + m * line->to});
+  } else if (const auto* arc = std::get_if<ArcSeg>(&local)) {
     // Under x ↦ s·R(φ)·diag(1,χ)·x a point at angle θ on the circle
     // maps to a point at angle φ + χ·θ on the scaled circle: the
     // chirality flip conjugates the angle, the rotation shifts it.
-    return ArcSeg{origin + m * arc->center, scale * arc->radius,
-                  attrs.orientation + chi * arc->start_angle,
-                  chi * arc->sweep};
+    const double chi = static_cast<double>(attrs.chirality);
+    out.emplace<ArcSeg>(ArcSeg{origin + m * arc->center,
+                               attrs.speed * attrs.time_unit * arc->radius,
+                               attrs.orientation + chi * arc->start_angle,
+                               chi * arc->sweep});
+  } else {
+    const auto& wait = std::get<WaitSeg>(local);
+    out.emplace<WaitSeg>(
+        WaitSeg{origin + m * wait.at, attrs.time_unit * wait.duration});
   }
-  const auto& wait = std::get<WaitSeg>(local);
-  return WaitSeg{origin + m * wait.at, attrs.time_unit * wait.duration};
 }
 }  // namespace
 
 Segment to_global_geometry(const Segment& local, const RobotAttributes& attrs,
                            const Vec2& origin) {
-  return map_to_global(local, attrs, frame_matrix(attrs), origin);
+  Segment global;
+  map_to_global(local, attrs, frame_matrix(attrs), origin, global);
+  return global;
 }
 
 GlobalSegmentStream::GlobalSegmentStream(std::shared_ptr<Program> program,
@@ -67,7 +70,7 @@ GlobalSegmentStream::GlobalSegmentStream(std::shared_ptr<Program> program,
   }
 }
 
-TimedSegment GlobalSegmentStream::next() {
+void GlobalSegmentStream::next_into(TimedSegment& out) {
   for (;;) {
     const Segment local = program_->next();
     // Failure injection barrier: a buggy program must fail loudly here
@@ -76,8 +79,8 @@ TimedSegment GlobalSegmentStream::next() {
     const double global_dur = attrs_.time_unit * duration(local);
     if (global_dur <= 0.0) continue;  // skip degenerate segments
 
-    Segment global = map_to_global(local, attrs_, frame_, origin_);
-    const double t0 = clock_ + clock_comp_;
+    map_to_global(local, attrs_, frame_, origin_, out.geometry);
+    out.t0 = clock_ + clock_comp_;
     // Kahan-compensated clock advance.
     const double x = global_dur;
     const double t = clock_ + x;
@@ -87,7 +90,8 @@ TimedSegment GlobalSegmentStream::next() {
       clock_comp_ += (x - t) + clock_;
     }
     clock_ = t;
-    return TimedSegment{std::move(global), t0, clock_ + clock_comp_};
+    out.t1 = clock_ + clock_comp_;
+    return;
   }
 }
 

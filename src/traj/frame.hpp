@@ -16,6 +16,17 @@
 /// producing the timed global segments the simulator sweeps over.  It
 /// builds the frame matrix once, at construction; each segment it emits
 /// is bitwise equal to `to_global_geometry` of the local segment.
+///
+/// The per-segment path never passes a `Segment` or `TimedSegment`
+/// through a temporary.  Programs return the alternative they build
+/// (`return LineSeg{...}`), never a named `Segment` assigned on several
+/// paths; `next_into` writes the mapped geometry and the clock straight
+/// into a caller-owned `TimedSegment`.  Each copy of the variant costs
+/// about 10 ns with GCC 12: it is stored with 8-byte writes and reloaded
+/// with 16-byte reads, which stalls store forwarding.  Algorithm 7
+/// sweeps pull a segment at nearly every step (gather-fleet's three
+/// cells pull 1.84M), so those copies were most of their per-segment
+/// cost.
 
 #include <memory>
 
@@ -34,7 +45,13 @@ struct TimedSegment {
   double t1 = 0.0;    ///< global end time (t1 ≥ t0)
 
   /// Global position at global time t ∈ [t0, t1] (clamped).
-  [[nodiscard]] geom::Vec2 position(double t) const;
+  [[nodiscard]] geom::Vec2 position(double t) const {
+    return position(t, duration(geometry));
+  }
+
+  /// `position(t)` for a caller that already holds `dur ==
+  /// duration(geometry)`.
+  [[nodiscard]] geom::Vec2 position(double t, double dur) const;
 
   /// Constant traversal speed on this segment (0 for waits).
   [[nodiscard]] double speed() const { return speed(duration(geometry)); }
@@ -58,9 +75,16 @@ class GlobalSegmentStream {
   GlobalSegmentStream(std::shared_ptr<Program> program,
                       geom::RobotAttributes attrs, geom::Vec2 origin);
 
-  /// Produces the next timed global segment.  Degenerate (zero-time)
-  /// segments are skipped automatically.
-  [[nodiscard]] TimedSegment next();
+  /// Writes the next timed global segment into `out`, in place.
+  /// Degenerate (zero-time) segments are skipped automatically.
+  void next_into(TimedSegment& out);
+
+  /// `next_into` a fresh segment.
+  [[nodiscard]] TimedSegment next() {
+    TimedSegment seg;
+    next_into(seg);
+    return seg;
+  }
 
   /// Global time reached so far.
   [[nodiscard]] double clock() const { return clock_; }

@@ -11,7 +11,10 @@ using geom::Vec2;
 
 struct DurationVisitor {
   double operator()(const LineSeg& s) const {
-    return geom::distance(s.from, s.to);
+    const Vec2 d = s.from - s.to;
+    if (d.y == 0.0) return std::abs(d.x);
+    if (d.x == 0.0) return std::abs(d.y);
+    return std::hypot(d.x, d.y);
   }
   double operator()(const ArcSeg& s) const {
     return s.radius * std::abs(s.sweep);
@@ -49,7 +52,10 @@ geom::Vec2 end_point(const Segment& seg) {
 }
 
 geom::Vec2 position_at(const Segment& seg, double s) {
-  const double dur = duration(seg);
+  return position_at(seg, s, duration(seg));
+}
+
+geom::Vec2 position_at(const Segment& seg, double s, double dur) {
   const double t = std::clamp(s, 0.0, dur);
   if (const auto* line = std::get_if<LineSeg>(&seg)) {
     if (dur == 0.0) return line->from;

@@ -49,7 +49,9 @@ struct WaitSeg {
 using Segment = std::variant<LineSeg, ArcSeg, WaitSeg>;
 
 /// Local duration: arc length for moves (unit speed), explicit time for
-/// waits.
+/// waits.  An axis-parallel line returns |Δ| without calling `hypot`,
+/// which is the same value: C Annex F (F.10.4.3) defines hypot(x, ±0)
+/// as fabs(x).
 [[nodiscard]] double duration(const Segment& seg);
 
 /// Position at the start of the segment.
@@ -61,6 +63,9 @@ using Segment = std::variant<LineSeg, ArcSeg, WaitSeg>;
 /// Position after s ∈ [0, duration] local time units into the segment.
 /// Values outside the range are clamped.
 [[nodiscard]] geom::Vec2 position_at(const Segment& seg, double s);
+
+/// `position_at` for a caller that already holds `dur == duration(seg)`.
+[[nodiscard]] geom::Vec2 position_at(const Segment& seg, double s, double dur);
 
 /// Validates geometric sanity (finite coordinates, radius ≥ 0,
 /// duration ≥ 0).  \throws std::invalid_argument on violation.

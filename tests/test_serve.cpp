@@ -473,7 +473,6 @@ TEST_F(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"not json", "parse"},
       {R"({"op":"run"})", "parse"},                       // no set, no body
-      {R"({"op":"run","set":"x","body_bytes":1})", "parse"},  // exclusive
       {R"({"op":"launch","set":"x"})", "parse"},          // unknown op
       {R"({"op":"run","set":"x","set":"y"})", "parse"},   // duplicate key
       {R"({"op":"run","set":"x","color":"red"})", "parse"},  // unknown key
@@ -492,6 +491,11 @@ TEST_F(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
     EXPECT_EQ(field(reply.header, "reply"), "error") << line;
     EXPECT_EQ(field(reply.header, "code"), code) << line;
   }
+  // A rejected header's declared body is skipped, not read as requests.
+  const Frame exclusive = roundtrip(
+      daemon, R"({"op":"run","set":"x","body_bytes":1})", "x",
+      /*has_body=*/true);
+  EXPECT_EQ(field(exclusive.header, "code"), "parse");
   // A malformed .rvset body is a structured bad-set error too.
   const Frame bad_body = roundtrip(
       daemon, R"({"op":"run","id":"b","body_bytes":9})", "not a set",
@@ -503,6 +507,47 @@ TEST_F(ServeDaemon, MalformedRequestsGetStructuredErrorsNeverACrash) {
       roundtrip(daemon, R"({"op":"run","id":"ok","set":"linear-line"})");
   EXPECT_EQ(field(ok.header, "reply"), "ok");
   const Frame ack = roundtrip(daemon, R"({"op":"shutdown","id":"s"})");
+  EXPECT_EQ(field(ack.header, "reply"), "shutdown");
+  EXPECT_EQ(daemon.wait_exit(), 0);
+}
+
+TEST_F(ServeDaemon, RejectedHeaderSkipsItsDeclaredBody) {
+  // Regression: the body of a header rejected for a bad `format` stayed
+  // in the stream, and each of its lines got a reply of its own.
+  Daemon daemon;
+  const std::string body = "[linear]\ndistances = 1.0\n";
+  ASSERT_EQ(body.size(), 25u);
+  daemon.send(R"({"op":"run","id":"m","body_bytes":25,"format":"bogus"})"
+              "\n" +
+              body + "\n" + R"({"op":"status","id":"s"})" "\n");
+  daemon.close_stdin();
+  std::istringstream replies(daemon.read_all());
+  EXPECT_EQ(daemon.wait_exit(), 0);
+  std::vector<std::string> headers;
+  std::string header;
+  std::string payload;
+  while (serve::read_frame(replies, &header, &payload)) {
+    headers.push_back(header);
+  }
+  ASSERT_EQ(headers.size(), 2u);
+  EXPECT_EQ(headers[0],
+            R"({"reply":"error","id":"m","code":"parse","message":)"
+            R"("'format' must be csv, json or table, got 'bogus'"})");
+  EXPECT_EQ(field(headers[1], "reply"), "status");
+  EXPECT_EQ(field(headers[1], "id"), "s");
+}
+
+TEST_F(ServeDaemon, ParseErrorRepliesEchoAValidId) {
+  Daemon daemon;
+  const Frame bad_format = roundtrip(
+      daemon, R"({"op":"run","id":"f","set":"gather-fleet","format":"bogus"})");
+  EXPECT_EQ(field(bad_format.header, "code"), "parse");
+  EXPECT_EQ(field(bad_format.header, "id"), "f");
+  // A header that is not JSON has no id to echo.
+  const Frame not_json = roundtrip(daemon, R"({"op":"run","id":"g",)");
+  EXPECT_EQ(field(not_json.header, "code"), "parse");
+  EXPECT_EQ(field(not_json.header, "id"), "");
+  const Frame ack = roundtrip(daemon, R"({"op":"shutdown","id":"q"})");
   EXPECT_EQ(field(ack.header, "reply"), "shutdown");
   EXPECT_EQ(daemon.wait_exit(), 0);
 }
@@ -1142,6 +1187,38 @@ TEST(ServeRequestParse, StrictHeaderGrammar) {
             "parse");
   // RFC 8259 whitespace, so a CRLF-terminated header line parses.
   EXPECT_EQ(code("{\"op\":\"status\",\r\n\"id\":\"c\"}\r"), "no-error");
+
+  // A well-formed header is read whole before its first error is
+  // thrown: the error keeps the valid id and body size.
+  const auto rejected = [](const std::string& line) {
+    try {
+      (void)serve::parse_request(line);
+    } catch (const serve::RequestError& error) {
+      return std::make_pair(error.request().id,
+                            error.request().has_body
+                                ? static_cast<long>(error.request().body_bytes)
+                                : -1L);
+    }
+    return std::make_pair(std::string("no-error"), -1L);
+  };
+  EXPECT_EQ(rejected(R"({"op":"run","set":"s","color":1,"id":"k"})"),
+            std::make_pair(std::string("k"), -1L));
+  EXPECT_EQ(rejected(R"({"op":"run","set":"s","body_bytes":7,"id":"b"})"),
+            std::make_pair(std::string("b"), 7L));
+  EXPECT_EQ(rejected(R"({"op":"run","id":"d","id":"e","set":"s"})"),
+            std::make_pair(std::string("d"), -1L));
+  EXPECT_EQ(rejected(R"({"op":"run","id":"","body_bytes":3})"),
+            std::make_pair(std::string(""), 3L));
+  EXPECT_EQ(rejected(R"({"op":"run","id":"j","format":"x"} trailing)"),
+            std::make_pair(std::string(""), -1L));
+  // The first error is the one reported.
+  try {
+    (void)serve::parse_request(
+        R"({"op":"run","set":"s","format":"x","color":1})");
+    ADD_FAILURE() << "no error";
+  } catch (const serve::RequestError& error) {
+    EXPECT_STREQ(error.what(), "'format' must be csv, json or table, got 'x'");
+  }
 }
 
 TEST(ServeFrame, RoundTripsThroughReadFrame) {

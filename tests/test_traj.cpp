@@ -6,14 +6,23 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "geom/angle.hpp"
 #include "mathx/constants.hpp"
 #include "mathx/rng.hpp"
+#include "linear/linear_rendezvous.hpp"
+#include "linear/zigzag.hpp"
 #include "rendezvous/algorithm7.hpp"
+#include "rendezvous/variants.hpp"
+#include "search/algorithm4.hpp"
+#include "search/baselines.hpp"
+#include "search/variants.hpp"
 #include "support/traj.hpp"
 #include "traj/batch.hpp"
 #include "traj/frame.hpp"
@@ -52,6 +61,39 @@ TEST(SegmentTest, DegenerateLine) {
   const Segment seg = LineSeg{{1.0, 1.0}, {1.0, 1.0}};
   EXPECT_DOUBLE_EQ(duration(seg), 0.0);
   EXPECT_EQ(position_at(seg, 0.0), (Vec2{1.0, 1.0}));
+}
+
+TEST(SegmentTest, AxisParallelLineDurationIsBitwiseHypot) {
+  // duration() skips hypot when one component of a line's delta is
+  // zero; C Annex F makes hypot(x, ±0) exactly |x|.  Seeded magnitudes
+  // span subnormals to 1e301, and the zero component takes both signs.
+  rv::mathx::Xoshiro256 rng(31);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,    -0.0, denorm, -denorm,
+                                std::numeric_limits<double>::min(),
+                                1.0,    1e300, -1e300};
+  for (int i = 0; i < 4000; ++i) {
+    const double mag = std::ldexp(
+        rng.uniform(1.0, 2.0), static_cast<int>(rng.uniform_int(-1075, 1000)));
+    values.push_back(rng.uniform_int(0, 1) == 0 ? mag : -mag);
+  }
+  const auto expect_hypot = [](const LineSeg& line) {
+    const double ref =
+        std::hypot(line.from.x - line.to.x, line.from.y - line.to.y);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(duration(Segment{line})),
+              std::bit_cast<std::uint64_t>(ref))
+        << line.from.x << ',' << line.from.y << " -> " << line.to.x << ','
+        << line.to.y;
+  };
+  for (std::size_t i = 0; i + 1 < values.size(); ++i) {
+    const double a = values[i];
+    const double b = values[i + 1];
+    const double c = values[values.size() - 1 - i];
+    expect_hypot(LineSeg{{a, c}, {b, c}});        // Δy = +0
+    expect_hypot(LineSeg{{a, -0.0}, {b, 0.0}});   // Δy = −0
+    expect_hypot(LineSeg{{c, a}, {c, b}});        // Δx = +0
+    expect_hypot(LineSeg{{-0.0, a}, {0.0, b}});   // Δx = −0
+  }
 }
 
 TEST(SegmentTest, ArcBasics) {
@@ -338,7 +380,7 @@ TEST(FrameTest, StreamSkipsDegenerateSegments) {
                                    RobotAttributes{}, {0.0, 0.0});
   const TimedSegment first = stream.next();
   EXPECT_GT(first.t1 - first.t0, 0.0);
-  EXPECT_TRUE(std::holds_alternative<LineSeg>(first.geometry));
+  ASSERT_TRUE(std::holds_alternative<LineSeg>(first.geometry));
   const auto* line = std::get_if<LineSeg>(&first.geometry);
   EXPECT_TRUE(rv::geom::approx_equal(line->to, {1.0, 0.0}));
 }
@@ -384,35 +426,107 @@ std::vector<std::uint64_t> segment_bits(const Segment& seg) {
   return bits;
 }
 
-TEST(FrameTest, StreamMatchesPerSegmentMappingBitwise) {
-  // The stream builds its frame matrix once; each segment must still be
-  // bitwise the per-segment to_global_geometry of the local segment.
-  // Seeded attributes: non-dyadic τ, χ = −1 and φ within 1e-9 of ±π
-  // (normalisation may wrap those, so the oracle maps with the
-  // stream's own validated attributes).
+// The historical stream clock, kept here as the oracle: Neumaier's
+// compensated sum of τ·duration over the non-degenerate local
+// segments, with every line's length taken by std::hypot.
+struct ReferenceClock {
+  double sum = 0.0;
+  double comp = 0.0;
+
+  // The [t0, t1] of a segment of global duration x.
+  std::pair<double, double> advance(double x) {
+    const double t0 = sum + comp;
+    const double t = sum + x;
+    if (std::abs(sum) >= std::abs(x)) {
+      comp += (sum - t) + x;
+    } else {
+      comp += (x - t) + sum;
+    }
+    sum = t;
+    return {t0, sum + comp};
+  }
+};
+
+double reference_duration(const Segment& seg) {
+  if (const auto* line = std::get_if<LineSeg>(&seg)) {
+    return std::hypot(line->from.x - line->to.x, line->from.y - line->to.y);
+  }
+  return duration(seg);
+}
+
+TEST(FrameTest, StreamIntoMatchesMappingAndReferenceClockBitwise) {
+  // Every shipped program through the in-place stream, into one reused
+  // TimedSegment: each segment's geometry must be bitwise the
+  // per-segment to_global_geometry of the local one, and its t0/t1
+  // bitwise the reference clock's.  Attribute sets cover χ = ±1,
+  // non-dyadic τ, non-zero origins, φ = 0 (axis-parallel global lines)
+  // and φ within 1e-9 of ±π (normalisation may wrap those, so the
+  // oracle maps with the stream's own validated attributes).
+  using Factory = std::function<std::shared_ptr<Program>()>;
+  const std::vector<std::pair<Factory, int>> programs = {
+      {[] { return rv::search::make_search_program(); }, 10'000},
+      {[] { return rv::rendezvous::make_rendezvous_program(); }, 10'000},
+      {[] {
+         return rv::rendezvous::make_variant_rendezvous_program(
+             rv::rendezvous::ActivePhaseOrder::kForwardTwice);
+       },
+       10'000},
+      // Without the round wait the variant emits zero-length stand-ins,
+      // which the stream must skip.
+      {[] {
+         return rv::search::make_variant_search_program(
+             rv::search::VariantOptions{1.5, false});
+       },
+       10'000},
+      {[] { return rv::search::make_concentric_baseline(); }, 10'000},
+      {[] { return rv::search::make_square_spiral_baseline(); }, 10'000},
+      // The zigzag throws once round 60 ends.
+      {[] { return rv::linear::make_zigzag_program(); }, 200},
+      {[] { return rv::linear::make_linear_rendezvous_program(); }, 10'000},
+      {[] { return std::make_shared<StationaryProgram>(); }, 10'000},
+  };
   rv::mathx::Xoshiro256 rng(4242);
-  const double phis[] = {kPi - 1e-9, -kPi + 1e-9, kPi,
+  std::vector<std::pair<RobotAttributes, Vec2>> fleet;
+  fleet.emplace_back(RobotAttributes{}, Vec2{});
+  const double phis[] = {0.0, kPi - 1e-9, -kPi + 1e-9, kPi,
                          rng.uniform(0.0, kTwoPi)};
   for (const double phi : phis) {
-    RobotAttributes attrs;
-    attrs.speed = rng.uniform(0.3, 3.0);
-    attrs.time_unit = rng.uniform(0.3, 0.9);  // not a power of two
-    attrs.orientation = phi;
-    attrs.chirality = -1;
-    const Vec2 origin{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
-    GlobalSegmentStream stream(
-        std::make_shared<rv::rendezvous::RendezvousProgram>(), attrs, origin);
-    rv::rendezvous::RendezvousProgram local;
-    int compared = 0;
-    while (compared < 12'000) {
-      const Segment seg = local.next();
-      if (stream.attributes().time_unit * duration(seg) <= 0.0) continue;
-      const TimedSegment global = stream.next();
-      ASSERT_EQ(segment_bits(global.geometry),
-                segment_bits(to_global_geometry(seg, stream.attributes(),
-                                                stream.origin())))
-          << "phi=" << phi << " segment " << compared;
-      ++compared;
+    for (const int chi : {1, -1}) {
+      RobotAttributes attrs;
+      attrs.speed = rng.uniform(0.3, 3.0);
+      attrs.time_unit = rng.uniform(0.3, 0.9);  // not a power of two
+      attrs.orientation = phi;
+      attrs.chirality = chi;
+      fleet.emplace_back(attrs, Vec2{rng.uniform(-2.0, 2.0),
+                                     rng.uniform(-2.0, 2.0)});
+    }
+  }
+  for (const auto& [factory, count] : programs) {
+    for (const auto& [attrs, origin] : fleet) {
+      GlobalSegmentStream stream(factory(), attrs, origin);
+      const std::shared_ptr<Program> local = factory();
+      const RobotAttributes& validated = stream.attributes();
+      ReferenceClock clock;
+      TimedSegment global;
+      for (int compared = 0; compared < count;) {
+        const Segment seg = local->next();
+        const double global_dur =
+            validated.time_unit * reference_duration(seg);
+        if (global_dur <= 0.0) continue;
+        stream.next_into(global);
+        const auto [t0, t1] = clock.advance(global_dur);
+        ASSERT_EQ(segment_bits(global.geometry),
+                  segment_bits(to_global_geometry(seg, validated, origin)))
+            << local->name() << " phi=" << attrs.orientation
+            << " segment " << compared;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(global.t0),
+                  std::bit_cast<std::uint64_t>(t0))
+            << local->name() << " segment " << compared;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(global.t1),
+                  std::bit_cast<std::uint64_t>(t1))
+            << local->name() << " segment " << compared;
+        ++compared;
+      }
     }
   }
 }
@@ -507,6 +621,24 @@ void expect_batch_bitwise(const BatchedPositions& batch,
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i].y),
               std::bit_cast<std::uint64_t>(ref.y))
         << "slot " << i << " at=" << at;
+  }
+}
+
+TEST(FrameTest, PositionWithCachedDurationIsBitwisePosition) {
+  rv::mathx::Xoshiro256 rng(77);
+  for (int trial = 0; trial < 600; ++trial) {
+    const TimedSegment seg =
+        random_timed_segment(rng, static_cast<int>(trial % 6));
+    const double dur = duration(seg.geometry);
+    for (int k = 0; k < 8; ++k) {
+      const double t = rng.uniform(seg.t0 - 0.5, seg.t1 + 0.5);
+      const Vec2 cached = seg.position(t, dur);
+      const Vec2 plain = seg.position(t);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.x),
+                std::bit_cast<std::uint64_t>(plain.x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cached.y),
+                std::bit_cast<std::uint64_t>(plain.y));
+    }
   }
 }
 
